@@ -20,10 +20,10 @@ __all__ = ["phi1", "duhamel_convolve", "forward_solve", "observe"]
 _PHI_SERIES_CUTOFF = 0.35
 _PHI_SERIES_TERMS = 18
 
-_PHI1_COEFFS = np.array([1.0 / math.factorial(m + 1)
+# phi_k(z) = sum_m z**m / (m + k)!, k = 1, 2, 3
+_PHI_COEFFS = [np.array([1.0 / math.factorial(m + k)
                          for m in range(_PHI_SERIES_TERMS)])
-_PHI2_COEFFS = np.array([1.0 / math.factorial(m + 2)
-                         for m in range(_PHI_SERIES_TERMS)])
+               for k in (1, 2, 3)]
 
 
 def _horner(z, coeffs):
@@ -33,16 +33,34 @@ def _horner(z, coeffs):
     return out
 
 
-def _phi_pair(z):
-    """phi1(z) = (e^z - 1)/z and phi2(z) = (e^z - 1 - z)/z**2, vectorized,
-    with series branches where the direct formulas cancel."""
+def _phi_funcs(z):
+    """phi1(z) = (e^z - 1)/z, phi2(z) = (e^z - 1 - z)/z**2 and
+    phi3(z) = (e^z - 1 - z - z**2/2)/z**3, vectorized, with series branches
+    where the direct formulas cancel."""
     z = np.asarray(z, dtype=float)
     small = np.abs(z) < _PHI_SERIES_CUTOFF
     zr = np.where(small, 1.0, z)
-    em = np.expm1(np.where(small, 0.0, z))
-    p1 = np.where(small, _horner(z, _PHI1_COEFFS), em / zr)
-    p2 = np.where(small, _horner(z, _PHI2_COEFFS), (em - zr) / zr**2)
-    return p1, p2
+    em = np.expm1(zr)
+    out = (em / zr, (em - zr) / zr**2, (em - zr - 0.5 * zr**2) / zr**3)
+    if small.any():
+        zs = z[small]
+        for phi, coeffs in zip(out, _PHI_COEFFS):
+            phi[small] = _horner(zs, coeffs)
+    return out
+
+
+def _step_tables(nodes, lam):
+    """Per-step tables e^{h*lam}, h*(phi1 - phi2)(h*lam) and h*phi2(h*lam)
+    for all steps at once, shape (n_steps, n_modes).
+
+    The two weights integrate e^{(t_{i+1}-s)*lam} against the left and right
+    hat functions of step i, so sums of them are exact for piecewise-linear
+    data.
+    """
+    h = np.diff(nodes)[:, None]
+    z = h * lam[None, :]
+    p1, p2, _ = _phi_funcs(z)
+    return np.exp(z), h * (p1 - p2), h * p2
 
 
 def _require_same_grid(g, grid):
@@ -63,16 +81,11 @@ def duhamel_convolve(op, g, grid=None):
     grid = _require_same_grid(g, grid)
     if g.coeffs.shape[1] != op.n_modes:
         raise InvalidParameterError("forcing trajectory does not match the operator")
-    lam = op.eigenvalues
-    nodes = grid.nodes
+    e, wl, wr = _step_tables(grid.nodes, op.eigenvalues)
+    inc = wl * g.coeffs[:-1] + wr * g.coeffs[1:]
     out = np.zeros_like(g.coeffs)
-    for i in range(nodes.size - 1):
-        h = nodes[i + 1] - nodes[i]
-        z = h * lam
-        e = np.exp(z)
-        p1, p2 = _phi_pair(z)
-        out[i + 1] = e * out[i] + h * ((p1 - p2) * g.coeffs[i]
-                                       + p2 * g.coeffs[i + 1])
+    for i in range(inc.shape[0]):
+        out[i + 1] = e[i] * out[i] + inc[i]
     return Trajectory(grid, out)
 
 
@@ -87,25 +100,21 @@ def forward_solve(op, u0, f, grid, max_inner=25):
     u0 = np.asarray(u0, dtype=float)
     if u0.shape != (op.n_modes,) or not np.all(np.isfinite(u0)):
         raise InvalidParameterError("u0 must be a finite coefficient vector")
-    lam = op.eigenvalues
     nodes = grid.nodes
     n1 = nodes.size
-    hom = np.exp(np.outer(nodes, lam)) * u0
+    hom = np.exp(np.outer(nodes, op.eigenvalues)) * u0
+    e, wl, wr = _step_tables(nodes, op.eigenvalues)
     coeffs = np.empty((n1, op.n_modes))
     coeffs[0] = u0
     conv = np.zeros(op.n_modes)
     g_prev = f.eval_node(coeffs, grid, 0, op)
     for i in range(n1 - 1):
-        h = nodes[i + 1] - nodes[i]
-        z = h * lam
-        e = np.exp(z)
-        p1, p2 = _phi_pair(z)
-        base = e * conv + h * (p1 - p2) * g_prev
-        coeffs[i + 1] = hom[i + 1] + e * conv + h * p1 * g_prev
+        base = e[i] * conv + wl[i] * g_prev
+        coeffs[i + 1] = hom[i + 1] + base + wr[i] * g_prev
         prev_res = np.inf
         for _ in range(max_inner):
             g_next = f.eval_node(coeffs, grid, i + 1, op)
-            u_new = hom[i + 1] + base + h * p2 * g_next
+            u_new = hom[i + 1] + base + wr[i] * g_next
             res = float(np.linalg.norm(u_new - coeffs[i + 1]))
             coeffs[i + 1] = u_new
             if not np.isfinite(res):
@@ -129,7 +138,7 @@ def forward_solve(op, u0, f, grid, max_inner=25):
                 error_estimate=prev_res, step=i + 1,
             )
         g_next = f.eval_node(coeffs, grid, i + 1, op)
-        conv = base + h * p2 * g_next
+        conv = base + wr[i] * g_next
         g_prev = g_next
     return Trajectory(grid, coeffs)
 

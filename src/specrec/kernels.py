@@ -181,16 +181,12 @@ def _poly_moments(z, kmax):
     small = np.abs(z) < _SERIES_CUTOFF
     out = np.empty((kmax + 1,) + z.shape)
 
+    # Horner on sum_m z**m / (m! (m + k + 1)), holding no power table
     zs = np.where(small, z, 0.0)
-    term = np.ones_like(zs)
-    powers = [term.copy()]
-    for m in range(1, _SERIES_TERMS):
-        term = term * zs / m
-        powers.append(term.copy())
     for k in range(kmax + 1):
         acc = np.zeros_like(zs)
         for m in range(_SERIES_TERMS - 1, -1, -1):
-            acc += powers[m] / (m + k + 1)
+            acc = acc * zs + 1.0 / (math.factorial(m) * (m + k + 1))
         out[k] = acc
 
     zr = np.where(small, 1.0, z)
@@ -203,28 +199,18 @@ def _poly_moments(z, kmax):
     return out
 
 
-def _poly_exp_integral_vec(coeffs, lam, T):
-    """int_0^T (sum a_k t**k) exp(t*lam) dt, vectorized over lam."""
-    lam = np.atleast_1d(np.asarray(lam, dtype=float))
-    kmax = len(coeffs) - 1
-    J = _poly_moments(lam * T, kmax)
-    total = np.zeros_like(lam)
-    for k, a in enumerate(coeffs):
-        if a != 0.0:
-            total += a * T ** (k + 1) * J[k]
-    return total
+def _poly_exp_integral(coeffs, lam, T):
+    """int_0^T (sum_k coeffs[k] t**k) exp(t*lam) dt, broadcast over lam, T
+    and the entries of each coeffs[k]."""
+    J = _poly_moments(lam * T, len(coeffs) - 1)
+    return sum(a * T ** (k + 1) * J[k] for k, a in enumerate(coeffs))
 
 
 def _shifted_poly_coeffs(coeffs, s):
-    """Coefficients of t -> b(s + t) for polynomial b."""
-    kmax = len(coeffs) - 1
-    shifted = np.zeros(kmax + 1)
-    for k, a in enumerate(coeffs):
-        if a == 0.0:
-            continue
-        for m in range(k + 1):
-            shifted[m] += a * math.comb(k, m) * s ** (k - m)
-    return shifted
+    """Coefficients of t -> b(s + t) for polynomial b, broadcast over s."""
+    return [sum(a * math.comb(k, m) * s ** (k - m)
+                for k, a in enumerate(coeffs) if k >= m)
+            for m in range(len(coeffs))]
 
 
 # --------------------------------------------------------------------------
@@ -293,7 +279,7 @@ def _exp_weight_integral_vec(lams, T, b):
     if isinstance(b, ConstantWeight):
         return b.value * T * _phi1_vec(lams * T)
     if isinstance(b, PolynomialWeight):
-        return _poly_exp_integral_vec(b.coeffs, lams, T)
+        return _poly_exp_integral(b.coeffs, lams, T)
     if isinstance(b, TabulatedWeight):
         b.require_covers(T)
         out = np.empty_like(lams)
@@ -308,24 +294,27 @@ def tail_weight(lam, s, T, b):
     """int_s^T b(t) exp((t - s)*lam) dt; zero at s = T."""
     if not 0.0 <= s <= T:
         raise InvalidParameterError("s must lie in [0, T]")
-    return float(_tail_weight_vec(np.array([lam], dtype=float), s, T, b)[0])
+    return float(_tail_weight_matrix(np.array([lam], dtype=float),
+                                     np.array([s], dtype=float), T, b)[0, 0])
 
 
-def _tail_weight_vec(lams, s, T, b):
-    lams = np.atleast_1d(np.asarray(lams, dtype=float))
-    span = T - s
-    if span <= 0.0:
-        return np.zeros_like(lams)
+def _tail_weight_matrix(lams, svals, T, b):
+    """Tail integrals int_s^T b(t) exp((t - s)*lam) dt for every s in svals
+    (all in [0, T]) and every lam, shape (svals.size, lams.size)."""
+    span = (T - svals)[:, None]
     if isinstance(b, ConstantWeight):
-        return b.value * span * _phi1_vec(lams * span)
+        return b.value * span * _phi1_vec(span * lams)
     if isinstance(b, PolynomialWeight):
-        return _poly_exp_integral_vec(_shifted_poly_coeffs(b.coeffs, s), lams, span)
+        shifted = _shifted_poly_coeffs(b.coeffs, svals[:, None])
+        return _poly_exp_integral(shifted, lams, span)
     if isinstance(b, TabulatedWeight):
         b.require_covers(T)
-        out = np.empty_like(lams)
-        for i, lam in enumerate(lams):
-            out[i] = _adaptive_gl(lambda t: b(t) * np.exp(lam * (t - s)), s, T,
-                                  breakpoints=b.times)
+        out = np.empty((svals.size, lams.size))
+        for q, s in enumerate(svals):
+            for i, lam in enumerate(lams):
+                out[q, i] = _adaptive_gl(
+                    lambda t: b(t) * np.exp(lam * (t - s)), s, T,
+                    breakpoints=b.times)
         return out
     raise InvalidParameterError(f"unsupported weight type {type(b).__name__}")
 
@@ -337,16 +326,24 @@ def _abs_weight_integral_vec(lams, T, b):
         return abs(b.value) * T * _phi1_vec(lams * T)
     if isinstance(b, PolynomialWeight):
         if b.sign_certificate:
-            return _poly_exp_integral_vec(b.coeffs, lams, T)
+            return _poly_exp_integral(b.coeffs, lams, T)
         out = np.empty_like(lams)
         for i, lam in enumerate(lams):
             out[i] = _adaptive_gl(lambda t: np.abs(b(t)) * np.exp(lam * t),
                                   0.0, T, rel_tol=1e-9)
         return out
     if isinstance(b, TabulatedWeight):
-        # |piecewise linear| of |values| over-/under-shoots only inside
-        # sign-changing segments; good enough for a tolerance scale
-        babs = TabulatedWeight(b.times, np.abs(b.values))
+        # |b| is piecewise linear once every sign-changing segment is split
+        # at its zero; a crossing that rounds onto a table node is dropped,
+        # since |b| is at rounding level there anyway
+        t, v = b.times, b.values
+        i = np.nonzero(v[:-1] * v[1:] < 0.0)[0]
+        zeros = t[i] - v[i] * (t[i + 1] - t[i]) / (v[i + 1] - v[i])
+        zeros = zeros[(zeros > t[i]) & (zeros < t[i + 1])]
+        times = np.concatenate([t, zeros])
+        order = np.argsort(times)
+        babs = TabulatedWeight(times[order],
+                               np.concatenate([np.abs(v), np.zeros_like(zeros)])[order])
         return _exp_weight_integral_vec(lams, T, babs)
     raise InvalidParameterError(f"unsupported weight type {type(b).__name__}")
 
@@ -412,18 +409,23 @@ def mode_weights(op, a, b, T):
     return ModeWeights(lam, a, b, T, betas, phi0s, ks, scales)
 
 
+def _require_nonvanishing(denoms, scales, tol=ILL_POSED_RTOL):
+    """Raise IllPosedModeError naming the modes whose denominator is zero up
+    to tol times its scale."""
+    bad = np.nonzero(~(np.abs(denoms) > tol * scales))[0]
+    if bad.size:
+        modes = [int(j) + 1 for j in bad]
+        raise IllPosedModeError(
+            f"spectral condition violated at modes {modes}", modes)
+
+
 def phi_T_inverse_diagonal(weights):
     """Per-mode reciprocals of the diagonal observation weights.
 
     Rejects modes whose weight is zero up to the scale-relative tolerance,
     since those directions are not recoverable from the observation.
     """
-    bad = np.nonzero(np.abs(weights.betas) <= ILL_POSED_RTOL * weights.scales)[0]
-    if bad.size:
-        modes = [int(j) + 1 for j in bad]
-        raise IllPosedModeError(
-            f"observation weight vanishes at modes {modes}", modes
-        )
+    _require_nonvanishing(weights.betas, weights.scales)
     return 1.0 / weights.betas
 
 

@@ -9,7 +9,11 @@ initial condition u(0) = S(u) that is diagonal in the eigenbasis:
 
 The recovered initial state is the fixed point of successive substitution
 u -> e^{tA} S(u) + convolution(f(u)), run in the combined weighted-plus-sup
-metric.  A theoretical smallness threshold for the observation data is
+metric.  S is affine in the forcing, S(g) = (M - psi(g)) / d per mode, and
+its denominators d and the per-node weights of psi are built once per
+problem: exactly from phi functions for a constant observation weight, with
+a 6-point Gauss-Legendre rule per grid interval on the tail factor of any
+other weight.  A theoretical smallness threshold for the observation data is
 estimated alongside.
 """
 
@@ -19,12 +23,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .duhamel import duhamel_convolve
+from .duhamel import _phi_funcs, _step_tables, duhamel_convolve
 from .errors import (AdmissibilityError, IllPosedModeError,
                      InvalidParameterError, NumericFailureError)
 from .kernels import (ILL_POSED_RTOL, ConstantWeight, WeightFunction,
-                      _abs_weight_integral_vec, _exp_weight_integral_vec,
-                      _phi1_vec, _tail_weight_vec, beta_function, mode_weights)
+                      _phi1_vec, _require_nonvanishing, _tail_weight_matrix,
+                      beta_function, mode_weights)
 from .spectral import FractionalNormSpec, Trajectory, weighted_sup_norm
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(6)
@@ -96,17 +100,87 @@ class ConditionE200(NonlocalCondition):
 # --------------------------------------------------------------------------
 # the affine observation corrections
 # --------------------------------------------------------------------------
+#
+# Every condition reads c*u(0) + a*u(T) + int_0^T b(t) u(t) dt = M.  With the
+# mild solution u(t) = e^{tA} u(0) + v(t), v the convolution of the forcing
+# g, it fixes u(0) = (M - psi(g)) / d per mode, where
+#
+#     d_j      = c + a e^{T lam_j} + int_0^T b(t) e^{t lam_j} dt
+#     psi_j(g) = a v_j(T) + int_0^T b(t) v_j(t) dt
+#              = int_0^T g_j(s) [a e^{(T-s) lam_j} + tail_j(s)] ds,
+#
+# tail_j(s) = int_s^T b(t) e^{(t-s) lam_j} dt.  Both depend on the problem
+# only, so they are built once and each sweep is two array contractions.
 
-def _tail_matrix(lams, svals, T, b):
-    """tail integrals int_s^T b(t) e^{(t-s)lam} dt for all (s, mode) pairs."""
+_NO_WEIGHT = ConstantWeight(0.0)
+
+
+def _coupling(cond):
+    """(c, a, b) of a condition."""
+    if cond.problem == "E":
+        return 0.0, cond.a, cond.b
+    if cond.problem == "E100":
+        return 1.0, -cond.b, _NO_WEIGHT
+    if cond.problem == "E200":
+        return 1.0, 0.0, cond.b
+    raise InvalidParameterError(f"unknown problem tag {cond.problem!r}")
+
+
+def _denominators(op, c, a, b, T):
+    """Per-mode denominators d_j and their magnitude scales
+    |c| + |a| e^{T lam_j} + int_0^T |b(t)| e^{t lam_j} dt."""
+    w = mode_weights(op, a, b, T)
+    return c + w.betas, abs(c) + w.scales
+
+
+def _psi_weights(op, grid, a, b):
+    """Per-node weights (wL, wR), each (n_steps, n_modes), such that
+    psi_j(g) = sum_k wL[k, j] g_k[j] + wR[k, j] g_{k+1}[j] for g linear
+    between the grid nodes.
+
+    The a-term is exact.  For constant b the tail term is exact too: on step
+    k, with R = (T - t_{k+1}) phi1((T - t_{k+1}) lam), the tail splits into
+    the part inside the step and e^{(t_{k+1}-s) lam} R.  Other weights
+    integrate the tail against the hat functions with a 6-point
+    Gauss-Legendre rule per step.
+    """
+    lam = op.eigenvalues
+    nodes = grid.nodes
+    T = grid.T
+    h = np.diff(nodes)[:, None]
+    rest = T - nodes[1:, None]
+    _, left, right = _step_tables(nodes, lam)
+    carry = a * np.exp(rest * lam)
+    wl, wr = carry * left, carry * right
+    if b.is_zero:
+        return wl, wr
     if isinstance(b, ConstantWeight):
-        span = T - svals
-        z = span[:, None] * lams[None, :]
-        return b.value * span[:, None] * _phi1_vec(z)
-    out = np.empty((svals.size, lams.size))
-    for q, s in enumerate(svals):
-        out[q] = _tail_weight_vec(lams, float(s), T, b)
-    return out
+        _, p2, p3 = _phi_funcs(h * lam)
+        R = rest * _phi1_vec(rest * lam)
+        wl += b.value * (h * h * (p2 - p3) + left * R)
+        wr += b.value * (h * h * p3 + right * R)
+        return wl, wr
+    frac = 0.5 * (1.0 + _GL_NODES)
+    S = nodes[:-1, None] + h * frac
+    Wq = 0.5 * h * _GL_WEIGHTS
+    tails = _tail_weight_matrix(lam, S.ravel(), T, b).reshape(S.shape + lam.shape)
+    wl += np.einsum("kq,kqj->kj", Wq * (1.0 - frac), tails)
+    wr += np.einsum("kq,kqj->kj", Wq * frac, tails)
+    return wl, wr
+
+
+def _psi(weights, g):
+    """psi(g) for the per-node weights of ``_psi_weights`` and coefficient
+    samples g of shape (n_nodes, n_modes)."""
+    wl, wr = weights
+    return np.einsum("kj,kj->j", wl, g[:-1]) + np.einsum("kj,kj->j", wr, g[1:])
+
+
+def _require_forcing_grid(T, g, op):
+    if abs(T - g.grid.T) > 1e-12 * max(1.0, T):
+        raise InvalidParameterError("T does not match the forcing grid")
+    if g.coeffs.shape[1] != op.n_modes:
+        raise InvalidParameterError("forcing trajectory does not match the operator")
 
 
 def apply_psi_E(a, b, T, g, op):
@@ -116,71 +190,40 @@ def apply_psi_E(a, b, T, g, op):
         a * int_0^T e^{(T-s)A} g(s) ds
         + int_0^T g_j(s) * [tail integral of b from s] ds   (per mode).
 
-    The first term is computed by the exact piecewise-linear convolution
-    recurrence (stable for arbitrarily stiff modes); the second integrates
-    the linearly interpolated forcing against the smooth tail factor with
-    Gauss-Legendre panels per grid interval.
+    A one-shot call: it builds the per-node weights that ``picard_recover``
+    builds once per problem and contracts them with g.  The result is exact
+    for g linear between nodes when b is constant, stable for arbitrarily
+    stiff modes, and uses a 6-point Gauss-Legendre rule per grid interval on
+    the tail factor of any other b.
     """
-    grid = g.grid
-    if abs(T - grid.T) > 1e-12 * max(1.0, T):
-        raise InvalidParameterError("T does not match the forcing grid")
-    if g.coeffs.shape[1] != op.n_modes:
-        raise InvalidParameterError("forcing trajectory does not match the operator")
-    result = np.zeros(op.n_modes)
-    if a != 0.0:
-        result += a * duhamel_convolve(op, g).coeffs[-1]
-    if not b.is_zero:
-        nodes = grid.nodes
-        tl, tr = nodes[:-1], nodes[1:]
-        h = tr - tl
-        mid = 0.5 * (tl + tr)
-        half = 0.5 * h
-        S = mid[:, None] + half[:, None] * _GL_NODES[None, :]
-        Wq = half[:, None] * _GL_WEIGHTS[None, :]
-        frac = (S - tl[:, None]) / h[:, None]
-        tails = _tail_matrix(op.eigenvalues, S.ravel(), T, b)
-        tails = tails.reshape(S.shape + (op.n_modes,))
-        gl = g.coeffs[:-1][:, None, :]
-        gr = g.coeffs[1:][:, None, :]
-        gq = gl + frac[:, :, None] * (gr - gl)
-        result += np.einsum("kq,kqj->j", Wq, gq * tails)
-    return result
+    _require_forcing_grid(T, g, op)
+    return _psi(_psi_weights(op, g.grid, a, b), g.coeffs)
 
 
-def _check_denominators(denoms, scales, tol, what):
-    bad = np.nonzero(np.abs(denoms) <= tol * scales)[0]
-    if bad.size:
-        modes = [int(j) + 1 for j in bad]
-        raise IllPosedModeError(f"{what} vanishes at modes {modes}", modes)
+def _sigma_once(op, a, b, T, M, g, denominators, tol):
+    _require_forcing_grid(T, g, op)
+    denoms, scales = denominators
+    _require_nonvanishing(denoms, scales, tol)
+    psi = _psi(_psi_weights(op, g.grid, a, b), g.coeffs)
+    return (np.asarray(M, dtype=float) - psi) / denoms
 
 
 def sigma_E(w, M, g, op, tol=ILL_POSED_RTOL):
     """Initial state for problem E: per mode (M_j - psi_j) / beta_j."""
-    M = np.asarray(M, dtype=float)
-    _check_denominators(w.betas, w.scales, tol, "observation weight")
-    psi = apply_psi_E(w.a, w.weight, w.T, g, op)
-    return (M - psi) / w.betas
+    return _sigma_once(op, w.a, w.weight, w.T, M, g, (w.betas, w.scales), tol)
 
 
 def sigma_E100(b, T, M, g, op, tol=ILL_POSED_RTOL):
     """Initial state for problem E100:
     (M_j + b * int_0^T e^{(T-s)lam_j} g_j ds) / (1 - b e^{T lam_j})."""
-    M = np.asarray(M, dtype=float)
-    decay = np.exp(T * op.eigenvalues)
-    ks = 1.0 - b * decay
-    _check_denominators(ks, 1.0 + abs(b) * decay, tol, "initial-final coupling")
-    z = b * duhamel_convolve(op, g).coeffs[-1]
-    return (M + z) / ks
+    den = _denominators(op, 1.0, -b, _NO_WEIGHT, T)
+    return _sigma_once(op, -b, _NO_WEIGHT, T, M, g, den, tol)
 
 
 def sigma_E200(b, T, M, g, op, tol=ILL_POSED_RTOL):
     """Initial state for problem E200: (M_j - psi0_j) / (1 + phi0_j)."""
-    M = np.asarray(M, dtype=float)
-    phi0 = _exp_weight_integral_vec(op.eigenvalues, T, b)
-    scales = 1.0 + _abs_weight_integral_vec(op.eigenvalues, T, b)
-    _check_denominators(1.0 + phi0, scales, tol, "average coupling")
-    psi0 = apply_psi_E(0.0, b, T, g, op)
-    return (M - psi0) / (1.0 + phi0)
+    den = _denominators(op, 1.0, 0.0, b, T)
+    return _sigma_once(op, 0.0, b, T, M, g, den, tol)
 
 
 # --------------------------------------------------------------------------
@@ -206,19 +249,7 @@ class SpectralConditionReport:
 
 def check_spectral_condition(op, cond, T, tol=ILL_POSED_RTOL):
     """Evaluate the per-mode solvability margins for a condition."""
-    lam = op.eigenvalues
-    if cond.problem == "E":
-        w = mode_weights(op, cond.a, cond.b, T)
-        denoms, scales = w.betas, w.scales
-    elif cond.problem == "E100":
-        decay = np.exp(T * lam)
-        denoms = 1.0 - cond.b * decay
-        scales = 1.0 + abs(cond.b) * decay
-    elif cond.problem == "E200":
-        denoms = 1.0 + _exp_weight_integral_vec(lam, T, cond.b)
-        scales = 1.0 + _abs_weight_integral_vec(lam, T, cond.b)
-    else:
-        raise InvalidParameterError(f"unknown problem tag {cond.problem!r}")
+    denoms, scales = _denominators(op, *_coupling(cond), T)
     margins = np.abs(denoms)
     ok_per_mode = margins > tol * scales
     failing = tuple(int(j) + 1 for j in np.nonzero(~ok_per_mode)[0])
@@ -254,21 +285,11 @@ class FixedPointReport:
         return self.contraction_ratios[-1] if self.contraction_ratios else math.nan
 
 
-def _sigma_dispatch(op, cond, T, weights):
-    if cond.problem == "E":
-        return lambda g: sigma_E(weights, cond.M, g, op)
-    if cond.problem == "E100":
-        return lambda g: sigma_E100(cond.b, T, cond.M, g, op)
-    if cond.problem == "E200":
-        return lambda g: sigma_E200(cond.b, T, cond.M, g, op)
-    raise InvalidParameterError(f"unknown problem tag {cond.problem!r}")
-
-
-def _small_t_diagnostic(op, T, weights):
+def _small_t_diagnostic(op, T, betas):
     """Scale check for the short-horizon regime: the graph-norm size of the
     diagonal observation inverse should stay of order 1/T."""
     graph_weight = np.maximum(1.0, -op.eigenvalues)
-    return float(np.max(T / (np.abs(weights.betas) * graph_weight)))
+    return float(np.max(T / (np.abs(betas) * graph_weight)))
 
 
 def picard_recover(op, cond, f, grid, spec, tol=1e-10, max_iter=200,
@@ -281,6 +302,13 @@ def picard_recover(op, cond, f, grid, spec, tol=1e-10, max_iter=200,
     the combined weighted-plus-sup residual drops below ``tol``; hitting
     ``max_iter`` or a runaway residual yields a report with
     ``converged=False``, never a silent answer.
+
+    The initial value map u(0) = (M - psi(g)) / d is affine in the forcing
+    g, so its denominators and the per-node weights of psi are built once
+    per call; each sweep applies them as array contractions.  The weights
+    are exact for forcing linear between nodes when the observation weight
+    is constant, and use a 6-point Gauss-Legendre rule per grid interval
+    otherwise.
     """
     if not tol > 0:
         raise InvalidParameterError("tol must be positive")
@@ -289,13 +317,9 @@ def picard_recover(op, cond, f, grid, spec, tol=1e-10, max_iter=200,
     T = grid.T
     if cond.M.shape != (op.n_modes,):
         raise InvalidParameterError("M does not match the operator's mode count")
-    report_check = check_spectral_condition(op, cond, T)
-    if not report_check.ok:
-        raise IllPosedModeError(
-            f"spectral condition violated at modes {list(report_check.failing_modes)}",
-            report_check.failing_modes,
-        )
-    weights = mode_weights(op, cond.a, cond.b, T) if cond.problem == "E" else None
+    c, a, b = _coupling(cond)
+    denoms, scales = _denominators(op, c, a, b, T)
+    _require_nonvanishing(denoms, scales)
     if not f.vanishes_at_zero:
         if not small_t_mode:
             raise AdmissibilityError(
@@ -306,7 +330,7 @@ def picard_recover(op, cond, f, grid, spec, tol=1e-10, max_iter=200,
             raise AdmissibilityError(
                 "small_t_mode applies to problem E with a = 0 only"
             )
-        factor = _small_t_diagnostic(op, T, weights)
+        factor = _small_t_diagnostic(op, T, denoms)
         warnings.warn(
             "nonlinearity does not vanish at zero: proceeding in the "
             f"short-horizon regime (inverse-scale factor {factor:.3g}); "
@@ -314,10 +338,13 @@ def picard_recover(op, cond, f, grid, spec, tol=1e-10, max_iter=200,
             stacklevel=2,
         )
 
-    sigma = _sigma_dispatch(op, cond, T, weights)
+    weights = _psi_weights(op, grid, a, b)
+
+    def sigma(g):
+        return (cond.M - _psi(weights, g.coeffs)) / denoms
+
     e0_spec = FractionalNormSpec(0.0, spec.delta0)
-    zero_g = Trajectory.zeros(grid, op.n_modes)
-    sigma0 = sigma(zero_g)
+    sigma0 = cond.M / denoms
     sigma_T0_norm = float(np.linalg.norm(sigma0))
 
     hom = np.exp(np.outer(grid.nodes, op.eigenvalues))

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import specrec as sr
-from specrec.duhamel import _phi_pair
+from specrec.duhamel import _phi_funcs
 from _util import rel_err, ulp_close
 
 
@@ -30,11 +30,15 @@ class TestPhi1:
     @settings(deadline=None, max_examples=50)
     @given(z=st.floats(-700.0, 20.0))
     def test_phi_pair_consistency(self, z):
-        p1, p2 = _phi_pair(np.array([z]))
+        p1, p2, p3 = _phi_funcs(np.array([z]))
         assert rel_err(p1[0], sr.phi1(z)) < 1e-13
         # phi2(z) = (phi1(z) - 1)/z away from the origin
         if abs(z) > 1e-3:
             assert rel_err(p2[0], (sr.phi1(z) - 1.0) / z) < 1e-10
+        # phi3(z) = (phi2(z) - 1/2)/z, which cancels more near the origin
+        if abs(z) > 1e-2:
+            p2_ref = (sr.phi1(z) - 1.0) / z
+            assert rel_err(p3[0], (p2_ref - 0.5) / z) < 1e-10
 
 
 class TestDuhamelConvolve:

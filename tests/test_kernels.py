@@ -175,6 +175,17 @@ class TestModeWeights:
             w = sr.mode_weights(op, 0.3, b, 2.0)
             assert np.all(w.betas > 0)
 
+    def test_sign_changing_table_scale(self):
+        # |1 - 2t| on [0, 1]: the scale integrates |b|, exactly
+        # (e^lam - 1)/lam - 2 (e^{lam/2} - 1)^2 / lam^2
+        lams = [2.0, -0.5, -3.0]
+        b = sr.TabulatedWeight([0.0, 1.0], [1.0, -1.0])
+        w = sr.mode_weights(sr.diagonal_operator(lams), 0.0, b, 1.0)
+        want = [float(mp.expm1(lam) / lam
+                      - 2 * mp.expm1(mp.mpf(lam) / 2) ** 2 / lam**2)
+                for lam in lams]
+        assert rel_err(w.scales, want) < 1e-12
+
     def test_monotone_in_eigenvalue(self):
         op = sr.build_second_order(10, 1.0, 0.0, "dirichlet")
         w = sr.mode_weights(op, 0.0, B1, 1.0)

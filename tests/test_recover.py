@@ -59,8 +59,10 @@ class TestApplyPsiE:
         out = sr.apply_psi_E(0.0, B1, 1.0, g, op)
         assert abs(out[0] - 0.5) < 1e-14
 
-    def test_against_double_integral_oracle(self):
-        # full operator on linear-in-time forcing, oracle by 40-digit
+    @pytest.mark.parametrize("b", [B1, sr.PolynomialWeight([1.0, -0.5, 0.25])],
+                             ids=["constant", "poly"])
+    def test_against_double_integral_oracle(self, b):
+        # full operator on linear-in-time forcing, oracle by 30-digit
         # double quadrature of a*e^{(T-s)lam} g(s) + b-part tail
         import mpmath as mp
         mp.mp.dps = 30
@@ -68,16 +70,52 @@ class TestApplyPsiE:
         op = sr.diagonal_operator([lam])
         grid = sr.make_graded_grid(T, 24, 1.3)
         g = _traj(grid, (0.3 + 0.4 * grid.nodes)[:, None])
-        out = sr.apply_psi_E(a, B1, T, g, op)
+        out = sr.apply_psi_E(a, b, T, g, op)
 
         def gfun(s):
             return mp.mpf("0.3") + mp.mpf("0.4") * s
 
+        coeffs = b.coeffs if isinstance(b, sr.PolynomialWeight) else [b.value]
+
+        def bfun(t):
+            return sum(mp.mpf(c) * t**k for k, c in enumerate(coeffs))
+
         term_a = mp.quad(lambda s: mp.exp(lam * (T - s)) * gfun(s), [0, T])
         term_b = mp.quad(lambda s: gfun(s) * mp.quad(
-            lambda t: mp.exp(lam * (t - s)), [s, T]), [0, T])
+            lambda t: bfun(t) * mp.exp(lam * (t - s)), [s, T]), [0, T])
         want = float(a * term_a + term_b)
         assert abs(out[0] - want) < 1e-12
+
+    @pytest.mark.parametrize("n", [64, 256, 1024])
+    def test_constant_weight_exact_on_stiff_modes(self, n):
+        # pinned4 reaches lam = -32**4, so the tail factor has a boundary
+        # layer far thinner than a step; for g = alpha + beta*s the operator
+        # is a*(alpha T phi1 + beta T^2 phi2) + alpha T^2 phi2 + beta T^3 phi3
+        # at z = T*lam, evaluated here at 50 digits
+        import mpmath as mp
+        op = sr.build_fourth_order(32, 1.0)
+        T = 1.0
+        grid = sr.make_graded_grid(T, n)
+
+        def phi(k, lam):
+            with mp.workdps(50):
+                z = mp.mpf(T) * mp.mpf(lam)
+                return (mp.exp(z) - sum(z**m / mp.factorial(m)
+                                        for m in range(k))) / z**k
+
+        ones = _traj(grid, np.ones((n + 1, 32)))
+        got = sr.apply_psi_E(0.0, B1, T, ones, op)
+        want = [float(T**2 * phi(2, lam)) for lam in op.eigenvalues]
+        assert rel_err(got, want) <= 1e-12
+
+        alpha, beta, a = 0.3, 0.4, 0.5
+        line = _traj(grid, np.repeat((alpha + beta * grid.nodes)[:, None],
+                                     32, axis=1))
+        got = sr.apply_psi_E(a, B1, T, line, op)
+        want = [float(a * (alpha * T * phi(1, lam) + beta * T**2 * phi(2, lam))
+                      + alpha * T**2 * phi(2, lam) + beta * T**3 * phi(3, lam))
+                for lam in op.eigenvalues]
+        assert rel_err(got, want) <= 1e-12
 
     def test_stiff_mode_stability(self):
         # the a-term has a boundary layer at s = T; the convolution
