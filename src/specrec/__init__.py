@@ -13,8 +13,7 @@ from .kernels import (ConstantWeight, ModeWeights, PolynomialWeight,
                       exp_weight_integral, mode_weights,
                       phi_T_inverse_diagonal, tail_weight)
 from .nonlinearity import (MemoryKernel, Nonlinearity, PowerLaw, Zero,
-                           check_growth_condition, check_kernel_admissibility,
-                           eval_local, eval_memory_kernel)
+                           check_growth_condition, check_kernel_admissibility)
 from .duhamel import duhamel_convolve, forward_solve, observe, phi1
 from .recover import (ConditionE, ConditionE100, ConditionE200,
                       FixedPointReport, GrowthExponents, NonlocalCondition,

@@ -7,51 +7,19 @@ exactly.  Stiff modes therefore cost nothing in stability, and zero forcing
 reproduces the semigroup to rounding.
 """
 
-import math
-
 import numpy as np
 
 from .errors import InvalidParameterError, NumericFailureError
-from .kernels import WeightFunction, phi1
+from .kernels import WeightFunction, moments, phi1
 from .spectral import Trajectory
 
 __all__ = ["phi1", "duhamel_convolve", "forward_solve", "observe"]
 
-_PHI_SERIES_CUTOFF = 0.35
-_PHI_SERIES_TERMS = 18
-
-# phi_k(z) = sum_m z**m / (m + k)!, k = 1, 2, 3
-_PHI_COEFFS = [np.array([1.0 / math.factorial(m + k)
-                         for m in range(_PHI_SERIES_TERMS)])
-               for k in (1, 2, 3)]
-
-
-def _horner(z, coeffs):
-    out = np.zeros_like(z)
-    for a in coeffs[::-1]:
-        out = out * z + a
-    return out
-
-
-def _phi_funcs(z):
-    """phi1(z) = (e^z - 1)/z, phi2(z) = (e^z - 1 - z)/z**2 and
-    phi3(z) = (e^z - 1 - z - z**2/2)/z**3, vectorized, with series branches
-    where the direct formulas cancel."""
-    z = np.asarray(z, dtype=float)
-    small = np.abs(z) < _PHI_SERIES_CUTOFF
-    zr = np.where(small, 1.0, z)
-    em = np.expm1(zr)
-    out = (em / zr, (em - zr) / zr**2, (em - zr - 0.5 * zr**2) / zr**3)
-    if small.any():
-        zs = z[small]
-        for phi, coeffs in zip(out, _PHI_COEFFS):
-            phi[small] = _horner(zs, coeffs)
-    return out
-
 
 def _step_tables(nodes, lam):
-    """Per-step tables e^{h*lam}, h*(phi1 - phi2)(h*lam) and h*phi2(h*lam)
-    for all steps at once, shape (n_steps, n_modes).
+    """Per-step tables e^{h*lam}, h*J_1(h*lam) and h*(J_0 - J_1)(h*lam)
+    for all steps at once, shape (n_steps, n_modes), J_k the moments of
+    ``kernels.moments``.
 
     The two weights integrate e^{(t_{i+1}-s)*lam} against the left and right
     hat functions of step i, so sums of them are exact for piecewise-linear
@@ -59,8 +27,8 @@ def _step_tables(nodes, lam):
     """
     h = np.diff(nodes)[:, None]
     z = h * lam[None, :]
-    p1, p2, _ = _phi_funcs(z)
-    return np.exp(z), h * (p1 - p2), h * p2
+    J = moments(z, 1)
+    return np.exp(z), h * J[1], h * (J[0] - J[1])
 
 
 def _require_same_grid(g, grid):

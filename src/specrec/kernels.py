@@ -1,11 +1,11 @@
 """Stable scalar kernels for exponential-weight integrals.
 
 Everything the recovery operators need reduces per mode to integrals of the
-form ``int b(t) exp(t*lam) dt`` and their tail variants.  Constant and
-polynomial weights get closed forms built from the phi-function family (with
-series branches near lam = 0 to avoid cancellation); tabulated weights fall
-back to adaptive Gauss-Legendre panels.  The Beta function used by the
-well-posedness estimates lives here too.
+form ``int b(t) exp(t*lam) dt`` and their tail variants.  Every weight is
+piecewise polynomial on [0, T], so every such integral is a finite sum of
+the moments J_k(z) = int_0^1 s**k exp(z*s) ds, which one evaluator supplies
+in closed form (with a series branch near z = 0 to avoid cancellation).  The
+Beta function used by the well-posedness estimates lives here too.
 """
 
 import hashlib
@@ -20,22 +20,46 @@ from .errors import (IllPosedModeError, InvalidParameterError,
 # treated as a genuine kernel element rather than harmless cancellation.
 ILL_POSED_RTOL = 1e-10
 
-_PHI1_SMALL = 1e-8
+
+# --------------------------------------------------------------------------
+# moments  J_k(z) = int_0^1 s**k exp(z*s) ds
+# --------------------------------------------------------------------------
+
+_SERIES_TERMS = 30
+_SERIES_CUTOFF = 1.0
+
+
+def moments(z, kmax):
+    """J_k(z) for k = 0..kmax, shape (kmax + 1,) + z.shape.
+
+    Series sum_m z**m / (m! (m + k + 1)) for |z| < 1, where the by-parts
+    recurrence J_k = (e^z - k J_{k-1}) / z cancels; the recurrence elsewhere.
+    The phi functions are phi1 = J_0, phi2 = J_0 - J_1 and
+    phi3 = (J_0 - 2 J_1 + J_2) / 2.
+    """
+    z = np.asarray(z, dtype=float)
+    flat = z.ravel()
+    small = np.abs(flat) < _SERIES_CUTOFF
+    zr = np.where(small, 1.0, flat)
+    ez = np.exp(zr)
+    out = np.empty((kmax + 1, flat.size))
+    out[0] = np.expm1(zr) / zr
+    for k in range(1, kmax + 1):
+        out[k] = (ez - k * out[k - 1]) / zr
+    if small.any():
+        # Horner, evaluated only where the series is needed
+        zs = flat[small]
+        for k in range(kmax + 1):
+            acc = np.zeros_like(zs)
+            for m in range(_SERIES_TERMS - 1, -1, -1):
+                acc = acc * zs + 1.0 / (math.factorial(m) * (m + k + 1))
+            out[k, small] = acc
+    return out.reshape((kmax + 1,) + z.shape)
 
 
 def phi1(z):
-    """(exp(z) - 1) / z with the series branch for |z| < 1e-8; phi1(0) = 1."""
-    z = float(z)
-    if abs(z) < _PHI1_SMALL:
-        return 1.0 + 0.5 * z
-    return math.expm1(z) / z
-
-
-def _phi1_vec(z):
-    z = np.asarray(z, dtype=float)
-    small = np.abs(z) < _PHI1_SMALL
-    safe = np.where(small, 1.0, z)
-    return np.where(small, 1.0 + 0.5 * z, np.expm1(safe) / safe)
+    """(exp(z) - 1) / z, with phi1(0) = 1."""
+    return float(moments(float(z), 0)[0])
 
 
 # --------------------------------------------------------------------------
@@ -70,6 +94,12 @@ class WeightFunction:
     def _key(self):
         raise NotImplementedError
 
+    def pieces(self, T):
+        """b on [0, T] as polynomial pieces (edges, coeffs): breakpoints
+        0 = edges[0] < ... < edges[-1] = T, and coeffs[p] the Taylor
+        coefficients of b about edges[p] in increasing degree."""
+        raise NotImplementedError
+
 
 class ConstantWeight(WeightFunction):
     """b(t) = value."""
@@ -88,6 +118,9 @@ class ConstantWeight(WeightFunction):
 
     def _key(self):
         return f"constant:{self.value!r}"
+
+    def pieces(self, T):
+        return np.array([0.0, T]), np.array([[self.value]])
 
     def __repr__(self):
         return f"ConstantWeight({self.value!r})"
@@ -118,6 +151,9 @@ class PolynomialWeight(WeightFunction):
 
     def _key(self):
         return "poly:" + ",".join(repr(float(a)) for a in self.coeffs)
+
+    def pieces(self, T):
+        return np.array([0.0, T]), self.coeffs[None, :]
 
     def __repr__(self):
         return f"PolynomialWeight({list(self.coeffs)!r})"
@@ -151,6 +187,13 @@ class TabulatedWeight(WeightFunction):
                 f"table covers [{self.times[0]}, {self.times[-1]}], not [0, {T}]"
             )
 
+    def pieces(self, T):
+        self.require_covers(T)
+        inner = self.times[(self.times > 0.0) & (self.times < T)]
+        edges = np.concatenate([[0.0], inner, [T]])
+        v = self(edges)
+        return edges, np.column_stack([v[:-1], np.diff(v) / np.diff(edges)])
+
     @property
     def is_zero(self):
         return bool(np.all(self.values == 0.0))
@@ -164,188 +207,88 @@ class TabulatedWeight(WeightFunction):
 
 
 # --------------------------------------------------------------------------
-# polynomial moments  J_k(z) = int_0^1 s**k exp(z*s) ds
-# --------------------------------------------------------------------------
-
-_SERIES_TERMS = 30
-_SERIES_CUTOFF = 1.0
-
-
-def _poly_moments(z, kmax):
-    """J_k(z) for k = 0..kmax, vectorized over z.
-
-    Series for |z| < 1 (the by-parts recurrence cancels there), exact
-    integration-by-parts recurrence otherwise.
-    """
-    z = np.atleast_1d(np.asarray(z, dtype=float))
-    small = np.abs(z) < _SERIES_CUTOFF
-    out = np.empty((kmax + 1,) + z.shape)
-
-    # Horner on sum_m z**m / (m! (m + k + 1)), holding no power table
-    zs = np.where(small, z, 0.0)
-    for k in range(kmax + 1):
-        acc = np.zeros_like(zs)
-        for m in range(_SERIES_TERMS - 1, -1, -1):
-            acc = acc * zs + 1.0 / (math.factorial(m) * (m + k + 1))
-        out[k] = acc
-
-    zr = np.where(small, 1.0, z)
-    ez = np.exp(np.where(small, 0.0, z))
-    rec = np.expm1(np.where(small, 0.0, z)) / zr
-    out[0] = np.where(small, out[0], rec)
-    for k in range(1, kmax + 1):
-        rec = (ez - k * rec) / zr
-        out[k] = np.where(small, out[k], rec)
-    return out
-
-
-def _poly_exp_integral(coeffs, lam, T):
-    """int_0^T (sum_k coeffs[k] t**k) exp(t*lam) dt, broadcast over lam, T
-    and the entries of each coeffs[k]."""
-    J = _poly_moments(lam * T, len(coeffs) - 1)
-    return sum(a * T ** (k + 1) * J[k] for k, a in enumerate(coeffs))
-
-
-def _shifted_poly_coeffs(coeffs, s):
-    """Coefficients of t -> b(s + t) for polynomial b, broadcast over s."""
-    return [sum(a * math.comb(k, m) * s ** (k - m)
-                for k, a in enumerate(coeffs) if k >= m)
-            for m in range(len(coeffs))]
-
-
-# --------------------------------------------------------------------------
-# adaptive Gauss-Legendre panels for tabulated weights
-# --------------------------------------------------------------------------
-
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(15)
-_MAX_DEPTH = 40
-
-
-def _gl_panel(fn, lo, hi):
-    mid = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-    return half * float(_GL_WEIGHTS @ fn(mid + half * _GL_NODES))
-
-
-def _adaptive_gl(fn, lo, hi, breakpoints=(), rel_tol=1e-12):
-    """Panel-adaptive Gauss-Legendre with bisection refinement.
-
-    The initial panels split at the supplied breakpoints (table kinks).
-    Raises on non-convergence, carrying the achieved error estimate.
-    """
-    if hi <= lo:
-        return 0.0
-    cuts = [lo] + [b for b in sorted(breakpoints) if lo < b < hi] + [hi]
-    scale = sum(_gl_panel(lambda t: np.abs(fn(t)), a, b)
-                for a, b in zip(cuts[:-1], cuts[1:]))
-    scale = max(scale, 1e-300)
-    width = hi - lo
-
-    def refine(a, b, coarse, tol_abs, depth):
-        mid = 0.5 * (a + b)
-        left = _gl_panel(fn, a, mid)
-        right = _gl_panel(fn, mid, b)
-        err = abs(left + right - coarse)
-        if err <= tol_abs or err <= 1e-16 * scale:
-            return left + right
-        if depth >= _MAX_DEPTH:
-            raise NumericFailureError(
-                f"quadrature did not converge on [{a}, {b}]",
-                error_estimate=err,
-            )
-        return (refine(a, mid, left, 0.5 * tol_abs, depth + 1)
-                + refine(mid, b, right, 0.5 * tol_abs, depth + 1))
-
-    total = 0.0
-    for a, b in zip(cuts[:-1], cuts[1:]):
-        tol_abs = rel_tol * scale * (b - a) / width
-        total += refine(a, b, _gl_panel(fn, a, b), tol_abs, 0)
-    return total
-
-
-# --------------------------------------------------------------------------
 # the integrals
 # --------------------------------------------------------------------------
 
-def exp_weight_integral(lam, T, b):
-    """int_0^T b(t) exp(t*lam) dt."""
+def _taylor_shift(coeffs, d):
+    """Taylor coefficients about x + d[p] of the polynomial whose
+    coefficients about x are coeffs[p], for every row p."""
+    out = np.zeros_like(coeffs)
+    for k in range(coeffs.shape[1]):
+        for m in range(k + 1):
+            out[:, m] += math.comb(k, m) * d ** (k - m) * coeffs[:, k]
+    return out
+
+
+def _poly_exp(coeffs, widths, lams):
+    """int_0^w (sum_m coeffs[p, m] u**m) e^{u*lam} du for every row p with
+    its width w = widths[p] and every lam, shape (rows, lams.size)."""
+    J = moments(widths[:, None] * lams, coeffs.shape[1] - 1)
+    powers = widths[:, None] ** np.arange(1, coeffs.shape[1] + 1)
+    return np.einsum("pk,kpl->pl", coeffs * powers, J)
+
+
+def _tail(lams, svals, edges, coeffs):
+    """Tail integrals int_s^T b(t) e^{(t - s)*lam} dt of the piecewise
+    polynomial b given by ``WeightFunction.pieces`` (T = edges[-1]), for
+    every s in svals (all in [0, T]) and every lam, shape
+    (svals.size, lams.size).
+
+    The part in s's own piece is one moment sum; the later pieces add
+    e^{(edge - s)*lam} times their backward suffix sum, so every exponent is
+    <= 0 when lam <= 0.
+    """
+    lams = np.atleast_1d(np.asarray(lams, dtype=float))
+    svals = np.atleast_1d(np.asarray(svals, dtype=float))
+    widths = np.diff(edges)
+    whole = _poly_exp(coeffs, widths, lams)
+    step = np.exp(widths[:, None] * lams)
+    suffix = np.zeros((widths.size + 1, lams.size))
+    for p in range(widths.size - 1, -1, -1):
+        suffix[p] = whole[p] + step[p] * suffix[p + 1]
+    p = np.clip(np.searchsorted(edges, svals, side="right") - 1,
+                0, widths.size - 1)
+    rest = edges[p + 1] - svals
+    own = _poly_exp(_taylor_shift(coeffs[p], svals - edges[p]), rest, lams)
+    return own + np.exp(rest[:, None] * lams) * suffix[p + 1]
+
+
+def _abs_pieces(edges, coeffs):
+    """The pieces of |b| for the pieces of b: each piece is split at its
+    real roots inside it and takes its sign from its midpoint.  A root that
+    rounds onto an edge is dropped, since |b| is at rounding level there."""
+    out_edges, out_coeffs = [edges[:1]], []
+    for lo, hi, c in zip(edges[:-1], edges[1:], coeffs):
+        r = np.roots(c[::-1])
+        r = np.sort(r[np.isreal(r)].real)
+        r = r[(r > 0.0) & (r < hi - lo)]
+        left = np.concatenate([[0.0], r])
+        right = np.concatenate([r, [hi - lo]])
+        sign = np.sign(np.polynomial.polynomial.polyval(0.5 * (left + right), c))
+        out_edges.append(np.concatenate([lo + r, [hi]]))
+        out_coeffs.append(sign[:, None] * _taylor_shift(
+            np.tile(c, (left.size, 1)), left))
+    return np.concatenate(out_edges), np.concatenate(out_coeffs)
+
+
+def _pieces(b, T):
     if not T > 0:
         raise InvalidParameterError("T must be positive")
-    return float(_exp_weight_integral_vec(np.array([lam], dtype=float), T, b)[0])
+    if not isinstance(b, WeightFunction):
+        raise InvalidParameterError("b must be a WeightFunction")
+    return b.pieces(T)
 
 
-def _exp_weight_integral_vec(lams, T, b):
-    lams = np.atleast_1d(np.asarray(lams, dtype=float))
-    if isinstance(b, ConstantWeight):
-        return b.value * T * _phi1_vec(lams * T)
-    if isinstance(b, PolynomialWeight):
-        return _poly_exp_integral(b.coeffs, lams, T)
-    if isinstance(b, TabulatedWeight):
-        b.require_covers(T)
-        out = np.empty_like(lams)
-        for i, lam in enumerate(lams):
-            out[i] = _adaptive_gl(lambda t: b(t) * np.exp(lam * t), 0.0, T,
-                                  breakpoints=b.times)
-        return out
-    raise InvalidParameterError(f"unsupported weight type {type(b).__name__}")
+def exp_weight_integral(lam, T, b):
+    """int_0^T b(t) exp(t*lam) dt."""
+    return float(_tail(lam, 0.0, *_pieces(b, T))[0, 0])
 
 
 def tail_weight(lam, s, T, b):
     """int_s^T b(t) exp((t - s)*lam) dt; zero at s = T."""
     if not 0.0 <= s <= T:
         raise InvalidParameterError("s must lie in [0, T]")
-    return float(_tail_weight_matrix(np.array([lam], dtype=float),
-                                     np.array([s], dtype=float), T, b)[0, 0])
-
-
-def _tail_weight_matrix(lams, svals, T, b):
-    """Tail integrals int_s^T b(t) exp((t - s)*lam) dt for every s in svals
-    (all in [0, T]) and every lam, shape (svals.size, lams.size)."""
-    span = (T - svals)[:, None]
-    if isinstance(b, ConstantWeight):
-        return b.value * span * _phi1_vec(span * lams)
-    if isinstance(b, PolynomialWeight):
-        shifted = _shifted_poly_coeffs(b.coeffs, svals[:, None])
-        return _poly_exp_integral(shifted, lams, span)
-    if isinstance(b, TabulatedWeight):
-        b.require_covers(T)
-        out = np.empty((svals.size, lams.size))
-        for q, s in enumerate(svals):
-            for i, lam in enumerate(lams):
-                out[q, i] = _adaptive_gl(
-                    lambda t: b(t) * np.exp(lam * (t - s)), s, T,
-                    breakpoints=b.times)
-        return out
-    raise InvalidParameterError(f"unsupported weight type {type(b).__name__}")
-
-
-def _abs_weight_integral_vec(lams, T, b):
-    """int_0^T |b(t)| exp(t*lam) dt, used as the ill-posedness scale."""
-    lams = np.atleast_1d(np.asarray(lams, dtype=float))
-    if isinstance(b, ConstantWeight):
-        return abs(b.value) * T * _phi1_vec(lams * T)
-    if isinstance(b, PolynomialWeight):
-        if b.sign_certificate:
-            return _poly_exp_integral(b.coeffs, lams, T)
-        out = np.empty_like(lams)
-        for i, lam in enumerate(lams):
-            out[i] = _adaptive_gl(lambda t: np.abs(b(t)) * np.exp(lam * t),
-                                  0.0, T, rel_tol=1e-9)
-        return out
-    if isinstance(b, TabulatedWeight):
-        # |b| is piecewise linear once every sign-changing segment is split
-        # at its zero; a crossing that rounds onto a table node is dropped,
-        # since |b| is at rounding level there anyway
-        t, v = b.times, b.values
-        i = np.nonzero(v[:-1] * v[1:] < 0.0)[0]
-        zeros = t[i] - v[i] * (t[i + 1] - t[i]) / (v[i + 1] - v[i])
-        zeros = zeros[(zeros > t[i]) & (zeros < t[i + 1])]
-        times = np.concatenate([t, zeros])
-        order = np.argsort(times)
-        babs = TabulatedWeight(times[order],
-                               np.concatenate([np.abs(v), np.zeros_like(zeros)])[order])
-        return _exp_weight_integral_vec(lams, T, babs)
-    raise InvalidParameterError(f"unsupported weight type {type(b).__name__}")
+    return float(_tail(lam, s, *_pieces(b, T))[0, 0])
 
 
 # --------------------------------------------------------------------------
@@ -357,11 +300,10 @@ class ModeWeights:
 
     betas[j]  = a*exp(T*lambda_j) + int_0^T b(t) exp(t*lambda_j) dt
     phi0s[j]  = int_0^T b(t) exp(t*lambda_j) dt
-    ks[j]     = 1 - b*exp(T*lambda_j)            (constant b only)
     scales[j] = |a|*exp(T*lambda_j) + int_0^T |b(t)| exp(t*lambda_j) dt
     """
 
-    def __init__(self, eigenvalues, a, weight, T, betas, phi0s, ks, scales):
+    def __init__(self, eigenvalues, a, weight, T, betas, phi0s, scales):
         self.eigenvalues = eigenvalues
         self.a = float(a)
         self.weight = weight
@@ -369,14 +311,14 @@ class ModeWeights:
         self.T = float(T)
         self.betas = betas
         self.phi0s = phi0s
-        self.ks = ks
         self.scales = scales
+        finite = np.isfinite(betas) & np.isfinite(phi0s) & np.isfinite(scales)
+        if not finite.all():
+            j = int(np.argmin(finite))
+            raise NumericFailureError(
+                f"non-finite observation weight at mode {j + 1}", mode=j + 1)
         for arr in (betas, phi0s, scales):
-            if not np.all(np.isfinite(arr)):
-                raise NumericFailureError("non-finite observation weight")
             arr.setflags(write=False)
-        if ks is not None:
-            ks.setflags(write=False)
 
     @property
     def n_modes(self):
@@ -385,28 +327,16 @@ class ModeWeights:
 
 def mode_weights(op, a, b, T):
     """Diagonal observation weights for all modes of an operator."""
-    if not T > 0:
-        raise InvalidParameterError("T must be positive")
-    if not isinstance(b, WeightFunction):
-        raise InvalidParameterError("b must be a WeightFunction")
+    edges, coeffs = _pieces(b, T)
     lam = op.eigenvalues
-    if isinstance(b, TabulatedWeight):
-        phi0s = np.empty(op.n_modes)
-        for j in range(op.n_modes):
-            try:
-                phi0s[j] = exp_weight_integral(lam[j], T, b)
-            except NumericFailureError as exc:
-                raise NumericFailureError(
-                    f"observation weight failed at mode {j + 1}: {exc}",
-                    error_estimate=exc.error_estimate, mode=j + 1,
-                ) from exc
-    else:
-        phi0s = _exp_weight_integral_vec(lam, T, b)
-    decay = np.exp(T * lam)
-    betas = a * decay + phi0s
-    scales = abs(a) * decay + _abs_weight_integral_vec(lam, T, b)
-    ks = 1.0 - b.value * decay if isinstance(b, ConstantWeight) else None
-    return ModeWeights(lam, a, b, T, betas, phi0s, ks, scales)
+    # an overflowing unstable mode is reported by ModeWeights, with its index
+    with np.errstate(over="ignore", invalid="ignore"):
+        phi0s = _tail(lam, 0.0, edges, coeffs)[0]
+        decay = np.exp(T * lam)
+        betas = a * decay + phi0s
+        scales = (abs(a) * decay
+                  + _tail(lam, 0.0, *_abs_pieces(edges, coeffs))[0])
+    return ModeWeights(lam, a, b, T, betas, phi0s, scales)
 
 
 def _require_nonvanishing(denoms, scales, tol=ILL_POSED_RTOL):

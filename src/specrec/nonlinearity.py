@@ -162,24 +162,6 @@ class MemoryKernel(Nonlinearity):
                 f"ell={self.ell!r})")
 
 
-def eval_local(f, u, op):
-    """Evaluate a pointwise power law along a trajectory."""
-    if not isinstance(f, PowerLaw):
-        raise InvalidParameterError("eval_local expects a PowerLaw nonlinearity")
-    if u.coeffs.shape[1] != op.n_modes:
-        raise InvalidParameterError("trajectory does not match the operator")
-    return f.eval_trajectory(u, op)
-
-
-def eval_memory_kernel(f, u, op):
-    """Evaluate a memory-kernel nonlinearity along a trajectory."""
-    if not isinstance(f, MemoryKernel):
-        raise InvalidParameterError("eval_memory_kernel expects a MemoryKernel")
-    if u.coeffs.shape[1] != op.n_modes:
-        raise InvalidParameterError("trajectory does not match the operator")
-    return f.eval_trajectory(u, op)
-
-
 @dataclass(frozen=True)
 class GrowthCheck:
     """Empirical superlinear-growth constant: a sampled lower bound on the

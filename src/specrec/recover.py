@@ -23,12 +23,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .duhamel import _phi_funcs, _step_tables, duhamel_convolve
+from .duhamel import _step_tables, duhamel_convolve
 from .errors import (AdmissibilityError, IllPosedModeError,
                      InvalidParameterError, NumericFailureError)
 from .kernels import (ILL_POSED_RTOL, ConstantWeight, WeightFunction,
-                      _phi1_vec, _require_nonvanishing, _tail_weight_matrix,
-                      beta_function, mode_weights)
+                      _require_nonvanishing, _tail, beta_function, moments,
+                      mode_weights)
 from .spectral import FractionalNormSpec, Trajectory, weighted_sup_norm
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(6)
@@ -139,10 +139,11 @@ def _psi_weights(op, grid, a, b):
     between the grid nodes.
 
     The a-term is exact.  For constant b the tail term is exact too: on step
-    k, with R = (T - t_{k+1}) phi1((T - t_{k+1}) lam), the tail splits into
-    the part inside the step and e^{(t_{k+1}-s) lam} R.  Other weights
-    integrate the tail against the hat functions with a 6-point
-    Gauss-Legendre rule per step.
+    k, with R = (T - t_{k+1}) J_0((T - t_{k+1}) lam), the tail splits into
+    the part inside the step, h**2 (J_0 - J_2)/2 and h**2 (J_0 - 2 J_1 +
+    J_2)/2 at z = h lam against the two hats, and e^{(t_{k+1}-s) lam} R.
+    Other weights integrate the tail against the hat functions with a
+    6-point Gauss-Legendre rule per step.
     """
     lam = op.eigenvalues
     nodes = grid.nodes
@@ -155,15 +156,15 @@ def _psi_weights(op, grid, a, b):
     if b.is_zero:
         return wl, wr
     if isinstance(b, ConstantWeight):
-        _, p2, p3 = _phi_funcs(h * lam)
-        R = rest * _phi1_vec(rest * lam)
-        wl += b.value * (h * h * (p2 - p3) + left * R)
-        wr += b.value * (h * h * p3 + right * R)
+        J = moments(h * lam, 2)
+        R = rest * moments(rest * lam, 0)[0]
+        wl += b.value * (h * h * 0.5 * (J[0] - J[2]) + left * R)
+        wr += b.value * (h * h * 0.5 * (J[0] - 2.0 * J[1] + J[2]) + right * R)
         return wl, wr
     frac = 0.5 * (1.0 + _GL_NODES)
     S = nodes[:-1, None] + h * frac
     Wq = 0.5 * h * _GL_WEIGHTS
-    tails = _tail_weight_matrix(lam, S.ravel(), T, b).reshape(S.shape + lam.shape)
+    tails = _tail(lam, S.ravel(), *b.pieces(T)).reshape(S.shape + lam.shape)
     wl += np.einsum("kq,kqj->kj", Wq * (1.0 - frac), tails)
     wr += np.einsum("kq,kqj->kj", Wq * frac, tails)
     return wl, wr

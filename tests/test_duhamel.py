@@ -2,13 +2,15 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import specrec as sr
-from specrec.duhamel import _phi_funcs
+from specrec.duhamel import _step_tables
+from specrec.kernels import moments
 from _util import rel_err, ulp_close
 
 
@@ -30,7 +32,8 @@ class TestPhi1:
     @settings(deadline=None, max_examples=50)
     @given(z=st.floats(-700.0, 20.0))
     def test_phi_pair_consistency(self, z):
-        p1, p2, p3 = _phi_funcs(np.array([z]))
+        J = moments(np.array([z]), 2)
+        p1, p2, p3 = J[0], J[0] - J[1], 0.5 * (J[0] - 2.0 * J[1] + J[2])
         assert rel_err(p1[0], sr.phi1(z)) < 1e-13
         # phi2(z) = (phi1(z) - 1)/z away from the origin
         if abs(z) > 1e-3:
@@ -39,6 +42,14 @@ class TestPhi1:
         if abs(z) > 1e-2:
             p2_ref = (sr.phi1(z) - 1.0) / z
             assert rel_err(p3[0], (p2_ref - 0.5) / z) < 1e-10
+
+
+    @pytest.mark.parametrize("z", [-1e4, -7e5])
+    def test_stiff_left_step_weight(self, z):
+        # h*J_1(h*lam) with h = 1: (1 - (1 - z) e^z)/z**2, e^z below rounding
+        _, left, _ = _step_tables(np.array([0.0, 1.0]), np.array([z]))
+        want = float((1 - (1 - mp.mpf(z)) * mp.exp(z)) / mp.mpf(z)**2)
+        assert rel_err(left[0, 0], want) < 1e-14
 
 
 class TestDuhamelConvolve:

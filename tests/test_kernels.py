@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import specrec as sr
-from specrec.errors import IllPosedModeError
+from specrec.errors import IllPosedModeError, NumericFailureError
+from specrec.kernels import moments
 from _util import rel_err, ulp_close
 
 mp.mp.dps = 40
@@ -18,6 +19,67 @@ B1 = sr.ConstantWeight(1.0)
 
 # frozen from the 40-digit oracle 1 - exp(-1)
 ONE_MINUS_E_INV = 0.6321205588285577
+
+
+def _moment_oracle(z, k):
+    """J_k(z) = k!/(-z)**(k+1) (1 - e^z sum_{m<=k} (-z)**m/m!) at 80 digits,
+    enough to absorb the cancellation of the closed form at |z| = 1e-9."""
+    if z == 0.0:
+        return 1.0 / (k + 1)
+    with mp.workdps(80):
+        x = -mp.mpf(z)
+        head = sum(x**m / mp.factorial(m) for m in range(k + 1))
+        return float(mp.factorial(k) / x**(k + 1) * (1 - mp.exp(-x) * head))
+
+
+def _tail_oracle(lam, s, T, pieces):
+    """int_s^T b(t) e^{(t - s) lam} dt at 60 digits for b given as
+    (lo, hi, coefficients in powers of t) pieces, through the antiderivative
+    e^{(t - s) lam} sum_j (-1)**j b^(j)(t) / lam**(j + 1)."""
+    with mp.workdps(60):
+        lam, s, T = mp.mpf(lam), mp.mpf(s), mp.mpf(T)
+
+        def antiderivative(c, t):
+            acc = 0
+            for j in range(len(c)):
+                acc += (-1)**j * mp.polyval(c[::-1], t) / lam**(j + 1)
+                c = [m * c[m] for m in range(1, len(c))]
+            return mp.exp(lam * (t - s)) * acc
+
+        total = mp.mpf(0)
+        for lo, hi, c in pieces:
+            lo, hi = max(mp.mpf(lo), s), min(mp.mpf(hi), T)
+            if lo < hi:
+                total += antiderivative(c, hi) - antiderivative(c, lo)
+        return float(total)
+
+
+def _table_pieces(times, values):
+    out = []
+    for t0, t1, v0, v1 in zip(times[:-1], times[1:], values[:-1], values[1:]):
+        slope = (mp.mpf(v1) - v0) / (mp.mpf(t1) - t0)
+        out.append((t0, t1, [v0 - slope * t0, slope]))
+    return out
+
+
+class TestMoments:
+    # both sides of the series/recurrence switch at |z| = 1, the stiff end
+    # and the origin
+    @pytest.mark.parametrize("z", [
+        -7e5, -1e4, -700.0, -50.0, -3.0, -1.0 - 1e-7, -1.0, -1.0 + 1e-7,
+        -0.35, -1e-3, -1e-9, 0.0, 1e-9, 0.35, 1.0 - 1e-7, 1.0, 1.0 + 1e-7,
+        3.0, 20.0])
+    def test_against_mpmath(self, z):
+        J = moments(z, 3)
+        assert J.shape == (4,)
+        for k in range(4):
+            assert rel_err(J[k], _moment_oracle(z, k)) < 1e-14
+
+    def test_shape_follows_input(self):
+        z = np.array([[-2.0, 0.5, 0.0], [4.0, -0.1, -30.0]])
+        J = moments(z, 2)
+        assert J.shape == (3, 2, 3)
+        assert np.array_equal(J[:, 1, 1], moments(-0.1, 2))
 
 
 class TestWeightFunctions:
@@ -153,13 +215,6 @@ class TestModeWeights:
         assert w.betas[0] == 2.0
         assert w.phi0s[0] == 2.0
 
-    def test_k_weights_constant_only(self):
-        op = sr.diagonal_operator([-1.0])
-        w = sr.mode_weights(op, 0.0, B1, 1.0)
-        assert abs(w.ks[0] - ONE_MINUS_E_INV) < 1e-15
-        wp = sr.mode_weights(op, 0.0, sr.PolynomialWeight([1.0]), 1.0)
-        assert wp.ks is None
-
     def test_identity_decomposition(self):
         op = sr.build_second_order(8, 1.0, 0.0, "dirichlet")
         w = sr.mode_weights(op, 0.7, B1, 1.3)
@@ -186,11 +241,56 @@ class TestModeWeights:
                 for lam in lams]
         assert rel_err(w.scales, want) < 1e-12
 
+    @pytest.mark.parametrize("b", [B1, sr.TabulatedWeight([0.0, 1.0], [1.0, 0.5])],
+                             ids=["constant", "table"])
+    def test_nonfinite_weight_names_mode(self, b):
+        # e^{800} overflows: mode 1 cannot be observed in double precision
+        op = sr.diagonal_operator([800.0, -1.0])
+        with pytest.raises(NumericFailureError) as err:
+            sr.mode_weights(op, 0.0, b, 1.0)
+        assert err.value.mode == 1
+
     def test_monotone_in_eigenvalue(self):
         op = sr.build_second_order(10, 1.0, 0.0, "dirichlet")
         w = sr.mode_weights(op, 0.0, B1, 1.0)
         # eigenvalues decrease with j, so phi0 must too
         assert np.all(np.diff(w.phi0s) < 0)
+
+
+class TestStiffWeights:
+    """Tabulated and sign-uncertified polynomial weights on pinned4 with 32
+    modes, where lambda_32 = -32**4: every integral is closed form, so the
+    stiff modes are as accurate as the first."""
+
+    OP = sr.build_fourth_order(32, 1.0)
+    T = 0.5
+    TABLE = ([0.0, 0.2, 0.4, 0.5], [1.0, 0.7, 0.4, 0.2])
+    POLY = [1.0, -0.5, 0.25]
+    WEIGHTS = {
+        "table": (sr.TabulatedWeight(*TABLE), _table_pieces(*TABLE)),
+        "poly": (sr.PolynomialWeight(POLY), [(0.0, 0.5, POLY)]),
+    }
+
+    @pytest.mark.parametrize("kind", ["table", "poly"])
+    def test_mode_weights(self, kind):
+        b, pieces = self.WEIGHTS[kind]
+        if kind == "poly":
+            assert not b.sign_certificate  # the scale splits |b| at roots
+        w = sr.mode_weights(self.OP, 0.0, b, self.T)
+        for j in (1, 13, 32):
+            lam = self.OP.eigenvalues[j - 1]
+            want = _tail_oracle(lam, 0.0, self.T, pieces)
+            assert rel_err(w.betas[j - 1], want) < 1e-12
+            # both weights are positive on [0, T], so |b| = b
+            assert rel_err(w.scales[j - 1], want) < 1e-12
+
+    @pytest.mark.parametrize("kind", ["table", "poly"])
+    @pytest.mark.parametrize("s", [0.0, 0.2, 0.33])
+    def test_tail_weight(self, kind, s):
+        b, pieces = self.WEIGHTS[kind]
+        lam = -32.0**4
+        want = _tail_oracle(lam, s, self.T, pieces)
+        assert rel_err(sr.tail_weight(lam, s, self.T, b), want) < 1e-12
 
 
 class TestInverseDiagonal:

@@ -34,26 +34,22 @@ class TestPointwisePower:
 class TestEvalLocal:
     def test_zero_input(self):
         f = sr.PowerLaw(2.0, 1.0)
-        out = sr.eval_local(f, sr.Trajectory.zeros(GRID, OP.n_modes), OP)
+        out = f.eval_trajectory(sr.Trajectory.zeros(GRID, OP.n_modes), OP)
         assert np.all(out.coeffs == 0.0)
 
     def test_scalar_mode(self):
         op1 = sr.diagonal_operator([-1.0])
         grid = sr.make_graded_grid(1.0, 4)
         f = sr.PowerLaw(1.0, 1.0)
-        out = sr.eval_local(f, _const_traj(op1, grid, [2.0]), op1)
+        out = f.eval_trajectory(_const_traj(op1, grid, [2.0]), op1)
         assert np.allclose(out.coeffs, 4.0, rtol=0, atol=0)
-
-    def test_requires_power_law(self):
-        with pytest.raises(sr.InvalidParameterError):
-            sr.eval_local(sr.Zero(), sr.Trajectory.zeros(GRID, OP.n_modes), OP)
 
     def test_missing_origin_extrapolated(self):
         rng = np.random.default_rng(3)
         coeffs = rng.standard_normal((GRID.nodes.size, OP.n_modes))
         coeffs[0] = 0.0
         u = sr.Trajectory(GRID, coeffs, includes_t0=False)
-        out = sr.eval_local(sr.PowerLaw(1.0, 1.0), u, OP)
+        out = sr.PowerLaw(1.0, 1.0).eval_trajectory(u, OP)
         assert np.array_equal(out.coeffs[0], out.coeffs[1])
 
     @settings(deadline=None, max_examples=30)
@@ -64,8 +60,8 @@ class TestEvalLocal:
         u = sr.Trajectory(GRID, coeffs)
         minus_u = sr.Trajectory(GRID, -coeffs)
         f = sr.PowerLaw(0.7, ell)
-        assert np.allclose(sr.eval_local(f, minus_u, OP).coeffs,
-                           -sr.eval_local(f, u, OP).coeffs, rtol=0, atol=1e-15)
+        assert np.allclose(f.eval_trajectory(minus_u, OP).coeffs,
+                           -f.eval_trajectory(u, OP).coeffs, rtol=0, atol=1e-15)
 
     @pytest.mark.parametrize("make_f", [
         lambda: sr.PowerLaw(1.0, 1.0),
@@ -88,7 +84,7 @@ class TestEvalLocal:
 class TestMemoryKernel:
     def test_zero_input(self):
         f = sr.MemoryKernel(1.0, -0.5, 1.0)
-        out = sr.eval_memory_kernel(f, sr.Trajectory.zeros(GRID, OP.n_modes), OP)
+        out = f.eval_trajectory(sr.Trajectory.zeros(GRID, OP.n_modes), OP)
         assert np.all(out.coeffs == 0.0)
 
     def test_constant_state_linear_growth(self):
@@ -97,7 +93,7 @@ class TestMemoryKernel:
         grid = sr.make_graded_grid(1.0, 50)
         f = sr.MemoryKernel(1.0, 0.0, 1.0)
         v0 = -1.5
-        out = sr.eval_memory_kernel(f, _const_traj(op1, grid, [v0]), op1)
+        out = f.eval_trajectory(_const_traj(op1, grid, [v0]), op1)
         want = v0 * abs(v0) * grid.nodes
         assert np.max(np.abs(out.coeffs[:, 0] - want)) < 1e-13
 
@@ -106,7 +102,7 @@ class TestMemoryKernel:
         op1 = sr.diagonal_operator([-1.0])
         grid = sr.make_graded_grid(1.0, 50)
         f = sr.MemoryKernel(1.0, -0.5, 1.0)
-        out = sr.eval_memory_kernel(f, _const_traj(op1, grid, [1.0]), op1)
+        out = f.eval_trajectory(_const_traj(op1, grid, [1.0]), op1)
         want = 2.0 * np.sqrt(grid.nodes)
         assert np.max(np.abs(out.coeffs[:, 0] - want)) < 1e-12
 
@@ -117,8 +113,8 @@ class TestMemoryKernel:
         rng = np.random.default_rng(5)
         c = rng.standard_normal(OP.n_modes)
         u = _const_traj(OP, GRID, c)
-        mem = sr.eval_memory_kernel(f, u, OP).coeffs
-        point = sr.eval_local(p, u, OP).coeffs[0]
+        mem = f.eval_trajectory(u, OP).coeffs
+        point = p.eval_trajectory(u, OP).coeffs[0]
         want = GRID.nodes[:, None] * point[None, :]
         assert np.max(np.abs(mem - want)) < 1e-8
 
@@ -137,11 +133,6 @@ class TestMemoryKernel:
             sr.MemoryKernel(1.0, -1.0, 1.0)
         with pytest.raises(sr.InvalidParameterError):
             sr.MemoryKernel(1.0, 0.0, 0.0)
-
-    def test_requires_memory_kernel(self):
-        with pytest.raises(sr.InvalidParameterError):
-            sr.eval_memory_kernel(sr.PowerLaw(1.0, 1.0),
-                                  sr.Trajectory.zeros(GRID, OP.n_modes), OP)
 
 
 class TestGrowthCondition:
