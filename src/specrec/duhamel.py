@@ -39,22 +39,42 @@ def _require_same_grid(g, grid):
     return grid
 
 
-def duhamel_convolve(op, g, grid=None):
+def duhamel_convolve(op, g, grid=None, *, tables=None):
     """Convolve a forcing trajectory with the semigroup.
 
     Returns v with v(t_i) = int_0^{t_i} e^{(t_i-s)A} g(s) ds, computed per
     mode by a one-step recurrence that is exact whenever g is linear in time
-    between nodes.
+    between nodes.  A caller convolving many trajectories on one grid builds
+    the grid's ``_step_tables`` once and passes them as ``tables``.
     """
     grid = _require_same_grid(g, grid)
     if g.coeffs.shape[1] != op.n_modes:
         raise InvalidParameterError("forcing trajectory does not match the operator")
-    e, wl, wr = _step_tables(grid.nodes, op.eigenvalues)
+    if tables is None:
+        tables = _step_tables(grid.nodes, op.eigenvalues)
+    e, wl, wr = tables
     inc = wl * g.coeffs[:-1] + wr * g.coeffs[1:]
     out = np.zeros_like(g.coeffs)
     for i in range(inc.shape[0]):
         out[i + 1] = e[i] * out[i] + inc[i]
     return Trajectory(grid, out)
+
+
+def _forcing(f, op, nodes, i, payloads):
+    """The forcing at node i as a function of the state there, given the
+    payloads of nodes 0..i-1; each call stores node i's payload."""
+    row = f.history_row(nodes, i)
+    hist = None if row is None else row[:-1] @ payloads[:i]
+
+    def forcing(c):
+        try:
+            p = payloads[i] = f.eval_node(c, op)
+        except NumericFailureError as err:
+            raise NumericFailureError(f"{err} at step {i}",
+                                      error_estimate=err.error_estimate,
+                                      step=i) from err
+        return p if row is None else hist + row[-1] * p
+    return forcing
 
 
 def forward_solve(op, u0, f, grid, max_inner=25):
@@ -64,50 +84,58 @@ def forward_solve(op, u0, f, grid, max_inner=25):
     sweep on the exponential trapezoid rule.  The homogeneous part is applied
     directly from t = 0, never compounded step by step, so zero forcing gives
     the semigroup exactly.
+
+    The payload ``f.eval_node`` of each accepted node is kept, so a memory
+    kernel's history sum over the earlier nodes is formed once per step,
+    O(i m) at step i for m modes.  A corrector pass evaluates only the new
+    node: one synthesise/analyse pair, O(N m) for N grid points.  Overflow
+    raises ``NumericFailureError`` carrying the step.
     """
     u0 = np.asarray(u0, dtype=float)
     if u0.shape != (op.n_modes,) or not np.all(np.isfinite(u0)):
         raise InvalidParameterError("u0 must be a finite coefficient vector")
     nodes = grid.nodes
     n1 = nodes.size
-    hom = np.exp(np.outer(nodes, op.eigenvalues)) * u0
     e, wl, wr = _step_tables(nodes, op.eigenvalues)
     coeffs = np.empty((n1, op.n_modes))
     coeffs[0] = u0
+    payloads = np.empty((n1, op.n_modes))
     conv = np.zeros(op.n_modes)
-    g_prev = f.eval_node(coeffs, grid, 0, op)
-    for i in range(n1 - 1):
-        base = e[i] * conv + wl[i] * g_prev
-        coeffs[i + 1] = hom[i + 1] + base + wr[i] * g_prev
-        prev_res = np.inf
-        for _ in range(max_inner):
-            g_next = f.eval_node(coeffs, grid, i + 1, op)
-            u_new = hom[i + 1] + base + wr[i] * g_next
-            res = float(np.linalg.norm(u_new - coeffs[i + 1]))
-            coeffs[i + 1] = u_new
-            if not np.isfinite(res):
+    with np.errstate(over="ignore", invalid="ignore"):
+        hom = np.exp(np.outer(nodes, op.eigenvalues)) * u0
+        g_prev = _forcing(f, op, nodes, 0, payloads)(u0)
+        for i in range(n1 - 1):
+            forcing = _forcing(f, op, nodes, i + 1, payloads)
+            base = e[i] * conv + wl[i] * g_prev
+            coeffs[i + 1] = hom[i + 1] + base + wr[i] * g_prev
+            prev_res = np.inf
+            for _ in range(max_inner):
+                g_next = forcing(coeffs[i + 1])
+                u_new = hom[i + 1] + base + wr[i] * g_next
+                res = float(np.linalg.norm(u_new - coeffs[i + 1]))
+                coeffs[i + 1] = u_new
+                if not np.isfinite(res):
+                    raise NumericFailureError(
+                        f"corrector diverged at step {i + 1}",
+                        error_estimate=res, step=i + 1,
+                    )
+                if res <= 1e-14 * (1.0 + np.linalg.norm(u_new)):
+                    break
+                if res >= prev_res:
+                    raise NumericFailureError(
+                        f"corrector residual grew at step {i + 1} "
+                        f"({prev_res:.3e} -> {res:.3e})",
+                        error_estimate=res, step=i + 1,
+                    )
+                prev_res = res
+            else:
                 raise NumericFailureError(
-                    f"corrector diverged at step {i + 1}",
-                    error_estimate=res, step=i + 1,
+                    f"corrector did not converge within {max_inner} "
+                    f"iterations at step {i + 1}",
+                    error_estimate=prev_res, step=i + 1,
                 )
-            if res <= 1e-14 * (1.0 + np.linalg.norm(u_new)):
-                break
-            if res >= prev_res:
-                raise NumericFailureError(
-                    f"corrector residual grew at step {i + 1} "
-                    f"({prev_res:.3e} -> {res:.3e})",
-                    error_estimate=res, step=i + 1,
-                )
-            prev_res = res
-        else:
-            raise NumericFailureError(
-                f"corrector did not converge within {max_inner} iterations "
-                f"at step {i + 1}",
-                error_estimate=prev_res, step=i + 1,
-            )
-        g_next = f.eval_node(coeffs, grid, i + 1, op)
-        conv = base + wr[i] * g_next
-        g_prev = g_next
+            g_prev = forcing(coeffs[i + 1])
+            conv = base + wr[i] * g_prev
     return Trajectory(grid, coeffs)
 
 

@@ -27,19 +27,26 @@ ILL_POSED_RTOL = 1e-10
 
 _SERIES_TERMS = 30
 _SERIES_CUTOFF = 1.0
+# The recurrence multiplies the error of J_{k-1} by k/|z|, so moments past
+# k = 3 take the series out to |z| = 3, where 40 terms reach rounding.
+_HIGH_K_SERIES_TERMS = 40
+_HIGH_K_SERIES_CUTOFF = 3.0
 
 
 def moments(z, kmax):
     """J_k(z) for k = 0..kmax, shape (kmax + 1,) + z.shape.
 
-    Series sum_m z**m / (m! (m + k + 1)) for |z| < 1, where the by-parts
-    recurrence J_k = (e^z - k J_{k-1}) / z cancels; the recurrence elsewhere.
+    Series sum_m z**m / (m! (m + k + 1)) for |z| < 1 (|z| < 3 when
+    kmax > 3), where the by-parts recurrence J_k = (e^z - k J_{k-1}) / z
+    cancels; the recurrence elsewhere.
     The phi functions are phi1 = J_0, phi2 = J_0 - J_1 and
     phi3 = (J_0 - 2 J_1 + J_2) / 2.
     """
     z = np.asarray(z, dtype=float)
     flat = z.ravel()
-    small = np.abs(flat) < _SERIES_CUTOFF
+    cutoff, terms = ((_SERIES_CUTOFF, _SERIES_TERMS) if kmax <= 3
+                     else (_HIGH_K_SERIES_CUTOFF, _HIGH_K_SERIES_TERMS))
+    small = np.abs(flat) < cutoff
     zr = np.where(small, 1.0, flat)
     ez = np.exp(zr)
     out = np.empty((kmax + 1, flat.size))
@@ -51,7 +58,7 @@ def moments(z, kmax):
         zs = flat[small]
         for k in range(kmax + 1):
             acc = np.zeros_like(zs)
-            for m in range(_SERIES_TERMS - 1, -1, -1):
+            for m in range(terms - 1, -1, -1):
                 acc = acc * zs + 1.0 / (math.factorial(m) * (m + k + 1))
             out[k, small] = acc
     return out.reshape((kmax + 1,) + z.shape)

@@ -15,14 +15,26 @@ from .spectral import Trajectory, analyze, fractional_norm, synthesize
 
 
 class Nonlinearity:
-    """Base class: a map from trajectories to forcing trajectories."""
+    """Base class: a map from trajectories to forcing trajectories.
+
+    Every catalogue member is a weighted history of one pointwise payload,
+    f(u)(t_i) = sum_k w_ik p(u(t_k)), with p(c) a pointwise map of the
+    synthesised state analysed back onto the eigenbasis.  ``eval_node``
+    evaluates p at one state, ``history_row`` gives the weights w_ik, and a
+    pointwise map has none: f(u)(t_i) = p(u(t_i)).
+    """
 
     #: True when f maps the zero state to zero (all catalogue members do).
     vanishes_at_zero = True
 
-    def eval_node(self, coeffs, grid, i, op):
-        """Forcing coefficients at node i given state rows 0..i."""
+    def eval_node(self, c, op):
+        """Payload coefficients p(c) of one coefficient vector."""
         raise NotImplementedError
+
+    def history_row(self, nodes, i):
+        """Weights of p(u(t_0)), ..., p(u(t_i)) in f(u)(t_i), shape (i + 1,);
+        None for a pointwise map."""
+        return None
 
     def eval_trajectory(self, u, op):
         """Forcing trajectory for a full state trajectory."""
@@ -39,7 +51,7 @@ class Zero(Nonlinearity):
 
     ell = 1.0
 
-    def eval_node(self, coeffs, grid, i, op):
+    def eval_node(self, c, op):
         return np.zeros(op.n_modes)
 
     def eval_trajectory(self, u, op):
@@ -56,6 +68,33 @@ def _pointwise_power(kappa, ell, values):
     return kappa * np.abs(values) ** ell * values
 
 
+def _finite(payload, name):
+    """Return the payload, or raise a typed failure where an overflow left
+    it non-finite.  ``forward_solve`` and ``picard_recover`` silence numpy's
+    overflow warnings around the payloads, so this check decides there also
+    when warnings are errors."""
+    if not np.isfinite(payload).all():
+        raise NumericFailureError(f"{name} produced non-finite values")
+    return payload
+
+
+def _node_payload(kappa, ell, c, op, name):
+    """The power of one synthesised state, analysed onto the eigenbasis."""
+    p = analyze(op, _pointwise_power(kappa, ell, synthesize(op, c)))
+    return _finite(p, name)
+
+
+def _trajectory_payload(kappa, ell, u, op, name):
+    """``_node_payload`` of every node of u at once, shape (n_nodes,
+    n_modes).  Without data at t = 0 the first row takes the limit from the
+    first interior node."""
+    W = _pointwise_power(kappa, ell, u.coeffs @ op.basis.T)
+    P = (W * op.weights) @ op.basis
+    if not u.includes_t0:
+        P[0] = P[1]
+    return _finite(P, name)
+
+
 class PowerLaw(Nonlinearity):
     """Pointwise superlinear map kappa*|u|**ell * u on the physical grid."""
 
@@ -65,26 +104,12 @@ class PowerLaw(Nonlinearity):
         self.kappa = float(kappa)
         self.ell = float(ell)
 
-    def eval_node(self, coeffs, grid, i, op):
-        return self.eval_coeffs(op, coeffs[i])
-
-    def eval_coeffs(self, op, c):
-        values = _pointwise_power(self.kappa, self.ell, synthesize(op, c))
-        if not np.all(np.isfinite(values)):
-            raise NumericFailureError("power law produced non-finite values")
-        return analyze(op, values)
+    def eval_node(self, c, op):
+        return _node_payload(self.kappa, self.ell, c, op, "power law")
 
     def eval_trajectory(self, u, op):
-        V = u.coeffs @ op.basis.T
-        W = _pointwise_power(self.kappa, self.ell, V)
-        if not np.all(np.isfinite(W)):
-            raise NumericFailureError("power law produced non-finite values")
-        out = (W * op.weights) @ op.basis
-        if not u.includes_t0:
-            # state at t=0 unavailable: take the limit from the first
-            # interior node
-            out[0] = out[1]
-        return Trajectory(u.grid, out)
+        P = _trajectory_payload(self.kappa, self.ell, u, op, "power law")
+        return Trajectory(u.grid, P)
 
     def declared_exponents(self, theta):
         return 0.0, theta * (self.ell + 1.0)
@@ -97,9 +122,14 @@ class MemoryKernel(Nonlinearity):
     """Forcing with memory: f(u)(t) = int_0^t c*(t-s)**lambda_exp *
     |u(s)|**ell * u(s) ds, evaluated pointwise on the physical grid.
 
-    The kernel power may be singular (lambda_exp in (-1, 0)); the quadrature
-    integrates the power factor exactly against piecewise-linear data, so the
-    endpoint singularity costs no accuracy.
+    The payload c*|u|**ell * u is interpolated linearly between nodes and the
+    kernel power integrated exactly against it, so a singular kernel
+    (lambda_exp in (-1, 0)) costs no accuracy at the endpoint.  Since the
+    analysis onto the eigenbasis is linear, the history sum runs over the
+    modal payloads of ``eval_node``, weighted by ``history_row``.  In
+    ``forward_solve`` a corrector pass costs one synthesise/analyse pair,
+    O(N m) for N grid points and m modes; the O(i m) sum over the i earlier
+    nodes is formed once per step.
     """
 
     def __init__(self, c, lambda_exp, ell):
@@ -111,45 +141,33 @@ class MemoryKernel(Nonlinearity):
         self.lambda_exp = float(lambda_exp)
         self.ell = float(ell)
 
-    def _segment_weights(self, nodes, i):
-        """Exact moments of (t_i - s)**lambda_exp against piecewise-linear
-        data on the segments of [0, t_i]."""
+    def eval_node(self, c, op):
+        return _node_payload(self.c, self.ell, c, op, "memory kernel")
+
+    def history_row(self, nodes, i):
+        """Integrals of (t_i - s)**lambda_exp against the hat function of
+        each node 0..i over [0, t_i], exact: segment [t_k, t_{k+1}] adds its
+        integral against (t_{k+1} - s)/h_k to node k and against
+        (s - t_k)/h_k to node k + 1.
+        """
         le = self.lambda_exp
-        ti = nodes[i]
-        right = ti - nodes[:i]        # decreasing, > 0
-        left = ti - nodes[1:i + 1]    # last entry is 0
-        h = nodes[1:i + 1] - nodes[:i]
-        m0 = (right ** (le + 1.0) - left ** (le + 1.0)) / (le + 1.0)
-        m1 = (right ** (le + 2.0) - left ** (le + 2.0)) / (le + 2.0)
-        w_right = (right * m0 - m1) / h
-        w_left = m0 - w_right
-        return w_left, w_right
-
-    def _payload(self, coeffs, op, include_t0):
-        V = coeffs @ op.basis.T
-        P = _pointwise_power(self.c, self.ell, V)
-        if not include_t0:
-            P[0] = P[1]
-        if not np.all(np.isfinite(P)):
-            raise NumericFailureError("memory kernel produced non-finite values")
-        return P
-
-    def eval_node(self, coeffs, grid, i, op):
-        if i == 0:
-            return np.zeros(op.n_modes)
-        P = self._payload(coeffs[:i + 1], op, True)
-        w_left, w_right = self._segment_weights(grid.nodes, i)
-        values = w_left @ P[:-1] + w_right @ P[1:]
-        return analyze(op, values)
+        d = nodes[i] - nodes[:i + 1]      # decreasing to 0
+        D1 = d ** (le + 1.0)
+        m0 = (D1[:-1] - D1[1:]) / (le + 1.0)
+        D2 = D1 * d
+        m1 = (D2[:-1] - D2[1:]) / (le + 2.0)
+        w_right = (d[:-1] * m0 - m1) / np.diff(nodes[:i + 1])
+        row = np.zeros(i + 1)
+        row[:-1] = m0 - w_right
+        row[1:] += w_right
+        return row
 
     def eval_trajectory(self, u, op):
         nodes = u.grid.nodes
-        P = self._payload(u.coeffs, op, u.includes_t0)
-        out = np.zeros((nodes.size, op.n_modes))
+        P = _trajectory_payload(self.c, self.ell, u, op, "memory kernel")
+        out = np.zeros_like(P)
         for i in range(1, nodes.size):
-            w_left, w_right = self._segment_weights(nodes, i)
-            values = w_left @ P[:i] + w_right @ P[1:i + 1]
-            out[i] = analyze(op, values)
+            out[i] = self.history_row(nodes, i) @ P[:i + 1]
         return Trajectory(u.grid, out)
 
     def declared_exponents(self, theta):
@@ -209,7 +227,7 @@ def check_growth_condition(f, op, spec, sample_count=200,
                  + fractional_norm(op, w, spec) ** f.ell) * dv
         if denom == 0.0:
             continue
-        num = np.linalg.norm(f.eval_coeffs(op, v) - f.eval_coeffs(op, w))
+        num = np.linalg.norm(f.eval_node(v, op) - f.eval_node(w, op))
         ratio = num / denom
         if not np.isfinite(ratio):
             ok = False

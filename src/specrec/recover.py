@@ -345,51 +345,56 @@ def picard_recover(op, cond, f, grid, spec, tol=1e-10, max_iter=200,
         return (cond.M - _psi(weights, g.coeffs)) / denoms
 
     e0_spec = FractionalNormSpec(0.0, spec.delta0)
-    sigma0 = cond.M / denoms
-    sigma_T0_norm = float(np.linalg.norm(sigma0))
+    tables = _step_tables(grid.nodes, op.eigenvalues)
+    # overflow of a runaway iterate is caught by the finite checks below
+    with np.errstate(over="ignore", invalid="ignore"):
+        sigma0 = cond.M / denoms
+        sigma_T0_norm = float(np.linalg.norm(sigma0))
 
-    hom = np.exp(np.outer(grid.nodes, op.eigenvalues))
-    if initial == "zero":
-        u = Trajectory.zeros(grid, op.n_modes)
-    elif initial == "linear":
-        u = Trajectory(grid, hom * sigma0)
-    else:
-        raise InvalidParameterError('initial must be "zero" or "linear"')
+        hom = np.exp(np.outer(grid.nodes, op.eigenvalues))
+        if initial == "zero":
+            u = Trajectory.zeros(grid, op.n_modes)
+        elif initial == "linear":
+            u = Trajectory(grid, hom * sigma0)
+        else:
+            raise InvalidParameterError('initial must be "zero" or "linear"')
 
-    residual_weighted = []
-    residual_sup = []
-    converged = False
-    diverged = False
-    u0 = sigma0
-    first_residual = None
-    for _ in range(int(max_iter)):
-        try:
-            g = f.eval_trajectory(u, op)
-            u0 = sigma(g)
-            new_coeffs = hom * u0 + duhamel_convolve(op, g).coeffs
-        except NumericFailureError:
-            # runaway iterate overflowed inside the evaluation chain
-            diverged = True
-            break
-        if not np.all(np.isfinite(new_coeffs)):
-            diverged = True
-            break
-        new = Trajectory(grid, new_coeffs)
-        diff = Trajectory(grid, new.coeffs - u.coeffs)
-        rw = weighted_sup_norm(op, diff, spec.theta, spec)
-        rs = weighted_sup_norm(op, diff, 0.0, e0_spec)
-        residual_weighted.append(rw)
-        residual_sup.append(rs)
-        u = new
-        combined = rw + rs
-        if combined <= tol:
-            converged = True
-            break
-        if first_residual is None:
-            first_residual = combined
-        elif combined > 1e6 * first_residual:
-            diverged = True
-            break
+        residual_weighted = []
+        residual_sup = []
+        converged = False
+        diverged = False
+        u0 = sigma0
+        first_residual = None
+        for _ in range(int(max_iter)):
+            try:
+                g = f.eval_trajectory(u, op)
+                u0 = sigma(g)
+                v = duhamel_convolve(op, g, tables=tables)
+                new_coeffs = hom * u0 + v.coeffs
+            except NumericFailureError:
+                # runaway iterate overflowed inside the evaluation chain
+                diverged = True
+                break
+            if not np.all(np.isfinite(new_coeffs)):
+                diverged = True
+                break
+            new = Trajectory(grid, new_coeffs)
+            diff = Trajectory(grid, new.coeffs - u.coeffs)
+            rw = weighted_sup_norm(op, diff, spec.theta, spec)
+            rs = weighted_sup_norm(op, diff, 0.0, e0_spec)
+            residual_weighted.append(rw)
+            residual_sup.append(rs)
+            u = new
+            combined = rw + rs
+            if combined <= tol:
+                converged = True
+                break
+            if first_residual is None:
+                first_residual = combined
+            if (not math.isfinite(combined)
+                    or combined > 1e6 * first_residual):
+                diverged = True
+                break
     combined = [rw + rs for rw, rs in zip(residual_weighted, residual_sup)]
     contraction_ratios = [combined[i + 1] / combined[i]
                           for i in range(len(combined) - 1)]

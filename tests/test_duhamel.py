@@ -1,6 +1,7 @@
 """Forward solver: phi kernels, convolution, marching, observation."""
 
 import math
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -120,6 +121,15 @@ class TestDuhamelConvolve:
         with pytest.raises(sr.InvalidParameterError):
             sr.duhamel_convolve(op, g, sr.make_graded_grid(1.0, 16))
 
+    def test_prebuilt_tables_identical(self):
+        op = sr.build_second_order(8, 1.0, 0.0, "dirichlet")
+        grid = sr.make_graded_grid(1.0, 32, 2.0)
+        rng = np.random.default_rng(4)
+        g = sr.Trajectory(grid, rng.standard_normal((33, 8)))
+        tables = _step_tables(grid.nodes, op.eigenvalues)
+        assert np.array_equal(sr.duhamel_convolve(op, g, tables=tables).coeffs,
+                              sr.duhamel_convolve(op, g).coeffs)
+
 
 class TestForwardSolve:
     def test_heat_decay(self):
@@ -185,6 +195,64 @@ class TestForwardSolve:
         t = grid.nodes
         leading = 0.1 + 0.1 * 0.1 * t**2 / 2.0
         assert np.max(np.abs(u.coeffs[:, 0] - leading)) < 1e-5
+
+
+class TestForwardSolveMemoryKernel:
+    OP = sr.build_second_order(8, 1.0, 0.0, "dirichlet")
+    U0 = np.array([0.5, 0.2, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0])
+
+    @pytest.mark.parametrize("lambda_exp, r", [(0.0, 1.0), (-0.5, 2.0)])
+    def test_second_order_convergence(self, lambda_exp, r):
+        # max error against n = 2048 drops ~4x per grid doubling; the
+        # singular kernel runs on a graded grid
+        f = sr.MemoryKernel(1.0, lambda_exp, 1.0)
+
+        def solve(n):
+            grid = sr.make_graded_grid(0.5, n, r)
+            return sr.forward_solve(self.OP, self.U0, f, grid).coeffs
+
+        reference = solve(2048)
+        errors = [np.max(np.abs(solve(n) - reference[:: 2048 // n]))
+                  for n in (64, 128, 256)]
+        for coarse, fine in zip(errors[:-1], errors[1:]):
+            assert 3.5 <= coarse / fine <= 4.5
+
+    @pytest.mark.parametrize("f", [sr.PowerLaw(1.0, 1.0),
+                                   sr.MemoryKernel(1.0, -0.5, 1.0)],
+                             ids=["power", "memory"])
+    def test_mild_solution_identity(self, f):
+        # the node-by-node march satisfies u = e^{tA} u0 + conv(f(u)) with
+        # the forcing evaluated trajectory-wide
+        grid = sr.make_graded_grid(0.5, 64, 2.0)
+        u = sr.forward_solve(self.OP, self.U0, f, grid)
+        hom = np.exp(np.outer(grid.nodes, self.OP.eigenvalues)) * self.U0
+        mild = hom + sr.duhamel_convolve(self.OP,
+                                         f.eval_trajectory(u, self.OP)).coeffs
+        scale = np.max(np.abs(u.coeffs))
+        assert np.max(np.abs(u.coeffs - mild)) <= 1e-13 * scale
+
+    def test_history_memory_linear_in_nodes(self):
+        # the march keeps O(n m) state; an (n + 1)**2 history matrix at 4,097
+        # nodes would take 134 MB
+        grid = sr.make_graded_grid(0.5, 4096)
+        f = sr.MemoryKernel(1.0, -0.5, 1.0)
+        tracemalloc.start()
+        try:
+            sr.forward_solve(self.OP, 0.1 * self.U0, f, grid)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+
+    @pytest.mark.parametrize("f", [sr.PowerLaw(1.0, 1.0),
+                                   sr.MemoryKernel(1.0, -0.5, 1.0)],
+                             ids=["power", "memory"])
+    def test_overflow_carries_step(self, f):
+        grid = sr.make_graded_grid(0.5, 16)
+        with pytest.raises(sr.NumericFailureError) as info:
+            sr.forward_solve(self.OP, np.full(8, 1e160), f, grid)
+        # the payload of u0 itself overflows
+        assert isinstance(info.value.step, int) and info.value.step == 0
 
 
 class TestObserve:

@@ -22,11 +22,12 @@ ONE_MINUS_E_INV = 0.6321205588285577
 
 
 def _moment_oracle(z, k):
-    """J_k(z) = k!/(-z)**(k+1) (1 - e^z sum_{m<=k} (-z)**m/m!) at 80 digits,
-    enough to absorb the cancellation of the closed form at |z| = 1e-9."""
+    """J_k(z) = k!/(-z)**(k+1) (1 - e^z sum_{m<=k} (-z)**m/m!) at 160
+    digits, enough to absorb the cancellation of the closed form, about
+    9 (k + 1) digits at |z| = 1e-9."""
     if z == 0.0:
         return 1.0 / (k + 1)
-    with mp.workdps(80):
+    with mp.workdps(160):
         x = -mp.mpf(z)
         head = sum(x**m / mp.factorial(m) for m in range(k + 1))
         return float(mp.factorial(k) / x**(k + 1) * (1 - mp.exp(-x) * head))
@@ -63,17 +64,21 @@ def _table_pieces(times, values):
 
 
 class TestMoments:
-    # both sides of the series/recurrence switch at |z| = 1, the stiff end
-    # and the origin
+    # both sides of the series/recurrence switches at |z| = 1 (kmax <= 3)
+    # and |z| = 3 (kmax > 3), the stiff end and the origin
     @pytest.mark.parametrize("z", [
-        -7e5, -1e4, -700.0, -50.0, -3.0, -1.0 - 1e-7, -1.0, -1.0 + 1e-7,
-        -0.35, -1e-3, -1e-9, 0.0, 1e-9, 0.35, 1.0 - 1e-7, 1.0, 1.0 + 1e-7,
-        3.0, 20.0])
+        -7e5, -1e4, -700.0, -50.0, -3.3, -3.0 - 1e-7, -3.0, -3.0 + 1e-7,
+        -1.5, -1.0 - 1e-7, -1.0, -1.0 + 1e-7, -0.35, -1e-3, -1e-9, 0.0, 1e-9,
+        0.35, 1.0 - 1e-7, 1.0, 1.0 + 1e-7, 3.0, 3.3, 20.0])
     def test_against_mpmath(self, z):
         J = moments(z, 3)
         assert J.shape == (4,)
         for k in range(4):
             assert rel_err(J[k], _moment_oracle(z, k)) < 1e-14
+        # moments up to k = 8 enter polynomial weights of degree 6 and up
+        J = moments(z, 8)
+        for k in range(9):
+            assert rel_err(J[k], _moment_oracle(z, k)) < 5e-14
 
     def test_shape_follows_input(self):
         z = np.array([[-2.0, 0.5, 0.0], [4.0, -0.1, -30.0]])

@@ -124,9 +124,20 @@ class TestMemoryKernel:
         coeffs = rng.standard_normal((GRID.nodes.size, OP.n_modes))
         u = sr.Trajectory(GRID, coeffs)
         traj = f.eval_trajectory(u, OP)
+        payloads = np.array([f.eval_node(c, OP) for c in coeffs])
         for i in (0, 1, 7, GRID.n_steps):
-            node = f.eval_node(coeffs, GRID, i, OP)
+            node = f.history_row(GRID.nodes, i) @ payloads[:i + 1]
             assert np.allclose(node, traj.coeffs[i], rtol=0, atol=1e-14)
+
+    def test_missing_origin_takes_first_node(self):
+        f = sr.MemoryKernel(1.0, -0.3, 1.0)
+        rng = np.random.default_rng(9)
+        coeffs = rng.standard_normal((GRID.nodes.size, OP.n_modes))
+        got = f.eval_trajectory(sr.Trajectory(GRID, coeffs, False), OP)
+        shifted = coeffs.copy()
+        shifted[0] = coeffs[1]
+        want = f.eval_trajectory(sr.Trajectory(GRID, shifted), OP)
+        assert np.array_equal(got.coeffs, want.coeffs)
 
     def test_invalid_exponent(self):
         with pytest.raises(sr.InvalidParameterError):

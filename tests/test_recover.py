@@ -388,6 +388,18 @@ class TestPicardNonlinear:
         assert report.converged
         assert all(r < 1.0 for r in report.contraction_ratios)
 
+    @pytest.mark.parametrize("f", [sr.PowerLaw(0.5, 1.0),
+                                   sr.MemoryKernel(0.5, -0.25, 1.0)],
+                             ids=["power", "memory"])
+    def test_overflow_flagged_as_divergence(self, f):
+        # data at 1e160 overflows the payload and the norms; the report says
+        # so instead of raising, also with warnings as errors
+        op = sr.build_second_order(8, 1.0, 0.0, "dirichlet")
+        grid = sr.make_graded_grid(0.5, 16)
+        cond = sr.ConditionE(0.0, B1, np.full(8, 1e160))
+        report = sr.picard_recover(op, cond, f, grid, SPEC)
+        assert report.diverged and not report.converged
+
     def test_threshold_stamp(self):
         op, grid, f, cond = self._setup()
         report = sr.picard_recover(op, cond, f, grid, SPEC, threshold_m=0.123)
@@ -404,7 +416,7 @@ class _ConstantForcing(Nonlinearity):
         self.value = value
         self.n = n_modes
 
-    def eval_node(self, coeffs, grid, i, op):
+    def eval_node(self, c, op):
         out = np.zeros(self.n)
         out[0] = self.value
         return out
