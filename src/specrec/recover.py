@@ -29,7 +29,8 @@ from .errors import (AdmissibilityError, IllPosedModeError,
 from .kernels import (ILL_POSED_RTOL, ConstantWeight, WeightFunction,
                       _require_nonvanishing, _tail, beta_function, moments,
                       mode_weights)
-from .spectral import FractionalNormSpec, Trajectory, weighted_sup_norm
+from .spectral import (FractionalNormSpec, Trajectory, fractional_norm,
+                       weighted_sup_norm)
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(6)
 
@@ -349,7 +350,7 @@ def picard_recover(op, cond, f, grid, spec, tol=1e-10, max_iter=200,
     # overflow of a runaway iterate is caught by the finite checks below
     with np.errstate(over="ignore", invalid="ignore"):
         sigma0 = cond.M / denoms
-        sigma_T0_norm = float(np.linalg.norm(sigma0))
+        sigma_T0_norm = fractional_norm(op, sigma0, e0_spec)
 
         hom = np.exp(np.outer(grid.nodes, op.eigenvalues))
         if initial == "zero":

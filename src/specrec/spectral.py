@@ -209,16 +209,38 @@ def _check_spec(op, spec):
         )
 
 
-def fractional_norm(op, coeffs, spec):
-    """Spectral power norm of a coefficient vector."""
+def _row_norms(op, coeffs, spec):
+    """Spectral power norm of each row of an (..., n_modes) array.
+
+    The weights (delta0 - lambda_j)**theta are formed once per call.  A row
+    whose sum of squares overflows although its entries are finite is
+    recomputed as s*||c/s|| with s = max|c_j|; every other row keeps the
+    plain result, so a norm is inf only when it exceeds the float range.
+    """
     _check_spec(op, spec)
+    c = np.asarray(coeffs, dtype=float)
+    with np.errstate(over="ignore"):
+        if spec.theta != 0.0:
+            c = (spec.delta0 - op.eigenvalues) ** spec.theta * c
+        norms = np.asarray(np.sqrt(np.einsum("...j,...j->...", c, c)))
+        big = np.isinf(norms)
+        if big.any():
+            big &= np.isfinite(c).all(axis=-1)
+            s = np.abs(c[big]).max(axis=-1, keepdims=True)
+            norms[big] = s[..., 0] * np.linalg.norm(c[big] / s, axis=-1)
+    return norms
+
+
+def fractional_norm(op, coeffs, spec):
+    """Spectral power norm of a coefficient vector.
+
+    O(n_modes); the result is inf only when the norm itself exceeds the
+    float range, not when the sum of squares does.
+    """
     c = np.asarray(coeffs, dtype=float)
     if c.shape != (op.n_modes,):
         raise InvalidParameterError("coefficient vector does not match mode count")
-    if spec.theta == 0.0:
-        return float(np.linalg.norm(c))
-    w = (spec.delta0 - op.eigenvalues) ** spec.theta
-    return float(np.linalg.norm(w * c))
+    return float(_row_norms(op, c, spec))
 
 
 @dataclass(frozen=True, eq=False)
@@ -310,9 +332,9 @@ def weighted_sup_norm(op, trajectory, mu, spec):
 
     The t = 0 node enters only in the unweighted Euclidean case (mu = 0,
     theta = 0) and only when the trajectory populates it; fractional norms are
-    never requested at t = 0.
+    never requested at t = 0.  One O(n_nodes * n_modes) array pass; the
+    result is inf only when a node's weighted norm exceeds the float range.
     """
-    _check_spec(op, spec)
     if trajectory.coeffs.shape[1] != op.n_modes:
         raise InvalidParameterError("trajectory does not match the operator")
     nodes = trajectory.grid.nodes
@@ -320,12 +342,8 @@ def weighted_sup_norm(op, trajectory, mu, spec):
     start = 0 if include_origin else 1
     if start >= nodes.size:
         raise InvalidParameterError("trajectory has no usable nodes")
-    best = 0.0
-    for i in range(start, nodes.size):
-        val = nodes[i] ** mu * fractional_norm(op, trajectory.coeffs[i], spec)
-        if val > best:
-            best = val
-    return best
+    norms = _row_norms(op, trajectory.coeffs[start:], spec)
+    return float((nodes[start:] ** mu * norms).max())
 
 
 def synthesize(op, coeffs):

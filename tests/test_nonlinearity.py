@@ -1,12 +1,14 @@
 """Nonlinearity catalogue: evaluation, growth sampling, admissibility."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import specrec as sr
-from specrec.nonlinearity import _pointwise_power
+from specrec.nonlinearity import GrowthCheck, _pointwise_power
 
 OP = sr.build_second_order(6, 1.0, 0.0, "dirichlet")
 GRID = sr.make_graded_grid(1.0, 32)
@@ -146,6 +148,45 @@ class TestMemoryKernel:
             sr.MemoryKernel(1.0, 0.0, 0.0)
 
 
+def _growth_oracle(f, op, spec, sample_count, amplitude_range, seed):
+    """The sample-by-sample loop: the same draws, one pair at a time.
+
+    Also returns the cancellation factor (||p(v)|| + ||p(w)||) /
+    ||p(v) - p(w)|| of the pair that sets c_hat: rounding in the payloads
+    reaches the ratio amplified by this factor.
+    """
+    w_spec = (spec.delta0 - op.eigenvalues) ** spec.theta
+    rng = np.random.default_rng(seed)
+    lo, hi = amplitude_range
+    c_hat, ok, used, cancel = 0.0, True, 0, 1.0
+    for k in range(sample_count):
+        v = rng.standard_normal(op.n_modes)
+        v *= rng.uniform(lo, hi) / max(np.linalg.norm(v), 1e-300)
+        if k % 2 == 0:
+            w = rng.standard_normal(op.n_modes)
+            w *= rng.uniform(lo, hi) / max(np.linalg.norm(w), 1e-300)
+        else:
+            w = v + rng.uniform(1e-6, 1e-3) * rng.standard_normal(op.n_modes)
+        dv = np.linalg.norm(w_spec * (v - w))
+        if dv == 0.0:
+            continue
+        denom = (np.linalg.norm(w_spec * v) ** f.ell
+                 + np.linalg.norm(w_spec * w) ** f.ell) * dv
+        if denom == 0.0:
+            continue
+        pv, pw = f.eval_node(v, op), f.eval_node(w, op)
+        num = np.linalg.norm(pv - pw)
+        ratio = num / denom
+        if not np.isfinite(ratio):
+            ok = False
+            continue
+        used += 1
+        if ratio > c_hat:
+            c_hat = float(ratio)
+            cancel = (np.linalg.norm(pv) + np.linalg.norm(pw)) / num
+    return GrowthCheck(c_hat, ok, used), cancel
+
+
 class TestGrowthCondition:
     def test_zero_nonlinearity(self):
         check = sr.check_growth_condition(sr.Zero(), OP, SPEC0)
@@ -167,6 +208,29 @@ class TestGrowthCondition:
         base = sr.check_growth_condition(sr.PowerLaw(1.0, 1.0), op1, SPEC0,
                                          sample_count=400, seed=12)
         assert check.c_hat == pytest.approx(2.0 * base.c_hat, rel=1e-12)
+
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("theta", [0.0, 0.25])
+    def test_matches_sample_loop(self, seed, theta):
+        spec = sr.FractionalNormSpec(theta, 0.0)
+        f = sr.PowerLaw(0.7, 1.5)
+        got = sr.check_growth_condition(f, OP, spec, seed=seed)
+        want, cancel = _growth_oracle(f, OP, spec, 200, (0.01, 1.0), seed)
+        assert got.n_samples == want.n_samples
+        assert got.ok == want.ok
+        # the stacked payloads round differently from one-by-one ones; a
+        # close pair that sets c_hat amplifies that by its cancellation
+        # factor (3.9e2 at theta = 0.25, seed 2), a far pair does not (1.0
+        # to 1.2 on the other nine)
+        assert abs(got.c_hat - want.c_hat) <= 1e-14 * cancel * want.c_hat
+
+    def test_large_amplitudes_stay_finite(self):
+        # ||p(v) - p(w)|| is about 1e200 here, so its sum of squares
+        # overflows although every ratio is finite
+        check = sr.check_growth_condition(sr.PowerLaw(1.0, 1.0), OP, SPEC0,
+                                          amplitude_range=(1e100, 1e101))
+        assert check.ok
+        assert 0.0 < check.c_hat < math.inf
 
     def test_sample_count_floor(self):
         with pytest.raises(sr.InvalidParameterError):

@@ -325,6 +325,21 @@ class TestPicardLinear:
         assert report.sigma_T0_norm == pytest.approx(1.0, rel=1e-12)
 
 
+    def test_large_finite_data_scales(self):
+        # the norms of data at 1e160 square past the float range; the
+        # recovery does not, and it is linear in M
+        op = sr.build_second_order(8, 1.0, 0.0, "dirichlet")
+        grid = sr.make_graded_grid(1.0, 16)
+        base = sr.picard_recover(op, sr.ConditionE(0.0, B1, np.ones(8)),
+                                 sr.Zero(), grid, SPEC)
+        big = sr.picard_recover(op, sr.ConditionE(0.0, B1, np.full(8, 1e160)),
+                                sr.Zero(), grid, SPEC)
+        assert big.converged and not big.diverged
+        assert big.iterations == base.iterations
+        assert rel_err(big.sigma_T0_norm, 1e160 * base.sigma_T0_norm) <= 1e-14
+        assert rel_err(big.u0_recovered, 1e160 * base.u0_recovered) <= 1e-14
+
+
 class TestPicardNonlinear:
     def _setup(self, n=64, kappa=0.5, amp=0.05):
         op = sr.build_second_order(8, 1.0, 0.0, "dirichlet")

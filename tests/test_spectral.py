@@ -220,6 +220,69 @@ class TestWeightedSupNorm:
         assert sr.weighted_sup_norm(op, u, 0.3, sr.FractionalNormSpec(0.5, 0.0)) == 0.0
 
 
+def _sup_norm_oracle(op, u, mu, spec):
+    """The node-by-node loop: t_i**mu * ||w * c_i|| with w the spectral
+    weight, over the nodes the origin rule admits."""
+    w = (spec.delta0 - op.eigenvalues) ** spec.theta
+    start = 0 if (mu == 0.0 and spec.theta == 0.0 and u.includes_t0) else 1
+    best = 0.0
+    for i in range(start, u.grid.nodes.size):
+        best = max(best, u.grid.nodes[i] ** mu
+                   * np.linalg.norm(w * u.coeffs[i]))
+    return best
+
+
+class TestWeightedSupNormOracle:
+    GRID = sr.make_graded_grid(0.7, 24, 2.0)
+
+    @pytest.mark.parametrize("includes_t0", [True, False])
+    @pytest.mark.parametrize("mu", [0.0, 0.3])
+    @pytest.mark.parametrize("theta", [0.0, 0.25])
+    @pytest.mark.parametrize("delta0", [0.0, 1.0])
+    @pytest.mark.parametrize("n_modes", [1, 7])
+    def test_matches_node_loop(self, includes_t0, mu, theta, delta0, n_modes):
+        op = sr.build_second_order(n_modes, 1.0, 0.0, "dirichlet")
+        spec = sr.FractionalNormSpec(theta, delta0)
+        rng = np.random.default_rng(n_modes)
+        for _ in range(5):
+            c = rng.standard_normal((self.GRID.nodes.size, n_modes))
+            # a large row 0 shows whether the origin rule admits it
+            c[0] *= 100.0
+            u = sr.Trajectory(self.GRID, c, includes_t0)
+            want = _sup_norm_oracle(op, u, mu, spec)
+            got = sr.weighted_sup_norm(op, u, mu, spec)
+            assert abs(got - want) <= 1e-15 * want
+
+    @pytest.mark.parametrize("theta", [0.0, 0.25])
+    def test_zero_trajectory(self, theta):
+        op = sr.build_second_order(4, 1.0, 0.0, "dirichlet")
+        u = sr.Trajectory.zeros(self.GRID, 4)
+        spec = sr.FractionalNormSpec(theta, 0.0)
+        assert sr.weighted_sup_norm(op, u, 0.0, spec) == 0.0
+        assert _sup_norm_oracle(op, u, 0.0, spec) == 0.0
+
+    @pytest.mark.parametrize("mu, theta", [(0.0, 0.0), (0.3, 0.25)])
+    def test_large_finite_data_does_not_overflow(self, mu, theta):
+        # the sum of squares of a 1e200 row overflows; the norm does not
+        op = sr.build_second_order(7, 1.0, 0.0, "dirichlet")
+        spec = sr.FractionalNormSpec(theta, 0.0)
+        c = np.random.default_rng(3).standard_normal((self.GRID.nodes.size, 7))
+        u = sr.Trajectory(self.GRID, c)
+        big = sr.Trajectory(self.GRID, 1e200 * c)
+        want = 1e200 * _sup_norm_oracle(op, u, mu, spec)
+        got = sr.weighted_sup_norm(op, big, mu, spec)
+        assert math.isfinite(got)
+        assert abs(got - want) <= 1e-15 * want
+        row = sr.fractional_norm(op, big.coeffs[5], spec)
+        assert abs(row - 1e200 * sr.fractional_norm(op, c[5], spec)) \
+            <= 1e-15 * row
+
+    def test_norm_beyond_float_range_is_inf(self):
+        op = sr.diagonal_operator([-1.0, -2.0])
+        spec = sr.FractionalNormSpec(0.0, 0.0)
+        assert sr.fractional_norm(op, [1.5e308, 1.5e308], spec) == math.inf
+
+
 class TestTransforms:
     def test_zero_roundtrip(self):
         c = np.zeros(3)
