@@ -60,10 +60,31 @@ def duhamel_convolve(op, g, grid=None, *, tables=None):
     return Trajectory(grid, out)
 
 
-def _forcing(f, op, nodes, i, payloads):
-    """The forcing at node i as a function of the state there, given the
-    payloads of nodes 0..i-1; each call stores node i's payload."""
-    row = f.history_row(nodes, i)
+# Rows of a memory kernel's history operator that forward_solve requests at
+# a time: the block holds 32 (n + 1) floats, O(n), and one build serves 32
+# steps.
+_HISTORY_BLOCK = 32
+
+# The corrector stops once an update is below this multiple of 1 + ||u||:
+# 45 ulp of the state, a few times the rounding of one pass, so it neither
+# stops early nor chases rounding noise (the 1 covers states near zero).
+_CORRECTOR_RTOL = 1e-14
+
+
+def _history_rows(f, nodes):
+    """Row i of f's history weights, node by node, of length i + 1 (None for
+    a pointwise map), built ``_HISTORY_BLOCK`` rows at a time."""
+    for start in range(0, nodes.size, _HISTORY_BLOCK):
+        stop = min(start + _HISTORY_BLOCK, nodes.size)
+        block = f.history_rows(nodes, start, stop)
+        for i in range(start, stop):
+            yield None if block is None else block[i - start, :i + 1]
+
+
+def _forcing(f, op, i, row, payloads):
+    """The forcing at node i as a function of the state there, given its
+    history row and the payloads of nodes 0..i-1; each call stores node i's
+    payload."""
     hist = None if row is None else row[:-1] @ payloads[:i]
 
     def forcing(c):
@@ -87,9 +108,11 @@ def forward_solve(op, u0, f, grid, max_inner=25):
 
     The payload ``f.eval_node`` of each accepted node is kept, so a memory
     kernel's history sum over the earlier nodes is formed once per step,
-    O(i m) at step i for m modes.  A corrector pass evaluates only the new
-    node: one synthesise/analyse pair, O(N m) for N grid points.  Overflow
-    raises ``NumericFailureError`` carrying the step.
+    O(i m) at step i for m modes.  Its history weights come from
+    ``f.history_rows``, 32 rows per build, so the solve holds O(n (m + 32))
+    floats for n steps, never the (n + 1)**2 operator.  A corrector pass
+    evaluates only the new node: one synthesise/analyse pair, O(N m) for N
+    grid points.  Overflow raises ``NumericFailureError`` carrying the step.
     """
     u0 = np.asarray(u0, dtype=float)
     if u0.shape != (op.n_modes,) or not np.all(np.isfinite(u0)):
@@ -101,11 +124,12 @@ def forward_solve(op, u0, f, grid, max_inner=25):
     coeffs[0] = u0
     payloads = np.empty((n1, op.n_modes))
     conv = np.zeros(op.n_modes)
+    rows = _history_rows(f, nodes)
     with np.errstate(over="ignore", invalid="ignore"):
         hom = np.exp(np.outer(nodes, op.eigenvalues)) * u0
-        g_prev = _forcing(f, op, nodes, 0, payloads)(u0)
+        g_prev = _forcing(f, op, 0, next(rows), payloads)(u0)
         for i in range(n1 - 1):
-            forcing = _forcing(f, op, nodes, i + 1, payloads)
+            forcing = _forcing(f, op, i + 1, next(rows), payloads)
             base = e[i] * conv + wl[i] * g_prev
             coeffs[i + 1] = hom[i + 1] + base + wr[i] * g_prev
             prev_res = np.inf
@@ -119,7 +143,7 @@ def forward_solve(op, u0, f, grid, max_inner=25):
                         f"corrector diverged at step {i + 1}",
                         error_estimate=res, step=i + 1,
                     )
-                if res <= 1e-14 * (1.0 + np.linalg.norm(u_new)):
+                if res <= _CORRECTOR_RTOL * (1.0 + np.linalg.norm(u_new)):
                     break
                 if res >= prev_res:
                     raise NumericFailureError(

@@ -63,17 +63,6 @@ def resolve_M(cfg, op, f):
     return M, u0_true
 
 
-def observation_tail_fraction(M, fraction=0.25):
-    """Share of the observation's energy in the highest-frequency quarter of
-    the retained modes; a proxy for how much the truncation is missing."""
-    M = np.asarray(M, dtype=float)
-    total = np.linalg.norm(M)
-    if total == 0.0:
-        return 0.0
-    cut = max(1, int(round(fraction * M.size)))
-    return float(np.linalg.norm(M[-cut:]) / total)
-
-
 @dataclass
 class RoundTripResult:
     u0_true: np.ndarray

@@ -287,6 +287,12 @@ class FixedPointReport:
         return self.contraction_ratios[-1] if self.contraction_ratios else math.nan
 
 
+# A sweep is declared divergent once its residual exceeds this multiple of
+# the first one: a contracting iteration shrinks it, so such growth is a
+# runaway iterate, reported long before it overflows.
+_DIVERGENCE_FACTOR = 1e6
+
+
 def _small_t_diagnostic(op, T, betas):
     """Scale check for the short-horizon regime: the graph-norm size of the
     diagonal observation inverse should stay of order 1/T."""
@@ -311,6 +317,11 @@ def picard_recover(op, cond, f, grid, spec, tol=1e-10, max_iter=200,
     are exact for forcing linear between nodes when the observation weight
     is constant, and use a 6-point Gauss-Legendre rule per grid interval
     otherwise.
+
+    A nonlinearity with memory has its history operator built once per
+    call too, before the first sweep, and every sweep's ``eval_trajectory``
+    is one product with it: (n + 1)**2 floats for n steps, 0.13 MB at
+    n = 128 and 8.4 MB at n = 1024.
     """
     if not tol > 0:
         raise InvalidParameterError("tol must be positive")
@@ -341,6 +352,7 @@ def picard_recover(op, cond, f, grid, spec, tol=1e-10, max_iter=200,
         )
 
     weights = _psi_weights(op, grid, a, b)
+    history = f.history_rows(grid.nodes, 0, grid.nodes.size)
 
     def sigma(g):
         return (cond.M - _psi(weights, g.coeffs)) / denoms
@@ -368,7 +380,7 @@ def picard_recover(op, cond, f, grid, spec, tol=1e-10, max_iter=200,
         first_residual = None
         for _ in range(int(max_iter)):
             try:
-                g = f.eval_trajectory(u, op)
+                g = f.eval_trajectory(u, op, history=history)
                 u0 = sigma(g)
                 v = duhamel_convolve(op, g, tables=tables)
                 new_coeffs = hom * u0 + v.coeffs
@@ -393,14 +405,14 @@ def picard_recover(op, cond, f, grid, spec, tol=1e-10, max_iter=200,
             if first_residual is None:
                 first_residual = combined
             if (not math.isfinite(combined)
-                    or combined > 1e6 * first_residual):
+                    or combined > _DIVERGENCE_FACTOR * first_residual):
                 diverged = True
                 break
     combined = [rw + rs for rw, rs in zip(residual_weighted, residual_sup)]
     contraction_ratios = [combined[i + 1] / combined[i]
                           for i in range(len(combined) - 1)]
     if converged:
-        u0 = sigma(f.eval_trajectory(u, op))
+        u0 = sigma(f.eval_trajectory(u, op, history=history))
     return FixedPointReport(
         iterations=len(residual_weighted),
         residual_weighted=residual_weighted,

@@ -2,13 +2,15 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import specrec as sr
-from specrec.nonlinearity import GrowthCheck, _pointwise_power
+from specrec.nonlinearity import (GrowthCheck, _growth_samples,
+                                  _pointwise_power)
 
 OP = sr.build_second_order(6, 1.0, 0.0, "dirichlet")
 GRID = sr.make_graded_grid(1.0, 32)
@@ -128,8 +130,17 @@ class TestMemoryKernel:
         traj = f.eval_trajectory(u, OP)
         payloads = np.array([f.eval_node(c, OP) for c in coeffs])
         for i in (0, 1, 7, GRID.n_steps):
-            node = f.history_row(GRID.nodes, i) @ payloads[:i + 1]
+            node = f.history_rows(GRID.nodes, i, i + 1)[0] @ payloads[:i + 1]
             assert np.allclose(node, traj.coeffs[i], rtol=0, atol=1e-14)
+
+    def test_prebuilt_history_identical(self):
+        f = sr.MemoryKernel(1.0, -0.3, 1.0)
+        coeffs = np.random.default_rng(8).standard_normal(
+            (GRID.nodes.size, OP.n_modes))
+        u = sr.Trajectory(GRID, coeffs)
+        H = f.history_rows(GRID.nodes, 0, GRID.nodes.size)
+        assert np.array_equal(f.eval_trajectory(u, OP, history=H).coeffs,
+                              f.eval_trajectory(u, OP).coeffs)
 
     def test_missing_origin_takes_first_node(self):
         f = sr.MemoryKernel(1.0, -0.3, 1.0)
@@ -146,6 +157,58 @@ class TestMemoryKernel:
             sr.MemoryKernel(1.0, -1.0, 1.0)
         with pytest.raises(sr.InvalidParameterError):
             sr.MemoryKernel(1.0, 0.0, 0.0)
+
+
+def _history_oracle(nodes, i, lambda_exp):
+    """Row i of the history weights at 60 digits, from the closed form
+    (differences of (t_i - t_k)**(lambda + 1) and their first moments)
+    evaluated at the given nodes."""
+    with mp.workdps(60):
+        t = [mp.mpf(float(v)) for v in nodes[:i + 1]]
+        a = mp.mpf(lambda_exp) + 1
+        d = [t[i] - tk for tk in t]
+        p1 = [dk ** a for dk in d]
+        p2 = [pk * dk for pk, dk in zip(p1, d)]
+        row = [mp.mpf(0)] * (i + 1)
+        for k in range(i):
+            m0 = (p1[k] - p1[k + 1]) / a
+            m1 = (p2[k] - p2[k + 1]) / (a + 1)
+            right = (d[k] * m0 - m1) / (t[k + 1] - t[k])
+            row[k] += m0 - right
+            row[k + 1] += right
+        return np.array([float(w) for w in row])
+
+
+class TestHistoryRows:
+    @pytest.mark.parametrize("n", [64, 1024, 4096])
+    @pytest.mark.parametrize("lambda_exp", [-0.9, -0.5, 0.5])
+    @pytest.mark.parametrize("r", [1.0, 2.0])
+    def test_against_mpmath(self, n, lambda_exp, r):
+        # every weight of the middle and last rows within 1e-13 relative,
+        # uniform and graded; differences of powers of t_i - t_k err 5e-9
+        # at n = 4096 on the uniform grid.  The rows come in blocks of 41,
+        # built in several passes at n = 4096
+        nodes = sr.make_graded_grid(1.0, n, r).nodes
+        f = sr.MemoryKernel(1.0, lambda_exp, 1.0)
+        for i in (n // 2, n):
+            block = f.history_rows(nodes, max(0, i - 40), i + 1)
+            want = _history_oracle(nodes, i, lambda_exp)
+            assert np.all(block[-1] > 0.0)
+            assert np.max(np.abs(block[-1] - want) / want) <= 1e-13
+
+    def test_lower_triangular_blocks(self):
+        # a block of rows is the matching slice of the whole operator
+        f = sr.MemoryKernel(1.0, -0.5, 1.0)
+        nodes = GRID.nodes
+        H = f.history_rows(nodes, 0, nodes.size)
+        assert np.array_equal(H, np.tril(H))
+        assert np.all(H[0] == 0.0)
+        assert np.allclose(f.history_rows(nodes, 10, 20), H[10:20, :20],
+                           rtol=1e-15, atol=0)
+
+    def test_pointwise_maps_have_none(self):
+        for f in (sr.Zero(), sr.PowerLaw(1.0, 1.0)):
+            assert f.history_rows(GRID.nodes, 0, GRID.nodes.size) is None
 
 
 def _growth_oracle(f, op, spec, sample_count, amplitude_range, seed):
@@ -166,7 +229,9 @@ def _growth_oracle(f, op, spec, sample_count, amplitude_range, seed):
             w = rng.standard_normal(op.n_modes)
             w *= rng.uniform(lo, hi) / max(np.linalg.norm(w), 1e-300)
         else:
-            w = v + rng.uniform(1e-6, 1e-3) * rng.standard_normal(op.n_modes)
+            step = rng.uniform(1e-6, 1e-3) * np.linalg.norm(v)
+            z = rng.standard_normal(op.n_modes)
+            w = v + step / np.linalg.norm(z) * z
         dv = np.linalg.norm(w_spec * (v - w))
         if dv == 0.0:
             continue
@@ -220,7 +285,7 @@ class TestGrowthCondition:
         assert got.ok == want.ok
         # the stacked payloads round differently from one-by-one ones; a
         # close pair that sets c_hat amplifies that by its cancellation
-        # factor (3.9e2 at theta = 0.25, seed 2), a far pair does not (1.0
+        # factor (9.2e2 at theta = 0.25, seed 2), a far pair does not (1.0
         # to 1.2 on the other nine)
         assert abs(got.c_hat - want.c_hat) <= 1e-14 * cancel * want.c_hat
 
@@ -231,6 +296,17 @@ class TestGrowthCondition:
                                           amplitude_range=(1e100, 1e101))
         assert check.ok
         assert 0.0 < check.c_hat < math.inf
+        # no close pair collapses onto w == v
+        assert check.n_samples == 200
+
+    @pytest.mark.parametrize("amplitude", [0.01, 1.0, 1e100])
+    def test_close_pairs_scale_with_v(self, amplitude):
+        V, W = _growth_samples(OP.n_modes, 200, (amplitude, amplitude), 3)
+        gap = np.linalg.norm(W[1::2] - V[1::2], axis=1)
+        size = np.linalg.norm(V[1::2], axis=1)
+        assert np.all(gap > 0.0)
+        assert np.all(gap <= 1e-3 * size * (1.0 + 1e-12))
+        assert np.all(gap >= 1e-6 * size * (1.0 - 1e-12))
 
     def test_sample_count_floor(self):
         with pytest.raises(sr.InvalidParameterError):

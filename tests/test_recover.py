@@ -415,6 +415,24 @@ class TestPicardNonlinear:
         report = sr.picard_recover(op, cond, f, grid, SPEC)
         assert report.diverged and not report.converged
 
+    def test_history_built_once(self, monkeypatch):
+        # one history operator serves every sweep and the final evaluation
+        built = []
+        history_rows = sr.MemoryKernel.history_rows
+
+        def counting(self, nodes, start, stop):
+            built.append((start, stop))
+            return history_rows(self, nodes, start, stop)
+
+        monkeypatch.setattr(sr.MemoryKernel, "history_rows", counting)
+        op = sr.build_second_order(8, 1.0, 0.0, "dirichlet")
+        grid = sr.make_graded_grid(0.5, 32, 2.0)
+        cond = sr.ConditionE(0.0, B1, np.full(8, 0.01))
+        report = sr.picard_recover(op, cond, sr.MemoryKernel(0.5, -0.5, 1.0),
+                                   grid, SPEC)
+        assert report.converged and report.iterations > 2
+        assert built == [(0, grid.nodes.size)]
+
     def test_threshold_stamp(self):
         op, grid, f, cond = self._setup()
         report = sr.picard_recover(op, cond, f, grid, SPEC, threshold_m=0.123)
@@ -436,7 +454,7 @@ class _ConstantForcing(Nonlinearity):
         out[0] = self.value
         return out
 
-    def eval_trajectory(self, u, op):
+    def eval_trajectory(self, u, op, history=None):
         coeffs = np.zeros((u.grid.nodes.size, self.n))
         coeffs[:, 0] = self.value
         return sr.Trajectory(u.grid, coeffs)
