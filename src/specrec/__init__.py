@@ -7,14 +7,13 @@ from .spectral import (FractionalNormSpec, SpectralOperator, TimeGrid,
                        Trajectory, analyze, build_fourth_order,
                        build_second_order, default_grading, default_shift,
                        diagonal_operator, fractional_norm, make_graded_grid,
-                       semigroup_apply, synthesize, weighted_sup_norm)
+                       synthesize, weighted_sup_norm)
 from .kernels import (ConstantWeight, ModeWeights, PolynomialWeight,
                       TabulatedWeight, WeightFunction, beta_function,
-                      exp_weight_integral, mode_weights,
-                      phi_T_inverse_diagonal, tail_weight)
+                      exp_weight_integral, mode_weights, tail_weight)
 from .nonlinearity import (MemoryKernel, Nonlinearity, PowerLaw, Zero,
                            check_growth_condition, check_kernel_admissibility)
-from .duhamel import duhamel_convolve, forward_solve, observe, phi1
+from .duhamel import duhamel_convolve, forward_solve, observe
 from .recover import (ConditionE, ConditionE100, ConditionE200,
                       FixedPointReport, GrowthExponents, NonlocalCondition,
                       WellPosednessEstimate, apply_psi_E,

@@ -7,13 +7,15 @@ exactly.  Stiff modes therefore cost nothing in stability, and zero forcing
 reproduces the semigroup to rounding.
 """
 
+import math
+
 import numpy as np
 
 from .errors import InvalidParameterError, NumericFailureError
-from .kernels import WeightFunction, moments, phi1
+from .kernels import WeightFunction, moments
 from .spectral import Trajectory
 
-__all__ = ["phi1", "duhamel_convolve", "forward_solve", "observe"]
+__all__ = ["duhamel_convolve", "forward_solve", "observe"]
 
 
 def _step_tables(nodes, lam):
@@ -106,13 +108,22 @@ def forward_solve(op, u0, f, grid, max_inner=25):
     directly from t = 0, never compounded step by step, so zero forcing gives
     the semigroup exactly.
 
+    The corrector starts from the linear extrapolation of the last two
+    accepted forcing values, scaled by the step ratio h_i / h_{i-1} so that
+    it stays first-order accurate on graded grids (the first step starts from
+    the forcing at u0).  Once the corrector stops, the forcing of its last pass
+    is accepted as the node's forcing: the accepted state is exactly
+    ``hom + base + w_R g`` for that g, so no further evaluation is made and
+    the march stays self-consistent.  A step then costs about two payload
+    evaluations, each one synthesise/analyse pair, O(N m) for N grid points
+    and m modes, plus O(m) arithmetic.
+
     The payload ``f.eval_node`` of each accepted node is kept, so a memory
     kernel's history sum over the earlier nodes is formed once per step,
-    O(i m) at step i for m modes.  Its history weights come from
-    ``f.history_rows``, 32 rows per build, so the solve holds O(n (m + 32))
-    floats for n steps, never the (n + 1)**2 operator.  A corrector pass
-    evaluates only the new node: one synthesise/analyse pair, O(N m) for N
-    grid points.  Overflow raises ``NumericFailureError`` carrying the step.
+    O(i m) at step i.  Its history weights come from ``f.history_rows``, 32
+    rows per build, so the solve holds O(n (m + 32)) floats for n steps,
+    never the (n + 1)**2 operator.  Overflow raises ``NumericFailureError``
+    carrying the step.
     """
     u0 = np.asarray(u0, dtype=float)
     if u0.shape != (op.n_modes,) or not np.all(np.isfinite(u0)):
@@ -120,6 +131,7 @@ def forward_solve(op, u0, f, grid, max_inner=25):
     nodes = grid.nodes
     n1 = nodes.size
     e, wl, wr = _step_tables(nodes, op.eigenvalues)
+    h = np.diff(nodes)
     coeffs = np.empty((n1, op.n_modes))
     coeffs[0] = u0
     payloads = np.empty((n1, op.n_modes))
@@ -127,23 +139,31 @@ def forward_solve(op, u0, f, grid, max_inner=25):
     rows = _history_rows(f, nodes)
     with np.errstate(over="ignore", invalid="ignore"):
         hom = np.exp(np.outer(nodes, op.eigenvalues)) * u0
-        g_prev = _forcing(f, op, 0, next(rows), payloads)(u0)
+        # the predictor's step ratios: 0 starts a step from the last forcing
+        # value, as on the first step, which has no earlier one, and on a step
+        # whose ratio overflows, which follows a subnormal one
+        ratios = np.concatenate(([0.0], h[1:] / h[:-1]))
+        ratios[np.isinf(ratios)] = 0.0
+        g_prev = g_old = _forcing(f, op, 0, next(rows), payloads)(u0)
         for i in range(n1 - 1):
             forcing = _forcing(f, op, i + 1, next(rows), payloads)
             base = e[i] * conv + wl[i] * g_prev
-            coeffs[i + 1] = hom[i + 1] + base + wr[i] * g_prev
+            known = hom[i + 1] + base
+            g = g_prev + ratios[i] * (g_prev - g_old)
+            u = known + wr[i] * g
             prev_res = np.inf
             for _ in range(max_inner):
-                g_next = forcing(coeffs[i + 1])
-                u_new = hom[i + 1] + base + wr[i] * g_next
-                res = float(np.linalg.norm(u_new - coeffs[i + 1]))
-                coeffs[i + 1] = u_new
-                if not np.isfinite(res):
+                g = forcing(u)
+                u_new = known + wr[i] * g
+                d = u_new - u
+                u = u_new
+                res = math.sqrt(d @ d)
+                if not math.isfinite(res):
                     raise NumericFailureError(
                         f"corrector diverged at step {i + 1}",
                         error_estimate=res, step=i + 1,
                     )
-                if res <= _CORRECTOR_RTOL * (1.0 + np.linalg.norm(u_new)):
+                if res <= _CORRECTOR_RTOL * (1.0 + math.sqrt(u @ u)):
                     break
                 if res >= prev_res:
                     raise NumericFailureError(
@@ -158,8 +178,9 @@ def forward_solve(op, u0, f, grid, max_inner=25):
                     f"iterations at step {i + 1}",
                     error_estimate=prev_res, step=i + 1,
                 )
-            g_prev = forcing(coeffs[i + 1])
-            conv = base + wr[i] * g_prev
+            coeffs[i + 1] = u
+            g_old, g_prev = g_prev, g
+            conv = base + wr[i] * g
     return Trajectory(grid, coeffs)
 
 

@@ -64,11 +64,6 @@ def moments(z, kmax):
     return out.reshape((kmax + 1,) + z.shape)
 
 
-def phi1(z):
-    """(exp(z) - 1) / z, with phi1(0) = 1."""
-    return float(moments(float(z), 0)[0])
-
-
 # --------------------------------------------------------------------------
 # weight functions
 # --------------------------------------------------------------------------
@@ -354,16 +349,6 @@ def _require_nonvanishing(denoms, scales, tol=ILL_POSED_RTOL):
         modes = [int(j) + 1 for j in bad]
         raise IllPosedModeError(
             f"spectral condition violated at modes {modes}", modes)
-
-
-def phi_T_inverse_diagonal(weights):
-    """Per-mode reciprocals of the diagonal observation weights.
-
-    Rejects modes whose weight is zero up to the scale-relative tolerance,
-    since those directions are not recoverable from the observation.
-    """
-    _require_nonvanishing(weights.betas, weights.scales)
-    return 1.0 / weights.betas
 
 
 def beta_function(x, y):

@@ -163,16 +163,6 @@ def diagonal_operator(eigenvalues):
                             np.arange(n, dtype=float), np.ones(n), "diagonal")
 
 
-def semigroup_apply(op, t, coeffs):
-    """Apply the solution semigroup for time t to a coefficient vector."""
-    if t < 0:
-        raise InvalidParameterError("the semigroup is forward-only (t >= 0)")
-    c = np.asarray(coeffs, dtype=float)
-    if c.shape != (op.n_modes,):
-        raise InvalidParameterError("coefficient vector does not match mode count")
-    return np.exp(t * op.eigenvalues) * c
-
-
 @dataclass(frozen=True)
 class FractionalNormSpec:
     """Parameters of the spectral power norm.

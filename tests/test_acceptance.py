@@ -41,7 +41,7 @@ def test_criterion_01_inverse_diagonal_closed_form():
         lams = np.sort(rng.uniform(-50.0, 0.0, size=9))[::-1]
         lams = np.concatenate([[0.0], lams])  # keep the lam = 0 branch covered
         op = sr.diagonal_operator(lams)
-        mus = sr.phi_T_inverse_diagonal(sr.mode_weights(op, 0.0, B1, T))
+        mus = 1.0 / sr.mode_weights(op, 0.0, B1, T).betas
         for lam, mu in zip(lams, mus):
             if lam == 0.0:
                 want = 1.0 / mp.mpf(T)

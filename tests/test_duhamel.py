@@ -15,33 +15,38 @@ from specrec.kernels import moments
 from _util import rel_err, ulp_close
 
 
+def phi1(z):
+    """(exp(z) - 1) / z, with phi1(0) = 1: the moment J_0."""
+    return float(moments(z, 0)[0])
+
+
 class TestPhi1:
     def test_limit_value(self):
-        assert sr.phi1(0.0) == 1.0
+        assert moments(0.0, 0)[0] == 1.0
 
     def test_direct(self):
         # oracle: e - 1 frozen from 40-digit evaluation
-        assert rel_err(sr.phi1(1.0), 1.718281828459045) < 1e-15
+        assert rel_err(phi1(1.0), 1.718281828459045) < 1e-15
 
     def test_stiff_no_overflow(self):
         # oracle: (1 - exp(-50))/50 = 0.019999999999999999996...
-        assert rel_err(sr.phi1(-50.0), 0.02) < 1e-15
+        assert rel_err(phi1(-50.0), 0.02) < 1e-15
 
     def test_series_branch(self):
-        assert sr.phi1(1e-9) == 1.0 + 0.5e-9
+        assert phi1(1e-9) == 1.0 + 0.5e-9
 
     @settings(deadline=None, max_examples=50)
     @given(z=st.floats(-700.0, 20.0))
     def test_phi_pair_consistency(self, z):
         J = moments(np.array([z]), 2)
         p1, p2, p3 = J[0], J[0] - J[1], 0.5 * (J[0] - 2.0 * J[1] + J[2])
-        assert rel_err(p1[0], sr.phi1(z)) < 1e-13
+        assert rel_err(p1[0], phi1(z)) < 1e-13
         # phi2(z) = (phi1(z) - 1)/z away from the origin
         if abs(z) > 1e-3:
-            assert rel_err(p2[0], (sr.phi1(z) - 1.0) / z) < 1e-10
+            assert rel_err(p2[0], (phi1(z) - 1.0) / z) < 1e-10
         # phi3(z) = (phi2(z) - 1/2)/z, which cancels more near the origin
         if abs(z) > 1e-2:
-            p2_ref = (sr.phi1(z) - 1.0) / z
+            p2_ref = (phi1(z) - 1.0) / z
             assert rel_err(p3[0], (p2_ref - 0.5) / z) < 1e-10
 
 
@@ -253,6 +258,115 @@ class TestForwardSolveMemoryKernel:
             sr.forward_solve(self.OP, np.full(8, 1e160), f, grid)
         # the payload of u0 itself overflows
         assert isinstance(info.value.step, int) and info.value.step == 0
+
+
+class _CountingEvals:
+    """Counts ``eval_node`` calls, the payload evaluations of a march."""
+
+    calls = 0
+
+    def eval_node(self, c, op):
+        self.calls += 1
+        return super().eval_node(c, op)
+
+
+class CountingPowerLaw(_CountingEvals, sr.PowerLaw):
+    pass
+
+
+class CountingMemoryKernel(_CountingEvals, sr.MemoryKernel):
+    pass
+
+
+class TestCorrectorMarch:
+    DIRICHLET = sr.build_second_order(32, 1.0, 0.0, "dirichlet")
+    PINNED = sr.build_fourth_order(32, 1.0)
+
+    @staticmethod
+    def first_mode(amplitude, n_modes=32):
+        u0 = np.zeros(n_modes)
+        u0[0] = amplitude
+        return u0
+
+    @pytest.mark.parametrize("make_f, amplitude, n, bound", [
+        (lambda: CountingPowerLaw(0.25, 1.0), 0.1, 256, 2.2),
+        (lambda: CountingMemoryKernel(1.0, -0.5, 1.0), 0.5, 512, 2.8),
+        (lambda: CountingPowerLaw(1.0, 1.0), 0.5, 64, 3.5),
+    ], ids=["power", "memory", "power-coarse"])
+    def test_payload_evaluations_per_step(self, make_f, amplitude, n, bound):
+        # the extrapolated predictor leaves about one corrector pass to
+        # confirm it, and the last pass's payload is accepted without another
+        # evaluation.  Starting from the last forcing value, or evaluating
+        # again at the accepted state, costs 2.5 to 4.3 per step on these
+        # grids; extrapolating without the step ratio costs 3.8 on the
+        # coarse one, whose steps grow fastest
+        f = make_f()
+        grid = sr.make_graded_grid(0.5, n, 4.0)
+        sr.forward_solve(self.DIRICHLET, self.first_mode(amplitude), f, grid)
+        assert f.calls / n <= bound
+
+    def test_second_order_on_graded_grid(self):
+        # the predictor's step-ratio scaling matters on a graded grid, whose
+        # steps grow 15-fold at the start; the order must stay 2
+        op = TestForwardSolveMemoryKernel.OP
+        u0 = TestForwardSolveMemoryKernel.U0
+        f = sr.PowerLaw(1.0, 1.0)
+
+        def solve(n):
+            grid = sr.make_graded_grid(0.5, n, 4.0)
+            return sr.forward_solve(op, u0, f, grid).coeffs
+
+        reference = solve(2048)
+        errors = [np.max(np.abs(solve(n) - reference[:: 2048 // n]))
+                  for n in (64, 128, 256)]
+        for coarse, fine in zip(errors[:-1], errors[1:]):
+            assert 3.5 <= coarse / fine <= 4.5
+
+    def test_failure_mid_march_keeps_step(self):
+        # a memory kernel this strong stops contracting part way along this
+        # grid, at step 9; the failure must name that step
+        grid = sr.make_graded_grid(0.5, 16, 4.0)
+        f = sr.MemoryKernel(1.0, -0.9, 1.0)
+        with pytest.raises(sr.NumericFailureError) as info:
+            sr.forward_solve(self.DIRICHLET, self.first_mode(2.0), f, grid)
+        assert isinstance(info.value.step, int) and info.value.step == 9
+
+    def test_step_after_subnormal_step(self):
+        # the second step is 1e323 times the first, a ratio past the float
+        # range; the march starts it from the last forcing value
+        grid = sr.TimeGrid(1.0, np.array([0.0, 5e-324, 0.5, 1.0]), 1.0)
+        op = sr.diagonal_operator([-1.0, -2.0])
+        u0 = np.array([0.1, 0.2])
+        u = sr.forward_solve(op, u0, sr.Zero(), grid)
+        want = np.exp(np.outer(grid.nodes, op.eigenvalues)) * u0
+        assert ulp_close(u.coeffs, want, 4)
+        u = sr.forward_solve(op, u0, sr.PowerLaw(1.0, 1.0), grid)
+        assert np.all(np.isfinite(u.coeffs))
+
+    @pytest.mark.parametrize("amplitude", [1e-12, 1e-3, 0.5])
+    @pytest.mark.parametrize("f", [sr.PowerLaw(1.0, 1.0),
+                                   sr.MemoryKernel(1.0, -0.5, 1.0)],
+                             ids=["power", "memory"])
+    def test_stiff_operator_solves(self, f, amplitude):
+        # eigenvalues down to -32**4 = -1.05e6
+        grid = sr.make_graded_grid(0.5, 64, 4.0)
+        u = sr.forward_solve(self.PINNED, self.first_mode(amplitude), f, grid)
+        assert np.all(np.isfinite(u.coeffs))
+
+    @pytest.mark.parametrize("f", [sr.PowerLaw(1.0, 1.0),
+                                   sr.MemoryKernel(1.0, -0.5, 1.0)],
+                             ids=["power", "memory"])
+    def test_mild_solution_identity_stiff(self, f):
+        # as TestForwardSolveMemoryKernel.test_mild_solution_identity, on
+        # pinned4 with 32 modes
+        grid = sr.make_graded_grid(0.5, 64, 2.0)
+        u0 = self.first_mode(0.5)
+        u = sr.forward_solve(self.PINNED, u0, f, grid)
+        hom = np.exp(np.outer(grid.nodes, self.PINNED.eigenvalues)) * u0
+        mild = hom + sr.duhamel_convolve(
+            self.PINNED, f.eval_trajectory(u, self.PINNED)).coeffs
+        scale = np.max(np.abs(u.coeffs))
+        assert np.max(np.abs(u.coeffs - mild)) <= 1e-13 * scale
 
 
 class TestObserve:

@@ -302,27 +302,29 @@ class TestInverseDiagonal:
     def test_lam_zero_gives_inverse_horizon(self):
         op = sr.diagonal_operator([0.0])
         w = sr.mode_weights(op, 0.0, B1, 2.0)
-        assert sr.phi_T_inverse_diagonal(w)[0] == 0.5
+        assert 1.0 / w.betas[0] == 0.5
 
     def test_matches_closed_form(self):
         # oracle: lam/(exp(T*lam) - 1) at 40 digits = 1.581976706869326...
         op = sr.diagonal_operator([-1.0])
         w = sr.mode_weights(op, 0.0, B1, 1.0)
-        got = sr.phi_T_inverse_diagonal(w)[0]
+        got = 1.0 / w.betas[0]
         assert rel_err(got, 1.5819767068693264) < 1e-15
 
     def test_unit_beta(self):
         op = sr.diagonal_operator([-1.0])
         w = sr.mode_weights(op, 1.0, B1, 1.0)
-        assert ulp_close(sr.phi_T_inverse_diagonal(w)[0], 1.0, 4)
+        assert ulp_close(1.0 / w.betas[0], 1.0, 4)
 
     def test_ill_posed_mode_flagged(self):
         # constructed kernel: a = -int b e^{-lam (T-t)} dt makes beta_1 = 0
         op = sr.diagonal_operator([-1.0, -4.0])
         a = -math.exp(1.0) * sr.exp_weight_integral(-1.0, 1.0, B1)
-        w = sr.mode_weights(op, a, B1, 1.0)
+        cond = sr.ConditionE(a, B1, np.zeros(2))
+        grid = sr.make_graded_grid(1.0, 8)
         with pytest.raises(IllPosedModeError) as err:
-            sr.phi_T_inverse_diagonal(w)
+            sr.picard_recover(op, cond, sr.Zero(), grid,
+                              sr.FractionalNormSpec(0.0, 0.0))
         assert err.value.modes == [1]
 
 
