@@ -17,8 +17,8 @@ from .duhamel import duhamel_convolve, forward_solve, observe
 from .recover import (ConditionE, ConditionE100, ConditionE200,
                       FixedPointReport, GrowthExponents, NonlocalCondition,
                       WellPosednessEstimate, apply_psi_E,
-                      check_spectral_condition, picard_recover, sigma_E,
-                      sigma_E100, sigma_E200, theoretical_threshold)
+                      check_spectral_condition, picard_recover,
+                      theoretical_threshold)
 from .config import ExperimentConfig, config_from_dict, emit_csv, emit_json, parse_config
 from .harness import (RoundTripResult, SweepRow, roundtrip,
                       sweep_threshold, synthesize_observation)

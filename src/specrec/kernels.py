@@ -8,7 +8,6 @@ in closed form (with a series branch near z = 0 to avoid cancellation).  The
 Beta function used by the well-posedness estimates lives here too.
 """
 
-import hashlib
 import math
 
 import numpy as np
@@ -89,13 +88,6 @@ class WeightFunction:
     def is_zero(self):
         raise NotImplementedError
 
-    def fingerprint(self):
-        """Stable identity hash of the weight's defining data."""
-        return hashlib.sha1(self._key().encode()).hexdigest()[:16]
-
-    def _key(self):
-        raise NotImplementedError
-
     def pieces(self, T):
         """b on [0, T] as polynomial pieces (edges, coeffs): breakpoints
         0 = edges[0] < ... < edges[-1] = T, and coeffs[p] the Taylor
@@ -117,9 +109,6 @@ class ConstantWeight(WeightFunction):
     @property
     def is_zero(self):
         return self.value == 0.0
-
-    def _key(self):
-        return f"constant:{self.value!r}"
 
     def pieces(self, T):
         return np.array([0.0, T]), np.array([[self.value]])
@@ -150,9 +139,6 @@ class PolynomialWeight(WeightFunction):
     @property
     def is_zero(self):
         return bool(np.all(self.coeffs == 0.0))
-
-    def _key(self):
-        return "poly:" + ",".join(repr(float(a)) for a in self.coeffs)
 
     def pieces(self, T):
         return np.array([0.0, T]), self.coeffs[None, :]
@@ -199,10 +185,6 @@ class TabulatedWeight(WeightFunction):
     @property
     def is_zero(self):
         return bool(np.all(self.values == 0.0))
-
-    def _key(self):
-        return ("table:" + ",".join(repr(float(x)) for x in self.times) + ";"
-                + ",".join(repr(float(x)) for x in self.values))
 
     def __repr__(self):
         return f"TabulatedWeight({list(self.times)!r}, {list(self.values)!r})"
@@ -305,12 +287,7 @@ class ModeWeights:
     scales[j] = |a|*exp(T*lambda_j) + int_0^T |b(t)| exp(t*lambda_j) dt
     """
 
-    def __init__(self, eigenvalues, a, weight, T, betas, phi0s, scales):
-        self.eigenvalues = eigenvalues
-        self.a = float(a)
-        self.weight = weight
-        self.weight_fingerprint = weight.fingerprint()
-        self.T = float(T)
+    def __init__(self, betas, phi0s, scales):
         self.betas = betas
         self.phi0s = phi0s
         self.scales = scales
@@ -338,7 +315,7 @@ def mode_weights(op, a, b, T):
         betas = a * decay + phi0s
         scales = (abs(a) * decay
                   + _tail(lam, 0.0, *_abs_pieces(edges, coeffs))[0])
-    return ModeWeights(lam, a, b, T, betas, phi0s, scales)
+    return ModeWeights(betas, phi0s, scales)
 
 
 def _require_nonvanishing(denoms, scales, tol=ILL_POSED_RTOL):

@@ -11,10 +11,9 @@ The recovered initial state is the fixed point of successive substitution
 u -> e^{tA} S(u) + convolution(f(u)), run in the combined weighted-plus-sup
 metric.  S is affine in the forcing, S(g) = (M - psi(g)) / d per mode, and
 its denominators d and the per-node weights of psi are built once per
-problem: exactly from phi functions for a constant observation weight, with
-a 6-point Gauss-Legendre rule per grid interval on the tail factor of any
-other weight.  A theoretical smallness threshold for the observation data is
-estimated alongside.
+problem, in closed form from moments: exact for g linear between nodes and
+any piecewise-polynomial b.  A theoretical smallness threshold for the
+observation data is estimated alongside.
 """
 
 import math
@@ -24,15 +23,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .duhamel import _step_tables, duhamel_convolve
-from .errors import (AdmissibilityError, IllPosedModeError,
-                     InvalidParameterError, NumericFailureError)
+from .errors import (AdmissibilityError, InvalidParameterError,
+                     NumericFailureError)
 from .kernels import (ILL_POSED_RTOL, ConstantWeight, WeightFunction,
-                      _require_nonvanishing, _tail, beta_function, moments,
-                      mode_weights)
+                      _require_nonvanishing, _taylor_shift, beta_function,
+                      moments, mode_weights)
 from .spectral import (FractionalNormSpec, Trajectory, fractional_norm,
                        weighted_sup_norm)
-
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(6)
 
 
 # --------------------------------------------------------------------------
@@ -137,37 +134,52 @@ def _denominators(op, c, a, b, T):
 def _psi_weights(op, grid, a, b):
     """Per-node weights (wL, wR), each (n_steps, n_modes), such that
     psi_j(g) = sum_k wL[k, j] g_k[j] + wR[k, j] g_{k+1}[j] for g linear
-    between the grid nodes.
+    between the grid nodes, exact for every piecewise-polynomial b.
 
-    The a-term is exact.  For constant b the tail term is exact too: on step
-    k, with R = (T - t_{k+1}) J_0((T - t_{k+1}) lam), the tail splits into
-    the part inside the step, h**2 (J_0 - J_2)/2 and h**2 (J_0 - 2 J_1 +
-    J_2)/2 at z = h lam against the two hats, and e^{(t_{k+1}-s) lam} R.
-    Other weights integrate the tail against the hat functions with a
-    6-point Gauss-Legendre rule per step.
+    psi weighs g(s) by R(s) = a e^{(T-s) lam} + tail(s).  [0, T] is cut at
+    the grid nodes and b's breakpoints, so each piece [lo, hi] of width w
+    lies in one step and one polynomial piece of b, b(lo + w tau) =
+    sum_m c_m tau**m.  There R(lo + w sigma) = e^{(1-sigma) z} R(hi) plus
+    w int_sigma^1 b e^{(tau-sigma) z} dtau at z = w lam, and R itself
+    marches back from R(T) = a by R(lo) = w sum_m c_m J_m + e^z R(hi), every
+    exponent <= 0 when lam <= 0.  A hat running from A at lo to B at hi
+    takes w (B J_0 + (A - B) J_1) R(hi) + w**2 sum_k q_k J_k, with
+    q(rho) = int_rho^1 (A + (B - A)(tau - rho)) b(lo + w tau) dtau, so one
+    moments(z, deg + 2) call gives both terms.
     """
     lam = op.eigenvalues
     nodes = grid.nodes
-    T = grid.T
-    h = np.diff(nodes)[:, None]
-    rest = T - nodes[1:, None]
-    _, left, right = _step_tables(nodes, lam)
-    carry = a * np.exp(rest * lam)
-    wl, wr = carry * left, carry * right
-    if b.is_zero:
-        return wl, wr
-    if isinstance(b, ConstantWeight):
-        J = moments(h * lam, 2)
-        R = rest * moments(rest * lam, 0)[0]
-        wl += b.value * (h * h * 0.5 * (J[0] - J[2]) + left * R)
-        wr += b.value * (h * h * 0.5 * (J[0] - 2.0 * J[1] + J[2]) + right * R)
-        return wl, wr
-    frac = 0.5 * (1.0 + _GL_NODES)
-    S = nodes[:-1, None] + h * frac
-    Wq = 0.5 * h * _GL_WEIGHTS
-    tails = _tail(lam, S.ravel(), *b.pieces(T)).reshape(S.shape + lam.shape)
-    wl += np.einsum("kq,kqj->kj", Wq * (1.0 - frac), tails)
-    wr += np.einsum("kq,kqj->kj", Wq * frac, tails)
+    edges, coeffs = b.pieces(grid.T)
+    cuts = np.union1d(nodes, edges)
+    lo, hi = cuts[:-1], cuts[1:]
+    w = (hi - lo)[:, None]
+    k = np.searchsorted(nodes, lo, side="right") - 1
+    p = np.searchsorted(edges, lo, side="right") - 1
+    m = np.arange(coeffs.shape[1])
+    c = _taylor_shift(coeffs[p], lo - edges[p]) * w ** m
+    z = w * lam
+    J = moments(z, m.size + 1)
+    inner = w * np.einsum("sm,msj->sj", c, J[:m.size])
+    step = np.exp(z)
+    R = np.empty((cuts.size, lam.size))
+    R[-1] = a
+    for i in range(lo.size - 1, -1, -1):
+        R[i] = inner[i] + step[i] * R[i + 1]
+    # end values of the left and right hats of step k on each piece
+    h = np.diff(nodes)[k]
+    A = np.stack([nodes[k + 1] - lo, lo - nodes[k]]) / h
+    B = np.stack([nodes[k + 1] - hi, hi - nodes[k]]) / h
+    D = B - A
+    # q's coefficients, from int_rho^1 tau**m dtau = (1 - rho**(m+1)) / (m+1)
+    P1, P2 = c @ (1.0 / (m + 1)), c @ (1.0 / (m + 2))
+    q = np.zeros((2, lo.size, m.size + 2))
+    q[..., 0] = A * P1 + D * P2
+    q[..., 1] = -D * P1
+    q[..., 1:-1] -= A[..., None] * c / (m + 1)
+    q[..., 2:] += D[..., None] * c / ((m + 1) * (m + 2))
+    per = (w * (B[..., None] * J[0] + (A - B)[..., None] * J[1]) * R[1:]
+           + w * w * np.einsum("hsk,ksj->hsj", q, J))
+    wl, wr = np.add.reduceat(per, np.searchsorted(cuts, nodes[:-1]), axis=1)
     return wl, wr
 
 
@@ -194,38 +206,11 @@ def apply_psi_E(a, b, T, g, op):
 
     A one-shot call: it builds the per-node weights that ``picard_recover``
     builds once per problem and contracts them with g.  The result is exact
-    for g linear between nodes when b is constant, stable for arbitrarily
-    stiff modes, and uses a 6-point Gauss-Legendre rule per grid interval on
-    the tail factor of any other b.
+    for g linear between nodes and any piecewise-polynomial b, and stable
+    for arbitrarily stiff modes.
     """
     _require_forcing_grid(T, g, op)
     return _psi(_psi_weights(op, g.grid, a, b), g.coeffs)
-
-
-def _sigma_once(op, a, b, T, M, g, denominators, tol):
-    _require_forcing_grid(T, g, op)
-    denoms, scales = denominators
-    _require_nonvanishing(denoms, scales, tol)
-    psi = _psi(_psi_weights(op, g.grid, a, b), g.coeffs)
-    return (np.asarray(M, dtype=float) - psi) / denoms
-
-
-def sigma_E(w, M, g, op, tol=ILL_POSED_RTOL):
-    """Initial state for problem E: per mode (M_j - psi_j) / beta_j."""
-    return _sigma_once(op, w.a, w.weight, w.T, M, g, (w.betas, w.scales), tol)
-
-
-def sigma_E100(b, T, M, g, op, tol=ILL_POSED_RTOL):
-    """Initial state for problem E100:
-    (M_j + b * int_0^T e^{(T-s)lam_j} g_j ds) / (1 - b e^{T lam_j})."""
-    den = _denominators(op, 1.0, -b, _NO_WEIGHT, T)
-    return _sigma_once(op, -b, _NO_WEIGHT, T, M, g, den, tol)
-
-
-def sigma_E200(b, T, M, g, op, tol=ILL_POSED_RTOL):
-    """Initial state for problem E200: (M_j - psi0_j) / (1 + phi0_j)."""
-    den = _denominators(op, 1.0, 0.0, b, T)
-    return _sigma_once(op, 0.0, b, T, M, g, den, tol)
 
 
 # --------------------------------------------------------------------------
@@ -314,9 +299,7 @@ def picard_recover(op, cond, f, grid, spec, tol=1e-10, max_iter=200,
     The initial value map u(0) = (M - psi(g)) / d is affine in the forcing
     g, so its denominators and the per-node weights of psi are built once
     per call; each sweep applies them as array contractions.  The weights
-    are exact for forcing linear between nodes when the observation weight
-    is constant, and use a 6-point Gauss-Legendre rule per grid interval
-    otherwise.
+    are exact for g linear between nodes and any piecewise-polynomial b.
 
     A nonlinearity with memory has its history operator built once per
     call too, before the first sweep, and every sweep's ``eval_trajectory``

@@ -110,12 +110,6 @@ class TestWeightFunctions:
         with pytest.raises(sr.InvalidParameterError):
             sr.TabulatedWeight([0.0, 0.0], [1.0, 1.0])
 
-    def test_fingerprints_distinguish(self):
-        assert sr.ConstantWeight(1.0).fingerprint() \
-            != sr.ConstantWeight(2.0).fingerprint()
-        assert sr.ConstantWeight(1.0).fingerprint() \
-            == sr.ConstantWeight(1.0).fingerprint()
-
 
 class TestExpWeightIntegral:
     def test_lam_zero_constant(self):

@@ -8,9 +8,11 @@ import pytest
 
 import specrec as sr
 from specrec.nonlinearity import Nonlinearity
+from specrec.recover import _denominators
 from _util import rel_err
 
 B1 = sr.ConstantWeight(1.0)
+ONE_POLY = sr.PolynomialWeight([1.0])
 SPEC = sr.FractionalNormSpec(0.25, 0.0)
 
 # frozen 40-digit oracles
@@ -34,6 +36,56 @@ class TestConditions:
     def test_e200_requires_nonzero_weight(self):
         with pytest.raises(sr.AdmissibilityError):
             sr.ConditionE200(sr.ConstantWeight(0.0), [1.0])
+
+
+def _psi_oracle(lam, nodes, g, a, b, dps=25):
+    """a v(T) + int_0^T b(t) v(t) dt at dps digits for v(t) =
+    int_0^t e^{(t-s) lam} g(s) ds, lam != 0 and g linear between the nodes:
+    v is exact on each step, and mp.quad integrates b v between consecutive
+    nodes and table knots."""
+    import mpmath as mp
+    with mp.workdps(dps):
+        lam = mp.mpf(lam)
+        t = [mp.mpf(x) for x in nodes]
+        knots = set(t)
+        if isinstance(b, sr.TabulatedWeight):
+            bt = [mp.mpf(x) for x in b.times]
+            bv = [mp.mpf(x) for x in b.values]
+            knots |= set(bt[1:-1])
+
+            def bfun(s):
+                i = max(j for j in range(len(bt) - 1) if bt[j] <= s)
+                slope = (bv[i + 1] - bv[i]) / (bt[i + 1] - bt[i])
+                return bv[i] + slope * (s - bt[i])
+        else:
+            coeffs = (b.coeffs if isinstance(b, sr.PolynomialWeight)
+                      else [b.value])
+
+            def bfun(s):
+                return mp.polyval([mp.mpf(c) for c in coeffs[::-1]], s)
+
+        # v on step k from v(t_k), with E1 = int_0^tau e^{u lam} du and
+        # E2 = int_0^tau u e^{u lam} du = (tau e^{tau lam} - E1) / lam; E2
+        # cancels about log10(1 / |tau lam|) digits, 9 at lam = -1e-9
+        steps = []
+        v_k = mp.mpf(0)
+        for k in range(len(t) - 1):
+            slope = (mp.mpf(g[k + 1]) - mp.mpf(g[k])) / (t[k + 1] - t[k])
+
+            def v(s, t0=t[k], v0=v_k, g0=mp.mpf(g[k]), slope=slope):
+                tau = s - t0
+                em = mp.expm1(tau * lam)
+                E1 = em / lam
+                E2 = (tau * (em + 1) - E1) / lam
+                return (em + 1) * v0 + (g0 + slope * tau) * E1 - slope * E2
+            steps.append(v)
+            v_k = v(t[k + 1])
+        pts = sorted(knots)
+        total = a * v_k
+        for lo, hi in zip(pts[:-1], pts[1:]):
+            v = steps[max(k for k in range(len(t) - 1) if t[k] <= lo)]
+            total += mp.quad(lambda s: bfun(s) * v(s), [lo, hi])
+        return float(total)
 
 
 class TestApplyPsiE:
@@ -86,10 +138,14 @@ class TestApplyPsiE:
         want = float(a * term_a + term_b)
         assert abs(out[0] - want) < 1e-12
 
-    @pytest.mark.parametrize("n", [64, 256, 1024])
-    def test_constant_weight_exact_on_stiff_modes(self, n):
+    @pytest.mark.parametrize(
+        "n, b", [(64, B1), (256, B1), (1024, B1),
+                 (64, ONE_POLY), (256, ONE_POLY), (1024, ONE_POLY)],
+        ids=["64", "256", "1024", "poly-64", "poly-256", "poly-1024"])
+    def test_constant_weight_exact_on_stiff_modes(self, n, b):
         # pinned4 reaches lam = -32**4, so the tail factor has a boundary
-        # layer far thinner than a step; for g = alpha + beta*s the operator
+        # layer far thinner than a step; b = 1 as a constant and as a
+        # degree-0 polynomial; for g = alpha + beta*s the operator
         # is a*(alpha T phi1 + beta T^2 phi2) + alpha T^2 phi2 + beta T^3 phi3
         # at z = T*lam, evaluated here at 50 digits
         import mpmath as mp
@@ -104,18 +160,43 @@ class TestApplyPsiE:
                                         for m in range(k))) / z**k
 
         ones = _traj(grid, np.ones((n + 1, 32)))
-        got = sr.apply_psi_E(0.0, B1, T, ones, op)
+        got = sr.apply_psi_E(0.0, b, T, ones, op)
         want = [float(T**2 * phi(2, lam)) for lam in op.eigenvalues]
         assert rel_err(got, want) <= 1e-12
 
         alpha, beta, a = 0.3, 0.4, 0.5
         line = _traj(grid, np.repeat((alpha + beta * grid.nodes)[:, None],
                                      32, axis=1))
-        got = sr.apply_psi_E(a, B1, T, line, op)
+        got = sr.apply_psi_E(a, b, T, line, op)
         want = [float(a * (alpha * T * phi(1, lam) + beta * T**2 * phi(2, lam))
                       + alpha * T**2 * phi(2, lam) + beta * T**3 * phi(3, lam))
                 for lam in op.eigenvalues]
         assert rel_err(got, want) <= 1e-12
+
+    def test_exact_for_piecewise_polynomial_weights(self):
+        # a table that changes sign, with knots between the nodes, one with
+        # a knot one ulp past a node, a degree-2 polynomial and a constant,
+        # with a = 0.3 and modes from stiff to growing
+        grid = sr.make_graded_grid(1.0, 8, 1.5)
+        lams = [0.7, -1e-9, -1.0, -1e3, -1.05e6]
+        op = sr.diagonal_operator(lams)
+        weights = {
+            "table": sr.TabulatedWeight([0.0, 0.23, 0.61, 1.0],
+                                        [1.0, -0.7, 0.4, 0.9]),
+            "table-ulp": sr.TabulatedWeight(
+                [0.0, np.nextafter(grid.nodes[3], 1.0), 1.0], [1.0, -0.5, 0.8]),
+            "poly": sr.PolynomialWeight([1.0, -0.5, 0.25]),
+            "constant": sr.ConstantWeight(1.3),
+        }
+        g = 0.3 + 0.4 * grid.nodes + 0.2 * np.sin(7.0 * grid.nodes)
+        forcing = _traj(grid, np.repeat(g[:, None], len(lams), axis=1))
+        errors = {}
+        for kind, b in weights.items():
+            got = sr.apply_psi_E(0.3, b, 1.0, forcing, op)
+            assert np.all(np.isfinite(got)), kind
+            errors[kind] = rel_err(got, [_psi_oracle(lam, grid.nodes, g, 0.3, b)
+                                         for lam in lams])
+        assert max(errors.values()) <= 1e-12, errors
 
     def test_stiff_mode_stability(self):
         # the a-term has a boundary layer at s = T; the convolution
@@ -129,70 +210,80 @@ class TestApplyPsiE:
         assert rel_err(out[0], want) < 1e-12
 
 
+def _recover_linear(op, cond, T=1.0, n=8):
+    """u(0) recovered for zero forcing, where it is M / d per mode."""
+    spec = sr.FractionalNormSpec(SPEC.theta, sr.default_shift(op))
+    report = sr.picard_recover(op, cond, sr.Zero(),
+                               sr.make_graded_grid(T, n), spec)
+    assert report.converged
+    return report.u0_recovered
+
+
+def _initial_value(op, c, a, b, T, M, g):
+    """The initial-value map (M - psi(g)) / d for a forcing trajectory g."""
+    denoms, _ = _denominators(op, c, a, b, T)
+    psi = sr.apply_psi_E(a, b, T, g, op)
+    return (np.asarray(M, dtype=float) - psi) / denoms
+
+
 class TestSigmaE:
+    """The initial-value map of problem E, u(0) = (M - psi(g)) / beta."""
+
     def test_diagonal_inversion(self):
         op = sr.diagonal_operator([-1.0, -4.0, -9.0])
         w = sr.mode_weights(op, 0.3, B1, 1.0)
         z = np.array([1.0, -2.0, 0.5])
-        grid = sr.make_graded_grid(1.0, 8)
-        got = sr.sigma_E(w, w.betas * z, sr.Trajectory.zeros(grid, 3), op)
+        got = _recover_linear(op, sr.ConditionE(0.3, B1, w.betas * z))
         assert np.allclose(got, z, rtol=1e-15, atol=0)
 
     def test_linear_scalar_oracle(self):
         op = sr.diagonal_operator([-1.0])
-        w = sr.mode_weights(op, 0.0, B1, 1.0)
-        grid = sr.make_graded_grid(1.0, 8)
-        got = sr.sigma_E(w, [ONE_MINUS_E_INV], sr.Trajectory.zeros(grid, 1), op)
+        got = _recover_linear(op, sr.ConditionE(0.0, B1, [ONE_MINUS_E_INV]))
         assert abs(got[0] - 1.0) < 1e-14
 
     def test_zero_data(self):
         op = sr.diagonal_operator([-1.0])
-        w = sr.mode_weights(op, 0.0, B1, 1.0)
-        grid = sr.make_graded_grid(1.0, 8)
-        got = sr.sigma_E(w, [0.0], sr.Trajectory.zeros(grid, 1), op)
+        got = _recover_linear(op, sr.ConditionE(0.0, B1, [0.0]))
         assert got[0] == 0.0
 
     def test_scaling_linearity(self):
         op = sr.build_second_order(5, 1.0, 0.0, "dirichlet")
-        w = sr.mode_weights(op, 0.2, B1, 1.0)
         grid = sr.make_graded_grid(1.0, 12)
         rng = np.random.default_rng(2)
         M = rng.standard_normal(5)
         g = rng.standard_normal((13, 5))
         c1 = 3.7
-        a_side = sr.sigma_E(w, c1 * M, _traj(grid, c1 * g), op)
-        b_side = c1 * sr.sigma_E(w, M, _traj(grid, g), op)
+        a_side = _initial_value(op, 0.0, 0.2, B1, 1.0, c1 * M,
+                                _traj(grid, c1 * g))
+        b_side = c1 * _initial_value(op, 0.0, 0.2, B1, 1.0, M, _traj(grid, g))
         scale = np.max(np.abs(b_side))
         assert np.max(np.abs(a_side - b_side)) <= 4 * np.spacing(scale)
 
     def test_ill_posed_rejected(self):
         op = sr.diagonal_operator([-1.0])
         a = -math.exp(1.0) * sr.exp_weight_integral(-1.0, 1.0, B1)
-        w = sr.mode_weights(op, a, B1, 1.0)
-        grid = sr.make_graded_grid(1.0, 8)
         with pytest.raises(sr.IllPosedModeError):
-            sr.sigma_E(w, [1.0], sr.Trajectory.zeros(grid, 1), op)
+            _recover_linear(op, sr.ConditionE(a, B1, [1.0]))
 
 
 class TestSigmaE100:
+    """The initial-value map of problem E100,
+    u(0) = (M + b int_0^T e^{(T-s)lam} g ds) / (1 - b e^{T lam})."""
+
     def test_linear_scalar_oracle(self):
         op = sr.diagonal_operator([-1.0])
-        grid = sr.make_graded_grid(1.0, 8)
-        got = sr.sigma_E100(1.0, 1.0, [ONE_MINUS_E_INV],
-                            sr.Trajectory.zeros(grid, 1), op)
+        got = _recover_linear(op, sr.ConditionE100(1.0, [ONE_MINUS_E_INV]))
         assert abs(got[0] - 1.0) < 1e-14
 
     def test_zero_data(self):
         op = sr.diagonal_operator([-1.0])
-        grid = sr.make_graded_grid(1.0, 8)
-        got = sr.sigma_E100(1.0, 1.0, [0.0], sr.Trajectory.zeros(grid, 1), op)
+        got = _recover_linear(op, sr.ConditionE100(1.0, [0.0]))
         assert got[0] == 0.0
 
     def test_constructed_root_rejected(self):
         op = sr.diagonal_operator([-1.0])
-        grid = sr.make_graded_grid(1.0, 8)
         with pytest.raises(sr.IllPosedModeError) as err:
-            sr.sigma_E100(math.e, 1.0, [1.0], sr.Trajectory.zeros(grid, 1), op)
+            _recover_linear(op, sr.ConditionE100(math.e, [1.0]))
         assert err.value.modes == [1]
 
     def test_forcing_term(self):
@@ -203,35 +294,33 @@ class TestSigmaE100:
         op = sr.diagonal_operator([lam])
         grid = sr.make_graded_grid(T, 100)
         g = _traj(grid, np.ones((101, 1)))
-        got = sr.sigma_E100(b, T, [0.0], g, op)
+        got = _initial_value(op, 1.0, -b, sr.ConstantWeight(0.0), T, [0.0], g)
         z = float(mp.quad(lambda s: mp.exp(lam * (T - s)), [0, T]))
         want = b * z / (1.0 - b * math.exp(lam * T))
         assert rel_err(got[0], want) < 1e-13
 
 
 class TestSigmaE200:
+    """The initial-value map of problem E200, u(0) = (M - psi0) / (1 + phi0)."""
+
     def test_linear_scalar_oracle(self):
         # b = 1, lam = 0, T = 1: phi0 = 1 so u0 = M / 2
         op = sr.diagonal_operator([0.0])
-        grid = sr.make_graded_grid(1.0, 8)
-        got = sr.sigma_E200(B1, 1.0, [2.0], sr.Trajectory.zeros(grid, 1), op)
+        got = _recover_linear(op, sr.ConditionE200(B1, [2.0]))
         assert got[0] == 1.0
 
     def test_zero_data(self):
         op = sr.diagonal_operator([0.0])
-        grid = sr.make_graded_grid(1.0, 8)
-        got = sr.sigma_E200(B1, 1.0, [0.0], sr.Trajectory.zeros(grid, 1), op)
+        got = _recover_linear(op, sr.ConditionE200(B1, [0.0]))
         assert got[0] == 0.0
 
     def test_nonnegative_weight_never_ill_posed(self):
         # denominators 1 + phi0 >= 1 for b >= 0 and dissipative modes
         op = sr.build_second_order(10, 1.0, 0.0, "dirichlet")
-        grid = sr.make_graded_grid(2.0, 8)
-        got = sr.sigma_E200(B1, 2.0, np.ones(10),
-                            sr.Trajectory.zeros(grid, 10), op)
+        cond = sr.ConditionE200(B1, np.ones(10))
+        got = _recover_linear(op, cond, T=2.0)
         assert np.all(np.isfinite(got))
-        report = sr.check_spectral_condition(
-            op, sr.ConditionE200(B1, np.ones(10)), 2.0)
+        report = sr.check_spectral_condition(op, cond, 2.0)
         assert report.ok
         assert np.all(report.margins >= 1.0)
 
@@ -481,9 +570,8 @@ class TestSmallTMode:
                                        small_t_mode=True)
         assert report.converged
         # affine fixed point: u0 = (M - psi(g0)) / beta, cross-checked directly
-        w = sr.mode_weights(op, 0.0, B1, 0.1)
         g = f.eval_trajectory(sr.Trajectory.zeros(grid, 1), op)
-        want = sr.sigma_E(w, cond.M, g, op)
+        want = _initial_value(op, 0.0, 0.0, B1, 0.1, cond.M, g)
         assert rel_err(report.u0_recovered, want) < 1e-10
 
     def test_flag_limited_to_time_average_problem(self):
