@@ -10,6 +10,7 @@ import csv
 import dataclasses
 import json
 import math
+import sys
 
 import numpy as np
 
@@ -21,6 +22,7 @@ from .spectral import (FractionalNormSpec, analyze, build_fourth_order,
                        make_graded_grid)
 
 _OPERATOR_FAMILIES = ("dirichlet2", "neumann2", "pinned4")
+_FLOAT_MAX = sys.float_info.max
 
 
 def _require_mapping(obj, path):
@@ -46,6 +48,8 @@ def _number(obj, path, key, default=None, required=False):
     val = obj[key]
     if isinstance(val, bool) or not isinstance(val, (int, float)):
         raise ConfigError(f"{path}.{key} must be a number")
+    if not abs(val) <= _FLOAT_MAX:  # NaN, Infinity, or an int past float
+        raise ConfigError(f"{path}.{key} must be finite")
     return float(val)
 
 
@@ -65,6 +69,8 @@ def _number_list(obj, path, key):
     if not isinstance(val, list) or not val or not all(
             isinstance(x, (int, float)) and not isinstance(x, bool) for x in val):
         raise ConfigError(f"{path}.{key} must be a nonempty list of numbers")
+    if not all(abs(x) <= _FLOAT_MAX for x in val):
+        raise ConfigError(f"{path}.{key} must hold finite numbers")
     return [float(x) for x in val]
 
 
@@ -276,7 +282,7 @@ def _parse_condition(obj):
         b = obj["b"]
         if isinstance(b, bool) or not isinstance(b, (int, float)):
             raise ConfigError("E100 requires scalar b")
-        b = float(b)
+        b = _number(obj, "condition", "b")
     else:
         _check_keys(obj, "condition", {"problem", "b", "M"}, required=("b", "M"))
         a = 0.0

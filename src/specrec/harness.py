@@ -16,8 +16,8 @@ from .duhamel import forward_solve, observe
 from .errors import ConfigError, IllPosedModeError, SpecrecError
 from .nonlinearity import Zero, check_growth_condition
 from .recover import (ConditionE, ConditionE100, ConditionE200,
-                      FixedPointReport, GrowthExponents, picard_recover,
-                      theoretical_threshold)
+                      FixedPointReport, GrowthExponents, _coupling,
+                      picard_recover, theoretical_threshold)
 from .spectral import fractional_norm, make_graded_grid
 
 OBSERVATION_REFINEMENT = 4
@@ -37,15 +37,10 @@ def synthesize_observation(cfg, op, f, u0_true):
     grid_fine = make_graded_grid(cfg.grid.T,
                                  OBSERVATION_REFINEMENT * cfg.grid.n,
                                  cfg.grid.r)
+    # the coupling (c, a, b) does not depend on M
+    c, a, b = _coupling(build_condition(cfg, np.zeros(op.n_modes)))
     u = forward_solve(op, u0_true, f, grid_fine)
-    problem = cfg.condition.problem
-    if problem == "E":
-        M = observe(u, cfg.condition.a, cfg.build_weight(), grid_fine)
-    elif problem == "E100":
-        M = u0_true - cfg.condition.b * u.coeffs[-1]
-    else:
-        M = u0_true + observe(u, 0.0, cfg.build_weight(), grid_fine)
-    return M, grid_fine
+    return c * u0_true + observe(u, a, b, grid_fine), grid_fine
 
 
 def resolve_M(cfg, op, f):

@@ -4,21 +4,18 @@ Everything the recovery operators need reduces per mode to integrals of the
 form ``int b(t) exp(t*lam) dt`` and their tail variants.  Every weight is
 piecewise polynomial on [0, T], so every such integral is a finite sum of
 the moments J_k(z) = int_0^1 s**k exp(z*s) ds, which one evaluator supplies
-in closed form (with a series branch near z = 0 to avoid cancellation).  The
-Beta function used by the well-posedness estimates lives here too.
+in closed form (with a series branch near z = 0 to avoid cancellation).
+One backward march over polynomial pieces turns these sums into the
+recovery's psi weights, the per-mode denominators and scales, and
+``tail_weight``.  The Beta function used by the well-posedness estimates
+lives here too.
 """
 
 import math
 
 import numpy as np
 
-from .errors import (IllPosedModeError, InvalidParameterError,
-                     NumericFailureError)
-
-# Scale-relative tolerance below which a diagonal observation weight is
-# treated as a genuine kernel element rather than harmless cancellation.
-ILL_POSED_RTOL = 1e-10
-
+from .errors import InvalidParameterError, NumericFailureError
 
 # --------------------------------------------------------------------------
 # moments  J_k(z) = int_0^1 s**k exp(z*s) ds
@@ -100,6 +97,8 @@ class ConstantWeight(WeightFunction):
 
     def __init__(self, value):
         self.value = float(value)
+        if not math.isfinite(self.value):
+            raise InvalidParameterError("constant weight must be finite")
         self.sign_certificate = self.value >= 0.0
 
     def __call__(self, t):
@@ -204,37 +203,35 @@ def _taylor_shift(coeffs, d):
     return out
 
 
-def _poly_exp(coeffs, widths, lams):
-    """int_0^w (sum_m coeffs[p, m] u**m) e^{u*lam} du for every row p with
-    its width w = widths[p] and every lam, shape (rows, lams.size)."""
-    J = moments(widths[:, None] * lams, coeffs.shape[1] - 1)
-    powers = widths[:, None] ** np.arange(1, coeffs.shape[1] + 1)
-    return np.einsum("pk,kpl->pl", coeffs * powers, J)
+def _cut(edges, coeffs, points):
+    """b's pieces (edges, coeffs) cut at the sorted points, which span the
+    part of [0, T] to march over and include every edge inside it.  Returns
+    the widths w of the new pieces and c with b(lo + w tau) =
+    sum_m c[p, m] tau**m on each piece [lo, lo + w]."""
+    lo = points[:-1]
+    w = np.diff(points)
+    p = np.searchsorted(edges, lo, side="right") - 1
+    m = np.arange(coeffs.shape[1])
+    return w, _taylor_shift(coeffs[p], lo - edges[p]) * w[:, None] ** m
 
 
-def _tail(lams, svals, edges, coeffs):
-    """Tail integrals int_s^T b(t) e^{(t - s)*lam} dt of the piecewise
-    polynomial b given by ``WeightFunction.pieces`` (T = edges[-1]), for
-    every s in svals (all in [0, T]) and every lam, shape
-    (svals.size, lams.size).
+def _march(lam, w, c, end, kmax=None):
+    """R(t) = end e^{(T - t) lam} + int_t^T b(s) e^{(s - t) lam} ds at every
+    cut of the pieces from ``_cut``, shape (w.size + 1, lam.size), and the
+    moments J_0..J_kmax at z = w lam (kmax defaults to b's degree).
 
-    The part in s's own piece is one moment sum; the later pieces add
-    e^{(edge - s)*lam} times their backward suffix sum, so every exponent is
-    <= 0 when lam <= 0.
+    R marches back from R(T) = end by R(lo) = w sum_m c_m J_m(z) + e^z R(hi),
+    so every exponent is <= 0 when lam <= 0.
     """
-    lams = np.atleast_1d(np.asarray(lams, dtype=float))
-    svals = np.atleast_1d(np.asarray(svals, dtype=float))
-    widths = np.diff(edges)
-    whole = _poly_exp(coeffs, widths, lams)
-    step = np.exp(widths[:, None] * lams)
-    suffix = np.zeros((widths.size + 1, lams.size))
-    for p in range(widths.size - 1, -1, -1):
-        suffix[p] = whole[p] + step[p] * suffix[p + 1]
-    p = np.clip(np.searchsorted(edges, svals, side="right") - 1,
-                0, widths.size - 1)
-    rest = edges[p + 1] - svals
-    own = _poly_exp(_taylor_shift(coeffs[p], svals - edges[p]), rest, lams)
-    return own + np.exp(rest[:, None] * lams) * suffix[p + 1]
+    z = w[:, None] * lam
+    J = moments(z, c.shape[1] - 1 if kmax is None else kmax)
+    inner = w[:, None] * np.einsum("pm,mpj->pj", c, J[:c.shape[1]])
+    step = np.exp(z)
+    R = np.empty((w.size + 1, lam.size))
+    R[-1] = end
+    for i in range(w.size - 1, -1, -1):
+        R[i] = inner[i] + step[i] * R[i + 1]
+    return R, J
 
 
 def _abs_pieces(edges, coeffs):
@@ -263,16 +260,19 @@ def _pieces(b, T):
     return b.pieces(T)
 
 
-def exp_weight_integral(lam, T, b):
-    """int_0^T b(t) exp(t*lam) dt."""
-    return float(_tail(lam, 0.0, *_pieces(b, T))[0, 0])
-
-
 def tail_weight(lam, s, T, b):
     """int_s^T b(t) exp((t - s)*lam) dt; zero at s = T."""
+    edges, coeffs = _pieces(b, T)
     if not 0.0 <= s <= T:
         raise InvalidParameterError("s must lie in [0, T]")
-    return float(_tail(lam, s, *_pieces(b, T))[0, 0])
+    points = np.concatenate([[s], edges[edges > s]])
+    lam = np.atleast_1d(np.asarray(lam, dtype=float))
+    return float(_march(lam, *_cut(edges, coeffs, points), 0.0)[0][0, 0])
+
+
+def exp_weight_integral(lam, T, b):
+    """int_0^T b(t) exp(t*lam) dt."""
+    return tail_weight(lam, 0.0, T, b)
 
 
 # --------------------------------------------------------------------------
@@ -283,20 +283,18 @@ class ModeWeights:
     """Per-mode scalars diagonalizing the observation operators.
 
     betas[j]  = a*exp(T*lambda_j) + int_0^T b(t) exp(t*lambda_j) dt
-    phi0s[j]  = int_0^T b(t) exp(t*lambda_j) dt
     scales[j] = |a|*exp(T*lambda_j) + int_0^T |b(t)| exp(t*lambda_j) dt
     """
 
-    def __init__(self, betas, phi0s, scales):
+    def __init__(self, betas, scales):
         self.betas = betas
-        self.phi0s = phi0s
         self.scales = scales
-        finite = np.isfinite(betas) & np.isfinite(phi0s) & np.isfinite(scales)
+        finite = np.isfinite(betas) & np.isfinite(scales)
         if not finite.all():
             j = int(np.argmin(finite))
             raise NumericFailureError(
                 f"non-finite observation weight at mode {j + 1}", mode=j + 1)
-        for arr in (betas, phi0s, scales):
+        for arr in (betas, scales):
             arr.setflags(write=False)
 
     @property
@@ -305,27 +303,18 @@ class ModeWeights:
 
 
 def mode_weights(op, a, b, T):
-    """Diagonal observation weights for all modes of an operator."""
-    edges, coeffs = _pieces(b, T)
+    """Diagonal observation weights for all modes of an operator: R(0) of
+    the march over b's pieces from a, and over |b|'s pieces from |a|."""
     lam = op.eigenvalues
+
+    def start(edges, coeffs, end):
+        return _march(lam, *_cut(edges, coeffs, edges), end)[0][0]
+
+    edges, coeffs = _pieces(b, T)
     # an overflowing unstable mode is reported by ModeWeights, with its index
     with np.errstate(over="ignore", invalid="ignore"):
-        phi0s = _tail(lam, 0.0, edges, coeffs)[0]
-        decay = np.exp(T * lam)
-        betas = a * decay + phi0s
-        scales = (abs(a) * decay
-                  + _tail(lam, 0.0, *_abs_pieces(edges, coeffs))[0])
-    return ModeWeights(betas, phi0s, scales)
-
-
-def _require_nonvanishing(denoms, scales, tol=ILL_POSED_RTOL):
-    """Raise IllPosedModeError naming the modes whose denominator is zero up
-    to tol times its scale."""
-    bad = np.nonzero(~(np.abs(denoms) > tol * scales))[0]
-    if bad.size:
-        modes = [int(j) + 1 for j in bad]
-        raise IllPosedModeError(
-            f"spectral condition violated at modes {modes}", modes)
+        return ModeWeights(start(edges, coeffs, a),
+                           start(*_abs_pieces(edges, coeffs), abs(a)))
 
 
 def beta_function(x, y):

@@ -12,22 +12,24 @@ u -> e^{tA} S(u) + convolution(f(u)), run in the combined weighted-plus-sup
 metric.  S is affine in the forcing, S(g) = (M - psi(g)) / d per mode, and
 its denominators d and the per-node weights of psi are built once per
 problem, in closed form from moments: exact for g linear between nodes and
-any piecewise-polynomial b.  A theoretical smallness threshold for the
-observation data is estimated alongside.
+any piecewise-polynomial b.  Each condition maps to one coupling (c, a, b),
+and one predicate on the denominators, |d_j| > tol * scale_j, decides
+solvability for both the spectral check and the Picard driver.  A
+theoretical smallness threshold for the observation data is estimated
+alongside.
 """
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .duhamel import _step_tables, duhamel_convolve
-from .errors import (AdmissibilityError, InvalidParameterError,
-                     NumericFailureError)
-from .kernels import (ILL_POSED_RTOL, ConstantWeight, WeightFunction,
-                      _require_nonvanishing, _taylor_shift, beta_function,
-                      moments, mode_weights)
+from .errors import (AdmissibilityError, IllPosedModeError,
+                     InvalidParameterError, NumericFailureError)
+from .kernels import (ConstantWeight, WeightFunction, _cut, _march,
+                      beta_function, mode_weights)
 from .spectral import (FractionalNormSpec, Trajectory, fractional_norm,
                        weighted_sup_norm)
 
@@ -114,7 +116,8 @@ _NO_WEIGHT = ConstantWeight(0.0)
 
 
 def _coupling(cond):
-    """(c, a, b) of a condition."""
+    """(c, a, b) of a condition, c*u(0) + a*u(T) + int b u dt = M; the
+    observation synthesis reads it too."""
     if cond.problem == "E":
         return 0.0, cond.a, cond.b
     if cond.problem == "E100":
@@ -124,47 +127,30 @@ def _coupling(cond):
     raise InvalidParameterError(f"unknown problem tag {cond.problem!r}")
 
 
-def _denominators(op, c, a, b, T):
-    """Per-mode denominators d_j and their magnitude scales
-    |c| + |a| e^{T lam_j} + int_0^T |b(t)| e^{t lam_j} dt."""
-    w = mode_weights(op, a, b, T)
-    return c + w.betas, abs(c) + w.scales
-
-
 def _psi_weights(op, grid, a, b):
     """Per-node weights (wL, wR), each (n_steps, n_modes), such that
     psi_j(g) = sum_k wL[k, j] g_k[j] + wR[k, j] g_{k+1}[j] for g linear
     between the grid nodes, exact for every piecewise-polynomial b.
 
-    psi weighs g(s) by R(s) = a e^{(T-s) lam} + tail(s).  [0, T] is cut at
-    the grid nodes and b's breakpoints, so each piece [lo, hi] of width w
-    lies in one step and one polynomial piece of b, b(lo + w tau) =
-    sum_m c_m tau**m.  There R(lo + w sigma) = e^{(1-sigma) z} R(hi) plus
-    w int_sigma^1 b e^{(tau-sigma) z} dtau at z = w lam, and R itself
-    marches back from R(T) = a by R(lo) = w sum_m c_m J_m + e^z R(hi), every
-    exponent <= 0 when lam <= 0.  A hat running from A at lo to B at hi
-    takes w (B J_0 + (A - B) J_1) R(hi) + w**2 sum_k q_k J_k, with
-    q(rho) = int_rho^1 (A + (B - A)(tau - rho)) b(lo + w tau) dtau, so one
-    moments(z, deg + 2) call gives both terms.
+    psi weighs g(s) by R(s) = a e^{(T-s) lam} + tail(s).  ``kernels._march``
+    gives R at every cut of [0, T] at the grid nodes and b's breakpoints, so
+    each piece [lo, hi] of width w lies in one step and one polynomial piece
+    of b, b(lo + w tau) = sum_m c_m tau**m.  There R(lo + w sigma) =
+    e^{(1-sigma) z} R(hi) plus w int_sigma^1 b e^{(tau-sigma) z} dtau at
+    z = w lam.  A hat running from A at lo to B at hi takes
+    w (B J_0 + (A - B) J_1) R(hi) + w**2 sum_k q_k J_k, with
+    q(rho) = int_rho^1 (A + (B - A)(tau - rho)) b(lo + w tau) dtau, so the
+    march's moments, taken to deg + 2, give both terms.
     """
-    lam = op.eigenvalues
     nodes = grid.nodes
     edges, coeffs = b.pieces(grid.T)
     cuts = np.union1d(nodes, edges)
     lo, hi = cuts[:-1], cuts[1:]
-    w = (hi - lo)[:, None]
+    w, c = _cut(edges, coeffs, cuts)
+    m = np.arange(c.shape[1])
+    R, J = _march(op.eigenvalues, w, c, a, m.size + 1)
+    w = w[:, None]
     k = np.searchsorted(nodes, lo, side="right") - 1
-    p = np.searchsorted(edges, lo, side="right") - 1
-    m = np.arange(coeffs.shape[1])
-    c = _taylor_shift(coeffs[p], lo - edges[p]) * w ** m
-    z = w * lam
-    J = moments(z, m.size + 1)
-    inner = w * np.einsum("sm,msj->sj", c, J[:m.size])
-    step = np.exp(z)
-    R = np.empty((cuts.size, lam.size))
-    R[-1] = a
-    for i in range(lo.size - 1, -1, -1):
-        R[i] = inner[i] + step[i] * R[i + 1]
     # end values of the left and right hats of step k on each piece
     h = np.diff(nodes)[k]
     A = np.stack([nodes[k + 1] - lo, lo - nodes[k]]) / h
@@ -217,6 +203,11 @@ def apply_psi_E(a, b, T, g, op):
 # spectral admissibility
 # --------------------------------------------------------------------------
 
+# Scale-relative tolerance below which a denominator is treated as a genuine
+# kernel element rather than harmless cancellation.
+ILL_POSED_RTOL = 1e-10
+
+
 @dataclass(frozen=True)
 class SpectralConditionReport:
     """Per-mode margins of the diagonal denominators.
@@ -234,14 +225,25 @@ class SpectralConditionReport:
     ok: bool
 
 
-def check_spectral_condition(op, cond, T, tol=ILL_POSED_RTOL):
-    """Evaluate the per-mode solvability margins for a condition."""
-    denoms, scales = _denominators(op, *_coupling(cond), T)
+def _denominators(op, cond, T, tol=ILL_POSED_RTOL):
+    """Per-mode denominators d_j of a condition and its
+    SpectralConditionReport, with scales
+    |c| + |a| e^{T lam_j} + int_0^T |b(t)| e^{t lam_j} dt.  Mode j passes
+    the one solvability predicate when |d_j| > tol * scale_j."""
+    c, a, b = _coupling(cond)
+    w = mode_weights(op, a, b, T)
+    denoms, scales = c + w.betas, abs(c) + w.scales
     margins = np.abs(denoms)
     ok_per_mode = margins > tol * scales
     failing = tuple(int(j) + 1 for j in np.nonzero(~ok_per_mode)[0])
-    return SpectralConditionReport(cond.problem, margins, scales, float(tol),
-                                   ok_per_mode, failing, not failing)
+    return denoms, SpectralConditionReport(
+        cond.problem, margins, scales, float(tol), ok_per_mode, failing,
+        not failing)
+
+
+def check_spectral_condition(op, cond, T, tol=ILL_POSED_RTOL):
+    """Evaluate the per-mode solvability margins for a condition."""
+    return _denominators(op, cond, T, tol)[1]
 
 
 # --------------------------------------------------------------------------
@@ -306,16 +308,18 @@ def picard_recover(op, cond, f, grid, spec, tol=1e-10, max_iter=200,
     is one product with it: (n + 1)**2 floats for n steps, 0.13 MB at
     n = 128 and 8.4 MB at n = 1024.
     """
-    if not tol > 0:
-        raise InvalidParameterError("tol must be positive")
+    if not (tol > 0 and math.isfinite(tol)):
+        raise InvalidParameterError("tol must be positive and finite")
     if int(max_iter) != max_iter or max_iter < 1:
         raise InvalidParameterError("max_iter must be a positive integer")
     T = grid.T
     if cond.M.shape != (op.n_modes,):
         raise InvalidParameterError("M does not match the operator's mode count")
-    c, a, b = _coupling(cond)
-    denoms, scales = _denominators(op, c, a, b, T)
-    _require_nonvanishing(denoms, scales)
+    denoms, spectral = _denominators(op, cond, T)
+    if not spectral.ok:
+        modes = list(spectral.failing_modes)
+        raise IllPosedModeError(
+            f"spectral condition violated at modes {modes}", modes)
     if not f.vanishes_at_zero:
         if not small_t_mode:
             raise AdmissibilityError(
@@ -334,6 +338,7 @@ def picard_recover(op, cond, f, grid, spec, tol=1e-10, max_iter=200,
             stacklevel=2,
         )
 
+    _, a, b = _coupling(cond)
     weights = _psi_weights(op, grid, a, b)
     history = f.history_rows(grid.nodes, 0, grid.nodes.size)
 
@@ -491,8 +496,10 @@ def theoretical_threshold(op, exponents, c_hat, T, spec):
 
     The auxiliary exponent gamma0 is half of min(gamma, theta) when gamma is
     positive and zero otherwise; the ball radius solves
-    contraction_factor(L) = 1/2 by bisection.  Zero growth constant means no
-    smallness is needed at all and the threshold is reported as unbounded.
+    contraction_factor(L) = 1/2 in closed form, capped below 1 and rounded
+    down so that the factor there stays at or below 1/2.  Zero growth
+    constant means no smallness is needed at all and the threshold is
+    reported as unbounded.
     """
     if not isinstance(exponents, GrowthExponents):
         exponents = GrowthExponents(*exponents)
@@ -506,28 +513,15 @@ def theoretical_threshold(op, exponents, c_hat, T, spec):
                                1.0 - exponents.nu)
     omega = _omega_estimate(op, exponents.theta, exponents.gamma, gamma0,
                             T, spec.delta0)
-    bracket = 1.0 + T ** (1.0 + gamma0 - exponents.nu) * beta_value
-
-    def factor(L):
-        return omega * c_hat * L ** exponents.ell * bracket
-
-    l_max = 1.0 - 1e-12
+    est = WellPosednessEstimate(omega, gamma0, beta_value, 1.0, math.inf,
+                                True, 0.0, float(T), exponents)
     if c_hat == 0.0:
-        return WellPosednessEstimate(omega, gamma0, beta_value, 1.0,
-                                     math.inf, True, 0.0, float(T), exponents)
-    if factor(l_max) <= 0.5:
-        l_star = l_max
-    else:
-        lo, hi = 0.0, l_max
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if factor(mid) <= 0.5:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo < 1e-15:
-                break
-        l_star = lo
-    return WellPosednessEstimate(omega, gamma0, beta_value, l_star,
-                                 l_star / (4.0 * omega), False, float(c_hat),
-                                 float(T), exponents)
+        return est
+    est = replace(est, unbounded=False, c_hat=float(c_hat))
+    # contraction_factor(L) = K L**ell with K = contraction_factor(1)
+    l_star = 1.0 - 1e-12
+    if est.contraction_factor(l_star) > 0.5:
+        l_star = (0.5 / est.contraction_factor(1.0)) ** (1.0 / exponents.ell)
+        while est.contraction_factor(l_star) > 0.5:
+            l_star = float(np.nextafter(l_star, 0.0))
+    return replace(est, L_star=l_star, m_T=l_star / (4.0 * omega))

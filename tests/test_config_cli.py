@@ -69,6 +69,21 @@ class TestParsing:
         with pytest.raises(sr.ConfigError, match="E100 requires scalar b"):
             config_from_dict(data)
 
+    def test_nonfinite_numbers_named(self):
+        with pytest.raises(sr.ConfigError, match="solver.tol"):
+            config_from_dict(deep({"solver.tol": -math.inf}))
+        with pytest.raises(sr.ConfigError, match="grid.T"):
+            config_from_dict(deep({"grid.T": math.nan}))
+        with pytest.raises(sr.ConfigError, match="grid.T"):
+            config_from_dict(deep({"grid.T": 10**400}))  # past the float range
+        with pytest.raises(sr.ConfigError, match="u0.values"):
+            config_from_dict(deep({"u0": {"type": "coefficients",
+                                          "values": [1.0, math.inf]}}))
+        with pytest.raises(sr.ConfigError, match="condition.b"):
+            config_from_dict(deep({"condition": {"problem": "E100",
+                                                 "b": math.nan,
+                                                 "M": {"type": "from-u0"}}}))
+
     def test_family_specific_keys(self):
         with pytest.raises(sr.ConfigError, match="'d1'"):
             config_from_dict(deep({"operator.d1": 2.0}))
@@ -246,6 +261,16 @@ class TestCli:
         path = write_cfg(tmp_path, deep({"operator.family": "unknown"}))
         assert main(["recover", "--config", path]) == 4
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("update", [
+        {"solver.tol": math.inf},
+        {"condition.b": {"type": "constant", "value": math.nan}},
+    ], ids=["tol-infinity", "weight-nan"])
+    def test_nonfinite_number_exit_code(self, tmp_path, capsys, update):
+        # json.load accepts Infinity and NaN; the schema must not
+        path = write_cfg(tmp_path, deep(update))
+        assert main(["recover", "--config", path, "--quiet"]) == 4
+        assert "must be finite" in capsys.readouterr().err
 
     def test_spectral_violation_exit_code(self, tmp_path):
         data = deep({

@@ -95,6 +95,9 @@ class TestWeightFunctions:
         assert not b.is_zero
         assert sr.ConstantWeight(0.0).is_zero
         assert not sr.ConstantWeight(-1.0).sign_certificate
+        for value in (math.nan, math.inf, -math.inf):
+            with pytest.raises(sr.InvalidParameterError):
+                sr.ConstantWeight(value)
 
     def test_polynomial(self):
         b = sr.PolynomialWeight([1.0, 2.0])
@@ -210,15 +213,14 @@ class TestModeWeights:
 
     def test_trivial_weights(self):
         op = sr.diagonal_operator([0.0])
-        w = sr.mode_weights(op, 0.0, B1, 2.0)
-        assert w.betas[0] == 2.0
-        assert w.phi0s[0] == 2.0
+        assert sr.mode_weights(op, 0.0, B1, 2.0).betas[0] == 2.0
 
     def test_identity_decomposition(self):
         op = sr.build_second_order(8, 1.0, 0.0, "dirichlet")
         w = sr.mode_weights(op, 0.7, B1, 1.3)
         decay = np.exp(1.3 * op.eigenvalues)
-        assert np.array_equal(w.betas, 0.7 * decay + w.phi0s)
+        phi0s = sr.mode_weights(op, 0.0, B1, 1.3).betas
+        assert np.array_equal(w.betas, 0.7 * decay + phi0s)
 
     def test_positivity_certificate(self):
         # nonnegative weight, nonnegative a, dissipative modes -> positive betas
@@ -251,9 +253,9 @@ class TestModeWeights:
 
     def test_monotone_in_eigenvalue(self):
         op = sr.build_second_order(10, 1.0, 0.0, "dirichlet")
-        w = sr.mode_weights(op, 0.0, B1, 1.0)
+        phi0s = sr.mode_weights(op, 0.0, B1, 1.0).betas
         # eigenvalues decrease with j, so phi0 must too
-        assert np.all(np.diff(w.phi0s) < 0)
+        assert np.all(np.diff(phi0s) < 0)
 
 
 class TestStiffWeights:
@@ -290,6 +292,31 @@ class TestStiffWeights:
         lam = -32.0**4
         want = _tail_oracle(lam, s, self.T, pieces)
         assert rel_err(sr.tail_weight(lam, s, self.T, b), want) < 1e-12
+
+    @pytest.mark.parametrize("lam", [-1.0, -1e3, -32.0**4])
+    @pytest.mark.parametrize("side", [-1.0, 0.0, 1.0],
+                             ids=["ulp-below", "on-knot", "ulp-above"])
+    def test_tail_weight_at_knot(self, lam, side):
+        # s on the table's knot 0.2 or one ulp either side of it: the march
+        # then starts with a piece one ulp wide, or with none
+        b, pieces = self.WEIGHTS["table"]
+        s = 0.2 if side == 0.0 else float(np.nextafter(0.2, side))
+        want = _tail_oracle(lam, s, self.T, pieces)
+        assert rel_err(sr.tail_weight(lam, s, self.T, b), want) < 1e-12
+
+    def test_scales_of_sign_changing_poly(self):
+        # b = (t - 1/4)(t - 3/4) changes sign twice in [0, 1], so |b| is
+        # split at both roots
+        b = sr.PolynomialWeight([0.1875, -1.0, 1.0])
+        assert not b.sign_certificate
+        pieces = [(0.0, 0.25, [0.1875, -1.0, 1.0]),
+                  (0.25, 0.75, [-0.1875, 1.0, -1.0]),
+                  (0.75, 1.0, [0.1875, -1.0, 1.0])]
+        lams = [-1.0, -1e3, -1.05e6]
+        w = sr.mode_weights(sr.diagonal_operator(lams), 0.0, b, 1.0)
+        for j, lam in enumerate(lams):
+            want = _tail_oracle(lam, 0.0, 1.0, pieces)
+            assert rel_err(w.scales[j], want) < 1e-12
 
 
 class TestInverseDiagonal:

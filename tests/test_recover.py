@@ -8,7 +8,7 @@ import pytest
 
 import specrec as sr
 from specrec.nonlinearity import Nonlinearity
-from specrec.recover import _denominators
+from specrec.recover import _coupling, _denominators
 from _util import rel_err
 
 B1 = sr.ConstantWeight(1.0)
@@ -219,11 +219,12 @@ def _recover_linear(op, cond, T=1.0, n=8):
     return report.u0_recovered
 
 
-def _initial_value(op, c, a, b, T, M, g):
-    """The initial-value map (M - psi(g)) / d for a forcing trajectory g."""
-    denoms, _ = _denominators(op, c, a, b, T)
-    psi = sr.apply_psi_E(a, b, T, g, op)
-    return (np.asarray(M, dtype=float) - psi) / denoms
+def _initial_value(op, cond, T, g):
+    """The initial-value map (M - psi(g)) / d of a condition for a forcing
+    trajectory g."""
+    denoms, _ = _denominators(op, cond, T)
+    _, a, b = _coupling(cond)
+    return (cond.M - sr.apply_psi_E(a, b, T, g, op)) / denoms
 
 
 class TestSigmaE:
@@ -253,9 +254,10 @@ class TestSigmaE:
         M = rng.standard_normal(5)
         g = rng.standard_normal((13, 5))
         c1 = 3.7
-        a_side = _initial_value(op, 0.0, 0.2, B1, 1.0, c1 * M,
+        a_side = _initial_value(op, sr.ConditionE(0.2, B1, c1 * M), 1.0,
                                 _traj(grid, c1 * g))
-        b_side = c1 * _initial_value(op, 0.0, 0.2, B1, 1.0, M, _traj(grid, g))
+        b_side = c1 * _initial_value(op, sr.ConditionE(0.2, B1, M), 1.0,
+                                     _traj(grid, g))
         scale = np.max(np.abs(b_side))
         assert np.max(np.abs(a_side - b_side)) <= 4 * np.spacing(scale)
 
@@ -294,7 +296,7 @@ class TestSigmaE100:
         op = sr.diagonal_operator([lam])
         grid = sr.make_graded_grid(T, 100)
         g = _traj(grid, np.ones((101, 1)))
-        got = _initial_value(op, 1.0, -b, sr.ConstantWeight(0.0), T, [0.0], g)
+        got = _initial_value(op, sr.ConditionE100(b, [0.0]), T, g)
         z = float(mp.quad(lambda s: mp.exp(lam * (T - s)), [0, T]))
         want = b * z / (1.0 - b * math.exp(lam * T))
         assert rel_err(got[0], want) < 1e-13
@@ -412,6 +414,15 @@ class TestPicardLinear:
         cond = sr.ConditionE(0.0, B1, np.array([ONE_MINUS_E_INV]))
         report = sr.picard_recover(op, cond, sr.Zero(), grid, SPEC)
         assert report.sigma_T0_norm == pytest.approx(1.0, rel=1e-12)
+
+    @pytest.mark.parametrize("tol", [math.inf, math.nan])
+    def test_rejects_nonfinite_tol(self, tol):
+        # an infinite tol would report convergence after one sweep
+        op = sr.diagonal_operator([-1.0])
+        cond = sr.ConditionE(0.0, B1, np.array([ONE_MINUS_E_INV]))
+        with pytest.raises(sr.InvalidParameterError):
+            sr.picard_recover(op, cond, sr.Zero(), sr.make_graded_grid(1.0, 8),
+                              SPEC, tol=tol)
 
 
     def test_large_finite_data_scales(self):
@@ -571,7 +582,7 @@ class TestSmallTMode:
         assert report.converged
         # affine fixed point: u0 = (M - psi(g0)) / beta, cross-checked directly
         g = f.eval_trajectory(sr.Trajectory.zeros(grid, 1), op)
-        want = _initial_value(op, 0.0, 0.0, B1, 0.1, cond.M, g)
+        want = _initial_value(op, cond, 0.1, g)
         assert rel_err(report.u0_recovered, want) < 1e-10
 
     def test_flag_limited_to_time_average_problem(self):
@@ -629,6 +640,7 @@ class TestTheoreticalThreshold:
         est = sr.theoretical_threshold(op, exps, c_hat, 0.7, SPEC)
         # contraction factor at the root must be 1/2
         assert est.contraction_factor(est.L_star) == pytest.approx(0.5, rel=1e-9)
+        assert est.contraction_factor(est.L_star) <= 0.5
 
     def test_omega_floor(self):
         op = sr.build_second_order(6, 1.0, 0.5, "dirichlet")
