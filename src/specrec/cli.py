@@ -56,20 +56,6 @@ def _say(args, message):
         print(message, file=sys.stderr)
 
 
-def _write_csv(args, header, rows):
-    if args.out:
-        emit_csv(args.out, header, rows)
-    else:
-        emit_csv(sys.stdout, header, rows)
-
-
-def _write_json(args, report):
-    if args.out:
-        emit_json(args.out, report)
-    else:
-        emit_json(sys.stdout, report)
-
-
 def _trajectory_rows(grid, coeffs):
     for t, row in zip(grid.nodes, coeffs):
         yield [float(t)] + [float(c) for c in row]
@@ -82,7 +68,7 @@ def _cmd_evolve(cfg, args):
     u0 = cfg.resolve_u0(op)
     u = forward_solve(op, u0, f, grid)
     header = ["t"] + [f"mode_{j + 1}" for j in range(op.n_modes)]
-    _write_csv(args, header, _trajectory_rows(grid, u.coeffs))
+    emit_csv(args.out or sys.stdout, header, _trajectory_rows(grid, u.coeffs))
     _say(args, f"evolved {grid.n_steps} steps, {op.n_modes} modes")
     return EXIT_OK
 
@@ -97,7 +83,7 @@ def _cmd_check_spectral(cfg, args):
     rows = [[j + 1, float(op.eigenvalues[j]), float(report.margins[j]),
              float(report.scales[j]), bool(report.ok_per_mode[j])]
             for j in range(op.n_modes)]
-    _write_csv(args, header, rows)
+    emit_csv(args.out or sys.stdout, header, rows)
     if not report.ok:
         _say(args, f"spectral condition violated at modes "
                    f"{list(report.failing_modes)}")
@@ -115,8 +101,8 @@ def _cmd_recover(cfg, args):
     cond = build_condition(cfg, M)
     spectral = check_spectral_condition(op, cond, grid.T)
     if not spectral.ok:
-        _write_json(args, {"spectral": to_jsonable(spectral),
-                           "converged": False})
+        emit_json(args.out or sys.stdout,
+                  {"spectral": to_jsonable(spectral), "converged": False})
         _say(args, f"spectral condition violated at modes "
                    f"{list(spectral.failing_modes)}")
         return EXIT_SPECTRAL
@@ -126,7 +112,7 @@ def _cmd_recover(cfg, args):
     if u0_true is not None:
         payload["u0_true"] = [float(x) for x in u0_true]
         payload["error_e0"] = float(np.linalg.norm(report.u0_recovered - u0_true))
-    _write_json(args, payload)
+    emit_json(args.out or sys.stdout, payload)
     if not report.converged:
         _say(args, f"fixed point did not converge in {report.iterations} "
                    f"iterations")
@@ -137,7 +123,7 @@ def _cmd_recover(cfg, args):
 
 def _cmd_roundtrip(cfg, args):
     result = roundtrip(cfg)
-    _write_json(args, to_jsonable(result))
+    emit_json(args.out or sys.stdout, to_jsonable(result))
     if not result.report.converged:
         _say(args, "recovery did not converge")
         return EXIT_NO_CONVERGENCE
@@ -147,8 +133,8 @@ def _cmd_roundtrip(cfg, args):
 
 def _cmd_sweep(cfg, args):
     rows, estimate = sweep_threshold(cfg)
-    _write_csv(args, SWEEP_HEADER,
-               [list(dataclasses.astuple(row)) for row in rows])
+    emit_csv(args.out or sys.stdout, SWEEP_HEADER,
+             [list(dataclasses.astuple(row)) for row in rows])
     _say(args, f"sweep of {len(rows)} scales, threshold estimate "
                f"{estimate.m_T:.3e}")
     return EXIT_OK

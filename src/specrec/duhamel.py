@@ -33,15 +33,7 @@ def _step_tables(nodes, lam):
     return np.exp(z), h * J[1], h * (J[0] - J[1])
 
 
-def _require_same_grid(g, grid):
-    if grid is None:
-        return g.grid
-    if not np.array_equal(g.grid.nodes, grid.nodes):
-        raise InvalidParameterError("trajectory grid does not match the given grid")
-    return grid
-
-
-def duhamel_convolve(op, g, grid=None, *, tables=None):
+def duhamel_convolve(op, g, *, tables=None):
     """Convolve a forcing trajectory with the semigroup.
 
     Returns v with v(t_i) = int_0^{t_i} e^{(t_i-s)A} g(s) ds, computed per
@@ -49,17 +41,16 @@ def duhamel_convolve(op, g, grid=None, *, tables=None):
     between nodes.  A caller convolving many trajectories on one grid builds
     the grid's ``_step_tables`` once and passes them as ``tables``.
     """
-    grid = _require_same_grid(g, grid)
     if g.coeffs.shape[1] != op.n_modes:
         raise InvalidParameterError("forcing trajectory does not match the operator")
     if tables is None:
-        tables = _step_tables(grid.nodes, op.eigenvalues)
+        tables = _step_tables(g.grid.nodes, op.eigenvalues)
     e, wl, wr = tables
     inc = wl * g.coeffs[:-1] + wr * g.coeffs[1:]
     out = np.zeros_like(g.coeffs)
     for i in range(inc.shape[0]):
         out[i + 1] = e[i] * out[i] + inc[i]
-    return Trajectory(grid, out)
+    return Trajectory(g.grid, out)
 
 
 # Rows of a memory kernel's history operator that forward_solve requests at
@@ -191,20 +182,17 @@ def forward_solve(op, u0, f, grid):
     return Trajectory(grid, coeffs)
 
 
-def observe(u, a, b, grid=None):
+def observe(u, a, b):
     """Weighted time-average observation a*u(T) + int_0^T b(t) u(t) dt.
 
-    Uses the composite trapezoid rule on the trajectory's own grid.  This is
-    deliberately a different discretization from the recovery operators, so
-    that round-trip errors reflect genuine method error rather than a shared
-    quadrature.
+    Uses the composite trapezoid rule on the trajectory's own grid, t = 0
+    included.  This is deliberately a different discretization from the
+    recovery operators, so that round-trip errors reflect genuine method
+    error rather than a shared quadrature.
     """
-    grid = _require_same_grid(u, grid)
     if not isinstance(b, WeightFunction):
         raise InvalidParameterError("b must be a WeightFunction")
-    if not u.includes_t0:
-        raise InvalidParameterError("observation needs the t = 0 node populated")
-    nodes = grid.nodes
+    nodes = u.grid.nodes
     bw = np.asarray(b(nodes), dtype=float)
     integrand = bw[:, None] * u.coeffs
     h = np.diff(nodes)

@@ -40,7 +40,7 @@ def synthesize_observation(cfg, op, f, u0_true):
     # the coupling (c, a, b) does not depend on M
     c, a, b = _coupling(build_condition(cfg, np.zeros(op.n_modes)))
     u = forward_solve(op, u0_true, f, grid_fine)
-    return c * u0_true + observe(u, a, b, grid_fine), grid_fine
+    return c * u0_true + observe(u, a, b), grid_fine
 
 
 def resolve_M(cfg, op, f):
@@ -72,15 +72,13 @@ class RoundTripResult:
     failure_stage: str = None
 
 
-def roundtrip(cfg, u0_true=None):
+def roundtrip(cfg):
     """Forward solve, observe, recover, compare."""
     op = cfg.build_operator()
     f = cfg.build_nonlinearity()
     grid = cfg.build_grid()
     spec = cfg.build_norm_spec(op)
-    if u0_true is None:
-        u0_true = cfg.resolve_u0(op)
-    u0_true = np.asarray(u0_true, dtype=float)
+    u0_true = cfg.resolve_u0(op)
 
     t0 = time.perf_counter()
     M, grid_fine = synthesize_observation(cfg, op, f, u0_true)
@@ -123,15 +121,14 @@ SWEEP_HEADER = ("index", "scale", "converged", "iterations", "final_ratio",
                 "sigma_T0_norm", "threshold_m", "status")
 
 
-def sweep_threshold(cfg, scales=None):
+def sweep_threshold(cfg):
     """Re-run the recovery over scaled observations s * M.
 
     Each row records the convergence flag, the last contraction ratio, the
     size of the zero-forcing initial value, and the theoretical threshold
     estimate.  Row failures are recorded and the sweep continues.
     """
-    if scales is None:
-        scales = cfg.sweep_scales
+    scales = cfg.sweep_scales
     if not scales:
         raise ConfigError("sweep needs a 'sweep.scales' list in the config")
     op = cfg.build_operator()
@@ -154,8 +151,7 @@ def sweep_threshold(cfg, scales=None):
         try:
             report = picard_recover(op, cond, f, grid, spec,
                                     tol=cfg.solver.tol,
-                                    max_iter=cfg.solver.max_iter,
-                                    threshold_m=estimate.m_T)
+                                    max_iter=cfg.solver.max_iter)
             rows.append(SweepRow(idx, float(s), report.converged,
                                  report.iterations, report.final_ratio,
                                  report.sigma_T0_norm, estimate.m_T, "ok"))

@@ -21,28 +21,27 @@ from .errors import InvalidParameterError, NumericFailureError
 # moments  J_k(z) = int_0^1 s**k exp(z*s) ds
 # --------------------------------------------------------------------------
 
+# Below |z| = 3 the series gives J_kmax, where 30 terms reach rounding
+# (3**30 / 30! < 1e-18), and the downward recurrence the lower moments;
+# above it the upward recurrence multiplies the error of J_{k-1} by
+# k/|z| < k/3.
 _SERIES_TERMS = 30
-_SERIES_CUTOFF = 1.0
-# The recurrence multiplies the error of J_{k-1} by k/|z|, so moments past
-# k = 3 take the series out to |z| = 3, where 40 terms reach rounding.
-_HIGH_K_SERIES_TERMS = 40
-_HIGH_K_SERIES_CUTOFF = 3.0
+_SERIES_CUTOFF = 3.0
 
 
 def moments(z, kmax):
     """J_k(z) for k = 0..kmax, shape (kmax + 1,) + z.shape.
 
-    Series sum_m z**m / (m! (m + k + 1)) for |z| < 1 (|z| < 3 when
-    kmax > 3), where the by-parts recurrence J_k = (e^z - k J_{k-1}) / z
-    cancels; the recurrence elsewhere.
+    For |z| < 3, where the by-parts recurrence J_k = (e^z - k J_{k-1}) / z
+    cancels, J_kmax is the series sum_m z**m / (m! (m + kmax + 1)) and the
+    lower moments follow from J_{k-1} = (e^z - z J_k) / k; the upward
+    recurrence elsewhere.
     The phi functions are phi1 = J_0, phi2 = J_0 - J_1 and
     phi3 = (J_0 - 2 J_1 + J_2) / 2.
     """
     z = np.asarray(z, dtype=float)
     flat = z.ravel()
-    cutoff, terms = ((_SERIES_CUTOFF, _SERIES_TERMS) if kmax <= 3
-                     else (_HIGH_K_SERIES_CUTOFF, _HIGH_K_SERIES_TERMS))
-    small = np.abs(flat) < cutoff
+    small = np.abs(flat) < _SERIES_CUTOFF
     zr = np.where(small, 1.0, flat)
     ez = np.exp(zr)
     out = np.empty((kmax + 1, flat.size))
@@ -50,13 +49,16 @@ def moments(z, kmax):
     for k in range(1, kmax + 1):
         out[k] = (ez - k * out[k - 1]) / zr
     if small.any():
-        # Horner, evaluated only where the series is needed
+        # Horner for J_kmax, evaluated only where the series is needed
         zs = flat[small]
-        for k in range(kmax + 1):
-            acc = np.zeros_like(zs)
-            for m in range(terms - 1, -1, -1):
-                acc = acc * zs + 1.0 / (math.factorial(m) * (m + k + 1))
-            out[k, small] = acc
+        acc = np.zeros_like(zs)
+        for m in range(_SERIES_TERMS - 1, -1, -1):
+            acc = acc * zs + 1.0 / (math.factorial(m) * (m + kmax + 1))
+        out[kmax, small] = acc
+        es = np.exp(zs)
+        for k in range(kmax, 0, -1):
+            acc = (es - zs * acc) / k
+            out[k - 1, small] = acc
     return out.reshape((kmax + 1,) + z.shape)
 
 

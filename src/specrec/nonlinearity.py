@@ -88,15 +88,11 @@ def _node_payload(kappa, ell, c, op, name):
     return _finite(p, name)
 
 
-def _trajectory_payload(kappa, ell, coeffs, op, name, includes_t0=True):
+def _trajectory_payload(kappa, ell, coeffs, op, name):
     """``_node_payload`` of every row of a (k, n_modes) coefficient array at
-    once.  Without data at t = 0 (``includes_t0`` False) the first row takes
-    the limit from the second."""
+    once."""
     W = _pointwise_power(kappa, ell, coeffs @ op.basis.T)
-    P = (W * op.weights) @ op.basis
-    if not includes_t0:
-        P[0] = P[1]
-    return _finite(P, name)
+    return _finite((W * op.weights) @ op.basis, name)
 
 
 class PowerLaw(Nonlinearity):
@@ -112,8 +108,7 @@ class PowerLaw(Nonlinearity):
         return _node_payload(self.kappa, self.ell, c, op, "power law")
 
     def eval_trajectory(self, u, op, history=None):
-        P = _trajectory_payload(self.kappa, self.ell, u.coeffs, op,
-                                "power law", u.includes_t0)
+        P = _trajectory_payload(self.kappa, self.ell, u.coeffs, op, "power law")
         return Trajectory(u.grid, P)
 
     def declared_exponents(self, theta):
@@ -235,8 +230,7 @@ class MemoryKernel(Nonlinearity):
     def eval_trajectory(self, u, op, history=None):
         """f(u) on the whole grid as H @ P.  A one-shot call builds H."""
         nodes = u.grid.nodes
-        P = _trajectory_payload(self.c, self.ell, u.coeffs, op,
-                                "memory kernel", u.includes_t0)
+        P = _trajectory_payload(self.c, self.ell, u.coeffs, op, "memory kernel")
         if history is None:
             history = self.history_rows(nodes, 0, nodes.size)
         return Trajectory(u.grid, history @ P)

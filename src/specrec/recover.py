@@ -38,6 +38,13 @@ from .spectral import (FractionalNormSpec, Trajectory, fractional_norm,
 # nonlocal conditions
 # --------------------------------------------------------------------------
 
+def _finite_scalar(value, name):
+    value = float(value)
+    if not math.isfinite(value):
+        raise InvalidParameterError(f"{name} must be finite")
+    return value
+
+
 class NonlocalCondition:
     """Base class for the three observation couplings."""
 
@@ -66,7 +73,7 @@ class ConditionE(NonlocalCondition):
             raise InvalidParameterError("b must be a WeightFunction")
         if b.value_at_zero == 0.0:
             raise AdmissibilityError("problem E requires b(0) != 0")
-        self.a = float(a)
+        self.a = _finite_scalar(a, "a")
         self.b = b
 
 
@@ -77,10 +84,9 @@ class ConditionE100(NonlocalCondition):
 
     def __init__(self, b, M):
         super().__init__(M)
-        b = float(b)
-        if b == 0.0:
+        self.b = _finite_scalar(b, "b")
+        if self.b == 0.0:
             raise AdmissibilityError("problem E100 requires b != 0")
-        self.b = b
 
 
 class ConditionE200(NonlocalCondition):
@@ -225,25 +231,25 @@ class SpectralConditionReport:
     ok: bool
 
 
-def _denominators(op, cond, T, tol=ILL_POSED_RTOL):
+def _denominators(op, cond, T):
     """Per-mode denominators d_j of a condition and its
     SpectralConditionReport, with scales
     |c| + |a| e^{T lam_j} + int_0^T |b(t)| e^{t lam_j} dt.  Mode j passes
-    the one solvability predicate when |d_j| > tol * scale_j."""
+    the one solvability predicate when |d_j| > ILL_POSED_RTOL * scale_j."""
     c, a, b = _coupling(cond)
     w = mode_weights(op, a, b, T)
     denoms, scales = c + w.betas, abs(c) + w.scales
     margins = np.abs(denoms)
-    ok_per_mode = margins > tol * scales
+    ok_per_mode = margins > ILL_POSED_RTOL * scales
     failing = tuple(int(j) + 1 for j in np.nonzero(~ok_per_mode)[0])
     return denoms, SpectralConditionReport(
-        cond.problem, margins, scales, float(tol), ok_per_mode, failing,
+        cond.problem, margins, scales, ILL_POSED_RTOL, ok_per_mode, failing,
         not failing)
 
 
-def check_spectral_condition(op, cond, T, tol=ILL_POSED_RTOL):
+def check_spectral_condition(op, cond, T):
     """Evaluate the per-mode solvability margins for a condition."""
-    return _denominators(op, cond, T, tol)[1]
+    return _denominators(op, cond, T)[1]
 
 
 # --------------------------------------------------------------------------
@@ -265,7 +271,6 @@ class FixedPointReport:
     converged: bool
     u0_recovered: np.ndarray
     sigma_T0_norm: float
-    threshold_m: float = None
     diverged: bool = False
     trajectory: Trajectory = None
 
@@ -288,7 +293,7 @@ def _small_t_diagnostic(op, T, betas):
 
 
 def picard_recover(op, cond, f, grid, spec, tol=1e-10, max_iter=200,
-                   initial="zero", small_t_mode=False, threshold_m=None):
+                   initial="zero", small_t_mode=False):
     """Recover the initial state by successive substitution.
 
     Starting from the zero trajectory (or from the linear solution when
@@ -409,7 +414,6 @@ def picard_recover(op, cond, f, grid, spec, tol=1e-10, max_iter=200,
         converged=converged,
         u0_recovered=np.asarray(u0, dtype=float),
         sigma_T0_norm=sigma_T0_norm,
-        threshold_m=threshold_m,
         diverged=diverged,
         trajectory=u,
     )

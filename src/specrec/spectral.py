@@ -235,24 +235,19 @@ def fractional_norm(op, coeffs, spec):
 
 @dataclass(frozen=True, eq=False)
 class TimeGrid:
-    """Nodes 0 = t_0 < ... < t_n = T, graded as t_i = T*(i/n)**r."""
+    """Nodes 0 = t_0 < ... < t_n = T, at least two steps; T is the last
+    node."""
 
-    final_time: float
     nodes: np.ndarray
-    grading: float
 
     def __post_init__(self):
         nodes = _frozen_array(self.nodes)
         object.__setattr__(self, "nodes", nodes)
-        if not self.final_time > 0:
-            raise InvalidParameterError("final time must be positive")
-        if self.grading < 1.0:
-            raise InvalidParameterError("grading exponent must be >= 1")
         if nodes.ndim != 1 or nodes.size < 3:
             raise InvalidParameterError("grid needs at least two steps")
-        if nodes[0] != 0.0 or nodes[-1] != self.final_time:
-            raise InvalidParameterError("grid must run from 0 to the final time")
-        if np.any(np.diff(nodes) <= 0):
+        if nodes[0] != 0.0 or not np.isfinite(nodes[-1]):
+            raise InvalidParameterError("grid must run from 0 to a finite final time")
+        if not np.all(np.diff(nodes) > 0):
             raise InvalidParameterError("grid nodes must be strictly increasing")
 
     @property
@@ -261,11 +256,11 @@ class TimeGrid:
 
     @property
     def T(self):
-        return self.final_time
+        return float(self.nodes[-1])
 
 
 def make_graded_grid(final_time, n, r=1.0):
-    """Build a graded grid; r = 1 gives the uniform grid."""
+    """The grid t_i = T*(i/n)**r, i = 0..n; r = 1 gives the uniform grid."""
     if not final_time > 0:
         raise InvalidParameterError("final time must be positive")
     if int(n) != n or n < 2:
@@ -276,7 +271,7 @@ def make_graded_grid(final_time, n, r=1.0):
     s = (np.arange(n + 1) / n) ** float(r)
     nodes = final_time * s
     nodes[-1] = final_time
-    return TimeGrid(float(final_time), nodes, float(r))
+    return TimeGrid(nodes)
 
 
 def default_grading(theta):
@@ -291,14 +286,12 @@ def default_grading(theta):
 class Trajectory:
     """Eigen-coefficient samples of a time-dependent state.
 
-    ``coeffs[i, j]`` is the j-th coefficient at grid node t_i.  Solutions of
-    the weighted class may carry no usable data at t = 0; ``includes_t0``
-    marks whether row 0 is populated.
+    ``coeffs[i, j]`` is the j-th coefficient at grid node t_i; every node,
+    t = 0 included, carries data.
     """
 
     grid: TimeGrid
     coeffs: np.ndarray
-    includes_t0: bool = True
 
     def __post_init__(self):
         coeffs = _frozen_array(self.coeffs)
@@ -313,25 +306,22 @@ class Trajectory:
         return self.coeffs.shape[1]
 
     @classmethod
-    def zeros(cls, grid, n_modes, includes_t0=True):
-        return cls(grid, np.zeros((grid.nodes.size, n_modes)), includes_t0)
+    def zeros(cls, grid, n_modes):
+        return cls(grid, np.zeros((grid.nodes.size, n_modes)))
 
 
 def weighted_sup_norm(op, trajectory, mu, spec):
     """Maximum of t**mu times the fractional norm over the grid nodes.
 
     The t = 0 node enters only in the unweighted Euclidean case (mu = 0,
-    theta = 0) and only when the trajectory populates it; fractional norms are
-    never requested at t = 0.  One O(n_nodes * n_modes) array pass; the
-    result is inf only when a node's weighted norm exceeds the float range.
+    theta = 0); fractional norms are never requested at t = 0.  One
+    O(n_nodes * n_modes) array pass; the result is inf only when a node's
+    weighted norm exceeds the float range.
     """
     if trajectory.coeffs.shape[1] != op.n_modes:
         raise InvalidParameterError("trajectory does not match the operator")
     nodes = trajectory.grid.nodes
-    include_origin = (mu == 0.0 and spec.theta == 0.0 and trajectory.includes_t0)
-    start = 0 if include_origin else 1
-    if start >= nodes.size:
-        raise InvalidParameterError("trajectory has no usable nodes")
+    start = 0 if (mu == 0.0 and spec.theta == 0.0) else 1
     norms = _row_norms(op, trajectory.coeffs[start:], spec)
     return float((nodes[start:] ** mu * norms).max())
 

@@ -120,12 +120,6 @@ class TestDuhamelConvolve:
         assert np.array_equal(v[:9], v2[:9])
         assert not np.array_equal(v[9:], v2[9:])
 
-    def test_grid_mismatch(self):
-        op = sr.diagonal_operator([-1.0])
-        g = sr.Trajectory.zeros(sr.make_graded_grid(1.0, 8), 1)
-        with pytest.raises(sr.InvalidParameterError):
-            sr.duhamel_convolve(op, g, sr.make_graded_grid(1.0, 16))
-
     def test_prebuilt_tables_identical(self):
         op = sr.build_second_order(8, 1.0, 0.0, "dirichlet")
         grid = sr.make_graded_grid(1.0, 32, 2.0)
@@ -334,7 +328,7 @@ class TestCorrectorMarch:
     def test_step_after_subnormal_step(self):
         # the second step is 1e323 times the first, a ratio past the float
         # range; the march starts it from the last forcing value
-        grid = sr.TimeGrid(1.0, np.array([0.0, 5e-324, 0.5, 1.0]), 1.0)
+        grid = sr.TimeGrid(np.array([0.0, 5e-324, 0.5, 1.0]))
         op = sr.diagonal_operator([-1.0, -2.0])
         u0 = np.array([0.1, 0.2])
         u = sr.forward_solve(op, u0, sr.Zero(), grid)

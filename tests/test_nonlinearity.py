@@ -17,9 +17,9 @@ GRID = sr.make_graded_grid(1.0, 32)
 SPEC0 = sr.FractionalNormSpec(0.0, 0.0)
 
 
-def _const_traj(op, grid, coeffs, includes_t0=True):
+def _const_traj(op, grid, coeffs):
     c = np.tile(np.asarray(coeffs, dtype=float), (grid.nodes.size, 1))
-    return sr.Trajectory(grid, c, includes_t0)
+    return sr.Trajectory(grid, c)
 
 
 class TestPointwisePower:
@@ -47,14 +47,6 @@ class TestEvalLocal:
         f = sr.PowerLaw(1.0, 1.0)
         out = f.eval_trajectory(_const_traj(op1, grid, [2.0]), op1)
         assert np.allclose(out.coeffs, 4.0, rtol=0, atol=0)
-
-    def test_missing_origin_extrapolated(self):
-        rng = np.random.default_rng(3)
-        coeffs = rng.standard_normal((GRID.nodes.size, OP.n_modes))
-        coeffs[0] = 0.0
-        u = sr.Trajectory(GRID, coeffs, includes_t0=False)
-        out = sr.PowerLaw(1.0, 1.0).eval_trajectory(u, OP)
-        assert np.array_equal(out.coeffs[0], out.coeffs[1])
 
     @settings(deadline=None, max_examples=30)
     @given(seed=st.integers(0, 10**6), ell=st.sampled_from([0.5, 1.0, 2.0]))
@@ -141,16 +133,6 @@ class TestMemoryKernel:
         H = f.history_rows(GRID.nodes, 0, GRID.nodes.size)
         assert np.array_equal(f.eval_trajectory(u, OP, history=H).coeffs,
                               f.eval_trajectory(u, OP).coeffs)
-
-    def test_missing_origin_takes_first_node(self):
-        f = sr.MemoryKernel(1.0, -0.3, 1.0)
-        rng = np.random.default_rng(9)
-        coeffs = rng.standard_normal((GRID.nodes.size, OP.n_modes))
-        got = f.eval_trajectory(sr.Trajectory(GRID, coeffs, False), OP)
-        shifted = coeffs.copy()
-        shifted[0] = coeffs[1]
-        want = f.eval_trajectory(sr.Trajectory(GRID, shifted), OP)
-        assert np.array_equal(got.coeffs, want.coeffs)
 
     def test_invalid_exponent(self):
         with pytest.raises(sr.InvalidParameterError):

@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import specrec as sr
 from specrec.nonlinearity import Nonlinearity
@@ -36,6 +38,47 @@ class TestConditions:
     def test_e200_requires_nonzero_weight(self):
         with pytest.raises(sr.AdmissibilityError):
             sr.ConditionE200(sr.ConstantWeight(0.0), [1.0])
+
+    @pytest.mark.parametrize("build, name", [
+        (lambda x: sr.ConditionE(x, B1, [1.0, 1.0]), "a"),
+        (lambda x: sr.ConditionE100(x, [1.0, 1.0]), "b"),
+    ], ids=["E-a", "E100-b"])
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_nonfinite_scalar_named(self, build, name, bad):
+        with pytest.raises(sr.InvalidParameterError, match=f"^{name} must be finite"):
+            build(bad)
+
+
+def _with_bad(values, i, bad):
+    out = np.array(values, dtype=float)
+    out[i % out.size] = bad
+    return out
+
+
+# each builds one input with a non-finite value at position i
+_NONFINITE_TARGETS = {
+    "M": lambda bad, i: sr.ConditionE(0.0, B1, _with_bad([0.1, 0.2, 0.3], i, bad)),
+    "u0": lambda bad, i: sr.forward_solve(
+        sr.diagonal_operator([-1.0, -2.0, -3.0]),
+        _with_bad([0.1, 0.2, 0.3], i, bad), sr.Zero(),
+        sr.make_graded_grid(1.0, 4)),
+    "table": lambda bad, i: sr.TabulatedWeight(
+        *_with_bad([0.0, 0.5, 1.0, 1.0, 2.0, 3.0], i, bad).reshape(2, 3)),
+    "polynomial": lambda bad, i: sr.PolynomialWeight(
+        _with_bad([1.0, -0.5, 0.25], i, bad)),
+    "constant": lambda bad, i: sr.ConstantWeight(bad),
+    "E.a": lambda bad, i: sr.ConditionE(bad, B1, [0.1, 0.2, 0.3]),
+    "E100.b": lambda bad, i: sr.ConditionE100(bad, [0.1, 0.2, 0.3]),
+}
+
+
+@settings(deadline=None, max_examples=100)
+@given(target=st.sampled_from(sorted(_NONFINITE_TARGETS)),
+       bad=st.sampled_from([math.nan, math.inf, -math.inf]),
+       i=st.integers(0, 5))
+def test_nonfinite_input_rejected(target, bad, i):
+    with pytest.raises(sr.InvalidParameterError):
+        _NONFINITE_TARGETS[target](bad, i)
 
 
 def _psi_oracle(lam, nodes, g, a, b, dps=25):
@@ -532,11 +575,6 @@ class TestPicardNonlinear:
                                    grid, SPEC)
         assert report.converged and report.iterations > 2
         assert built == [(0, grid.nodes.size)]
-
-    def test_threshold_stamp(self):
-        op, grid, f, cond = self._setup()
-        report = sr.picard_recover(op, cond, f, grid, SPEC, threshold_m=0.123)
-        assert report.threshold_m == 0.123
 
 
 class _ConstantForcing(Nonlinearity):

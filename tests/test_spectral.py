@@ -183,7 +183,7 @@ class TestTimeGrid:
 
     def test_endpoint_exact(self):
         grid = sr.make_graded_grid(0.7, 13, 3.7)
-        assert grid.nodes[-1] == 0.7
+        assert grid.nodes[-1] == 0.7 and grid.T == 0.7
         assert np.all(np.diff(grid.nodes) > 0)
 
     def test_validation(self):
@@ -193,6 +193,10 @@ class TestTimeGrid:
             sr.make_graded_grid(1.0, 1)
         with pytest.raises(sr.InvalidParameterError):
             sr.make_graded_grid(1.0, 4, 0.5)
+        for nodes in ([0.0, 1.0], [0.1, 0.5, 1.0], [0.0, 1.0, 0.5],
+                      [0.0, math.nan, 1.0], [0.0, 0.5, math.inf]):
+            with pytest.raises(sr.InvalidParameterError):
+                sr.TimeGrid(np.array(nodes))
 
     def test_default_grading_capped(self):
         assert sr.default_grading(0.25) == 4.0
@@ -214,7 +218,7 @@ class TestWeightedSupNorm:
         grid = sr.make_graded_grid(1.0, 8)
         vals = np.zeros((9, 1))
         vals[1:, 0] = 1.0 / grid.nodes[1:]
-        u = sr.Trajectory(grid, vals, includes_t0=False)
+        u = sr.Trajectory(grid, vals)
         spec = sr.FractionalNormSpec(0.0, 0.0)
         assert abs(sr.weighted_sup_norm(op, u, 1.0, spec) - 1.0) < 1e-14
 
@@ -229,7 +233,7 @@ def _sup_norm_oracle(op, u, mu, spec):
     """The node-by-node loop: t_i**mu * ||w * c_i|| with w the spectral
     weight, over the nodes the origin rule admits."""
     w = (spec.delta0 - op.eigenvalues) ** spec.theta
-    start = 0 if (mu == 0.0 and spec.theta == 0.0 and u.includes_t0) else 1
+    start = 0 if (mu == 0.0 and spec.theta == 0.0) else 1
     best = 0.0
     for i in range(start, u.grid.nodes.size):
         best = max(best, u.grid.nodes[i] ** mu
@@ -240,20 +244,22 @@ def _sup_norm_oracle(op, u, mu, spec):
 class TestWeightedSupNormOracle:
     GRID = sr.make_graded_grid(0.7, 24, 2.0)
 
-    @pytest.mark.parametrize("includes_t0", [True, False])
+    # every case has a large row 0, which shows whether the origin rule
+    # admits it; the one-value parameter keeps the cases' ids from when a
+    # trajectory could also be built without its t = 0 row
+    @pytest.mark.parametrize("large_origin", [True])
     @pytest.mark.parametrize("mu", [0.0, 0.3])
     @pytest.mark.parametrize("theta", [0.0, 0.25])
     @pytest.mark.parametrize("delta0", [0.0, 1.0])
     @pytest.mark.parametrize("n_modes", [1, 7])
-    def test_matches_node_loop(self, includes_t0, mu, theta, delta0, n_modes):
+    def test_matches_node_loop(self, large_origin, mu, theta, delta0, n_modes):
         op = sr.build_second_order(n_modes, 1.0, 0.0, "dirichlet")
         spec = sr.FractionalNormSpec(theta, delta0)
         rng = np.random.default_rng(n_modes)
         for _ in range(5):
             c = rng.standard_normal((self.GRID.nodes.size, n_modes))
-            # a large row 0 shows whether the origin rule admits it
             c[0] *= 100.0
-            u = sr.Trajectory(self.GRID, c, includes_t0)
+            u = sr.Trajectory(self.GRID, c)
             want = _sup_norm_oracle(op, u, mu, spec)
             got = sr.weighted_sup_norm(op, u, mu, spec)
             assert abs(got - want) <= 1e-15 * want
