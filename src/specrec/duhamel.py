@@ -53,133 +53,149 @@ def duhamel_convolve(op, g, *, tables=None):
     return Trajectory(g.grid, out)
 
 
-# Rows of a memory kernel's history operator that forward_solve requests at
-# a time: the block holds 32 (n + 1) floats, O(n), and one build serves 32
-# steps.
-_HISTORY_BLOCK = 32
+# Steps per window, at most.  A sweep's Python work is shared by the k steps
+# of its window, but a node settles only after every node before it has, so
+# longer windows take more sweeps; a memory kernel's window also holds
+# k (n + 1) history weights, 2 MB at n = 4096.
+_WINDOW = 64
 
-# The corrector stops once an update is below this multiple of 1 + ||u||:
-# 45 ulp of the state, a few times the rounding of one pass, so it neither
-# stops early nor chases rounding noise (the 1 covers states near zero).
+# The sweeps stop once every node's update is below this multiple of
+# 1 + ||u||: 45 ulp of the state, a few times the rounding of one pass, so
+# they neither stop early nor chase rounding noise (the 1 covers states near
+# zero).
 _CORRECTOR_RTOL = 1e-14
 
-# Corrector passes per step, at most: the stop above is reached from an O(1)
-# first update in 25 passes whenever each pass contracts the update by 0.27
-# or better (0.27**25 < 1e-14).  A step contracting more slowly than that is
+# Sweeps per window, at most: the stop above is reached from an O(1) first
+# update in 25 sweeps whenever each contracts the update by 0.27 or better
+# (0.27**25 < 1e-14).  A single step contracting more slowly than that is
 # too long for the forcing's Lipschitz constant and is reported, not ground
 # through.
 _CORRECTOR_MAX_PASSES = 25
 
 
-def _history_rows(f, nodes):
-    """Row i of f's history weights, node by node, of length i + 1 (None for
-    a pointwise map), built ``_HISTORY_BLOCK`` rows at a time."""
-    for start in range(0, nodes.size, _HISTORY_BLOCK):
-        stop = min(start + _HISTORY_BLOCK, nodes.size)
-        block = f.history_rows(nodes, start, stop)
-        for i in range(start, stop):
-            yield None if block is None else block[i - start, :i + 1]
+def _scan(e, x):
+    """x[i] <- e[i] x[i - 1] + x[i] for i >= 1, in place, by recursive
+    doubling: ceil(log2 k) passes over the k rows.  e[0] is not read."""
+    span = e.copy()    # the product of e over the rows each x[i] holds
+    d = 1
+    while d < x.shape[0]:
+        x[d:] += span[d:] * x[:-d]
+        span[d:] = span[d:] * span[:-d]
+        d *= 2
+    return x
 
 
-def _forcing(f, op, i, row, payloads):
-    """The forcing at node i as a function of the state there, given its
-    history row and the payloads of nodes 0..i-1; each call stores node i's
-    payload."""
-    hist = None if row is None else row[:-1] @ payloads[:i]
+def _window(f, op, hom, tables, conv, g, rows, payloads):
+    """Solve one window's steps by waveform relaxation, from the convolution
+    ``conv`` and forcing ``g`` at the node before it, its history ``rows``
+    (None for a pointwise map) and the ``payloads`` of the nodes before it.
+    Returns the states, convolutions, payloads and forcing; a failed sweep
+    raises ``NumericFailureError`` without a step."""
+    e, wl, wr = tables
+    if rows is not None:
+        past = rows[:, :len(payloads)] @ payloads
+        block = rows[:, len(payloads):]
+    known = e[0] * conv + wl[0] * g
 
-    def forcing(c):
-        try:
-            p = payloads[i] = f.eval_node(c, op)
-        except NumericFailureError as err:
-            raise NumericFailureError(f"{err} at step {i}",
-                                      error_estimate=err.error_estimate,
-                                      step=i) from err
-        return p if row is None else hist + row[-1] * p
-    return forcing
+    def convolve(G):
+        x = wr * G
+        x[1:] += wl[1:] * G[:-1]
+        x[0] += known
+        return _scan(e, x)
+
+    U = hom + convolve(np.broadcast_to(g, hom.shape))
+    prev_res = np.inf
+    for _ in range(_CORRECTOR_MAX_PASSES):
+        P = f.eval_node(U, op)
+        G = P if rows is None else past + block @ P
+        x = convolve(G)
+        U_old, U = U, hom + x
+        d = np.linalg.norm(U - U_old, axis=1)
+        res = math.sqrt(d @ d)
+        if not math.isfinite(res):
+            raise NumericFailureError("corrector diverged", error_estimate=res)
+        if np.all(d <= _CORRECTOR_RTOL * (1.0 + np.linalg.norm(U, axis=1))):
+            return U, x, P, G
+        if res >= prev_res:
+            raise NumericFailureError(
+                f"corrector residual grew ({prev_res:.3e} -> {res:.3e})",
+                error_estimate=res)
+        prev_res = res
+    raise NumericFailureError(
+        f"corrector did not converge within {_CORRECTOR_MAX_PASSES} iterations",
+        error_estimate=prev_res)
 
 
 def forward_solve(op, u0, f, grid):
     """March the mild solution u(t) = e^{tA} u0 + int_0^t e^{(t-s)A} f(u)(s) ds.
 
-    Each step solves the step-local integral identity by a predictor-corrector
-    sweep on the exponential trapezoid rule.  The homogeneous part is applied
-    directly from t = 0, never compounded step by step, so zero forcing gives
-    the semigroup exactly.
+    The exponential trapezoid rule gives one integral identity per step,
+    solved by waveform relaxation over windows of up to 64 steps.  The
+    homogeneous part is applied directly from t = 0, so zero forcing gives
+    the semigroup exactly.  A window starts from the forcing at the node
+    before it, held constant; a sweep is one ``f.eval_node`` call on the
+    window's (k, m) stack of states, O(k N m) for N grid points and m modes,
+    and a doubling scan for the convolution, O(k m log k).  The sweeps stop
+    once every node's update is below 1e-14 (1 + ||u||), and the last
+    sweep's forcing is accepted, so each state is exactly the convolution of
+    the accepted forcing.  These are the equations a step-by-step corrector
+    solves, with the same fixed point.
 
-    The corrector starts from the linear extrapolation of the last two
-    accepted forcing values, scaled by the step ratio h_i / h_{i-1} so that
-    it stays first-order accurate on graded grids (the first step starts from
-    the forcing at u0).  Once the corrector stops, the forcing of its last pass
-    is accepted as the node's forcing: the accepted state is exactly
-    ``hom + base + w_R g`` for that g, so no further evaluation is made and
-    the march stays self-consistent.  A step then costs about two payload
-    evaluations, each one synthesise/analyse pair, O(N m) for N grid points
-    and m modes, plus O(m) arithmetic.
-
-    The payload ``f.eval_node`` of each accepted node is kept, so a memory
-    kernel's history sum over the earlier nodes is formed once per step,
-    O(i m) at step i.  Its history weights come from ``f.history_rows``, 32
-    rows per build, so the solve holds O(n (m + 32)) floats for n steps,
-    never the (n + 1)**2 operator.  Overflow raises ``NumericFailureError``
-    carrying the step.
+    A window whose payload overflows, whose update turns non-finite or
+    grows, or that takes more than 25 sweeps is halved and retried; the
+    length doubles back toward 64 after each solved window.  A single step
+    that fails raises ``NumericFailureError`` with its ``step`` (0 when the
+    payload of u0 overflows).  A memory kernel's history rows come one
+    window at a time from ``f.history_rows``, and its sum over earlier nodes
+    is formed once per window, so the solve holds O(n (m + 64)) floats for
+    n steps, never the (n + 1)**2 operator.
     """
     u0 = np.asarray(u0, dtype=float)
     if u0.shape != (op.n_modes,) or not np.all(np.isfinite(u0)):
         raise InvalidParameterError("u0 must be a finite coefficient vector")
     nodes = grid.nodes
-    n1 = nodes.size
+    n = nodes.size - 1
     e, wl, wr = _step_tables(nodes, op.eigenvalues)
-    h = np.diff(nodes)
-    coeffs = np.empty((n1, op.n_modes))
+    coeffs = np.empty((n + 1, op.n_modes))
     coeffs[0] = u0
-    payloads = np.empty((n1, op.n_modes))
+    payloads = np.empty_like(coeffs)
     conv = np.zeros(op.n_modes)
-    rows = _history_rows(f, nodes)
     with np.errstate(over="ignore", invalid="ignore"):
         hom = np.exp(np.outer(nodes, op.eigenvalues)) * u0
-        # the predictor's step ratios: 0 starts a step from the last forcing
-        # value, as on the first step, which has no earlier one, and on a step
-        # whose ratio overflows, which follows a subnormal one
-        ratios = np.concatenate(([0.0], h[1:] / h[:-1]))
-        ratios[np.isinf(ratios)] = 0.0
-        g_prev = g_old = _forcing(f, op, 0, next(rows), payloads)(u0)
-        for i in range(n1 - 1):
-            forcing = _forcing(f, op, i + 1, next(rows), payloads)
-            base = e[i] * conv + wl[i] * g_prev
-            known = hom[i + 1] + base
-            g = g_prev + ratios[i] * (g_prev - g_old)
-            u = known + wr[i] * g
-            prev_res = np.inf
-            for _ in range(_CORRECTOR_MAX_PASSES):
-                g = forcing(u)
-                u_new = known + wr[i] * g
-                d = u_new - u
-                u = u_new
-                res = math.sqrt(d @ d)
-                if not math.isfinite(res):
-                    raise NumericFailureError(
-                        f"corrector diverged at step {i + 1}",
-                        error_estimate=res, step=i + 1,
-                    )
-                if res <= _CORRECTOR_RTOL * (1.0 + math.sqrt(u @ u)):
-                    break
-                if res >= prev_res:
-                    raise NumericFailureError(
-                        f"corrector residual grew at step {i + 1} "
-                        f"({prev_res:.3e} -> {res:.3e})",
-                        error_estimate=res, step=i + 1,
-                    )
-                prev_res = res
-            else:
-                raise NumericFailureError(
-                    "corrector did not converge within "
-                    f"{_CORRECTOR_MAX_PASSES} iterations at step {i + 1}",
-                    error_estimate=prev_res, step=i + 1,
-                )
-            coeffs[i + 1] = u
-            g_old, g_prev = g_prev, g
-            conv = base + wr[i] * g
+        try:
+            payloads[0] = f.eval_node(u0, op)
+        except NumericFailureError as err:
+            raise _at_step(err, 0) from err
+        first = f.history_rows(nodes, 0, 1)
+        g = payloads[0] if first is None else first[0, 0] * payloads[0]
+        s, k, built = 0, _WINDOW, -1
+        while s < n:
+            k = min(k, n - s)
+            if built != s:
+                rows, built = f.history_rows(nodes, s + 1, s + k + 1), s
+            w = slice(s, s + k)
+            try:
+                U, x, P, G = _window(
+                    f, op, hom[s + 1:s + k + 1], (e[w], wl[w], wr[w]), conv,
+                    g, None if rows is None else rows[:k, :s + k + 1],
+                    payloads[:s + 1])
+            except NumericFailureError as err:
+                if k == 1:
+                    raise _at_step(err, s + 1) from err
+                k //= 2
+                continue
+            coeffs[s + 1:s + k + 1] = U
+            payloads[s + 1:s + k + 1] = P
+            conv, g = x[-1], G[-1]
+            s += k
+            k = min(2 * k, _WINDOW)
     return Trajectory(grid, coeffs)
+
+
+def _at_step(err, step):
+    """The failure ``err`` again, carrying the step where it happened."""
+    return NumericFailureError(f"{err} at step {step}",
+                               error_estimate=err.error_estimate, step=step)
 
 
 def observe(u, a, b):

@@ -21,15 +21,19 @@ class Nonlinearity:
     Every catalogue member is a weighted history of one pointwise payload,
     f(u)(t_i) = sum_k H_ik p(u(t_k)), with p(c) a pointwise map of the
     synthesised state analysed back onto the eigenbasis.  ``eval_node``
-    evaluates p at one state, ``history_rows`` gives rows of the weights
-    H_ik, and a pointwise map has none: f(u)(t_i) = p(u(t_i)).
+    evaluates p at one state or at a (k, n_modes) stack of states in one
+    synthesise/analyse pair, O(k N m) for N grid points and m modes;
+    ``forward_solve`` calls it once per sweep over a window of up to 64
+    steps.  ``history_rows`` gives rows of the weights H_ik, and a
+    pointwise map has none: f(u)(t_i) = p(u(t_i)).
     """
 
     #: True when f maps the zero state to zero (all catalogue members do).
     vanishes_at_zero = True
 
     def eval_node(self, c, op):
-        """Payload coefficients p(c) of one coefficient vector."""
+        """Payload coefficients p(c) of one coefficient vector, or of each
+        row of a (k, n_modes) stack."""
         raise NotImplementedError
 
     def history_rows(self, nodes, start, stop):
@@ -56,7 +60,7 @@ class Zero(Nonlinearity):
     ell = 1.0
 
     def eval_node(self, c, op):
-        return np.zeros(op.n_modes)
+        return np.zeros(np.shape(c))
 
     def eval_trajectory(self, u, op, history=None):
         return Trajectory.zeros(u.grid, op.n_modes)
@@ -82,17 +86,11 @@ def _finite(payload, name):
     return payload
 
 
-def _node_payload(kappa, ell, c, op, name):
-    """The power of one synthesised state, analysed onto the eigenbasis."""
-    p = analyze(op, _pointwise_power(kappa, ell, synthesize(op, c)))
-    return _finite(p, name)
-
-
 def _trajectory_payload(kappa, ell, coeffs, op, name):
-    """``_node_payload`` of every row of a (k, n_modes) coefficient array at
-    once."""
-    W = _pointwise_power(kappa, ell, coeffs @ op.basis.T)
-    return _finite((W * op.weights) @ op.basis, name)
+    """The power of the synthesised state, analysed onto the eigenbasis, for
+    one coefficient vector or every row of a (k, n_modes) stack at once."""
+    W = _pointwise_power(kappa, ell, synthesize(op, coeffs))
+    return _finite(analyze(op, W), name)
 
 
 class PowerLaw(Nonlinearity):
@@ -105,7 +103,7 @@ class PowerLaw(Nonlinearity):
         self.ell = float(ell)
 
     def eval_node(self, c, op):
-        return _node_payload(self.kappa, self.ell, c, op, "power law")
+        return _trajectory_payload(self.kappa, self.ell, c, op, "power law")
 
     def eval_trajectory(self, u, op, history=None):
         P = _trajectory_payload(self.kappa, self.ell, u.coeffs, op, "power law")
@@ -182,8 +180,11 @@ class MemoryKernel(Nonlinearity):
     H @ P of the lower-triangular history operator H, (n + 1)**2 floats for
     n steps (0.13 MB at n = 128, 8.4 MB at n = 1024), with the payloads P;
     ``picard_recover`` builds H once per recovery.  ``forward_solve`` reads
-    the same rows a fixed block at a time, so its memory stays O(n m) for m
-    modes, and a corrector pass costs one synthesise/analyse pair.
+    the rows of one window of up to 64 steps at a time, so its memory stays
+    O(n (m + 64)) for m modes; a sweep over the window costs one
+    synthesise/analyse pair on the window's stack of states, the sum over
+    the nodes before the window, formed once per window, and the window's
+    own lower-triangular block of H.
     """
 
     def __init__(self, c, lambda_exp, ell):
@@ -196,7 +197,7 @@ class MemoryKernel(Nonlinearity):
         self.ell = float(ell)
 
     def eval_node(self, c, op):
-        return _node_payload(self.c, self.ell, c, op, "memory kernel")
+        return _trajectory_payload(self.c, self.ell, c, op, "memory kernel")
 
     def history_rows(self, nodes, start, stop):
         """Integrals of (t_i - s)**lambda_exp against the hat function of

@@ -327,18 +327,21 @@ def weighted_sup_norm(op, trajectory, mu, spec):
 
 
 def synthesize(op, coeffs):
-    """Evaluate sum_j c_j phi_j on the operator's physical grid."""
+    """Evaluate sum_j c_j phi_j on the operator's physical grid, for one
+    coefficient vector or for each row of a (k, n_modes) stack."""
     c = np.asarray(coeffs, dtype=float)
-    if c.shape != (op.n_modes,):
+    if c.ndim not in (1, 2) or c.shape[-1] != op.n_modes:
         raise InvalidParameterError("coefficient vector does not match mode count")
-    return op.basis @ c
+    return op.basis @ c if c.ndim == 1 else c @ op.basis.T
 
 
 def analyze(op, values):
     """Project physical-grid values onto the eigenbasis by weighted inner
-    products; inverts ``synthesize`` up to the discrete orthonormality
-    tolerance."""
+    products, for one vector of grid values or for each row of a
+    (k, grid_size) stack; inverts ``synthesize`` up to the discrete
+    orthonormality tolerance."""
     v = np.asarray(values, dtype=float)
-    if v.shape != (op.grid_size,):
+    if v.ndim not in (1, 2) or v.shape[-1] != op.grid_size:
         raise InvalidParameterError("grid values do not match the operator grid")
-    return op.basis.T @ (op.weights * v)
+    return (op.basis.T @ (op.weights * v) if v.ndim == 1
+            else (v * op.weights) @ op.basis)

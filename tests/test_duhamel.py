@@ -1,6 +1,5 @@
 """Forward solver: phi kernels, convolution, marching, observation."""
 
-import math
 import tracemalloc
 
 import mpmath as mp
@@ -255,12 +254,15 @@ class TestForwardSolveMemoryKernel:
 
 
 class _CountingEvals:
-    """Counts ``eval_node`` calls, the payload evaluations of a march."""
+    """Counts ``eval_node`` calls, the payload evaluations of a march, and
+    the states they evaluate, one per row of a stack."""
 
     calls = 0
+    rows = 0
 
     def eval_node(self, c, op):
         self.calls += 1
+        self.rows += c.shape[0] if c.ndim == 2 else 1
         return super().eval_node(c, op)
 
 
@@ -270,6 +272,23 @@ class CountingPowerLaw(_CountingEvals, sr.PowerLaw):
 
 class CountingMemoryKernel(_CountingEvals, sr.MemoryKernel):
     pass
+
+
+class _FailFirstStack(sr.PowerLaw):
+    """A power law whose first stacked call fails as an overflow would; it
+    records the length of every stack evaluated after that."""
+
+    def __init__(self, kappa, ell):
+        super().__init__(kappa, ell)
+        self.lengths = None
+
+    def eval_node(self, c, op):
+        if c.ndim == 2:
+            if self.lengths is None:
+                self.lengths = []
+                raise sr.NumericFailureError("injected failure")
+            self.lengths.append(c.shape[0])
+        return super().eval_node(c, op)
 
 
 class TestCorrectorMarch:
@@ -299,9 +318,25 @@ class TestCorrectorMarch:
         sr.forward_solve(self.DIRICHLET, self.first_mode(amplitude), f, grid)
         assert f.calls / n <= bound
 
+    @pytest.mark.parametrize("make_f, amplitude, n, calls, rows", [
+        (lambda: CountingPowerLaw(0.25, 1.0), 0.1, 256, 0.09, 5.5),
+        (lambda: CountingMemoryKernel(1.0, -0.5, 1.0), 0.5, 512, 0.10, 6.3),
+        (lambda: CountingPowerLaw(1.0, 1.0), 0.5, 64, 0.24, 14.3),
+    ], ids=["power", "memory", "power-coarse"])
+    def test_payload_calls_batched(self, make_f, amplitude, n, calls, rows):
+        # a sweep evaluates a whole window of up to 64 states in one call:
+        # 0.070, 0.078 and 0.19 calls and 4.3, 4.9 and 11.0 states per step
+        # here, where a step-by-step corrector makes 1.9 to 3.3 calls of one
+        # state each
+        f = make_f()
+        grid = sr.make_graded_grid(0.5, n, 4.0)
+        sr.forward_solve(self.DIRICHLET, self.first_mode(amplitude), f, grid)
+        assert f.calls / n <= calls
+        assert f.rows / n <= rows
+
     def test_second_order_on_graded_grid(self):
-        # the predictor's step-ratio scaling matters on a graded grid, whose
-        # steps grow 15-fold at the start; the order must stay 2
+        # a graded grid's steps grow 15-fold at the start; the order must
+        # stay 2
         op = TestForwardSolveMemoryKernel.OP
         u0 = TestForwardSolveMemoryKernel.U0
         f = sr.PowerLaw(1.0, 1.0)
@@ -325,9 +360,63 @@ class TestCorrectorMarch:
             sr.forward_solve(self.DIRICHLET, self.first_mode(2.0), f, grid)
         assert isinstance(info.value.step, int) and info.value.step == 9
 
+    def test_window_halves_and_grows_back(self):
+        # the failed first window is retried at 32 steps, after which the
+        # windows double back to 64, and the march reaches the same states
+        grid = sr.make_graded_grid(0.5, 256, 4.0)
+        u0 = self.first_mode(0.1)
+        f = _FailFirstStack(0.25, 1.0)
+        u = sr.forward_solve(self.DIRICHLET, u0, f, grid).coeffs
+        want = sr.forward_solve(self.DIRICHLET, u0, sr.PowerLaw(0.25, 1.0),
+                                grid).coeffs
+        assert f.lengths[0] == 32 and max(f.lengths) == 64
+        assert np.max(np.abs(u - want)) <= 1e-14 * np.max(np.abs(want))
+
+    def test_failure_past_first_window(self):
+        # this march fails near the end of a 256-step grid, windows past the
+        # first one; halving the failing window down to one step must name
+        # the step that fails on its own
+        op = sr.build_fourth_order(16, 1.0)
+        grid = sr.make_graded_grid(0.5, 256, 4.0)
+        f = sr.MemoryKernel(1.0, -0.9, 1.0)
+        with pytest.raises(sr.NumericFailureError) as info:
+            sr.forward_solve(op, self.first_mode(0.5, 16), f, grid)
+        assert isinstance(info.value.step, int) and info.value.step == 253
+
+    @settings(deadline=None, max_examples=60)
+    @given(family=st.sampled_from(["dirichlet2", "pinned4", "neumann2"]),
+           kind=st.sampled_from(["power", "memory"]),
+           ell=st.sampled_from([1.0, 2.0]),
+           lambda_exp=st.sampled_from([-0.5, -0.9]),
+           log_norm=st.floats(-12.0, float(np.log10(2.0))),
+           n=st.sampled_from([16, 64]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_solves_or_names_step(self, family, kind, ell, lambda_exp,
+                                  log_norm, n, seed):
+        # every march either meets the mild-solution identity or raises a
+        # typed failure carrying a step of the grid
+        op = {"dirichlet2": lambda: sr.build_second_order(16, 1.0),
+              "pinned4": lambda: sr.build_fourth_order(16, 1.0),
+              "neumann2": lambda: sr.build_second_order(16, 1.0, 1.0,
+                                                        "neumann")}[family]()
+        f = (sr.PowerLaw(1.0, ell) if kind == "power"
+             else sr.MemoryKernel(1.0, lambda_exp, ell))
+        u0 = np.random.default_rng(seed).standard_normal(16)
+        u0 *= 10.0**log_norm / np.linalg.norm(u0)
+        grid = sr.make_graded_grid(0.5, n, 4.0)
+        try:
+            u = sr.forward_solve(op, u0, f, grid)
+        except sr.NumericFailureError as err:
+            assert isinstance(err.step, int) and 0 <= err.step <= n
+            return
+        hom = np.exp(np.outer(grid.nodes, op.eigenvalues)) * u0
+        mild = hom + sr.duhamel_convolve(op, f.eval_trajectory(u, op)).coeffs
+        scale = np.max(np.abs(u.coeffs))
+        assert np.max(np.abs(u.coeffs - mild)) <= 1e-13 * scale
+
     def test_step_after_subnormal_step(self):
         # the second step is 1e323 times the first, a ratio past the float
-        # range; the march starts it from the last forcing value
+        # range
         grid = sr.TimeGrid(np.array([0.0, 5e-324, 0.5, 1.0]))
         op = sr.diagonal_operator([-1.0, -2.0])
         u0 = np.array([0.1, 0.2])

@@ -1,6 +1,7 @@
 """Nonlinearity catalogue: evaluation, growth sampling, admissibility."""
 
 import math
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -9,7 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import specrec as sr
-from specrec.nonlinearity import (GrowthCheck, _growth_samples,
+from specrec import nonlinearity
+from specrec.harness import build_condition, resolve_M
+from specrec.nonlinearity import (GrowthCheck, _finite, _growth_samples,
                                   _pointwise_power)
 
 OP = sr.build_second_order(6, 1.0, 0.0, "dirichlet")
@@ -75,6 +78,51 @@ class TestEvalLocal:
             return np.max(np.linalg.norm(out.coeffs, axis=1)) / s
 
         assert response(1e-4) <= 1e-3 * response(1.0)
+
+
+def _inline_payload(kappa, ell, coeffs, op, name):
+    """The stacked payload written out with the matrix products of the
+    stack forms of ``synthesize`` and ``analyze``."""
+    W = _pointwise_power(kappa, ell, coeffs @ op.basis.T)
+    return _finite((W * op.weights) @ op.basis, name)
+
+
+class TestStackedPayload:
+    FIXTURES = Path(__file__).resolve().parent.parent / "perfbench" / "fixtures"
+
+    @pytest.mark.parametrize("f", [sr.Zero(), sr.PowerLaw(0.7, 2.0),
+                                   sr.MemoryKernel(1.0, -0.5, 1.5)],
+                             ids=["zero", "power", "memory"])
+    def test_stack_matches_rows(self, f):
+        # one call on a (k, n_modes) stack gives each row's payload, to the
+        # rounding of a matrix product against a matrix-vector one
+        C = np.random.default_rng(9).standard_normal((7, OP.n_modes))
+        P = f.eval_node(C, OP)
+        rows = np.array([f.eval_node(c, OP) for c in C])
+        assert P.shape == C.shape
+        assert np.max(np.abs(P - rows)) <= 1e-14 * np.max(np.abs(rows))
+
+    @pytest.mark.parametrize("name", ["psi-quadrature-poly",
+                                      "psi-quadrature-table",
+                                      "memory-forward", "threshold-sweep"])
+    def test_recovery_bytes_unchanged(self, name, monkeypatch):
+        # the recovery's payloads go through synthesize and analyze; for a
+        # fixed M it must give the bytes of the products written inline
+        cfg = sr.parse_config(self.FIXTURES / f"{name}.json")
+        op, f, grid = cfg.build_operator(), cfg.build_nonlinearity(), cfg.build_grid()
+        spec = cfg.build_norm_spec(op)
+        cond = build_condition(cfg, resolve_M(cfg, op, f)[0])
+
+        def recovered():
+            report = sr.picard_recover(op, cond, f, grid, spec,
+                                       tol=cfg.solver.tol,
+                                       max_iter=cfg.solver.max_iter)
+            return report.u0_recovered.tobytes()
+
+        routed = recovered()
+        monkeypatch.setattr(nonlinearity, "_trajectory_payload",
+                            _inline_payload)
+        assert recovered() == routed
 
 
 class TestMemoryKernel:

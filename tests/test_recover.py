@@ -1,7 +1,6 @@
 """Recovery operators, spectral checks, Picard driver, threshold estimates."""
 
 import math
-import warnings
 
 import numpy as np
 import pytest

@@ -326,3 +326,32 @@ class TestTransforms:
             sr.synthesize(DIRICHLET3, [1.0, 2.0])
         with pytest.raises(sr.InvalidParameterError):
             sr.analyze(DIRICHLET3, np.zeros(5))
+
+    @pytest.mark.parametrize("op", [
+        sr.build_second_order(12, 1.0, 0.0, "dirichlet"),
+        sr.build_fourth_order(16, 1.0),
+        sr.diagonal_operator([-1.0, -3.0]),
+    ], ids=["dirichlet2", "pinned4", "diagonal"])
+    def test_stack_matches_rows(self, op):
+        # a (k, .) stack transforms each row as a one-vector call does, to
+        # the rounding of a matrix product against a matrix-vector one
+        rng = np.random.default_rng(5)
+        C = rng.standard_normal((7, op.n_modes))
+        V = sr.synthesize(op, C)
+        rows = np.array([sr.synthesize(op, c) for c in C])
+        assert V.shape == (7, op.grid_size)
+        assert np.max(np.abs(V - rows)) <= 1e-14 * np.max(np.abs(rows))
+        back = sr.analyze(op, V)
+        rows = np.array([sr.analyze(op, v) for v in V])
+        assert back.shape == C.shape
+        assert np.max(np.abs(back - rows)) <= 1e-14 * np.max(np.abs(rows))
+
+    def test_stack_shape_checked(self):
+        with pytest.raises(sr.InvalidParameterError):
+            sr.synthesize(DIRICHLET3, np.zeros((4, 2)))
+        with pytest.raises(sr.InvalidParameterError):
+            sr.analyze(DIRICHLET3, np.zeros((4, 5)))
+        with pytest.raises(sr.InvalidParameterError):
+            sr.synthesize(DIRICHLET3, np.zeros((2, 4, 3)))
+        with pytest.raises(sr.InvalidParameterError):
+            sr.analyze(DIRICHLET3, np.zeros((2, 4, DIRICHLET3.grid_size)))
