@@ -19,7 +19,7 @@ from .duhamel import forward_solve
 from .errors import ConfigError, IllPosedModeError, SpecrecError
 from .harness import (SWEEP_HEADER, build_condition, resolve_M, roundtrip,
                       sweep_threshold)
-from .recover import check_spectral_condition, picard_recover
+from .recover import _build_plan, check_spectral_condition, picard_recover
 
 EXIT_OK = 0
 EXIT_SPECTRAL = 2
@@ -99,15 +99,16 @@ def _cmd_recover(cfg, args):
     spec = cfg.build_norm_spec(op)
     M, u0_true = resolve_M(cfg, op, f)
     cond = build_condition(cfg, M)
-    spectral = check_spectral_condition(op, cond, grid.T)
+    plan = _build_plan(op, cond, f, grid)
+    spectral = plan.spectral
     if not spectral.ok:
         emit_json(args.out or sys.stdout,
                   {"spectral": to_jsonable(spectral), "converged": False})
         _say(args, f"spectral condition violated at modes "
                    f"{list(spectral.failing_modes)}")
         return EXIT_SPECTRAL
-    report = picard_recover(op, cond, f, grid, spec,
-                            tol=cfg.solver.tol, max_iter=cfg.solver.max_iter)
+    report = picard_recover(op, cond, f, grid, spec, tol=cfg.solver.tol,
+                            max_iter=cfg.solver.max_iter, _plan=plan)
     payload = {"spectral": to_jsonable(spectral), "report": to_jsonable(report)}
     if u0_true is not None:
         payload["u0_true"] = [float(x) for x in u0_true]

@@ -33,23 +33,21 @@ def _step_tables(nodes, lam):
     return np.exp(z), h * J[1], h * (J[0] - J[1])
 
 
-def duhamel_convolve(op, g, *, tables=None):
+def duhamel_convolve(op, g):
     """Convolve a forcing trajectory with the semigroup.
 
     Returns v with v(t_i) = int_0^{t_i} e^{(t_i-s)A} g(s) ds, computed per
-    mode by a one-step recurrence that is exact whenever g is linear in time
-    between nodes.  A caller convolving many trajectories on one grid builds
-    the grid's ``_step_tables`` once and passes them as ``tables``.
+    mode by the one-step recurrence v_{i+1} = e_i v_i + (weights of g_i and
+    g_{i+1}), exact whenever g is linear in time between nodes.  The
+    recurrence is solved by a doubling scan, O(n m log n) for n steps and m
+    modes in whole-array passes.
     """
     if g.coeffs.shape[1] != op.n_modes:
         raise InvalidParameterError("forcing trajectory does not match the operator")
-    if tables is None:
-        tables = _step_tables(g.grid.nodes, op.eigenvalues)
-    e, wl, wr = tables
-    inc = wl * g.coeffs[:-1] + wr * g.coeffs[1:]
+    tables = _step_tables(g.grid.nodes, op.eigenvalues)
+    wl = tables[1]
     out = np.zeros_like(g.coeffs)
-    for i in range(inc.shape[0]):
-        out[i + 1] = e[i] * out[i] + inc[i]
+    out[1:] = _convolve(tables, g.coeffs[1:], wl[0] * g.coeffs[0])
     return Trajectory(g.grid, out)
 
 
@@ -75,14 +73,52 @@ _CORRECTOR_MAX_PASSES = 25
 
 def _scan(e, x):
     """x[i] <- e[i] x[i - 1] + x[i] for i >= 1, in place, by recursive
-    doubling: ceil(log2 k) passes over the k rows.  e[0] is not read."""
+    doubling: ceil(log2 k) passes over the k rows, none multiplying by
+    e[0].
+
+    A column whose every e is 1 (lam = 0, or a step too short to move
+    e^{h lam} off 1) is summed by ``np.cumsum`` instead: the same additions
+    in the same order as the one-step loop, so it integrates exactly what
+    the loop does.  Column 0 holds the largest eigenvalue, so e[0, 0] < 1
+    rules such a column out at the cost of one comparison."""
+    flat = None
+    if e[0, 0] >= 1.0:
+        flat = (e == 1.0).all(axis=0)
+        sums = np.cumsum(x[:, flat], axis=0)
     span = e.copy()    # the product of e over the rows each x[i] holds
     d = 1
     while d < x.shape[0]:
         x[d:] += span[d:] * x[:-d]
         span[d:] = span[d:] * span[:-d]
         d *= 2
+    if flat is not None:
+        x[:, flat] = sums
     return x
+
+
+def _convolve(tables, G, known):
+    """The convolution at the ends of the steps of ``tables`` = (e, wl, wr),
+    from the forcing G at those nodes and the ``known`` part of the first
+    step: e_0 times the convolution at the node before it plus wl_0 times
+    the forcing there.  One doubling scan over the steps."""
+    e, wl, wr = tables
+    x = wr * G
+    x[1:] += wl[1:] * G[:-1]
+    x[0] += known
+    return _scan(e, x)
+
+
+def _hopeless(res, ratio, prev_ratio, left, stop):
+    """Whether ``left`` more sweeps cannot bring the update ``res`` under the
+    ``stop`` of each node, even if the contraction ``ratio`` kept improving
+    as fast as it did over the last sweep: ratio**left * rho**(left (left +
+    1) / 2) with rho = ratio / prev_ratio, at most 1.  Waveform relaxation
+    converges superlinearly on a window, so the ratios fall; the projection
+    counts on that and halves only windows whose ratios have stopped
+    falling too soon."""
+    rho = min(1.0, ratio / prev_ratio)
+    reach = res * ratio**left * rho**(left * (left + 1) // 2)
+    return reach > math.sqrt(stop @ stop)
 
 
 def _window(f, op, hom, tables, conv, g, rows, payloads):
@@ -96,31 +132,32 @@ def _window(f, op, hom, tables, conv, g, rows, payloads):
         past = rows[:, :len(payloads)] @ payloads
         block = rows[:, len(payloads):]
     known = e[0] * conv + wl[0] * g
-
-    def convolve(G):
-        x = wr * G
-        x[1:] += wl[1:] * G[:-1]
-        x[0] += known
-        return _scan(e, x)
-
-    U = hom + convolve(np.broadcast_to(g, hom.shape))
+    U = hom + _convolve(tables, np.broadcast_to(g, hom.shape), known)
     prev_res = np.inf
-    for _ in range(_CORRECTOR_MAX_PASSES):
+    for sweep in range(1, _CORRECTOR_MAX_PASSES + 1):
         P = f.eval_node(U, op)
         G = P if rows is None else past + block @ P
-        x = convolve(G)
+        x = _convolve(tables, G, known)
         U_old, U = U, hom + x
         d = np.linalg.norm(U - U_old, axis=1)
         res = math.sqrt(d @ d)
         if not math.isfinite(res):
             raise NumericFailureError("corrector diverged", error_estimate=res)
-        if np.all(d <= _CORRECTOR_RTOL * (1.0 + np.linalg.norm(U, axis=1))):
+        stop = _CORRECTOR_RTOL * (1.0 + np.linalg.norm(U, axis=1))
+        if np.all(d <= stop):
             return U, x, P, G
         if res >= prev_res:
             raise NumericFailureError(
                 f"corrector residual grew ({prev_res:.3e} -> {res:.3e})",
                 error_estimate=res)
-        prev_res = res
+        ratio = res / prev_res
+        # two ratios show the trend; a single step keeps the cap's message
+        if sweep > 2 and len(U) > 1 and _hopeless(
+                res, ratio, prev_ratio, _CORRECTOR_MAX_PASSES - sweep, stop):
+            raise NumericFailureError("window cannot settle within "
+                                      f"{_CORRECTOR_MAX_PASSES} sweeps",
+                                      error_estimate=res)
+        prev_res, prev_ratio = res, ratio
     raise NumericFailureError(
         f"corrector did not converge within {_CORRECTOR_MAX_PASSES} iterations",
         error_estimate=prev_res)
@@ -142,8 +179,10 @@ def forward_solve(op, u0, f, grid):
     solves, with the same fixed point.
 
     A window whose payload overflows, whose update turns non-finite or
-    grows, or that takes more than 25 sweeps is halved and retried; the
-    length doubles back toward 64 after each solved window.  A single step
+    grows, or that takes more than 25 sweeps is halved and retried, and so
+    is one whose contraction ratios show, from the third sweep on, that 25
+    cannot suffice; the length doubles back toward 64 after each solved
+    window.  A single step
     that fails raises ``NumericFailureError`` with its ``step`` (0 when the
     payload of u0 overflows).  A memory kernel's history rows come one
     window at a time from ``f.history_rows``, and its sum over earlier nodes

@@ -16,8 +16,8 @@ from .duhamel import forward_solve, observe
 from .errors import ConfigError, IllPosedModeError, SpecrecError
 from .nonlinearity import Zero, check_growth_condition
 from .recover import (ConditionE, ConditionE100, ConditionE200,
-                      FixedPointReport, GrowthExponents, _coupling,
-                      picard_recover, theoretical_threshold)
+                      FixedPointReport, GrowthExponents, _build_plan,
+                      _coupling, picard_recover, theoretical_threshold)
 from .spectral import fractional_norm, make_graded_grid
 
 OBSERVATION_REFINEMENT = 4
@@ -126,7 +126,9 @@ def sweep_threshold(cfg):
 
     Each row records the convergence flag, the last contraction ratio, the
     size of the zero-forcing initial value, and the theoretical threshold
-    estimate.  Row failures are recorded and the sweep continues.
+    estimate.  Only M changes between rows, so one recovery plan, built at
+    the first row, serves them all.  Row failures are recorded and the
+    sweep continues.
     """
     scales = cfg.sweep_scales
     if not scales:
@@ -146,12 +148,17 @@ def sweep_threshold(cfg):
     estimate = theoretical_threshold(op, exponents, c_hat, grid.T, spec)
 
     rows = []
+    plan = None
     for idx, s in enumerate(scales):
         cond = build_condition(cfg, float(s) * M_base)
         try:
+            # a plan that fails to build fails every row alike
+            if plan is None:
+                plan = _build_plan(op, cond, f, grid)
             report = picard_recover(op, cond, f, grid, spec,
                                     tol=cfg.solver.tol,
-                                    max_iter=cfg.solver.max_iter)
+                                    max_iter=cfg.solver.max_iter,
+                                    _plan=plan)
             rows.append(SweepRow(idx, float(s), report.converged,
                                  report.iterations, report.final_ratio,
                                  report.sigma_T0_norm, estimate.m_T, "ok"))

@@ -25,13 +25,19 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .duhamel import _step_tables, duhamel_convolve
+from .duhamel import _convolve, _step_tables
 from .errors import (AdmissibilityError, IllPosedModeError,
                      InvalidParameterError, NumericFailureError)
 from .kernels import (ConstantWeight, WeightFunction, _cut, _march,
                       beta_function, mode_weights)
-from .spectral import (FractionalNormSpec, Trajectory, fractional_norm,
-                       weighted_sup_norm)
+from .spectral import (FractionalNormSpec, Trajectory, _row_norms,
+                       fractional_norm)
+
+# Not called here: perfbench wraps these names at this module to time the
+# layers of a recovery (tests/test_benchmark_targets.py), and a sweep now
+# uses the array-level helpers behind them.
+from .duhamel import duhamel_convolve  # noqa: F401
+from .spectral import weighted_sup_norm  # noqa: F401
 
 
 # --------------------------------------------------------------------------
@@ -292,8 +298,37 @@ def _small_t_diagnostic(op, T, betas):
     return float(np.max(T / (np.abs(betas) * graph_weight)))
 
 
+@dataclass(frozen=True, eq=False)
+class _Plan:
+    """What a recovery builds that does not depend on the data M: the
+    denominators and their report and, for a solvable problem only, the psi
+    weights, the grid's step tables, the semigroup samples e^{t_i lam_j}
+    and the history operator (None for a pointwise map)."""
+
+    denoms: np.ndarray
+    spectral: SpectralConditionReport
+    weights: tuple = None
+    tables: tuple = None
+    hom: np.ndarray = None
+    history: np.ndarray = None
+
+
+def _build_plan(op, cond, f, grid):
+    """The ``_Plan`` of one problem.  Only the coupling of ``cond`` enters,
+    so one plan serves every data vector M of a sweep."""
+    denoms, spectral = _denominators(op, cond, grid.T)
+    if not spectral.ok:
+        return _Plan(denoms, spectral)
+    _, a, b = _coupling(cond)
+    tables = _step_tables(grid.nodes, op.eigenvalues)
+    with np.errstate(over="ignore"):
+        hom = np.exp(np.outer(grid.nodes, op.eigenvalues))
+    return _Plan(denoms, spectral, _psi_weights(op, grid, a, b), tables, hom,
+                 f.history_rows(grid.nodes, 0, grid.nodes.size))
+
+
 def picard_recover(op, cond, f, grid, spec, tol=1e-10, max_iter=200,
-                   initial="zero", small_t_mode=False):
+                   initial="zero", small_t_mode=False, *, _plan=None):
     """Recover the initial state by successive substitution.
 
     Starting from the zero trajectory (or from the linear solution when
@@ -304,14 +339,16 @@ def picard_recover(op, cond, f, grid, spec, tol=1e-10, max_iter=200,
     ``converged=False``, never a silent answer.
 
     The initial value map u(0) = (M - psi(g)) / d is affine in the forcing
-    g, so its denominators and the per-node weights of psi are built once
-    per call; each sweep applies them as array contractions.  The weights
-    are exact for g linear between nodes and any piecewise-polynomial b.
-
-    A nonlinearity with memory has its history operator built once per
-    call too, before the first sweep, and every sweep's ``eval_trajectory``
-    is one product with it: (n + 1)**2 floats for n steps, 0.13 MB at
-    n = 128 and 8.4 MB at n = 1024.
+    g.  Everything but M is built once per problem: the denominators, the
+    per-node weights of psi, exact for g linear between nodes and any
+    piecewise-polynomial b, the grid's step tables and semigroup samples,
+    and the history operator of a nonlinearity with memory, (n + 1)**2
+    floats for n steps (0.13 MB at n = 128, 8.4 MB at n = 1024).  A caller
+    recovering many data vectors of one problem passes that plan as
+    ``_plan``.  A sweep is then whole-array passes: one ``eval_trajectory``
+    (one product with the history operator), two contractions for psi, a
+    doubling-scan convolution, O(n m log n) for m modes, and the two
+    residual norms.
     """
     if not (tol > 0 and math.isfinite(tol)):
         raise InvalidParameterError("tol must be positive and finite")
@@ -320,7 +357,8 @@ def picard_recover(op, cond, f, grid, spec, tol=1e-10, max_iter=200,
     T = grid.T
     if cond.M.shape != (op.n_modes,):
         raise InvalidParameterError("M does not match the operator's mode count")
-    denoms, spectral = _denominators(op, cond, T)
+    plan = _build_plan(op, cond, f, grid) if _plan is None else _plan
+    spectral = plan.spectral
     if not spectral.ok:
         modes = list(spectral.failing_modes)
         raise IllPosedModeError(
@@ -335,7 +373,7 @@ def picard_recover(op, cond, f, grid, spec, tol=1e-10, max_iter=200,
             raise AdmissibilityError(
                 "small_t_mode applies to problem E with a = 0 only"
             )
-        factor = _small_t_diagnostic(op, T, denoms)
+        factor = _small_t_diagnostic(op, T, plan.denoms)
         warnings.warn(
             "nonlinearity does not vanish at zero: proceeding in the "
             f"short-horizon regime (inverse-scale factor {factor:.3g}); "
@@ -343,21 +381,20 @@ def picard_recover(op, cond, f, grid, spec, tol=1e-10, max_iter=200,
             stacklevel=2,
         )
 
-    _, a, b = _coupling(cond)
-    weights = _psi_weights(op, grid, a, b)
-    history = f.history_rows(grid.nodes, 0, grid.nodes.size)
-
-    def sigma(g):
-        return (cond.M - _psi(weights, g.coeffs)) / denoms
+    def sigma(G):
+        return (cond.M - _psi(plan.weights, G)) / plan.denoms
 
     e0_spec = FractionalNormSpec(0.0, spec.delta0)
-    tables = _step_tables(grid.nodes, op.eigenvalues)
+    # the weighted residual skips t = 0 unless theta = 0, as
+    # ``weighted_sup_norm`` does
+    start = 0 if spec.theta == 0.0 else 1
+    t_mu = grid.nodes[start:] ** spec.theta
+    hom, history, wl = plan.hom, plan.history, plan.tables[1]
     # overflow of a runaway iterate is caught by the finite checks below
     with np.errstate(over="ignore", invalid="ignore"):
-        sigma0 = cond.M / denoms
+        sigma0 = cond.M / plan.denoms
         sigma_T0_norm = fractional_norm(op, sigma0, e0_spec)
 
-        hom = np.exp(np.outer(grid.nodes, op.eigenvalues))
         if initial == "zero":
             u = Trajectory.zeros(grid, op.n_modes)
         elif initial == "linear":
@@ -373,24 +410,23 @@ def picard_recover(op, cond, f, grid, spec, tol=1e-10, max_iter=200,
         first_residual = None
         for _ in range(int(max_iter)):
             try:
-                g = f.eval_trajectory(u, op, history=history)
-                u0 = sigma(g)
-                v = duhamel_convolve(op, g, tables=tables)
-                new_coeffs = hom * u0 + v.coeffs
+                G = f.eval_trajectory(u, op, history=history).coeffs
             except NumericFailureError:
                 # runaway iterate overflowed inside the evaluation chain
                 diverged = True
                 break
-            if not np.all(np.isfinite(new_coeffs)):
+            u0 = sigma(G)
+            new = hom * u0
+            new[1:] += _convolve(plan.tables, G[1:], wl[0] * G[0])
+            if not np.isfinite(new).all():
                 diverged = True
                 break
-            new = Trajectory(grid, new_coeffs)
-            diff = Trajectory(grid, new.coeffs - u.coeffs)
-            rw = weighted_sup_norm(op, diff, spec.theta, spec)
-            rs = weighted_sup_norm(op, diff, 0.0, e0_spec)
+            diff = new - u.coeffs
+            rw = float((t_mu * _row_norms(op, diff[start:], spec)).max())
+            rs = float(_row_norms(op, diff, e0_spec).max())
             residual_weighted.append(rw)
             residual_sup.append(rs)
-            u = new
+            u = Trajectory(grid, new)
             combined = rw + rs
             if combined <= tol:
                 converged = True
@@ -405,7 +441,7 @@ def picard_recover(op, cond, f, grid, spec, tol=1e-10, max_iter=200,
     contraction_ratios = [combined[i + 1] / combined[i]
                           for i in range(len(combined) - 1)]
     if converged:
-        u0 = sigma(f.eval_trajectory(u, op, history=history))
+        u0 = sigma(f.eval_trajectory(u, op, history=history).coeffs)
     return FixedPointReport(
         iterations=len(residual_weighted),
         residual_weighted=residual_weighted,

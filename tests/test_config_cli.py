@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import specrec as sr
+from specrec import recover
 from specrec.cli import main
 from specrec.config import config_from_dict
 from specrec.harness import sweep_threshold
@@ -228,6 +229,32 @@ class TestSweep:
         rate = prefix_ok / trials
         print(f"prefix-monotone convergence rate: {rate:.0%}")
         assert rate >= 0.8
+
+    def test_plan_built_once_per_sweep(self, monkeypatch):
+        # only M changes between rows: the psi weights and the denominators'
+        # mode weights are built once for the whole sweep
+        calls = {"psi": 0, "mode_weights": 0}
+        psi_weights, mode_weights = recover._psi_weights, recover.mode_weights
+
+        def counting_psi(*args):
+            calls["psi"] += 1
+            return psi_weights(*args)
+
+        def counting_weights(*args):
+            calls["mode_weights"] += 1
+            return mode_weights(*args)
+
+        monkeypatch.setattr(recover, "_psi_weights", counting_psi)
+        monkeypatch.setattr(recover, "mode_weights", counting_weights)
+        cfg = config_from_dict(deep({
+            "nonlinearity": {"type": "power", "kappa": 0.25, "ell": 1.0},
+            "u0.amplitude": 0.05,
+            "grid": {"T": 0.5, "n": 32},
+            "sweep": {"scales": [0.0, 0.5, 1.0, 2.0]},
+        }))
+        rows, _ = sweep_threshold(cfg)
+        assert [row.status for row in rows] == ["ok"] * 4
+        assert calls == {"psi": 1, "mode_weights": 1}
 
     def test_missing_scales_rejected(self):
         cfg = config_from_dict(BASE)

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import specrec as sr
-from specrec.duhamel import _step_tables
+from specrec.duhamel import _convolve, _step_tables
 from specrec.kernels import moments
 from _util import rel_err, ulp_close
 
@@ -55,6 +55,16 @@ class TestPhi1:
         _, left, _ = _step_tables(np.array([0.0, 1.0]), np.array([z]))
         want = float((1 - (1 - mp.mpf(z)) * mp.exp(z)) / mp.mpf(z)**2)
         assert rel_err(left[0, 0], want) < 1e-14
+
+
+def _loop_convolve(tables, G):
+    """The one-step recurrence v_{i+1} = e_i v_i + wl_i G_i + wr_i G_{i+1},
+    one step at a time: the reference for the doubling scan."""
+    e, wl, wr = tables
+    out = np.zeros_like(G)
+    for i in range(e.shape[0]):
+        out[i + 1] = e[i] * out[i] + (wl[i] * G[i] + wr[i] * G[i + 1])
+    return out
 
 
 class TestDuhamelConvolve:
@@ -124,9 +134,33 @@ class TestDuhamelConvolve:
         grid = sr.make_graded_grid(1.0, 32, 2.0)
         rng = np.random.default_rng(4)
         g = sr.Trajectory(grid, rng.standard_normal((33, 8)))
+        # picard_recover builds the grid's tables once and convolves every
+        # sweep's forcing through the private helper
         tables = _step_tables(grid.nodes, op.eigenvalues)
-        assert np.array_equal(sr.duhamel_convolve(op, g, tables=tables).coeffs,
-                              sr.duhamel_convolve(op, g).coeffs)
+        prebuilt = np.zeros_like(g.coeffs)
+        prebuilt[1:] = _convolve(tables, g.coeffs[1:],
+                                 tables[1][0] * g.coeffs[0])
+        assert np.array_equal(prebuilt, sr.duhamel_convolve(op, g).coeffs)
+
+    @pytest.mark.parametrize("op, T, n, r", [
+        (sr.build_fourth_order(32, 1.0), 0.5, 64, 4.0),
+        (sr.build_fourth_order(32, 1.0), 0.5, 1000, 2.0),
+        (sr.diagonal_operator([3.0, 1.0, 0.0, -0.5, -40.0]), 1.0, 128, 1.0),
+        (sr.diagonal_operator([8.0, 3.0, 0.5, -0.5, -40.0]), 1.0, 1000, 2.0),
+    ], ids=["stiff", "stiff-n1000", "growing", "growing-n1000"])
+    def test_scan_matches_sequential_loop(self, op, T, n, r):
+        # eigenvalues down to -32**4, and positive ones where |e| > 1 and
+        # the products the scan forms grow, next to a lam = 0 column that is
+        # summed in order; relative to the size of the terms summed (the
+        # recurrence run on absolute values), since a random forcing's sums
+        # cancel
+        grid = sr.make_graded_grid(T, n, r)
+        tables = _step_tables(grid.nodes, op.eigenvalues)
+        G = np.random.default_rng(5).standard_normal((n + 1, op.n_modes))
+        want = _loop_convolve(tables, G)
+        size = _loop_convolve([np.abs(t) for t in tables], np.abs(G))
+        got = sr.duhamel_convolve(op, sr.Trajectory(grid, G)).coeffs
+        assert np.all(np.abs(got - want) <= 1e-14 * size)
 
 
 class TestForwardSolve:
@@ -307,12 +341,9 @@ class TestCorrectorMarch:
         (lambda: CountingPowerLaw(1.0, 1.0), 0.5, 64, 3.5),
     ], ids=["power", "memory", "power-coarse"])
     def test_payload_evaluations_per_step(self, make_f, amplitude, n, bound):
-        # the extrapolated predictor leaves about one corrector pass to
-        # confirm it, and the last pass's payload is accepted without another
-        # evaluation.  Starting from the last forcing value, or evaluating
-        # again at the accepted state, costs 2.5 to 4.3 per step on these
-        # grids; extrapolating without the step ratio costs 3.8 on the
-        # coarse one, whose steps grow fastest
+        # payload evaluations per step, counted as calls: the windowed march
+        # makes 0.07 to 0.19 (test_payload_calls_batched), so these bounds,
+        # set for a step-by-step corrector making 1.6 to 2.4, hold with room
         f = make_f()
         grid = sr.make_graded_grid(0.5, n, 4.0)
         sr.forward_solve(self.DIRICHLET, self.first_mode(amplitude), f, grid)
@@ -333,6 +364,17 @@ class TestCorrectorMarch:
         sr.forward_solve(self.DIRICHLET, self.first_mode(amplitude), f, grid)
         assert f.calls / n <= calls
         assert f.rows / n <= rows
+
+    def test_hopeless_window_halved_early(self):
+        # the first windows of this march cannot settle within the sweep cap:
+        # running each to the cap costs 2.75 calls and 58.6 states per step,
+        # halving each once its contraction ratios show it costs 1.9 and 23
+        op = sr.build_second_order(16, 1.0, 1.0, "neumann")
+        f = CountingMemoryKernel(1.0, -0.9, 1.0)
+        grid = sr.make_graded_grid(0.5, 64, 4.0)
+        sr.forward_solve(op, self.first_mode(0.5, 16), f, grid)
+        assert f.calls / 64 <= 2.2
+        assert f.rows / 64 <= 30.0
 
     def test_second_order_on_graded_grid(self):
         # a graded grid's steps grow 15-fold at the start; the order must

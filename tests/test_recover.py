@@ -1,6 +1,7 @@
 """Recovery operators, spectral checks, Picard driver, threshold estimates."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +10,8 @@ from hypothesis import strategies as st
 
 import specrec as sr
 from specrec.nonlinearity import Nonlinearity
-from specrec.recover import _coupling, _denominators
+from specrec.harness import build_condition, resolve_M
+from specrec.recover import _build_plan, _coupling, _denominators
 from _util import rel_err
 
 B1 = sr.ConstantWeight(1.0)
@@ -574,6 +576,43 @@ class TestPicardNonlinear:
                                    grid, SPEC)
         assert report.converged and report.iterations > 2
         assert built == [(0, grid.nodes.size)]
+
+
+class TestRecoveryPlan:
+    FIXTURES = Path(__file__).resolve().parent.parent / "perfbench" / "fixtures"
+
+    @pytest.mark.parametrize("name", ["psi-quadrature-poly",
+                                      "psi-quadrature-table",
+                                      "memory-forward", "threshold-sweep"])
+    def test_supplied_plan_same_bytes(self, name):
+        # a plan built for other data (M = 0) serves this M bit for bit
+        cfg = sr.parse_config(self.FIXTURES / f"{name}.json")
+        op, f, grid = cfg.build_operator(), cfg.build_nonlinearity(), cfg.build_grid()
+        spec = cfg.build_norm_spec(op)
+        cond = build_condition(cfg, resolve_M(cfg, op, f)[0])
+        plan = _build_plan(op, build_condition(cfg, np.zeros(op.n_modes)),
+                           f, grid)
+        kwargs = dict(tol=cfg.solver.tol, max_iter=cfg.solver.max_iter)
+        own = sr.picard_recover(op, cond, f, grid, spec, **kwargs)
+        shared = sr.picard_recover(op, cond, f, grid, spec, _plan=plan,
+                                   **kwargs)
+        assert own.converged
+        assert shared.u0_recovered.tobytes() == own.u0_recovered.tobytes()
+        assert shared.iterations == own.iterations
+
+    def test_failing_mode_raises_with_plan(self):
+        # the plan of an ill-posed problem carries its report, and a
+        # recovery given that plan raises with the failing mode
+        op = sr.diagonal_operator([-1.0, -2.0])
+        lam = op.eigenvalues
+        a = -(np.expm1(lam[1]) / lam[1]) / np.exp(lam[1])
+        cond = sr.ConditionE(a, B1, np.array([0.1, 0.1]))
+        grid = sr.make_graded_grid(1.0, 16)
+        plan = _build_plan(op, cond, sr.Zero(), grid)
+        assert plan.spectral.failing_modes == (2,)
+        with pytest.raises(sr.IllPosedModeError) as info:
+            sr.picard_recover(op, cond, sr.Zero(), grid, SPEC, _plan=plan)
+        assert info.value.modes == [2]
 
 
 class _ConstantForcing(Nonlinearity):
