@@ -141,6 +141,160 @@ class TestParsing:
             sr.parse_config(str(bad))
 
 
+E100 = {"problem": "E100", "b": 0.5, "M": {"type": "from-u0"}}
+E200 = {"problem": "E200", "b": {"type": "constant", "value": 1.0},
+        "M": {"type": "from-u0"}}
+PINNED4 = {"family": "pinned4", "modes": 3, "d1": 1.0, "d2": 0.5}
+POLY = {"type": "poly", "coeffs": [1.0, 0.5]}
+TABLE = {"type": "table", "t": [0.0, 1.0], "b": [1.0, 1.0]}
+M_LITERAL = {"type": "coefficients", "values": [1.0, 0.0, 0.0, 0.0]}
+U0_BUMP = {"type": "gauss-bump", "center": 1.5, "width": 0.5}
+U0_COEFFS = {"type": "coefficients", "values": [1.0, 0.0, 0.0, 0.0]}
+POWER = {"type": "power", "kappa": 0.25, "ell": 1.0}
+MEMORY = {"type": "memory", "c": 0.5, "lambda": -0.25, "ell": 1.0}
+SWEEP = {"scales": [0.0, 1.0]}
+
+# (document, exact message): every message the schema raises, each section
+# and value check at least once, in the wording users see
+PINNED_MESSAGES = [
+    # the document and its top-level keys
+    ([], "config must be an object"),
+    (deep({"bar": 1}), "unknown key 'bar' in config"),
+    (deep({"grid": ...}), "missing required key 'grid' in config"),
+    (deep({"operator": ...}), "missing required key 'operator' in config"),
+    (deep({"seed": 1.5}), "config.seed must be an integer"),
+    (deep({"seed": True}), "config.seed must be an integer"),
+    # operator
+    (deep({"operator": 3}), "operator must be an object"),
+    (deep({"operator.family": "x"}),
+     "operator.family must be one of dirichlet2, neumann2, pinned4"),
+    (deep({"operator.family": ...}),
+     "operator.family must be one of dirichlet2, neumann2, pinned4"),
+    (deep({"operator.d1": 1.0}), "unknown key 'd1' in operator"),
+    (deep({"operator.modes": 4.5}), "operator.modes must be an integer"),
+    (deep({"operator.grid_size": None}),
+     "operator.grid_size must be an integer"),
+    (deep({"operator.d": "1"}), "operator.d must be a number"),
+    (deep({"operator.c0": math.inf}), "operator.c0 must be finite"),
+    (deep({"operator": dict(PINNED4, d=1.0)}), "unknown key 'd' in operator"),
+    (deep({"operator": dict(PINNED4, d2=math.nan)}),
+     "operator.d2 must be finite"),
+    # condition
+    (deep({"condition": []}), "condition must be an object"),
+    (deep({"condition.problem": "F"}),
+     "condition.problem must be 'E', 'E100' or 'E200'"),
+    (deep({"condition.b": ...}), "missing required key 'b' in condition"),
+    (deep({"condition.M": ...}), "missing required key 'M' in condition"),
+    (deep({"condition.x": 1}), "unknown key 'x' in condition"),
+    (deep({"condition.a": None}), "condition.a must be a number"),
+    (deep({"condition.a": 10**400}), "condition.a must be finite"),
+    (deep({"condition.b": 1.0}),
+     "condition.b must be a weight object for problem E"),
+    (deep({"condition": dict(E200, b=1.0)}),
+     "condition.b must be a weight object for problem E200"),
+    (deep({"condition": dict(E100, b=TABLE)}), "E100 requires scalar b"),
+    (deep({"condition": dict(E100, b=True)}), "E100 requires scalar b"),
+    (deep({"condition": dict(E100, b=math.nan)}), "condition.b must be finite"),
+    (deep({"condition": dict(E100, a=0.0)}), "unknown key 'a' in condition"),
+    # weights, under problem E and E200
+    (deep({"condition.b": {"type": "cubic"}}), "unknown weight type 'cubic'"),
+    (deep({"condition.b": {}}), "unknown weight type None"),
+    (deep({"condition.b.value": ...}), "missing required key 'value' in weight"),
+    (deep({"condition.b.value": "1"}), "weight.value must be a number"),
+    (deep({"condition.b.value": -math.inf}), "weight.value must be finite"),
+    (deep({"condition.b.coeffs": [1.0]}), "unknown key 'coeffs' in weight"),
+    (deep({"condition.b": dict(POLY, coeffs=[])}),
+     "weight.coeffs must be a nonempty list of numbers"),
+    (deep({"condition.b": dict(POLY, coeffs=[1.0, math.nan])}),
+     "weight.coeffs must hold finite numbers"),
+    (deep({"condition": dict(E200, b={"type": "table", "t": [0.0, 1.0]})}),
+     "missing required key 'b' in weight"),
+    (deep({"condition.b": dict(TABLE, b=[1.0, True])}),
+     "weight.b must be a nonempty list of numbers"),
+    (deep({"condition.b": dict(TABLE, t=[0.0, 10**400])}),
+     "weight.t must hold finite numbers"),
+    # the observation source
+    (deep({"condition.M": 1}), "condition.M must be an object"),
+    (deep({"condition.M.type": "u0"}),
+     "condition.M.type must be 'coefficients' or 'from-u0'"),
+    (deep({"condition.M.values": [1.0]}),
+     "unknown key 'values' in condition.M"),
+    (deep({"condition.M": {"type": "coefficients"}}),
+     "missing required key 'values' in condition.M"),
+    (deep({"condition.M": dict(M_LITERAL, values="1")}),
+     "condition.M.values must be a nonempty list of numbers"),
+    (deep({"condition.M": dict(M_LITERAL, values=[math.inf])}),
+     "condition.M.values must hold finite numbers"),
+    # u0
+    (deep({"u0": 1}), "u0 must be an object"),
+    (deep({"u0.type": "bump"}),
+     "u0.type must be 'coefficients', 'mode' or 'gauss-bump'"),
+    (deep({"u0.index": ...}), "missing required key 'index' in u0"),
+    (deep({"u0.index": 1.0}), "u0.index must be an integer"),
+    (deep({"u0.amplitude": "big"}), "u0.amplitude must be a number"),
+    (deep({"u0.center": 0.0}), "unknown key 'center' in u0"),
+    (deep({"u0": {"type": "gauss-bump", "center": 1.5}}),
+     "missing required key 'width' in u0"),
+    (deep({"u0": dict(U0_BUMP, center=math.nan)}), "u0.center must be finite"),
+    (deep({"u0": dict(U0_BUMP, width=None)}), "u0.width must be a number"),
+    (deep({"u0": dict(U0_COEFFS, values=[])}),
+     "u0.values must be a nonempty list of numbers"),
+    (deep({"u0": dict(U0_COEFFS, values=[1.0, math.inf])}),
+     "u0.values must hold finite numbers"),
+    # nonlinearity
+    (deep({"nonlinearity": "zero"}), "nonlinearity must be an object"),
+    (deep({"nonlinearity.type": "cubic"}),
+     "nonlinearity.type must be 'zero', 'power' or 'memory'"),
+    (deep({"nonlinearity.kappa": 1.0}), "unknown key 'kappa' in nonlinearity"),
+    (deep({"nonlinearity": {"type": "power", "kappa": 0.25}}),
+     "missing required key 'ell' in nonlinearity"),
+    (deep({"nonlinearity": dict(POWER, kappa="1")}),
+     "nonlinearity.kappa must be a number"),
+    (deep({"nonlinearity": {"type": "memory", "lambda": -0.25,
+                            "ell": 1.0}}),
+     "missing required key 'c' in nonlinearity"),
+    (deep({"nonlinearity": {**MEMORY, "lambda": math.inf}}),
+     "nonlinearity.lambda must be finite"),
+    # grid
+    (deep({"grid": None}), "grid must be an object"),
+    (deep({"grid.dt": 0.1}), "unknown key 'dt' in grid"),
+    (deep({"grid.n": ...}), "missing required key 'n' in grid"),
+    (deep({"grid.T": "1"}), "grid.T must be a number"),
+    (deep({"grid.T": 0.0}), "grid.T must be positive"),
+    (deep({"grid.n": 64.0}), "grid.n must be an integer"),
+    (deep({"grid.n": 1}), "grid.n must be at least 2"),
+    (deep({"grid.r": 0.5}), "grid.r must be >= 1"),
+    (deep({"grid.r": math.nan}), "grid.r must be finite"),
+    # solver
+    (deep({"solver": []}), "solver must be an object"),
+    (deep({"solver.eps": 1.0}), "unknown key 'eps' in solver"),
+    (deep({"solver.tol": 0.0}), "solver.tol must be positive"),
+    (deep({"solver.tol": -math.inf}), "solver.tol must be finite"),
+    (deep({"solver.max_iter": 0}), "solver.max_iter must be positive"),
+    (deep({"solver.max_iter": 1e3}), "solver.max_iter must be an integer"),
+    (deep({"solver.theta": None}), "solver.theta must be a number"),
+    (deep({"solver.gamma": True}), "solver.gamma must be a number"),
+    (deep({"solver.nu": "0.5"}), "solver.nu must be a number"),
+    (deep({"solver.delta0": math.inf}), "solver.delta0 must be finite"),
+    # sweep
+    (deep({"sweep": 1}), "sweep must be an object"),
+    (deep({"sweep": {}}), "missing required key 'scales' in sweep"),
+    (deep({"sweep": dict(SWEEP, n=2)}), "unknown key 'n' in sweep"),
+    (deep({"sweep": dict(SWEEP, scales=[])}),
+     "sweep.scales must be a nonempty list of numbers"),
+    (deep({"sweep": dict(SWEEP, scales=[math.nan])}),
+     "sweep.scales must hold finite numbers"),
+]
+
+
+@pytest.mark.parametrize("doc, message", PINNED_MESSAGES,
+                         ids=[m for _, m in PINNED_MESSAGES])
+def test_config_error_message_pinned(doc, message):
+    with pytest.raises(sr.ConfigError) as info:
+        config_from_dict(doc)
+    assert str(info.value) == message
+
+
 class TestRoundtripHarness:
     def test_linear_roundtrip_error_small(self):
         cfg = config_from_dict(deep({"grid.n": 256, "grid.r": 1.0}))
