@@ -1,9 +1,11 @@
 """Experiment configuration: strict JSON schema, builders, and emitters.
 
 Config files are plain JSON with a fixed schema; unknown keys are hard
-errors so that typos never silently fall back to defaults.  Numeric output
-uses '.' decimals, '\\n' line ends, and shortest round-trip float formatting,
-which makes runs with identical config and seed byte-identical.
+errors so that typos never silently fall back to defaults.  Each section is
+one table of {key: (reader, default)}, so every key, default and bound is
+stated once, and one function reads them all.  Numeric output uses '.'
+decimals, '\\n' line ends, and shortest round-trip float formatting, which
+makes runs with identical config and seed byte-identical.
 """
 
 import csv
@@ -21,9 +23,14 @@ from .spectral import (FractionalNormSpec, analyze, build_fourth_order,
                        build_second_order, default_grading, default_shift,
                        make_graded_grid)
 
-_OPERATOR_FAMILIES = ("dirichlet2", "neumann2", "pinned4")
 _FLOAT_MAX = sys.float_info.max
+_REQUIRED = object()  # the default slot of a key that must be given
 
+
+# --------------------------------------------------------------------------
+# readers: each takes a key's path and its JSON value and returns the value
+# read, or raises ConfigError naming the path
+# --------------------------------------------------------------------------
 
 def _require_mapping(obj, path):
     if not isinstance(obj, dict):
@@ -31,138 +38,240 @@ def _require_mapping(obj, path):
     return obj
 
 
-def _check_keys(obj, path, allowed, required=()):
-    for key in obj:
-        if key not in allowed:
-            raise ConfigError(f"unknown key '{key}' in {path}")
-    for key in required:
-        if key not in obj:
-            raise ConfigError(f"missing required key '{key}' in {path}")
-
-
-def _number(obj, path, key, default=None, required=False):
-    if key not in obj:
-        if required:
-            raise ConfigError(f"missing required key '{key}' in {path}")
-        return default
-    val = obj[key]
+def _number(path, val):
     if isinstance(val, bool) or not isinstance(val, (int, float)):
-        raise ConfigError(f"{path}.{key} must be a number")
+        raise ConfigError(f"{path} must be a number")
     if not abs(val) <= _FLOAT_MAX:  # NaN, Infinity, or an int past float
-        raise ConfigError(f"{path}.{key} must be finite")
+        raise ConfigError(f"{path} must be finite")
     return float(val)
 
 
-def _integer(obj, path, key, default=None, required=False):
-    if key not in obj:
-        if required:
-            raise ConfigError(f"missing required key '{key}' in {path}")
-        return default
-    val = obj[key]
+def _integer(path, val):
     if isinstance(val, bool) or not isinstance(val, int):
-        raise ConfigError(f"{path}.{key} must be an integer")
+        raise ConfigError(f"{path} must be an integer")
     return int(val)
 
 
-def _number_list(obj, path, key):
-    val = obj.get(key)
+def _numbers(path, val):
     if not isinstance(val, list) or not val or not all(
             isinstance(x, (int, float)) and not isinstance(x, bool) for x in val):
-        raise ConfigError(f"{path}.{key} must be a nonempty list of numbers")
+        raise ConfigError(f"{path} must be a nonempty list of numbers")
     if not all(abs(x) <= _FLOAT_MAX for x in val):
-        raise ConfigError(f"{path}.{key} must hold finite numbers")
-    return [float(x) for x in val]
+        raise ConfigError(f"{path} must hold finite numbers")
+    return tuple(float(x) for x in val)
+
+
+def _bounded(read, ok, message):
+    """``read``, then a bound on the value read; ``message`` names its
+    failure after the path."""
+    def read_bounded(path, val):
+        val = read(path, val)
+        if not ok(val):
+            raise ConfigError(f"{path} {message}")
+        return val
+    return read_bounded
+
+
+_positive = _bounded(_number, lambda v: v > 0, "must be positive")
+
+
+def _optional(read, empty=None):
+    """The (reader, default) entry of a key that may be absent or null:
+    both read as the document ``empty``, or as None when there is none."""
+    def read_optional(path, val):
+        val = empty if val is None else val
+        return None if val is None else read(path, val)
+    return read_optional, read_optional(None, None)
+
+
+def _section(obj, path, fields, tag=None):
+    """Read the JSON object at ``path`` by its table ``fields`` of
+    {key: (reader, default or _REQUIRED)}: unknown keys first, then
+    missing required keys, then each key in table order.  ``tag`` is the
+    key that picked the table, allowed but not read."""
+    obj = _require_mapping(obj, path)
+    for key in obj:
+        if key != tag and key not in fields:
+            raise ConfigError(f"unknown key '{key}' in {path}")
+    for key, (_, default) in fields.items():
+        if default is _REQUIRED and key not in obj:
+            raise ConfigError(f"missing required key '{key}' in {path}")
+    return {key: read(f"{path}.{key}", obj[key]) if key in obj else default
+            for key, (read, default) in fields.items()}
+
+
+def _plain(path, fields, make):
+    """Reader of the section at ``path``, passed to ``make`` by key."""
+    return lambda _, obj: make(**_section(obj, path, fields))
 
 
 @dataclasses.dataclass(frozen=True)
-class OperatorSpec:
-    family: str
-    modes: int
-    grid_size: int = None
-    d: float = 1.0
-    c0: float = 0.0
-    d1: float = 1.0
-    d2: float = 0.0
+class Tagged:
+    """A tagged section: the variant its tag names and the values of its
+    keys, in schema order, absent ones at their defaults."""
+    kind: str
+    fields: dict
+
+
+def _tagged(path, tag, message, variants, make=Tagged):
+    """Reader of the section at ``path`` whose key ``tag`` picks one of
+    ``variants`` ({variant: fields}); ``message`` names a tag that picks
+    none.  Gives ``make(variant, values)``."""
+    def read(_, obj):
+        obj = _require_mapping(obj, path)
+        kind = obj.get(tag)
+        if not isinstance(kind, str) or kind not in variants:
+            raise ConfigError(message.format(kind))
+        return make(kind, _section(obj, path, variants[kind], tag))
+    return read
 
 
 @dataclasses.dataclass(frozen=True)
 class ConditionSpec:
     problem: str
-    a: float
-    b: object          # weight dict for E/E200, float for E100
-    m_source: dict
+    a: float           # 0 for E100 and E200, which have no a*u(T) term
+    b: object          # the WeightFunction for E/E200, a float for E100
+    m_source: Tagged
 
 
-@dataclasses.dataclass(frozen=True)
-class U0Spec:
-    kind: str
-    index: int = None
-    amplitude: float = 1.0
-    center: float = None
-    width: float = None
-    values: tuple = None
+# --------------------------------------------------------------------------
+# the schema
+# --------------------------------------------------------------------------
+
+# constructors by variant, each taking its section's keys in schema order
+_WEIGHTS = {"constant": ConstantWeight, "poly": PolynomialWeight,
+            "table": TabulatedWeight}
+_NONLINEARITIES = {"zero": Zero, "power": PowerLaw, "memory": MemoryKernel}
+
+_WEIGHT = _tagged("weight", "type", "unknown weight type {!r}", {
+    "constant": {"value": (_number, _REQUIRED)},
+    "poly": {"coeffs": (_numbers, _REQUIRED)},
+    "table": {"t": (_numbers, _REQUIRED), "b": (_numbers, _REQUIRED)},
+}, make=lambda kind, values: _WEIGHTS[kind](*values.values()))
 
 
-@dataclasses.dataclass(frozen=True)
-class NonlinearitySpec:
-    kind: str
-    kappa: float = 0.0
-    c: float = 0.0
-    lam: float = 0.0
-    ell: float = 1.0
+def _weight_for(problem):
+    """Reader of condition.b for a problem that takes a weight object."""
+    def read(path, val):
+        if not isinstance(val, dict):
+            raise ConfigError(
+                f"{path} must be a weight object for problem {problem}")
+        return _WEIGHT(path, val)
+    return read
 
 
-@dataclasses.dataclass(frozen=True)
-class GridSpec:
-    T: float
-    n: int
-    r: float
+def _scalar_b(path, val):
+    if isinstance(val, bool) or not isinstance(val, (int, float)):
+        raise ConfigError("E100 requires scalar b")
+    return _number(path, val)
 
 
-@dataclasses.dataclass(frozen=True)
-class SolverSpec:
-    tol: float
-    max_iter: int
-    theta: float
-    gamma: float
-    nu: float = None       # resolved from the nonlinearity when absent
-    delta0: float = None   # resolved from the operator when absent
+_M = _tagged("condition.M", "type",
+             "condition.M.type must be 'coefficients' or 'from-u0'", {
+                 "coefficients": {"values": (_numbers, _REQUIRED)},
+                 "from-u0": {},
+             })
+
+_MODES = {"modes": (_integer, 64), "grid_size": (_integer, None)}
+_SECOND_ORDER = {**_MODES, "d": (_number, 1.0), "c0": (_number, 0.0)}
+
+_SOLVER = {
+    "tol": (_positive, 1e-10),
+    "max_iter": (_bounded(_integer, lambda v: v >= 1, "must be positive"),
+                 200),
+    "theta": (_number, 0.25),
+    "gamma": (_number, 0.0),
+    "nu": _optional(_number),        # None: resolved from the nonlinearity
+    "delta0": _optional(_number),    # None: resolved from the operator
+}
+
+_GRID = {
+    "T": (_positive, _REQUIRED),
+    "n": (_bounded(_integer, lambda v: v >= 2, "must be at least 2"),
+          _REQUIRED),
+    "r": (_bounded(_number, lambda v: v >= 1.0, "must be >= 1"), None),
+}
+
+# the records of the plain sections, one field per key of their tables
+SolverSpec = dataclasses.make_dataclass("SolverSpec", _SOLVER, frozen=True)
+GridSpec = dataclasses.make_dataclass("GridSpec", _GRID, frozen=True)
+
+_CONFIG = {  # read in this order: the first error found is reported
+    "solver": _optional(_plain("solver", _SOLVER, SolverSpec), {}),
+    "sweep": _optional(_plain("sweep", {"scales": (_numbers, _REQUIRED)},
+                              lambda scales: scales)),
+    "seed": (_integer, 0),
+    "operator": (_tagged(
+        "operator", "family",
+        "operator.family must be one of dirichlet2, neumann2, pinned4", {
+            "dirichlet2": _SECOND_ORDER,
+            "neumann2": _SECOND_ORDER,
+            "pinned4": {**_MODES, "d1": (_number, 1.0),
+                        "d2": (_number, 0.0)},
+        }), _REQUIRED),
+    "condition": (_tagged(
+        "condition", "problem",
+        "condition.problem must be 'E', 'E100' or 'E200'", {
+            "E": {"a": (_number, 0.0), "b": (_weight_for("E"), _REQUIRED),
+                  "M": (_M, _REQUIRED)},
+            "E100": {"b": (_scalar_b, _REQUIRED), "M": (_M, _REQUIRED)},
+            "E200": {"b": (_weight_for("E200"), _REQUIRED),
+                     "M": (_M, _REQUIRED)},
+        }, make=lambda problem, values: ConditionSpec(
+            problem, values.get("a", 0.0), values["b"], values["M"])),
+        _REQUIRED),
+    "nonlinearity": _optional(_tagged(
+        "nonlinearity", "type",
+        "nonlinearity.type must be 'zero', 'power' or 'memory'", {
+            "zero": {},
+            "power": {"kappa": (_number, _REQUIRED),
+                      "ell": (_number, _REQUIRED)},
+            "memory": {"c": (_number, _REQUIRED),
+                       "lambda": (_number, _REQUIRED),
+                       "ell": (_number, _REQUIRED)},
+        }), {"type": "zero"}),
+    "grid": (_plain("grid", _GRID, GridSpec), _REQUIRED),
+    "u0": _optional(_tagged(
+        "u0", "type",
+        "u0.type must be 'coefficients', 'mode' or 'gauss-bump'", {
+            "coefficients": {"values": (_numbers, _REQUIRED)},
+            "mode": {"index": (_integer, _REQUIRED),
+                     "amplitude": (_number, 1.0)},
+            "gauss-bump": {"center": (_number, _REQUIRED),
+                           "width": (_positive, _REQUIRED),
+                           "amplitude": (_number, 1.0)},
+        })),
+}
 
 
 @dataclasses.dataclass(frozen=True)
 class ExperimentConfig:
-    operator: OperatorSpec
+    operator: Tagged
     condition: ConditionSpec
-    nonlinearity: NonlinearitySpec
+    nonlinearity: Tagged
     grid: GridSpec
     solver: SolverSpec
-    u0: U0Spec = None
-    sweep_scales: tuple = None
-    seed: int = 0
-
-    # ---- builders -------------------------------------------------------
+    u0: Tagged              # None when the config has no u0
+    sweep_scales: tuple     # None when the config has no sweep
+    seed: int
 
     def build_operator(self):
-        spec = self.operator
-        if spec.family == "pinned4":
-            return build_fourth_order(spec.modes, spec.d1, spec.d2,
-                                      grid_size=spec.grid_size)
-        bc = "dirichlet" if spec.family == "dirichlet2" else "neumann"
-        return build_second_order(spec.modes, spec.d, spec.c0, bc,
-                                  grid_size=spec.grid_size)
+        kind, spec = self.operator.kind, self.operator.fields
+        if kind == "pinned4":
+            return build_fourth_order(spec["modes"], spec["d1"], spec["d2"],
+                                      grid_size=spec["grid_size"])
+        bc = "dirichlet" if kind == "dirichlet2" else "neumann"
+        return build_second_order(spec["modes"], spec["d"], spec["c0"], bc,
+                                  grid_size=spec["grid_size"])
 
     def build_weight(self):
-        if self.condition.problem == "E100":
-            return self.condition.b  # scalar
-        return build_weight(self.condition.b)
+        """The observation weight, built once when the config was read:
+        a WeightFunction for E and E200, the scalar b for E100."""
+        return self.condition.b
 
     def build_nonlinearity(self):
         spec = self.nonlinearity
-        if spec.kind == "zero":
-            return Zero()
-        if spec.kind == "power":
-            return PowerLaw(spec.kappa, spec.ell)
-        return MemoryKernel(spec.c, spec.lam, spec.ell)
+        return _NONLINEARITIES[spec.kind](*spec.fields.values())
 
     def build_grid(self):
         return make_graded_grid(self.grid.T, self.grid.n, self.grid.r)
@@ -183,235 +292,36 @@ class ExperimentConfig:
     def resolve_u0(self, op):
         if self.u0 is None:
             raise ConfigError("this run needs a 'u0' block in the config")
-        spec = self.u0
-        if spec.kind == "coefficients":
-            values = np.asarray(spec.values, dtype=float)
+        kind, spec = self.u0.kind, self.u0.fields
+        if kind == "coefficients":
+            values = np.asarray(spec["values"], dtype=float)
             if values.shape != (op.n_modes,):
                 raise ConfigError(
                     f"u0.values has length {values.size}, expected {op.n_modes}"
                 )
             return values
-        if spec.kind == "mode":
-            if not 1 <= spec.index <= op.n_modes:
+        if kind == "mode":
+            if not 1 <= spec["index"] <= op.n_modes:
                 raise ConfigError(
                     f"u0.index must lie in [1, {op.n_modes}]"
                 )
             u0 = np.zeros(op.n_modes)
-            u0[spec.index - 1] = spec.amplitude
+            u0[spec["index"] - 1] = spec["amplitude"]
             return u0
         # gauss-bump profile sampled on the operator grid, then projected
         x = op.points
-        bump = spec.amplitude * np.exp(-(x - spec.center) ** 2
-                                       / (2.0 * spec.width ** 2))
+        bump = spec["amplitude"] * np.exp(-(x - spec["center"]) ** 2
+                                          / (2.0 * spec["width"] ** 2))
         return analyze(op, bump)
-
-
-def build_weight(spec):
-    """Build a WeightFunction from its config dict."""
-    spec = _require_mapping(spec, "weight")
-    kind = spec.get("type")
-    if kind == "constant":
-        _check_keys(spec, "weight", {"type", "value"}, required=("value",))
-        return ConstantWeight(_number(spec, "weight", "value", required=True))
-    if kind == "poly":
-        _check_keys(spec, "weight", {"type", "coeffs"}, required=("coeffs",))
-        return PolynomialWeight(_number_list(spec, "weight", "coeffs"))
-    if kind == "table":
-        _check_keys(spec, "weight", {"type", "t", "b"}, required=("t", "b"))
-        return TabulatedWeight(_number_list(spec, "weight", "t"),
-                               _number_list(spec, "weight", "b"))
-    raise ConfigError(f"unknown weight type {kind!r}")
-
-
-def _parse_operator(obj):
-    obj = _require_mapping(obj, "operator")
-    family = obj.get("family")
-    if family not in _OPERATOR_FAMILIES:
-        raise ConfigError(
-            f"operator.family must be one of {', '.join(_OPERATOR_FAMILIES)}"
-        )
-    common = {"family", "modes", "grid_size"}
-    if family == "pinned4":
-        _check_keys(obj, "operator", common | {"d1", "d2"})
-        return OperatorSpec(
-            family=family,
-            modes=_integer(obj, "operator", "modes", default=64),
-            grid_size=_integer(obj, "operator", "grid_size"),
-            d1=_number(obj, "operator", "d1", default=1.0),
-            d2=_number(obj, "operator", "d2", default=0.0),
-        )
-    _check_keys(obj, "operator", common | {"d", "c0"})
-    return OperatorSpec(
-        family=family,
-        modes=_integer(obj, "operator", "modes", default=64),
-        grid_size=_integer(obj, "operator", "grid_size"),
-        d=_number(obj, "operator", "d", default=1.0),
-        c0=_number(obj, "operator", "c0", default=0.0),
-    )
-
-
-def _parse_m_source(obj):
-    obj = _require_mapping(obj, "condition.M")
-    kind = obj.get("type")
-    if kind == "coefficients":
-        _check_keys(obj, "condition.M", {"type", "values"}, required=("values",))
-        return {"type": "coefficients",
-                "values": _number_list(obj, "condition.M", "values")}
-    if kind == "from-u0":
-        _check_keys(obj, "condition.M", {"type"})
-        return {"type": "from-u0"}
-    raise ConfigError("condition.M.type must be 'coefficients' or 'from-u0'")
-
-
-def _parse_condition(obj):
-    obj = _require_mapping(obj, "condition")
-    problem = obj.get("problem")
-    if problem not in ("E", "E100", "E200"):
-        raise ConfigError("condition.problem must be 'E', 'E100' or 'E200'")
-    if problem == "E":
-        _check_keys(obj, "condition", {"problem", "a", "b", "M"},
-                    required=("b", "M"))
-        a = _number(obj, "condition", "a", default=0.0)
-        b = obj["b"]
-        if not isinstance(b, dict):
-            raise ConfigError("condition.b must be a weight object for problem E")
-        build_weight(b)  # validate eagerly
-    elif problem == "E100":
-        _check_keys(obj, "condition", {"problem", "b", "M"}, required=("b", "M"))
-        a = 0.0
-        b = obj["b"]
-        if isinstance(b, bool) or not isinstance(b, (int, float)):
-            raise ConfigError("E100 requires scalar b")
-        b = _number(obj, "condition", "b")
-    else:
-        _check_keys(obj, "condition", {"problem", "b", "M"}, required=("b", "M"))
-        a = 0.0
-        b = obj["b"]
-        if not isinstance(b, dict):
-            raise ConfigError("condition.b must be a weight object for problem E200")
-        build_weight(b)
-    return ConditionSpec(problem=problem, a=a, b=b,
-                         m_source=_parse_m_source(obj["M"]))
-
-
-def _parse_u0(obj):
-    if obj is None:
-        return None
-    obj = _require_mapping(obj, "u0")
-    kind = obj.get("type")
-    if kind == "coefficients":
-        _check_keys(obj, "u0", {"type", "values"}, required=("values",))
-        return U0Spec(kind="coefficients",
-                      values=tuple(_number_list(obj, "u0", "values")))
-    if kind == "mode":
-        _check_keys(obj, "u0", {"type", "index", "amplitude"},
-                    required=("index",))
-        return U0Spec(kind="mode",
-                      index=_integer(obj, "u0", "index", required=True),
-                      amplitude=_number(obj, "u0", "amplitude", default=1.0))
-    if kind == "gauss-bump":
-        _check_keys(obj, "u0", {"type", "center", "width", "amplitude"},
-                    required=("center", "width"))
-        return U0Spec(kind="gauss-bump",
-                      center=_number(obj, "u0", "center", required=True),
-                      width=_number(obj, "u0", "width", required=True),
-                      amplitude=_number(obj, "u0", "amplitude", default=1.0))
-    raise ConfigError("u0.type must be 'coefficients', 'mode' or 'gauss-bump'")
-
-
-def _parse_nonlinearity(obj):
-    if obj is None:
-        return NonlinearitySpec(kind="zero")
-    obj = _require_mapping(obj, "nonlinearity")
-    kind = obj.get("type")
-    if kind == "zero":
-        _check_keys(obj, "nonlinearity", {"type"})
-        return NonlinearitySpec(kind="zero")
-    if kind == "power":
-        _check_keys(obj, "nonlinearity", {"type", "kappa", "ell"},
-                    required=("kappa", "ell"))
-        return NonlinearitySpec(
-            kind="power",
-            kappa=_number(obj, "nonlinearity", "kappa", required=True),
-            ell=_number(obj, "nonlinearity", "ell", required=True),
-        )
-    if kind == "memory":
-        _check_keys(obj, "nonlinearity", {"type", "c", "lambda", "ell"},
-                    required=("c", "lambda", "ell"))
-        return NonlinearitySpec(
-            kind="memory",
-            c=_number(obj, "nonlinearity", "c", required=True),
-            lam=_number(obj, "nonlinearity", "lambda", required=True),
-            ell=_number(obj, "nonlinearity", "ell", required=True),
-        )
-    raise ConfigError("nonlinearity.type must be 'zero', 'power' or 'memory'")
-
-
-def _parse_solver(obj):
-    if obj is None:
-        obj = {}
-    obj = _require_mapping(obj, "solver")
-    _check_keys(obj, "solver",
-                {"tol", "max_iter", "theta", "gamma", "nu", "delta0"})
-    tol = _number(obj, "solver", "tol", default=1e-10)
-    if not tol > 0:
-        raise ConfigError("solver.tol must be positive")
-    max_iter = _integer(obj, "solver", "max_iter", default=200)
-    if max_iter < 1:
-        raise ConfigError("solver.max_iter must be positive")
-    theta = _number(obj, "solver", "theta", default=0.25)
-    nu = obj.get("nu")
-    delta0 = obj.get("delta0")
-    return SolverSpec(
-        tol=tol,
-        max_iter=max_iter,
-        theta=theta,
-        gamma=_number(obj, "solver", "gamma", default=0.0),
-        nu=None if nu is None else _number(obj, "solver", "nu"),
-        delta0=None if delta0 is None else _number(obj, "solver", "delta0"),
-    )
-
-
-def _parse_grid(obj, theta):
-    obj = _require_mapping(obj, "grid")
-    _check_keys(obj, "grid", {"T", "n", "r"}, required=("T", "n"))
-    T = _number(obj, "grid", "T", required=True)
-    if not T > 0:
-        raise ConfigError("grid.T must be positive")
-    n = _integer(obj, "grid", "n", required=True)
-    if n < 2:
-        raise ConfigError("grid.n must be at least 2")
-    r = _number(obj, "grid", "r", default=default_grading(theta))
-    if r < 1.0:
-        raise ConfigError("grid.r must be >= 1")
-    return GridSpec(T=T, n=n, r=r)
 
 
 def config_from_dict(data):
     """Validate a parsed JSON document and build an ExperimentConfig."""
-    data = _require_mapping(data, "config")
-    _check_keys(data, "config",
-                {"operator", "condition", "u0", "nonlinearity", "grid",
-                 "solver", "sweep", "seed"},
-                required=("operator", "condition", "grid"))
-    solver = _parse_solver(data.get("solver"))
-    sweep = data.get("sweep")
-    scales = None
-    if sweep is not None:
-        sweep = _require_mapping(sweep, "sweep")
-        _check_keys(sweep, "sweep", {"scales"}, required=("scales",))
-        scales = tuple(_number_list(sweep, "sweep", "scales"))
-    seed = _integer(data, "config", "seed", default=0)
-    return ExperimentConfig(
-        operator=_parse_operator(data["operator"]),
-        condition=_parse_condition(data["condition"]),
-        nonlinearity=_parse_nonlinearity(data.get("nonlinearity")),
-        grid=_parse_grid(data["grid"], solver.theta),
-        solver=solver,
-        u0=_parse_u0(data.get("u0")),
-        sweep_scales=scales,
-        seed=seed,
-    )
+    cfg = _section(data, "config", _CONFIG)
+    if cfg["grid"].r is None:  # the grading suited to the solver's theta
+        cfg["grid"] = dataclasses.replace(
+            cfg["grid"], r=default_grading(cfg["solver"].theta))
+    return ExperimentConfig(sweep_scales=cfg.pop("sweep"), **cfg)
 
 
 def parse_config(path):

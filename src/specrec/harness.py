@@ -46,8 +46,8 @@ def synthesize_observation(cfg, op, f, u0_true):
 def resolve_M(cfg, op, f):
     """Observation vector from the config: literal or synthesized from u0."""
     source = cfg.condition.m_source
-    if source["type"] == "coefficients":
-        M = np.asarray(source["values"], dtype=float)
+    if source.kind == "coefficients":
+        M = np.asarray(source.fields["values"], dtype=float)
         if M.shape != (op.n_modes,):
             raise ConfigError(
                 f"condition.M.values has length {M.size}, expected {op.n_modes}"

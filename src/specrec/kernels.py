@@ -67,14 +67,7 @@ def moments(z, kmax):
 # --------------------------------------------------------------------------
 
 class WeightFunction:
-    """Scalar time weight b on [0, T].
-
-    ``sign_certificate`` asserts b >= 0 on the weight's domain; it is derived
-    conservatively from the representation (never claimed when it cannot be
-    proven from the data).
-    """
-
-    sign_certificate = False
+    """Scalar time weight b on [0, T]."""
 
     def __call__(self, t):
         raise NotImplementedError
@@ -101,7 +94,6 @@ class ConstantWeight(WeightFunction):
         self.value = float(value)
         if not math.isfinite(self.value):
             raise InvalidParameterError("constant weight must be finite")
-        self.sign_certificate = self.value >= 0.0
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
@@ -127,8 +119,6 @@ class PolynomialWeight(WeightFunction):
             raise InvalidParameterError("polynomial coefficients must be a finite vector")
         self.coeffs = c.copy()
         self.coeffs.setflags(write=False)
-        # all coefficients nonnegative is sufficient for b >= 0 on t >= 0
-        self.sign_certificate = bool(np.all(c >= 0.0))
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
@@ -164,7 +154,6 @@ class TabulatedWeight(WeightFunction):
         self.values = v.copy()
         self.times.setflags(write=False)
         self.values.setflags(write=False)
-        self.sign_certificate = bool(np.all(v >= 0.0))
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)

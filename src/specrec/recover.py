@@ -20,7 +20,6 @@ alongside.
 """
 
 import math
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -291,13 +290,6 @@ class FixedPointReport:
 _DIVERGENCE_FACTOR = 1e6
 
 
-def _small_t_diagnostic(op, T, betas):
-    """Scale check for the short-horizon regime: the graph-norm size of the
-    diagonal observation inverse should stay of order 1/T."""
-    graph_weight = np.maximum(1.0, -op.eigenvalues)
-    return float(np.max(T / (np.abs(betas) * graph_weight)))
-
-
 @dataclass(frozen=True, eq=False)
 class _Plan:
     """What a recovery builds that does not depend on the data M: the
@@ -328,7 +320,7 @@ def _build_plan(op, cond, f, grid):
 
 
 def picard_recover(op, cond, f, grid, spec, tol=1e-10, max_iter=200,
-                   initial="zero", small_t_mode=False, *, _plan=None):
+                   initial="zero", *, _plan=None):
     """Recover the initial state by successive substitution.
 
     Starting from the zero trajectory (or from the linear solution when
@@ -354,7 +346,6 @@ def picard_recover(op, cond, f, grid, spec, tol=1e-10, max_iter=200,
         raise InvalidParameterError("tol must be positive and finite")
     if int(max_iter) != max_iter or max_iter < 1:
         raise InvalidParameterError("max_iter must be a positive integer")
-    T = grid.T
     if cond.M.shape != (op.n_modes,):
         raise InvalidParameterError("M does not match the operator's mode count")
     plan = _build_plan(op, cond, f, grid) if _plan is None else _plan
@@ -364,22 +355,8 @@ def picard_recover(op, cond, f, grid, spec, tol=1e-10, max_iter=200,
         raise IllPosedModeError(
             f"spectral condition violated at modes {modes}", modes)
     if not f.vanishes_at_zero:
-        if not small_t_mode:
-            raise AdmissibilityError(
-                "the nonlinearity must vanish at the zero state; "
-                "enable small_t_mode for the short-horizon regime"
-            )
-        if cond.problem != "E" or cond.a != 0.0:
-            raise AdmissibilityError(
-                "small_t_mode applies to problem E with a = 0 only"
-            )
-        factor = _small_t_diagnostic(op, T, plan.denoms)
-        warnings.warn(
-            "nonlinearity does not vanish at zero: proceeding in the "
-            f"short-horizon regime (inverse-scale factor {factor:.3g}); "
-            "expect solvability only for small T",
-            stacklevel=2,
-        )
+        raise AdmissibilityError(
+            "the nonlinearity must vanish at the zero state")
 
     def sigma(G):
         return (cond.M - _psi(plan.weights, G)) / plan.denoms

@@ -121,6 +121,30 @@ class TestParsing:
         assert abs(u0[0]) > 1e-3
         assert abs(u0[1]) < 1e-12
 
+    @pytest.mark.parametrize("width", [0.0, -0.4])
+    def test_gauss_bump_width_positive(self, tmp_path, capsys, width):
+        # a zero width divided by zero into an all-zero u0 that the round
+        # trip then "recovered" with zero error
+        data = deep({"u0": {"type": "gauss-bump", "center": 1.5,
+                            "width": width}})
+        with pytest.raises(sr.ConfigError) as info:
+            config_from_dict(data)
+        assert str(info.value) == "u0.width must be positive"
+        path = write_cfg(tmp_path, data)
+        assert main(["roundtrip", "--config", path, "--quiet"]) == 4
+        assert "u0.width must be positive" in capsys.readouterr().err
+
+    def test_null_reads_as_absent(self):
+        # null is the absent value of the optional sections and solver keys
+        cfg = config_from_dict(deep({"solver": None, "nonlinearity": None,
+                                     "u0": None, "sweep": None}))
+        assert cfg.solver.tol == 1e-10 and cfg.solver.nu is None
+        assert cfg.nonlinearity.kind == "zero"
+        assert cfg.u0 is None and cfg.sweep_scales is None
+        cfg = config_from_dict(deep({"solver.nu": None,
+                                     "solver.delta0": None}))
+        assert cfg.solver.nu is None and cfg.solver.delta0 is None
+
     def test_literal_m_length_checked(self):
         data = deep({"condition.M": {"type": "coefficients",
                                      "values": [1.0, 2.0]}})

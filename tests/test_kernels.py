@@ -91,10 +91,8 @@ class TestWeightFunctions:
     def test_constant(self):
         b = sr.ConstantWeight(2.5)
         assert b.value_at_zero == 2.5
-        assert b.sign_certificate
         assert not b.is_zero
         assert sr.ConstantWeight(0.0).is_zero
-        assert not sr.ConstantWeight(-1.0).sign_certificate
         for value in (math.nan, math.inf, -math.inf):
             with pytest.raises(sr.InvalidParameterError):
                 sr.ConstantWeight(value)
@@ -103,13 +101,10 @@ class TestWeightFunctions:
         b = sr.PolynomialWeight([1.0, 2.0])
         assert b.value_at_zero == 1.0
         assert b(1.0) == 3.0
-        assert b.sign_certificate
-        assert not sr.PolynomialWeight([1.0, -2.0]).sign_certificate
 
     def test_tabulated(self):
         b = sr.TabulatedWeight([0.0, 1.0, 2.0], [1.0, 3.0, 0.0])
         assert b(0.5) == 2.0
-        assert b.sign_certificate
         with pytest.raises(sr.InvalidParameterError):
             sr.TabulatedWeight([0.0, 0.0], [1.0, 1.0])
 
@@ -227,7 +222,6 @@ class TestModeWeights:
         op = sr.build_second_order(12, 1.0, 0.5, "dirichlet")
         for b in (B1, sr.PolynomialWeight([0.5, 1.0]),
                   sr.TabulatedWeight([0.0, 2.0], [1.0, 0.5])):
-            assert b.sign_certificate
             w = sr.mode_weights(op, 0.3, b, 2.0)
             assert np.all(w.betas > 0)
 
@@ -275,8 +269,6 @@ class TestStiffWeights:
     @pytest.mark.parametrize("kind", ["table", "poly"])
     def test_mode_weights(self, kind):
         b, pieces = self.WEIGHTS[kind]
-        if kind == "poly":
-            assert not b.sign_certificate  # the scale splits |b| at roots
         w = sr.mode_weights(self.OP, 0.0, b, self.T)
         for j in (1, 13, 32):
             lam = self.OP.eigenvalues[j - 1]
@@ -308,7 +300,6 @@ class TestStiffWeights:
         # b = (t - 1/4)(t - 3/4) changes sign twice in [0, 1], so |b| is
         # split at both roots
         b = sr.PolynomialWeight([0.1875, -1.0, 1.0])
-        assert not b.sign_certificate
         pieces = [(0.0, 0.25, [0.1875, -1.0, 1.0]),
                   (0.25, 0.75, [-0.1875, 1.0, -1.0]),
                   (0.75, 1.0, [0.1875, -1.0, 1.0])]

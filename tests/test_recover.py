@@ -502,6 +502,16 @@ class TestPicardNonlinear:
         assert report.converged
         assert all(r < 1.0 for r in report.contraction_ratios)
 
+    def test_fixed_point_of_initial_value_map(self):
+        # the converged u0 is the affine map u0 = (M - psi(g)) / beta of the
+        # forcing g of the final trajectory, cross-checked directly
+        op, grid, f, cond = self._setup()
+        report = sr.picard_recover(op, cond, f, grid, SPEC)
+        assert report.converged
+        g = f.eval_trajectory(report.trajectory, op)
+        want = _initial_value(op, cond, grid.T, g)
+        assert rel_err(report.u0_recovered, want) < 1e-10
+
     def test_no_convergence_reported_not_raised(self):
         op, grid, f, cond = self._setup(kappa=0.5, amp=0.05)
         report = sr.picard_recover(op, cond, f, grid, SPEC, tol=1e-10,
@@ -616,7 +626,7 @@ class TestRecoveryPlan:
 
 
 class _ConstantForcing(Nonlinearity):
-    """Forcing that does not vanish at zero; exercises the short-horizon path."""
+    """Forcing that does not vanish at zero, which the recovery rejects."""
 
     vanishes_at_zero = False
     ell = 1.0
@@ -640,34 +650,14 @@ class _ConstantForcing(Nonlinearity):
 
 
 class TestSmallTMode:
+    """The theory needs f(0) = 0; a forcing without it is rejected."""
+
     def test_rejected_without_flag(self):
         op = sr.diagonal_operator([-1.0])
         grid = sr.make_graded_grid(0.1, 16)
         cond = sr.ConditionE(0.0, B1, np.array([0.01]))
         with pytest.raises(sr.AdmissibilityError):
             sr.picard_recover(op, cond, _ConstantForcing(0.1, 1), grid, SPEC)
-
-    def test_warns_and_solves_with_flag(self):
-        op = sr.diagonal_operator([-1.0])
-        grid = sr.make_graded_grid(0.1, 64)
-        cond = sr.ConditionE(0.0, B1, np.array([0.01]))
-        f = _ConstantForcing(0.1, 1)
-        with pytest.warns(UserWarning, match="short-horizon"):
-            report = sr.picard_recover(op, cond, f, grid, SPEC,
-                                       small_t_mode=True)
-        assert report.converged
-        # affine fixed point: u0 = (M - psi(g0)) / beta, cross-checked directly
-        g = f.eval_trajectory(sr.Trajectory.zeros(grid, 1), op)
-        want = _initial_value(op, cond, 0.1, g)
-        assert rel_err(report.u0_recovered, want) < 1e-10
-
-    def test_flag_limited_to_time_average_problem(self):
-        op = sr.diagonal_operator([-1.0])
-        grid = sr.make_graded_grid(0.1, 16)
-        cond = sr.ConditionE100(0.5, np.array([0.01]))
-        with pytest.raises(sr.AdmissibilityError):
-            sr.picard_recover(op, cond, _ConstantForcing(0.1, 1), grid, SPEC,
-                              small_t_mode=True)
 
 
 class TestTheoreticalThreshold:
