@@ -629,7 +629,6 @@ class _ConstantForcing(Nonlinearity):
     """Forcing that does not vanish at zero, which the recovery rejects."""
 
     vanishes_at_zero = False
-    ell = 1.0
 
     def __init__(self, value, n_modes):
         self.value = value
@@ -639,14 +638,6 @@ class _ConstantForcing(Nonlinearity):
         out = np.zeros(self.n)
         out[0] = self.value
         return out
-
-    def eval_trajectory(self, u, op, history=None):
-        coeffs = np.zeros((u.grid.nodes.size, self.n))
-        coeffs[:, 0] = self.value
-        return sr.Trajectory(u.grid, coeffs)
-
-    def declared_exponents(self, theta):
-        return 0.0, 0.0
 
 
 class TestSmallTMode:
