@@ -16,7 +16,7 @@ import sys
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, InvalidParameterError
 from .kernels import ConstantWeight, PolynomialWeight, TabulatedWeight
 from .nonlinearity import MemoryKernel, PowerLaw, Zero
 from .spectral import (FractionalNormSpec, analyze, build_fourth_order,
@@ -151,12 +151,16 @@ _WEIGHT = _tagged("weight", "type", "unknown weight type {!r}", {
 
 
 def _weight_for(problem):
-    """Reader of condition.b for a problem that takes a weight object."""
+    """Reader of condition.b for a problem that takes a weight object; a
+    weight its constructor rejects is a config error at ``path``."""
     def read(path, val):
         if not isinstance(val, dict):
             raise ConfigError(
                 f"{path} must be a weight object for problem {problem}")
-        return _WEIGHT(path, val)
+        try:
+            return _WEIGHT(path, val)
+        except InvalidParameterError as exc:
+            raise ConfigError(f"{path}: {exc}") from exc
     return read
 
 
@@ -225,10 +229,11 @@ _CONFIG = {  # read in this order: the first error found is reported
         "nonlinearity.type must be 'zero', 'power' or 'memory'", {
             "zero": {},
             "power": {"kappa": (_number, _REQUIRED),
-                      "ell": (_number, _REQUIRED)},
+                      "ell": (_positive, _REQUIRED)},
             "memory": {"c": (_number, _REQUIRED),
-                       "lambda": (_number, _REQUIRED),
-                       "ell": (_number, _REQUIRED)},
+                       "lambda": (_bounded(_number, lambda v: v > -1.0,
+                                           "must exceed -1"), _REQUIRED),
+                       "ell": (_positive, _REQUIRED)},
         }), {"type": "zero"}),
     "grid": (_plain("grid", _GRID, GridSpec), _REQUIRED),
     "u0": _optional(_tagged(
@@ -308,11 +313,17 @@ class ExperimentConfig:
             u0 = np.zeros(op.n_modes)
             u0[spec["index"] - 1] = spec["amplitude"]
             return u0
-        # gauss-bump profile sampled on the operator grid, then projected
-        x = op.points
-        bump = spec["amplitude"] * np.exp(-(x - spec["center"]) ** 2
-                                          / (2.0 * spec["width"] ** 2))
-        return analyze(op, bump)
+        # gauss-bump profile sampled on the operator grid, then projected;
+        # the distance is scaled before squaring, so no width overflows or
+        # underflows the profile's exponent on its own
+        with np.errstate(over="ignore"):
+            bump = np.exp(-0.5 * ((op.points - spec["center"])
+                                  / spec["width"]) ** 2)
+        if not bump.any():
+            raise ConfigError(
+                "u0 gauss-bump is zero at every grid point; widen u0.width "
+                "or move u0.center onto the operator grid")
+        return analyze(op, spec["amplitude"] * bump)
 
 
 def config_from_dict(data):

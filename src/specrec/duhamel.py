@@ -71,10 +71,25 @@ _CORRECTOR_RTOL = 1e-14
 _CORRECTOR_MAX_PASSES = 25
 
 
-def _scan(e, x):
+def _spans(e):
+    """The products of e that the passes of ``_scan`` over e's rows
+    multiply by: pass d = 1, 2, 4, ... takes, for each row i >= d, the
+    product of e over rows i - d + 1 .. i, formed by the same products in
+    the same order as a scan that updates them in place.  They depend on
+    the step factors only, so a caller scanning many forcings over one
+    grid builds them once."""
+    spans, span, d = [], e, 1
+    while d < e.shape[0]:
+        spans.append(span[d:])
+        span = np.concatenate([span[:d], span[d:] * span[:-d]])
+        d *= 2
+    return spans
+
+
+def _scan(e, x, spans=None):
     """x[i] <- e[i] x[i - 1] + x[i] for i >= 1, in place, by recursive
     doubling: ceil(log2 k) passes over the k rows, none multiplying by
-    e[0].
+    e[0].  ``spans`` are ``_spans(e)``, built here when not given.
 
     A column whose every e is 1 (lam = 0, or a step too short to move
     e^{h lam} off 1) is summed by ``np.cumsum`` instead: the same additions
@@ -85,27 +100,26 @@ def _scan(e, x):
     if e[0, 0] >= 1.0:
         flat = (e == 1.0).all(axis=0)
         sums = np.cumsum(x[:, flat], axis=0)
-    span = e.copy()    # the product of e over the rows each x[i] holds
     d = 1
-    while d < x.shape[0]:
-        x[d:] += span[d:] * x[:-d]
-        span[d:] = span[d:] * span[:-d]
+    for span in _spans(e) if spans is None else spans:
+        x[d:] += span * x[:-d]
         d *= 2
     if flat is not None:
         x[:, flat] = sums
     return x
 
 
-def _convolve(tables, G, known):
+def _convolve(tables, G, known, spans=None):
     """The convolution at the ends of the steps of ``tables`` = (e, wl, wr),
     from the forcing G at those nodes and the ``known`` part of the first
     step: e_0 times the convolution at the node before it plus wl_0 times
-    the forcing there.  One doubling scan over the steps."""
+    the forcing there.  One doubling scan over the steps, with the
+    ``spans`` of e when given."""
     e, wl, wr = tables
     x = wr * G
     x[1:] += wl[1:] * G[:-1]
     x[0] += known
-    return _scan(e, x)
+    return _scan(e, x, spans)
 
 
 def _hopeless(res, ratio, prev_ratio, left, stop):
@@ -128,16 +142,17 @@ def _window(f, op, hom, tables, conv, g, rows, payloads):
     Returns the states, convolutions, payloads and forcing; a failed sweep
     raises ``NumericFailureError`` without a step."""
     e, wl, wr = tables
+    spans = _spans(e)
     if rows is not None:
         past = rows[:, :len(payloads)] @ payloads
         block = rows[:, len(payloads):]
     known = e[0] * conv + wl[0] * g
-    U = hom + _convolve(tables, np.broadcast_to(g, hom.shape), known)
+    U = hom + _convolve(tables, np.broadcast_to(g, hom.shape), known, spans)
     prev_res = np.inf
     for sweep in range(1, _CORRECTOR_MAX_PASSES + 1):
         P = f.eval_node(U, op)
         G = P if rows is None else past + block @ P
-        x = _convolve(tables, G, known)
+        x = _convolve(tables, G, known, spans)
         U_old, U = U, hom + x
         d = np.linalg.norm(U - U_old, axis=1)
         res = math.sqrt(d @ d)

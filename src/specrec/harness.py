@@ -14,7 +14,7 @@ import numpy as np
 
 from .duhamel import forward_solve, observe
 from .errors import ConfigError, IllPosedModeError, SpecrecError
-from .nonlinearity import Zero, check_growth_condition
+from .nonlinearity import check_growth_condition
 from .recover import (ConditionE, ConditionE100, ConditionE200,
                       FixedPointReport, GrowthExponents, _build_plan,
                       _coupling, picard_recover, theoretical_threshold)
@@ -128,21 +128,22 @@ def sweep_threshold(cfg):
     size of the zero-forcing initial value, and the theoretical threshold
     estimate.  Only M changes between rows, so one recovery plan, built at
     the first row, serves them all.  Row failures are recorded and the
-    sweep continues.
+    sweep continues.  The threshold estimate samples a pointwise growth
+    constant, so a memory kernel is rejected before any work is done.
     """
     scales = cfg.sweep_scales
     if not scales:
         raise ConfigError("sweep needs a 'sweep.scales' list in the config")
+    if cfg.nonlinearity.kind not in ("zero", "power"):
+        raise ConfigError("sweep needs a 'zero' or 'power' nonlinearity, "
+                          f"not {cfg.nonlinearity.kind!r}")
     op = cfg.build_operator()
     f = cfg.build_nonlinearity()
     grid = cfg.build_grid()
     spec = cfg.build_norm_spec(op)
     M_base, _ = resolve_M(cfg, op, f)
 
-    if isinstance(f, Zero):
-        c_hat = 0.0
-    else:
-        c_hat = check_growth_condition(f, op, spec, seed=cfg.seed).c_hat
+    c_hat = check_growth_condition(f, op, spec, seed=cfg.seed).c_hat
     exponents = GrowthExponents(cfg.solver.gamma, cfg.solver.theta,
                                 cfg.resolved_nu(), getattr(f, "ell", 1.0))
     estimate = theoretical_threshold(op, exponents, c_hat, grid.T, spec)

@@ -7,8 +7,10 @@ All of them vanish on the zero state, which is the structural property the
 small-data recovery theory rests on.
 """
 
-import numpy as np
+import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import InvalidParameterError, NumericFailureError
 from .spectral import (FractionalNormSpec, Trajectory, _row_norms, analyze,
@@ -24,8 +26,9 @@ class Nonlinearity:
     evaluates p at one state or at a (k, n_modes) stack of states in one
     synthesise/analyse pair, O(k N m) for N grid points and m modes;
     ``forward_solve`` calls it once per sweep over a window of up to 64
-    steps.  ``history_rows`` gives rows of the weights H_ik, and a
-    pointwise map has none: f(u)(t_i) = p(u(t_i)).
+    steps, and ``picard_recover`` once per sweep over the whole grid.
+    ``history_rows`` gives rows of the weights H_ik, and a pointwise map
+    has none: f(u)(t_i) = p(u(t_i)).
     """
 
     #: True when f maps the zero state to zero (all catalogue members do).
@@ -42,10 +45,8 @@ class Nonlinearity:
         pointwise map."""
         return None
 
-    def eval_trajectory(self, u, op, history=None):
-        """Forcing trajectory for a full state trajectory.  ``history`` is
-        ``history_rows`` over the whole grid, for a caller that evaluates
-        many trajectories on one grid; it is ignored by a pointwise map."""
+    def eval_trajectory(self, u, op):
+        """Forcing trajectory for a full state trajectory, in one call."""
         raise NotImplementedError
 
     def declared_exponents(self, theta):
@@ -62,7 +63,7 @@ class Zero(Nonlinearity):
     def eval_node(self, c, op):
         return np.zeros(np.shape(c))
 
-    def eval_trajectory(self, u, op, history=None):
+    def eval_trajectory(self, u, op):
         return Trajectory.zeros(u.grid, op.n_modes)
 
     def declared_exponents(self, theta):
@@ -73,7 +74,14 @@ class Zero(Nonlinearity):
 
 
 def _pointwise_power(kappa, ell, values):
-    return kappa * np.abs(values) ** ell * values
+    """kappa * |values|**ell * values, in place on one new array; the power
+    is skipped for ell = 1, where it is the identity."""
+    out = np.abs(values)
+    if ell != 1.0:
+        out **= ell
+    out *= kappa
+    out *= values
+    return out
 
 
 def _finite(payload, name):
@@ -105,7 +113,7 @@ class PowerLaw(Nonlinearity):
     def eval_node(self, c, op):
         return _trajectory_payload(self.kappa, self.ell, c, op, "power law")
 
-    def eval_trajectory(self, u, op, history=None):
+    def eval_trajectory(self, u, op):
         P = _trajectory_payload(self.kappa, self.ell, u.coeffs, op, "power law")
         return Trajectory(u.grid, P)
 
@@ -179,7 +187,8 @@ class MemoryKernel(Nonlinearity):
     The weights depend only on the grid.  ``eval_trajectory`` is one product
     H @ P of the lower-triangular history operator H, (n + 1)**2 floats for
     n steps (0.13 MB at n = 128, 8.4 MB at n = 1024), with the payloads P;
-    ``picard_recover`` builds H once per recovery.  ``forward_solve`` reads
+    ``picard_recover`` builds H once per recovery and forms that product
+    from ``eval_node`` itself each sweep.  ``forward_solve`` reads
     the rows of one window of up to 64 steps at a time, so its memory stays
     O(n (m + 64)) for m modes; a sweep over the window costs one
     synthesise/analyse pair on the window's stack of states, the sum over
@@ -228,13 +237,11 @@ class MemoryKernel(Nonlinearity):
                 self.lambda_exp, nodes, lo, hi)
         return out
 
-    def eval_trajectory(self, u, op, history=None):
-        """f(u) on the whole grid as H @ P.  A one-shot call builds H."""
+    def eval_trajectory(self, u, op):
+        """f(u) on the whole grid as H @ P, building H."""
         nodes = u.grid.nodes
         P = _trajectory_payload(self.c, self.ell, u.coeffs, op, "memory kernel")
-        if history is None:
-            history = self.history_rows(nodes, 0, nodes.size)
-        return Trajectory(u.grid, history @ P)
+        return Trajectory(u.grid, self.history_rows(nodes, 0, nodes.size) @ P)
 
     def declared_exponents(self, theta):
         gap = theta * (self.ell + 1.0) - 1.0 - self.lambda_exp
@@ -260,7 +267,9 @@ def _growth_samples(n_modes, sample_count, amplitude_range, seed):
     """The pairs (V[k], W[k]) of ``check_growth_condition``, drawn one by one.
 
     Even k pairs two independent draws; odd k puts w within 1e-6 to 1e-3
-    times ||v|| of v, to probe the w -> v limit at every amplitude.
+    times ||v|| of v, to probe the w -> v limit at every amplitude.  Each
+    norm is sqrt(v @ v), which is what ``np.linalg.norm`` computes for a
+    vector, without its dispatch.
     """
     rng = np.random.default_rng(seed)
     lo, hi = amplitude_range
@@ -268,14 +277,14 @@ def _growth_samples(n_modes, sample_count, amplitude_range, seed):
     W = np.empty_like(V)
     for k in range(sample_count):
         v = rng.standard_normal(n_modes)
-        v *= rng.uniform(lo, hi) / max(np.linalg.norm(v), 1e-300)
+        v *= rng.uniform(lo, hi) / max(math.sqrt(v @ v), 1e-300)
         if k % 2 == 0:
             w = rng.standard_normal(n_modes)
-            w *= rng.uniform(lo, hi) / max(np.linalg.norm(w), 1e-300)
+            w *= rng.uniform(lo, hi) / max(math.sqrt(w @ w), 1e-300)
         else:
-            step = rng.uniform(1e-6, 1e-3) * np.linalg.norm(v)
+            step = rng.uniform(1e-6, 1e-3) * math.sqrt(v @ v)
             z = rng.standard_normal(n_modes)
-            w = v + step / max(np.linalg.norm(z), 1e-300) * z
+            w = v + step / max(math.sqrt(z @ z), 1e-300) * z
         V[k] = v
         W[k] = w
     return V, W

@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .duhamel import _convolve, _step_tables
+from .duhamel import _convolve, _spans, _step_tables
 from .errors import (AdmissibilityError, IllPosedModeError,
                      InvalidParameterError, NumericFailureError)
 from .kernels import (ConstantWeight, WeightFunction, _cut, _march,
@@ -294,13 +294,15 @@ _DIVERGENCE_FACTOR = 1e6
 class _Plan:
     """What a recovery builds that does not depend on the data M: the
     denominators and their report and, for a solvable problem only, the psi
-    weights, the grid's step tables, the semigroup samples e^{t_i lam_j}
-    and the history operator (None for a pointwise map)."""
+    weights, the grid's step tables and the doubling scan's spans of their
+    step factors, the semigroup samples e^{t_i lam_j} and the history
+    operator (None for a pointwise map)."""
 
     denoms: np.ndarray
     spectral: SpectralConditionReport
     weights: tuple = None
     tables: tuple = None
+    spans: list = None
     hom: np.ndarray = None
     history: np.ndarray = None
 
@@ -315,7 +317,8 @@ def _build_plan(op, cond, f, grid):
     tables = _step_tables(grid.nodes, op.eigenvalues)
     with np.errstate(over="ignore"):
         hom = np.exp(np.outer(grid.nodes, op.eigenvalues))
-    return _Plan(denoms, spectral, _psi_weights(op, grid, a, b), tables, hom,
+    return _Plan(denoms, spectral, _psi_weights(op, grid, a, b), tables,
+                 _spans(tables[0]), hom,
                  f.history_rows(grid.nodes, 0, grid.nodes.size))
 
 
@@ -333,14 +336,19 @@ def picard_recover(op, cond, f, grid, spec, tol=1e-10, max_iter=200,
     The initial value map u(0) = (M - psi(g)) / d is affine in the forcing
     g.  Everything but M is built once per problem: the denominators, the
     per-node weights of psi, exact for g linear between nodes and any
-    piecewise-polynomial b, the grid's step tables and semigroup samples,
-    and the history operator of a nonlinearity with memory, (n + 1)**2
-    floats for n steps (0.13 MB at n = 128, 8.4 MB at n = 1024).  A caller
-    recovering many data vectors of one problem passes that plan as
-    ``_plan``.  A sweep is then whole-array passes: one ``eval_trajectory``
-    (one product with the history operator), two contractions for psi, a
-    doubling-scan convolution, O(n m log n) for m modes, and the two
-    residual norms.
+    piecewise-polynomial b, the grid's step tables and the doubling scan's
+    span products, the semigroup samples, and the history operator of a
+    nonlinearity with memory, (n + 1)**2 floats for n steps (0.13 MB at
+    n = 128, 8.4 MB at n = 1024).  A caller recovering many data vectors of
+    one problem passes that plan as ``_plan``; the norm weights
+    (delta0 - lam_j)**theta and t_i**theta are formed once per call.
+
+    A sweep then works on coefficient arrays: the payload ``f.eval_node``
+    of every node in one stacked call (its two matrix products), one
+    product with the history operator for a memory kernel, two
+    contractions for psi, a doubling-scan convolution, O(n m log n) for m
+    modes, and the two residual norms.  The iterate is checked finite each
+    sweep; the report's ``Trajectory`` is built once, from the last one.
     """
     if not (tol > 0 and math.isfinite(tol)):
         raise InvalidParameterError("tol must be positive and finite")
@@ -358,6 +366,12 @@ def picard_recover(op, cond, f, grid, spec, tol=1e-10, max_iter=200,
         raise AdmissibilityError(
             "the nonlinearity must vanish at the zero state")
 
+    hom, history, wl = plan.hom, plan.history, plan.tables[1]
+
+    def forcing(u):
+        P = f.eval_node(u, op)
+        return P if history is None else history @ P
+
     def sigma(G):
         return (cond.M - _psi(plan.weights, G)) / plan.denoms
 
@@ -366,16 +380,27 @@ def picard_recover(op, cond, f, grid, spec, tol=1e-10, max_iter=200,
     # ``weighted_sup_norm`` does
     start = 0 if spec.theta == 0.0 else 1
     t_mu = grid.nodes[start:] ** spec.theta
-    hom, history, wl = plan.hom, plan.history, plan.tables[1]
+
+    def residual(diff, t_weights, norm_spec):
+        """max_i t_weights[i] ||diff[i]|| in ``norm_spec``, by the formula
+        of ``_row_norms``, which rescales rows only when a norm overflows."""
+        c = diff if norm_spec.theta == 0.0 else lam_mu * diff
+        r = float((t_weights * np.sqrt(np.einsum("...j,...j->...", c, c)))
+                  .max())
+        if not math.isfinite(r):
+            r = float((t_weights * _row_norms(op, diff, norm_spec)).max())
+        return r
+
     # overflow of a runaway iterate is caught by the finite checks below
     with np.errstate(over="ignore", invalid="ignore"):
         sigma0 = cond.M / plan.denoms
-        sigma_T0_norm = fractional_norm(op, sigma0, e0_spec)
+        sigma_T0_norm = fractional_norm(op, sigma0, e0_spec)  # checks delta0
+        lam_mu = (spec.delta0 - op.eigenvalues) ** spec.theta
 
         if initial == "zero":
-            u = Trajectory.zeros(grid, op.n_modes)
+            u = np.zeros_like(hom)
         elif initial == "linear":
-            u = Trajectory(grid, hom * sigma0)
+            u = hom * sigma0
         else:
             raise InvalidParameterError('initial must be "zero" or "linear"')
 
@@ -387,23 +412,23 @@ def picard_recover(op, cond, f, grid, spec, tol=1e-10, max_iter=200,
         first_residual = None
         for _ in range(int(max_iter)):
             try:
-                G = f.eval_trajectory(u, op, history=history).coeffs
+                G = forcing(u)
             except NumericFailureError:
                 # runaway iterate overflowed inside the evaluation chain
                 diverged = True
                 break
             u0 = sigma(G)
             new = hom * u0
-            new[1:] += _convolve(plan.tables, G[1:], wl[0] * G[0])
+            new[1:] += _convolve(plan.tables, G[1:], wl[0] * G[0], plan.spans)
             if not np.isfinite(new).all():
                 diverged = True
                 break
-            diff = new - u.coeffs
-            rw = float((t_mu * _row_norms(op, diff[start:], spec)).max())
-            rs = float(_row_norms(op, diff, e0_spec).max())
+            diff = new - u
+            rw = residual(diff[start:], t_mu, spec)
+            rs = residual(diff, 1.0, e0_spec)
             residual_weighted.append(rw)
             residual_sup.append(rs)
-            u = Trajectory(grid, new)
+            u = new
             combined = rw + rs
             if combined <= tol:
                 converged = True
@@ -418,7 +443,7 @@ def picard_recover(op, cond, f, grid, spec, tol=1e-10, max_iter=200,
     contraction_ratios = [combined[i + 1] / combined[i]
                           for i in range(len(combined) - 1)]
     if converged:
-        u0 = sigma(f.eval_trajectory(u, op, history=history).coeffs)
+        u0 = sigma(forcing(u))
     return FixedPointReport(
         iterations=len(residual_weighted),
         residual_weighted=residual_weighted,
@@ -428,7 +453,7 @@ def picard_recover(op, cond, f, grid, spec, tol=1e-10, max_iter=200,
         u0_recovered=np.asarray(u0, dtype=float),
         sigma_T0_norm=sigma_T0_norm,
         diverged=diverged,
-        trajectory=u,
+        trajectory=Trajectory(grid, u),
     )
 
 

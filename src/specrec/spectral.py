@@ -18,7 +18,8 @@ ORTHONORMALITY_TOL = 1e-10
 
 
 def _frozen_array(values, dtype=float):
-    arr = np.array(values, dtype=dtype, copy=True)
+    """A read-only, C-contiguous copy."""
+    arr = np.array(values, dtype=dtype, copy=True, order="C")
     arr.setflags(write=False)
     return arr
 
@@ -32,6 +33,11 @@ class SpectralOperator:
     physical grid point; together with the quadrature ``weights`` the columns
     are discretely orthonormal, which makes ``analyze`` a left inverse of
     ``synthesize``.
+
+    The two transform matrices are built once, here: ``synthesis``, a
+    contiguous copy of ``basis.T``, and ``analysis``, the weighted basis
+    ``weights[:, None] * basis`` that the orthonormality check forms, so
+    each transform is one matrix product.
     """
 
     eigenvalues: np.ndarray
@@ -63,7 +69,10 @@ class SpectralOperator:
             raise InvalidParameterError("points/weights must match the grid size")
         if np.any(weights <= 0):
             raise InvalidParameterError("quadrature weights must be positive")
-        gram = basis.T @ (weights[:, None] * basis)
+        analysis = _frozen_array(weights[:, None] * basis)
+        object.__setattr__(self, "synthesis", _frozen_array(basis.T))
+        object.__setattr__(self, "analysis", analysis)
+        gram = basis.T @ analysis
         dev = np.max(np.abs(gram - np.eye(lam.size)))
         if dev > ORTHONORMALITY_TOL:
             raise InvalidParameterError(
@@ -328,20 +337,22 @@ def weighted_sup_norm(op, trajectory, mu, spec):
 
 def synthesize(op, coeffs):
     """Evaluate sum_j c_j phi_j on the operator's physical grid, for one
-    coefficient vector or for each row of a (k, n_modes) stack."""
+    coefficient vector or for each row of a (k, n_modes) stack: one matrix
+    product with the operator's ``synthesis`` matrix, O(k N m) for N grid
+    points and m modes."""
     c = np.asarray(coeffs, dtype=float)
     if c.ndim not in (1, 2) or c.shape[-1] != op.n_modes:
         raise InvalidParameterError("coefficient vector does not match mode count")
-    return op.basis @ c if c.ndim == 1 else c @ op.basis.T
+    return c @ op.synthesis
 
 
 def analyze(op, values):
     """Project physical-grid values onto the eigenbasis by weighted inner
     products, for one vector of grid values or for each row of a
-    (k, grid_size) stack; inverts ``synthesize`` up to the discrete
+    (k, grid_size) stack: one matrix product with the operator's
+    ``analysis`` matrix.  Inverts ``synthesize`` up to the discrete
     orthonormality tolerance."""
     v = np.asarray(values, dtype=float)
     if v.ndim not in (1, 2) or v.shape[-1] != op.grid_size:
         raise InvalidParameterError("grid values do not match the operator grid")
-    return (op.basis.T @ (op.weights * v) if v.ndim == 1
-            else (v * op.weights) @ op.basis)
+    return v @ op.analysis

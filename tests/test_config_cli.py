@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import specrec as sr
-from specrec import recover
+from specrec import harness, recover
 from specrec.cli import main
 from specrec.config import config_from_dict
 from specrec.harness import sweep_threshold
@@ -134,6 +134,30 @@ class TestParsing:
         assert main(["roundtrip", "--config", path, "--quiet"]) == 4
         assert "u0.width must be positive" in capsys.readouterr().err
 
+    def test_gauss_bump_extreme_widths(self, tmp_path, capsys):
+        # the distance is scaled by the width before it is squared: a very
+        # wide bump is flat, and one narrower than the grid spacing is zero
+        # at every grid point, which is rejected rather than "recovered"
+        wide = deep({"u0": dict(U0_BUMP, width=1e308, amplitude=0.5),
+                     "grid.n": 8})
+        cfg = config_from_dict(wide)
+        op = cfg.build_operator()
+        flat = sr.analyze(op, np.full(op.grid_size, 0.5))
+        assert np.array_equal(cfg.resolve_u0(op), flat)
+        assert main(["evolve", "--config", write_cfg(tmp_path, wide),
+                     "--out", str(tmp_path / "wide.csv"), "--quiet"]) == 0
+
+        narrow = deep({"u0": dict(U0_BUMP, width=1e-200), "grid.n": 8})
+        cfg = config_from_dict(narrow)
+        message = ("u0 gauss-bump is zero at every grid point; widen "
+                   "u0.width or move u0.center onto the operator grid")
+        with pytest.raises(sr.ConfigError) as info:
+            cfg.resolve_u0(cfg.build_operator())
+        assert str(info.value) == message
+        assert main(["roundtrip", "--config", write_cfg(tmp_path, narrow),
+                     "--quiet"]) == 4
+        assert message in capsys.readouterr().err
+
     def test_null_reads_as_absent(self):
         # null is the absent value of the optional sections and solver keys
         cfg = config_from_dict(deep({"solver": None, "nonlinearity": None,
@@ -237,6 +261,10 @@ PINNED_MESSAGES = [
      "weight.b must be a nonempty list of numbers"),
     (deep({"condition.b": dict(TABLE, t=[0.0, 10**400])}),
      "weight.t must hold finite numbers"),
+    (deep({"condition.b": dict(TABLE, b=[1.0, 1.0, 1.0])}),
+     "condition.b: table needs matching time/value vectors"),
+    (deep({"condition": dict(E200, b=dict(TABLE, t=[0.0, 0.0]))}),
+     "condition.b: table nodes must be strictly increasing"),
     # the observation source
     (deep({"condition.M": 1}), "condition.M must be an object"),
     (deep({"condition.M.type": "u0"}),
@@ -279,6 +307,12 @@ PINNED_MESSAGES = [
      "missing required key 'c' in nonlinearity"),
     (deep({"nonlinearity": {**MEMORY, "lambda": math.inf}}),
      "nonlinearity.lambda must be finite"),
+    (deep({"nonlinearity": dict(POWER, ell=0)}),
+     "nonlinearity.ell must be positive"),
+    (deep({"nonlinearity": dict(MEMORY, ell=-1.0)}),
+     "nonlinearity.ell must be positive"),
+    (deep({"nonlinearity": dict(MEMORY, **{"lambda": -1.0})}),
+     "nonlinearity.lambda must exceed -1"),
     # grid
     (deep({"grid": None}), "grid must be an object"),
     (deep({"grid.dt": 0.1}), "unknown key 'dt' in grid"),
@@ -433,6 +467,23 @@ class TestSweep:
         rows, _ = sweep_threshold(cfg)
         assert [row.status for row in rows] == ["ok"] * 4
         assert calls == {"psi": 1, "mode_weights": 1}
+
+    def test_memory_kernel_rejected_before_synthesis(self, tmp_path,
+                                                    capsys, monkeypatch):
+        # the threshold estimate samples a pointwise growth constant, so a
+        # memory kernel fails before the observation is synthesized
+        def no_synthesis(*args):
+            raise AssertionError("the observation was synthesized")
+
+        monkeypatch.setattr(harness, "resolve_M", no_synthesis)
+        data = deep({"nonlinearity": MEMORY, "sweep": SWEEP})
+        message = "sweep needs a 'zero' or 'power' nonlinearity, not 'memory'"
+        with pytest.raises(sr.ConfigError) as info:
+            sweep_threshold(config_from_dict(data))
+        assert str(info.value) == message
+        assert main(["sweep", "--config", write_cfg(tmp_path, data),
+                     "--quiet"]) == 4
+        assert message in capsys.readouterr().err
 
     def test_missing_scales_rejected(self):
         cfg = config_from_dict(BASE)

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import specrec as sr
-from specrec.duhamel import _convolve, _step_tables
+from specrec.duhamel import _convolve, _scan, _spans, _step_tables
 from specrec.kernels import moments
 from _util import rel_err, ulp_close
 
@@ -141,6 +141,30 @@ class TestDuhamelConvolve:
         prebuilt[1:] = _convolve(tables, g.coeffs[1:],
                                  tables[1][0] * g.coeffs[0])
         assert np.array_equal(prebuilt, sr.duhamel_convolve(op, g).coeffs)
+
+    @pytest.mark.parametrize("rows", [1, 2, 7, 64, 100])
+    @pytest.mark.parametrize("flat", [False, True], ids=["random", "lam0"])
+    def test_prebuilt_spans_identical(self, rows, flat):
+        # picard_recover and each forward window build the scan's spans
+        # once and reuse them every sweep: the bytes of spans formed per
+        # call, and of the doubling scan that updates its spans in place
+        rng = np.random.default_rng(rows)
+        e = rng.uniform(0.2, 1.5, (rows, 6))
+        if flat:
+            e[:, 0] = 1.0    # a lam = 0 column, summed by np.cumsum
+        spans = _spans(e)
+        for x in rng.standard_normal((2, rows, 6)):
+            want = _scan(e, x.copy())
+            assert _scan(e, x.copy(), spans).tobytes() == want.tobytes()
+            # reference: the doubling scan updating its spans in place
+            ref, span, d = x.copy(), e.copy(), 1
+            while d < rows:
+                ref[d:] += span[d:] * ref[:-d]
+                span[d:] = span[d:] * span[:-d]
+                d *= 2
+            if flat:
+                ref[:, 0] = np.cumsum(x[:, 0])
+            assert ref.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("op, T, n, r", [
         (sr.build_fourth_order(32, 1.0), 0.5, 64, 4.0),

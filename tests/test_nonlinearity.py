@@ -37,6 +37,16 @@ class TestPointwisePower:
     def test_vanishes_at_zero(self):
         assert _pointwise_power(3.0, 1.5, np.zeros(4)).tolist() == [0.0] * 4
 
+    @pytest.mark.parametrize("ell", [0.5, 1.0, 1.5, 2.0])
+    def test_matches_expression_bytes(self, ell):
+        # in place on one array, with the power skipped at ell = 1: the
+        # bytes of the expression it evaluates, and the input untouched
+        v = np.random.default_rng(2).standard_normal((5, 9))
+        keep = v.copy()
+        got = _pointwise_power(0.7, ell, v)
+        assert got.tobytes() == (0.7 * np.abs(keep) ** ell * keep).tobytes()
+        assert np.array_equal(v, keep)
+
 
 class TestEvalLocal:
     def test_zero_input(self):
@@ -81,10 +91,11 @@ class TestEvalLocal:
 
 
 def _inline_payload(kappa, ell, coeffs, op, name):
-    """The stacked payload written out with the matrix products of the
-    stack forms of ``synthesize`` and ``analyze``."""
-    W = _pointwise_power(kappa, ell, coeffs @ op.basis.T)
-    return _finite((W * op.weights) @ op.basis, name)
+    """The stacked payload written out with the matrix products of
+    ``synthesize`` and ``analyze``: the contiguous transposed basis and the
+    weights-times-basis product, formed here from the operator's basis."""
+    W = _pointwise_power(kappa, ell, coeffs @ np.ascontiguousarray(op.basis.T))
+    return _finite(W @ (op.weights[:, None] * op.basis), name)
 
 
 class TestStackedPayload:
@@ -172,15 +183,6 @@ class TestMemoryKernel:
         for i in (0, 1, 7, GRID.n_steps):
             node = f.history_rows(GRID.nodes, i, i + 1)[0] @ payloads[:i + 1]
             assert np.allclose(node, traj.coeffs[i], rtol=0, atol=1e-14)
-
-    def test_prebuilt_history_identical(self):
-        f = sr.MemoryKernel(1.0, -0.3, 1.0)
-        coeffs = np.random.default_rng(8).standard_normal(
-            (GRID.nodes.size, OP.n_modes))
-        u = sr.Trajectory(GRID, coeffs)
-        H = f.history_rows(GRID.nodes, 0, GRID.nodes.size)
-        assert np.array_equal(f.eval_trajectory(u, OP, history=H).coeffs,
-                              f.eval_trajectory(u, OP).coeffs)
 
     def test_invalid_exponent(self):
         with pytest.raises(sr.InvalidParameterError):
@@ -337,6 +339,29 @@ class TestGrowthCondition:
         assert np.all(gap > 0.0)
         assert np.all(gap <= 1e-3 * size * (1.0 + 1e-12))
         assert np.all(gap >= 1e-6 * size * (1.0 - 1e-12))
+
+    @pytest.mark.parametrize("amplitudes", [(0.01, 1.0), (1e100, 1e101)])
+    def test_samples_match_linalg_norm_loop(self, amplitudes):
+        # the draws scale by sqrt(v @ v), the value np.linalg.norm gives
+        # for a vector, so the samples and c_hat keep their bytes
+        n, count, seed = OP.n_modes, 200, 7
+        rng = np.random.default_rng(seed)
+        lo, hi = amplitudes
+        want_V, want_W = np.empty((2, count, n))
+        for k in range(count):
+            v = rng.standard_normal(n)
+            v *= rng.uniform(lo, hi) / max(np.linalg.norm(v), 1e-300)
+            if k % 2 == 0:
+                w = rng.standard_normal(n)
+                w *= rng.uniform(lo, hi) / max(np.linalg.norm(w), 1e-300)
+            else:
+                step = rng.uniform(1e-6, 1e-3) * np.linalg.norm(v)
+                z = rng.standard_normal(n)
+                w = v + step / max(np.linalg.norm(z), 1e-300) * z
+            want_V[k], want_W[k] = v, w
+        V, W = _growth_samples(n, count, amplitudes, seed)
+        assert V.tobytes() == want_V.tobytes()
+        assert W.tobytes() == want_W.tobytes()
 
     def test_sample_count_floor(self):
         with pytest.raises(sr.InvalidParameterError):

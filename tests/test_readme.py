@@ -28,7 +28,7 @@ def test_config_block_parses():
     assert len(blocks) == 1
     # every bound the schema enforces is stated in the block
     for bound in ("T > 0", "n ≥ 2", "r ≥ 1", "tol > 0", "max_iter ≥ 1",
-                  "width > 0"):
+                  "width > 0", "ell > 0", "lambda > -1"):
         assert bound in blocks[0]
     doc = json.loads(re.sub(r"//.*", "", blocks[0]))
     cfg = config_from_dict(doc)

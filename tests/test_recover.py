@@ -610,6 +610,34 @@ class TestRecoveryPlan:
         assert shared.u0_recovered.tobytes() == own.u0_recovered.tobytes()
         assert shared.iterations == own.iterations
 
+    @pytest.mark.parametrize("name", ["memory-forward", "threshold-sweep"])
+    def test_sweeps_build_no_trajectory(self, name, monkeypatch):
+        # a sweep works on coefficient arrays: one eval_node call per sweep
+        # and one for the converged u0, no eval_trajectory call, and a
+        # single Trajectory, the report's
+        cfg = sr.parse_config(self.FIXTURES / f"{name}.json")
+        op, f, grid = cfg.build_operator(), cfg.build_nonlinearity(), cfg.build_grid()
+        cond = build_condition(cfg, resolve_M(cfg, op, f)[0])
+        plan = _build_plan(op, cond, f, grid)
+        calls = dict.fromkeys(["eval_node", "eval_trajectory", "Trajectory"], 0)
+
+        def counting(key, method):
+            def counted(*args, **kwargs):
+                calls[key] += 1
+                return method(*args, **kwargs)
+            return counted
+
+        for key in ("eval_node", "eval_trajectory"):
+            monkeypatch.setattr(type(f), key, counting(key, getattr(type(f), key)))
+        monkeypatch.setattr(sr.Trajectory, "__post_init__",
+                            counting("Trajectory", sr.Trajectory.__post_init__))
+        report = sr.picard_recover(op, cond, f, grid, cfg.build_norm_spec(op),
+                                   tol=cfg.solver.tol,
+                                   max_iter=cfg.solver.max_iter, _plan=plan)
+        assert report.converged and report.iterations > 2
+        assert calls == {"eval_node": report.iterations + 1,
+                         "eval_trajectory": 0, "Trajectory": 1}
+
     def test_failing_mode_raises_with_plan(self):
         # the plan of an ill-posed problem carries its report, and a
         # recovery given that plan raises with the failing mode
