@@ -16,7 +16,8 @@ import sys
 
 import numpy as np
 
-from .errors import ConfigError, InvalidParameterError
+from .errors import ConfigError, InvalidParameterError, SpecrecError
+from .harness import build_condition
 from .kernels import ConstantWeight, PolynomialWeight, TabulatedWeight
 from .nonlinearity import MemoryKernel, PowerLaw, Zero
 from .spectral import (FractionalNormSpec, analyze, build_fourth_order,
@@ -24,6 +25,9 @@ from .spectral import (FractionalNormSpec, analyze, build_fourth_order,
                        make_graded_grid)
 
 _FLOAT_MAX = sys.float_info.max
+# The operator keeps its basis and two transform matrices, grid_size x modes
+# floats each; 2**26 of them (512 MiB) bounds each matrix.
+_MAX_OPERATOR_ENTRIES = 2**26
 _REQUIRED = object()  # the default slot of a key that must be given
 
 
@@ -326,13 +330,35 @@ class ExperimentConfig:
         return analyze(op, spec["amplitude"] * bump)
 
 
+def _check_across(cfg):
+    """The checks of a value against another key or section, which no
+    reader of a single key can make."""
+    spec = cfg.operator.fields
+    size, modes = spec["grid_size"], max(spec["modes"], 1)
+    if size is not None and size * modes > _MAX_OPERATOR_ENTRIES:
+        raise ConfigError(
+            f"operator.grid_size must be at most "
+            f"{_MAX_OPERATOR_ENTRIES // modes} for {modes} modes: the "
+            f"operator keeps three grid_size x modes matrices, of at most "
+            f"2**26 floats each")
+    b = cfg.condition.b
+    try:
+        if isinstance(b, TabulatedWeight):
+            b.require_covers(cfg.grid.T)
+        build_condition(cfg, np.zeros(1))
+    except SpecrecError as exc:
+        raise ConfigError(f"condition.b: {exc}") from exc
+
+
 def config_from_dict(data):
     """Validate a parsed JSON document and build an ExperimentConfig."""
     cfg = _section(data, "config", _CONFIG)
     if cfg["grid"].r is None:  # the grading suited to the solver's theta
         cfg["grid"] = dataclasses.replace(
             cfg["grid"], r=default_grading(cfg["solver"].theta))
-    return ExperimentConfig(sweep_scales=cfg.pop("sweep"), **cfg)
+    config = ExperimentConfig(sweep_scales=cfg.pop("sweep"), **cfg)
+    _check_across(config)
+    return config
 
 
 def parse_config(path):

@@ -53,8 +53,8 @@ def duhamel_convolve(op, g):
 
 # Steps per window, at most.  A sweep's Python work is shared by the k steps
 # of its window, but a node settles only after every node before it has, so
-# longer windows take more sweeps; a memory kernel's window also holds
-# k (n + 1) history weights, 2 MB at n = 4096.
+# longer windows take more sweeps; a memory kernel's solve also keeps a
+# (64, n + 1) buffer of history weights, 2 MB at n = 4096.
 _WINDOW = 64
 
 # The sweeps stop once every node's update is below this multiple of
@@ -199,10 +199,12 @@ def forward_solve(op, u0, f, grid):
     cannot suffice; the length doubles back toward 64 after each solved
     window.  A single step
     that fails raises ``NumericFailureError`` with its ``step`` (0 when the
-    payload of u0 overflows).  A memory kernel's history rows come one
-    window at a time from ``f.history_rows``, and its sum over earlier nodes
-    is formed once per window, so the solve holds O(n (m + 64)) floats for
-    n steps, never the (n + 1)**2 operator.
+    payload of u0 overflows).  For a memory kernel the solve allocates one
+    (64, n + 1) buffer and a fixed work area of four arrays of at most 2**14
+    floats, once, and writes each window's history rows into them in place,
+    also after a window is halved; its sum over earlier nodes is formed once
+    per window, so the solve holds O(n (m + 64)) floats for n steps, never
+    the (n + 1)**2 operator.
     """
     u0 = np.asarray(u0, dtype=float)
     if u0.shape != (op.n_modes,) or not np.all(np.isfinite(u0)):
@@ -220,13 +222,14 @@ def forward_solve(op, u0, f, grid):
             payloads[0] = f.eval_node(u0, op)
         except NumericFailureError as err:
             raise _at_step(err, 0) from err
-        first = f.history_rows(nodes, 0, 1)
-        g = payloads[0] if first is None else first[0, 0] * payloads[0]
-        s, k, built = 0, _WINDOW, -1
+        writer = f._row_writer(nodes, _WINDOW)
+        g = (payloads[0] if writer is None
+             else writer.fill(0, 1)[0, 0] * payloads[0])
+        s, k, built, rows = 0, _WINDOW, -1, None
         while s < n:
             k = min(k, n - s)
-            if built != s:
-                rows, built = f.history_rows(nodes, s + 1, s + k + 1), s
+            if writer is not None and built != s:
+                rows, built = writer.fill(s + 1, s + k + 1), s
             w = slice(s, s + k)
             try:
                 U, x, P, G = _window(

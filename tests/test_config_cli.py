@@ -227,6 +227,9 @@ PINNED_MESSAGES = [
     (deep({"operator": dict(PINNED4, d=1.0)}), "unknown key 'd' in operator"),
     (deep({"operator": dict(PINNED4, d2=math.nan)}),
      "operator.d2 must be finite"),
+    (deep({"operator.grid_size": 10**23}),
+     "operator.grid_size must be at most 16777216 for 4 modes: the operator "
+     "keeps three grid_size x modes matrices, of at most 2**26 floats each"),
     # condition
     (deep({"condition": []}), "condition must be an object"),
     (deep({"condition.problem": "F"}),
@@ -265,6 +268,11 @@ PINNED_MESSAGES = [
      "condition.b: table needs matching time/value vectors"),
     (deep({"condition": dict(E200, b=dict(TABLE, t=[0.0, 0.0]))}),
      "condition.b: table nodes must be strictly increasing"),
+    # weights against the problem and the grid
+    (deep({"condition.b": dict(TABLE, t=[0.5, 1.0])}),
+     "condition.b: table covers [0.5, 1.0], not [0, 1.0]"),
+    (deep({"condition.b": dict(POLY, coeffs=[0.0, 1.0])}),
+     "condition.b: problem E requires b(0) != 0"),
     # the observation source
     (deep({"condition.M": 1}), "condition.M must be an object"),
     (deep({"condition.M.type": "u0"}),
@@ -517,6 +525,21 @@ class TestCli:
         path = write_cfg(tmp_path, deep({"operator.family": "unknown"}))
         assert main(["recover", "--config", path]) == 4
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("update, message", [
+        ({"condition.b": dict(TABLE, t=[0.5, 1.0])},
+         "condition.b: table covers [0.5, 1.0], not [0, 1.0]"),
+        ({"condition.b": dict(POLY, coeffs=[0.0, 1.0])},
+         "condition.b: problem E requires b(0) != 0"),
+        ({"operator.grid_size": 10**23},
+         "operator.grid_size must be at most 16777216 for 4 modes"),
+    ], ids=["table-short", "e-weight-zero-at-0", "grid-size-huge"])
+    def test_cross_section_error_exit_code(self, tmp_path, capsys, update,
+                                           message):
+        # each of these once ended in a failure of the recovery itself
+        path = write_cfg(tmp_path, deep(update))
+        assert main(["recover", "--config", path, "--quiet"]) == 4
+        assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("update", [
         {"solver.tol": math.inf},

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import specrec as sr
+from specrec import duhamel
 from specrec.duhamel import _convolve, _scan, _spans, _step_tables
 from specrec.kernels import moments
 from _util import rel_err, ulp_close
@@ -300,6 +301,17 @@ class TestForwardSolveMemoryKernel:
             tracemalloc.stop()
         assert peak < 16 * 2**20
 
+    def test_repeated_solves_same_bytes(self):
+        # the history rows live in buffers each solve allocates once, so
+        # nothing carries over from one solve to the next, also across grids
+        f = sr.MemoryKernel(1.0, -0.5, 1.0)
+        grid = sr.make_graded_grid(0.5, 200, 4.0)
+        first = sr.forward_solve(self.OP, self.U0, f, grid).coeffs
+        again = sr.forward_solve(self.OP, self.U0, f, grid).coeffs
+        sr.forward_solve(self.OP, -self.U0, f, sr.make_graded_grid(0.5, 90))
+        last = sr.forward_solve(self.OP, self.U0, f, grid).coeffs
+        assert first.tobytes() == again.tobytes() == last.tobytes()
+
     @pytest.mark.parametrize("f", [sr.PowerLaw(1.0, 1.0),
                                    sr.MemoryKernel(1.0, -0.5, 1.0)],
                              ids=["power", "memory"])
@@ -399,6 +411,28 @@ class TestCorrectorMarch:
         sr.forward_solve(op, self.first_mode(0.5, 16), f, grid)
         assert f.calls / 64 <= 2.2
         assert f.rows / 64 <= 30.0
+
+    def test_window_rows_match_one_shot(self, monkeypatch):
+        # the rows each window reads from the march's kept buffer, also
+        # after the window is halved, are the bytes of one-shot rows
+        seen = []
+        window = duhamel._window
+
+        def recording(f, op, hom, tables, conv, g, rows, payloads):
+            seen.append((len(payloads) - 1, rows.copy()))
+            return window(f, op, hom, tables, conv, g, rows, payloads)
+
+        monkeypatch.setattr(duhamel, "_window", recording)
+        op = sr.build_second_order(16, 1.0, 1.0, "neumann")
+        f = sr.MemoryKernel(1.0, -0.9, 1.0)
+        grid = sr.make_graded_grid(0.5, 64, 4.0)
+        sr.forward_solve(op, self.first_mode(0.5, 16), f, grid)
+        starts = [s for s, _ in seen]
+        assert len(set(starts)) < len(starts)    # some window was halved
+        for s, rows in seen:
+            k = rows.shape[0]
+            want = f.history_rows(grid.nodes, s + 1, s + k + 1)
+            assert rows.tobytes() == want.tobytes()
 
     def test_second_order_on_graded_grid(self):
         # a graded grid's steps grow 15-fold at the start; the order must

@@ -228,6 +228,40 @@ class TestHistoryRows:
             assert np.all(block[-1] > 0.0)
             assert np.max(np.abs(block[-1] - want) / want) <= 1e-13
 
+    @pytest.mark.parametrize("n", [64, 256, 1024])
+    @pytest.mark.parametrize("lambda_exp", [-0.9, -0.5, 0.5])
+    @pytest.mark.parametrize("r", [1.0, 2.0, 4.0])
+    def test_series_switch_against_mpmath(self, n, lambda_exp, r):
+        # the weights next to a segment with x = h/(t_i - t_k) in [0.03,
+        # 0.08], around the switch from the series to the closed form at
+        # x = 0.05, where the closed form cancels most: the largest error
+        # over these rows is 1.0e-14 (node 0 of row 16 of the uniform grid,
+        # x = 1/16, lambda = -0.9)
+        nodes = sr.make_graded_grid(1.0, n, r).nodes
+        f = sr.MemoryKernel(1.0, lambda_exp, 1.0)
+        for i in (16, n // 2, n):
+            row = f.history_rows(nodes, i, i + 1)[0]
+            x = np.diff(nodes[:i + 1]) / (nodes[i] - nodes[:i])
+            seg = (x >= 0.03) & (x <= 0.08)
+            near = np.append(seg, False) | np.append(False, seg)
+            want = _history_oracle(nodes, i, lambda_exp)
+            assert near.any()
+            assert np.max(np.abs(row - want)[near] / want[near]) <= 1.5e-14
+
+    @pytest.mark.parametrize("r", [1.0, 4.0], ids=["uniform", "graded"])
+    def test_block_size_same_bytes(self, monkeypatch, r):
+        # each weight depends only on its row, column and the nodes, so one
+        # row per block gives the bytes of the default blocks
+        nodes = sr.make_graded_grid(1.0, 300, r).nodes
+        f = sr.MemoryKernel(1.0, -0.5, 1.0)
+        blocks = [f.history_rows(nodes, 0, nodes.size),
+                  f.history_rows(nodes, 100, 164)]
+        monkeypatch.setattr(nonlinearity, "_BLOCK_ENTRIES", 1)
+        rows = [f.history_rows(nodes, 0, nodes.size),
+                f.history_rows(nodes, 100, 164)]
+        for want, got in zip(blocks, rows):
+            assert got.tobytes() == want.tobytes()
+
     def test_lower_triangular_blocks(self):
         # a block of rows is the matching slice of the whole operator
         f = sr.MemoryKernel(1.0, -0.5, 1.0)
