@@ -44,8 +44,6 @@ def _build_parser():
         cmd = sub.add_parser(name, help=doc)
         cmd.add_argument("--config", required=True, help="JSON config file")
         cmd.add_argument("--out", default=None, help="output file (default: stdout)")
-        cmd.add_argument("--seed", type=int, default=None,
-                         help="override the config seed")
         cmd.add_argument("--quiet", action="store_true",
                          help="suppress progress messages")
     return parser
@@ -136,7 +134,7 @@ def _cmd_sweep(cfg, args):
     rows, estimate = sweep_threshold(cfg)
     emit_csv(args.out or sys.stdout, SWEEP_HEADER,
              [list(dataclasses.astuple(row)) for row in rows])
-    _say(args, f"sweep of {len(rows)} scales, threshold estimate "
+    _say(args, f"sweep of {len(rows)} scales, certified threshold "
                f"{estimate.m_T:.3e}")
     return EXIT_OK
 
@@ -153,10 +151,7 @@ _COMMANDS = {
 def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
-        cfg = parse_config(args.config)
-        if args.seed is not None:
-            cfg = dataclasses.replace(cfg, seed=args.seed)
-        return _COMMANDS[args.command](cfg, args)
+        return _COMMANDS[args.command](parse_config(args.config), args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

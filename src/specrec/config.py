@@ -5,11 +5,12 @@ errors so that typos never silently fall back to defaults.  Each section is
 one table of {key: (reader, default)}, so every key, default and bound is
 stated once, and one function reads them all.  Numeric output uses '.'
 decimals, '\\n' line ends, and shortest round-trip float formatting, which
-makes runs with identical config and seed byte-identical.
+makes runs with identical config byte-identical.
 """
 
 import csv
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -208,7 +209,7 @@ _CONFIG = {  # read in this order: the first error found is reported
     "solver": _optional(_plain("solver", _SOLVER, SolverSpec), {}),
     "sweep": _optional(_plain("sweep", {"scales": (_numbers, _REQUIRED)},
                               lambda scales: scales)),
-    "seed": (_integer, 0),
+    "seed": (_integer, 0),      # kept for old configs; nothing draws from it
     "operator": (_tagged(
         "operator", "family",
         "operator.family must be one of dirichlet2, neumann2, pinned4", {
@@ -265,6 +266,12 @@ class ExperimentConfig:
     seed: int
 
     def build_operator(self):
+        """The operator, built when the config was read and shared by every
+        caller, since it is immutable."""
+        return self._operator
+
+    @functools.cached_property
+    def _operator(self):
         kind, spec = self.operator.kind, self.operator.fields
         if kind == "pinned4":
             return build_fourth_order(spec["modes"], spec["d1"], spec["d2"],
@@ -341,6 +348,10 @@ def _check_across(cfg):
             f"{_MAX_OPERATOR_ENTRIES // modes} for {modes} modes: the "
             f"operator keeps three grid_size x modes matrices, of at most "
             f"2**26 floats each")
+    try:
+        cfg.build_operator()
+    except SpecrecError as exc:
+        raise ConfigError(f"operator: {exc}") from exc
     b = cfg.condition.b
     try:
         if isinstance(b, TabulatedWeight):

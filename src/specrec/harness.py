@@ -125,11 +125,12 @@ def sweep_threshold(cfg):
     """Re-run the recovery over scaled observations s * M.
 
     Each row records the convergence flag, the last contraction ratio, the
-    size of the zero-forcing initial value, and the theoretical threshold
-    estimate.  Only M changes between rows, so one recovery plan, built at
-    the first row, serves them all.  Row failures are recorded and the
-    sweep continues.  The threshold estimate samples a pointwise growth
-    constant, so a memory kernel is rejected before any work is done.
+    size of the zero-forcing initial value, and the certified threshold
+    m_T: a row whose sigma_T0_norm lies below it provably converges.  Only M
+    changes between rows, so one recovery plan, built at the first row,
+    serves them all.  Row failures are recorded and the sweep continues.
+    m_T needs the growth bound of a pointwise map, so a memory kernel is
+    rejected before any work is done.
     """
     scales = cfg.sweep_scales
     if not scales:
@@ -143,10 +144,10 @@ def sweep_threshold(cfg):
     spec = cfg.build_norm_spec(op)
     M_base, _ = resolve_M(cfg, op, f)
 
-    c_hat = check_growth_condition(f, op, spec, seed=cfg.seed).c_hat
+    c_bar = check_growth_condition(f, op, spec)
     exponents = GrowthExponents(cfg.solver.gamma, cfg.solver.theta,
                                 cfg.resolved_nu(), getattr(f, "ell", 1.0))
-    estimate = theoretical_threshold(op, exponents, c_hat, grid.T, spec)
+    estimate = theoretical_threshold(op, exponents, c_bar, grid.T, spec)
 
     rows = []
     plan = None

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameterError, NumericFailureError
-from .spectral import (FractionalNormSpec, Trajectory, _row_norms, analyze,
+from .spectral import (ORTHONORMALITY_TOL, Trajectory, _check_spec, analyze,
                        synthesize)
 
 
@@ -311,78 +311,45 @@ class MemoryKernel(Nonlinearity):
                 f"ell={self.ell!r})")
 
 
-@dataclass(frozen=True)
-class GrowthCheck:
-    """Empirical superlinear-growth constant: a sampled lower bound on the
-    true Lipschitz constant, never a proof."""
+def check_growth_condition(f, op, spec):
+    """Certified growth constant c_bar of a pointwise map's payload p =
+    ``f.eval_node``: ||p(v) - p(w)||_0 <= c_bar (||v||_theta**ell +
+    ||w||_theta**ell) ||v - w||_theta for all coefficient vectors v and w.
+    It is 0 for ``Zero`` and, for ``PowerLaw(kappa, ell)``,
+    c_bar = |kappa| C_ell K**ell s_min**(-theta) (1 + m tol), where
+    s_j = delta0 - lambda_j, K = max_i (sum_j B_ij**2 s_j**(-2 theta))**0.5
+    over the basis B, m is the mode count and tol ``ORTHONORMALITY_TOL``.
+    Proof, with x = B v, y = B w, Q the quadrature weights and
+    ||g||_Q**2 = g^T Q g:
 
-    c_hat: float
-    ok: bool
-    n_samples: int
+    1. ``analyze`` is g -> B^T Q g and ``SpectralOperator`` admits
+       |B^T Q B - I| <= tol entrywise, so ||B^T Q B||_2 <= 1 + m tol,
+       ||B^T Q g||_2 <= (1 + m tol)**0.5 ||g||_Q and ||B c||_Q <=
+       (1 + m tol)**0.5 ||c||_2.
+    2. phi(a) = |a|**ell a has |phi(a) - phi(b)| <= C_ell (|a|**ell +
+       |b|**ell) |a - b|, with C_ell = ell + 1 by the mean value theorem
+       and C_1 = 1: phi(a) - phi(b) is (a + b)(a - b) if a and b share a
+       sign, else of size a**2 + b**2 <= (|a| + |b|)|a - b|.
+    3. Cauchy-Schwarz on x_i = sum_j (B_ij s_j**(-theta)) (s_j**theta v_j)
+       gives |x_i| <= K ||v||_theta, and likewise |y_i| <= K ||w||_theta.
+    4. Hence ||p(v) - p(w)||_0 <= (1 + m tol)**0.5 |kappa| C_ell K**ell
+       (||v||_theta**ell + ||w||_theta**ell) ||x - y||_Q, and by 1,
+       ||x - y||_Q <= (1 + m tol)**0.5 s_min**(-theta) ||v - w||_theta.
 
-
-def _growth_samples(n_modes, sample_count, amplitude_range, seed):
-    """The pairs (V[k], W[k]) of ``check_growth_condition``, drawn one by one.
-
-    Even k pairs two independent draws; odd k puts w within 1e-6 to 1e-3
-    times ||v|| of v, to probe the w -> v limit at every amplitude.  Each
-    norm is sqrt(v @ v), which is what ``np.linalg.norm`` computes for a
-    vector, without its dispatch.
+    One pass over the (N, m) basis; other maps raise InvalidParameterError.
     """
-    rng = np.random.default_rng(seed)
-    lo, hi = amplitude_range
-    V = np.empty((sample_count, n_modes))
-    W = np.empty_like(V)
-    for k in range(sample_count):
-        v = rng.standard_normal(n_modes)
-        v *= rng.uniform(lo, hi) / max(math.sqrt(v @ v), 1e-300)
-        if k % 2 == 0:
-            w = rng.standard_normal(n_modes)
-            w *= rng.uniform(lo, hi) / max(math.sqrt(w @ w), 1e-300)
-        else:
-            step = rng.uniform(1e-6, 1e-3) * math.sqrt(v @ v)
-            z = rng.standard_normal(n_modes)
-            w = v + step / max(math.sqrt(z @ z), 1e-300) * z
-        V[k] = v
-        W[k] = w
-    return V, W
-
-
-def check_growth_condition(f, op, spec, sample_count=200,
-                           amplitude_range=(0.01, 1.0), seed=0):
-    """Sample pairs (v, w) and report the largest observed ratio
-
-        ||f(v) - f(w)||_0 / ((||v||_theta**ell + ||w||_theta**ell) ||v - w||_theta).
-
-    Degenerate pairs are skipped; the check fails only on non-finite ratios.
-    Half the pairs are close, ||w - v|| <= 1e-3 ||v||, where the ratio
-    peaks.  The pairs are drawn one by one, then every norm and payload is
-    formed in one array pass over all samples, O(sample_count * N * n_modes)
-    for N grid points.  A norm whose sum of squares overflows is rescaled,
-    so large finite amplitudes give finite ratios; a payload that overflows
-    raises ``NumericFailureError``.
-    """
-    if sample_count < 100:
-        raise InvalidParameterError("sample_count must be at least 100")
     if isinstance(f, Zero):
-        return GrowthCheck(0.0, True, sample_count)
+        return 0.0
     if not isinstance(f, PowerLaw):
         raise InvalidParameterError(
             "the growth check applies to pointwise nonlinearities"
         )
-    V, W = _growth_samples(op.n_modes, sample_count, amplitude_range, seed)
-    P = _trajectory_payload(f.kappa, f.ell, np.concatenate([V, W]), op,
-                            "power law")
-    num = _row_norms(op, P[:sample_count] - P[sample_count:],
-                     FractionalNormSpec(0.0, spec.delta0))
-    dv = _row_norms(op, V - W, spec)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        denom = (_row_norms(op, V, spec) ** f.ell
-                 + _row_norms(op, W, spec) ** f.ell) * dv
-        ratio = (num / denom)[(dv != 0.0) & (denom != 0.0)]
-    finite = np.isfinite(ratio)
-    c_hat = float(np.max(ratio[finite], initial=0.0))
-    return GrowthCheck(c_hat, bool(finite.all()), int(finite.sum()))
+    _check_spec(op, spec)
+    s = spec.delta0 - op.eigenvalues
+    K = math.sqrt(np.max(np.square(op.basis) @ s ** (-2.0 * spec.theta)))
+    c_ell = 1.0 if f.ell == 1.0 else f.ell + 1.0
+    return (abs(f.kappa) * c_ell * K ** f.ell * float(s.min()) ** -spec.theta
+            * (1.0 + op.n_modes * ORTHONORMALITY_TOL))
 
 
 @dataclass(frozen=True)

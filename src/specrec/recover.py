@@ -15,8 +15,8 @@ problem, in closed form from moments: exact for g linear between nodes and
 any piecewise-polynomial b.  Each condition maps to one coupling (c, a, b),
 and one predicate on the denominators, |d_j| > tol * scale_j, decides
 solvability for both the spectral check and the Picard driver.  A
-theoretical smallness threshold for the observation data is estimated
-alongside.
+smallness threshold for the observation data, below which the substitution
+provably contracts, is certified alongside from closed-form bounds.
 """
 
 import math
@@ -29,8 +29,8 @@ from .errors import (AdmissibilityError, IllPosedModeError,
                      InvalidParameterError, NumericFailureError)
 from .kernels import (ConstantWeight, WeightFunction, _cut, _march,
                       beta_function, mode_weights)
-from .spectral import (FractionalNormSpec, Trajectory, _row_norms,
-                       fractional_norm)
+from .spectral import (FractionalNormSpec, Trajectory, _check_spec,
+                       _row_norms, fractional_norm)
 
 # Not called here: perfbench wraps these names at this module to time the
 # layers of a recovery (tests/test_benchmark_targets.py), and a sweep now
@@ -458,7 +458,7 @@ def picard_recover(op, cond, f, grid, spec, tol=1e-10, max_iter=200,
 
 
 # --------------------------------------------------------------------------
-# theoretical smallness threshold
+# certified smallness threshold
 # --------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -485,13 +485,14 @@ class GrowthExponents:
 
 @dataclass(frozen=True)
 class WellPosednessEstimate:
-    """Estimated smallness threshold for the observation data.
+    """Certified smallness threshold for the observation data.
 
     ``contraction_factor(L)`` bounds the Lipschitz constant of the
     substitution map on the ball of radius L; ``L_star`` is the largest
     radius keeping it at or below 1/2 and ``m_T = L_star / (4 * omega_T)``
-    the resulting data threshold.  All of it rests on the *empirical* growth
-    constant supplied by the caller, so it is an estimate, not a proof.
+    the resulting data threshold.  ``omega_T`` is in closed form, so m_T is
+    certified whenever ``c_hat`` bounds the growth constant from above, as
+    ``check_growth_condition``'s does.
     """
 
     omega_T: float
@@ -510,31 +511,28 @@ class WellPosednessEstimate:
                 * (1.0 + self.T ** (1.0 + self.gamma0 - e.nu) * self.beta_value))
 
 
-def _omega_estimate(op, theta, gamma, gamma0, T, delta0):
-    """Upper estimate of the semigroup constant in the spectral norms.
-
-    With zero shift the smoothing factor has the closed form
-    sup_x (t*x)**theta * exp(-t*x) = (theta/e)**theta; otherwise the
-    supremum is taken numerically over a log grid in t and the discrete
-    modes and inflated by 5%.
-    """
-    lam = op.eigenvalues
-    bounded = math.exp(T * max(0.0, float(lam[0])))
-    if delta0 == 0.0 and gamma == 0.0:
-        smooth = (theta / math.e) ** theta
-        return max(1.0, bounded, smooth)
-    ts = T * np.logspace(-8, 0, 200)
-    d = delta0 - lam
-    grid_exp = np.exp(ts[:, None] * lam[None, :])
-    f2 = np.max(ts[:, None] ** theta * d[None, :] ** theta * grid_exp)
-    f3 = np.max(ts[:, None] ** (theta - gamma0)
-                * d[None, :] ** (theta - gamma) * grid_exp)
-    return max(1.0, bounded, 1.05 * float(max(f2, f3)))
+def _omega_bound(op, exponents, gamma0, T, delta0):
+    """The semigroup constant in the spectral norms, in closed form: the
+    largest of 1, e**(T max(0, lam_1)) and, over the modes, s_j**theta
+    sup_t t**theta e**(t lam_j) and s_j**(theta - gamma) sup_t
+    t**(theta - gamma0) e**(t lam_j), with s_j = delta0 - lam_j and t in
+    (0, T].  Since p = theta or theta - gamma0 is positive, t**p e**(t lam)
+    peaks at its only critical point p / (-lam), or at T past it."""
+    lam, theta = op.eigenvalues, exponents.theta
+    omega = max(1.0, math.exp(T * max(0.0, float(lam[0]))))
+    for a, p in ((theta, theta), (theta - exponents.gamma, theta - gamma0)):
+        t = np.full(lam.shape, float(T))
+        inside = -lam * T > p
+        t[inside] = p / -lam[inside]
+        peak = (delta0 - lam) ** a * t ** p * np.exp(t * lam)
+        omega = max(omega, float(np.max(peak)))
+    return omega
 
 
 def theoretical_threshold(op, exponents, c_hat, T, spec):
-    """Estimate the largest observation size for which the substitution map
-    provably contracts.
+    """Certify the largest observation size for which the substitution map
+    provably contracts, given an upper bound ``c_hat`` on the growth
+    constant, such as ``check_growth_condition``'s.
 
     The auxiliary exponent gamma0 is half of min(gamma, theta) when gamma is
     positive and zero otherwise; the ball radius solves
@@ -549,12 +547,12 @@ def theoretical_threshold(op, exponents, c_hat, T, spec):
         raise InvalidParameterError("c_hat must be a finite nonnegative number")
     if not T > 0:
         raise InvalidParameterError("T must be positive")
+    _check_spec(op, spec)
     gamma0 = min(exponents.gamma, exponents.theta) / 2.0 \
         if exponents.gamma > 0 else 0.0
     beta_value = beta_function(1.0 + gamma0 - exponents.theta,
                                1.0 - exponents.nu)
-    omega = _omega_estimate(op, exponents.theta, exponents.gamma, gamma0,
-                            T, spec.delta0)
+    omega = _omega_bound(op, exponents, gamma0, T, spec.delta0)
     est = WellPosednessEstimate(omega, gamma0, beta_value, 1.0, math.inf,
                                 True, 0.0, float(T), exponents)
     if c_hat == 0.0:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import specrec as sr
-from specrec import harness, recover
+from specrec import config, harness, recover
 from specrec.cli import main
 from specrec.config import config_from_dict
 from specrec.harness import sweep_threshold
@@ -110,6 +110,21 @@ class TestParsing:
         assert spec.theta == 0.25 and spec.delta0 == 0.0
         u0 = cfg.resolve_u0(op)
         assert u0.tolist() == [1.0, 0.0, 0.0, 0.0]
+
+    def test_operator_built_once(self, monkeypatch):
+        # reading the config builds the operator to check its values; every
+        # later caller shares that immutable operator
+        calls = []
+        build = config.build_second_order
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(config, "build_second_order", counting)
+        cfg = config_from_dict(BASE)
+        assert cfg.build_operator() is cfg.build_operator()
+        assert len(calls) == 1
 
     def test_gauss_bump_profile(self):
         data = deep({"u0": {"type": "gauss-bump", "center": math.pi / 2,
@@ -230,6 +245,15 @@ PINNED_MESSAGES = [
     (deep({"operator.grid_size": 10**23}),
      "operator.grid_size must be at most 16777216 for 4 modes: the operator "
      "keeps three grid_size x modes matrices, of at most 2**26 floats each"),
+    # operator values that the operator's constructor rejects
+    (deep({"operator.d": 0}), "operator: diffusivity must be positive"),
+    (deep({"operator.family": "neumann2", "operator.c0": 0}),
+     "operator: Neumann with zero reaction has a zero eigenvalue; pass "
+     "allow_zero_mode=True to build it anyway"),
+    (deep({"operator.grid_size": 3}),
+     "operator: grid_size must exceed n_modes"),
+    (deep({"operator.modes": 0}),
+     "operator: n_modes must be a positive integer"),
     # condition
     (deep({"condition": []}), "condition must be an object"),
     (deep({"condition.problem": "F"}),
@@ -424,6 +448,25 @@ class TestSweep:
         assert all(row.status == "ok" for row in rows)
         assert estimate.m_T > 0
 
+    def test_rows_below_threshold_converge(self):
+        # the threshold_m column is the certified m_T of the closed-form
+        # growth bound, and every row whose data lies below it converges
+        cfg = config_from_dict(deep({
+            "nonlinearity": {"type": "power", "kappa": 0.25, "ell": 1.0},
+            "u0.amplitude": 0.05,
+            "grid": {"T": 0.5, "n": 32},
+            "sweep": {"scales": [0.0, 0.5, 1.0, 4.0, 16.0, 64.0]},
+        }))
+        rows, estimate = sweep_threshold(cfg)
+        op = cfg.build_operator()
+        c_bar = sr.check_growth_condition(cfg.build_nonlinearity(), op,
+                                          cfg.build_norm_spec(op))
+        assert estimate.c_hat == c_bar > 0.0
+        assert all(row.threshold_m == estimate.m_T for row in rows)
+        below = [row for row in rows if row.sigma_T0_norm <= estimate.m_T]
+        assert len(below) >= 3
+        assert all(row.converged for row in below)
+
     def test_prefix_monotonicity_reported(self):
         # convergence flags should form a prefix of the ascending scale grid
         # in most randomized instances; reported, not asserted as a guarantee
@@ -478,7 +521,7 @@ class TestSweep:
 
     def test_memory_kernel_rejected_before_synthesis(self, tmp_path,
                                                     capsys, monkeypatch):
-        # the threshold estimate samples a pointwise growth constant, so a
+        # the certified threshold bounds a pointwise growth constant, so a
         # memory kernel fails before the observation is synthesized
         def no_synthesis(*args):
             raise AssertionError("the observation was synthesized")
@@ -537,6 +580,22 @@ class TestCli:
     def test_cross_section_error_exit_code(self, tmp_path, capsys, update,
                                            message):
         # each of these once ended in a failure of the recovery itself
+        path = write_cfg(tmp_path, deep(update))
+        assert main(["recover", "--config", path, "--quiet"]) == 4
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("update, message", [
+        ({"operator.d": 0}, "operator: diffusivity must be positive"),
+        ({"operator.family": "neumann2", "operator.c0": 0},
+         "operator: Neumann with zero reaction has a zero eigenvalue"),
+        ({"operator.grid_size": 3},
+         "operator: grid_size must exceed n_modes"),
+        ({"operator.modes": 0},
+         "operator: n_modes must be a positive integer"),
+    ], ids=["d-zero", "neumann-c0-zero", "grid-size-3", "modes-zero"])
+    def test_operator_error_exit_code(self, tmp_path, capsys, update,
+                                      message):
+        # values the operator's constructor rejects are config errors
         path = write_cfg(tmp_path, deep(update))
         assert main(["recover", "--config", path, "--quiet"]) == 4
         assert message in capsys.readouterr().err

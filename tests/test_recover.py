@@ -1,4 +1,4 @@
-"""Recovery operators, spectral checks, Picard driver, threshold estimates."""
+"""Recovery operators, spectral checks, Picard driver, certified thresholds."""
 
 import math
 from pathlib import Path
@@ -741,10 +741,53 @@ class TestTheoreticalThreshold:
         assert est.omega_T >= 1.0
         assert np.isfinite(est.m_T)
 
+    @pytest.mark.parametrize("eigs, delta0, theta, gamma, T, dominant", [
+        # shifted: s_1**theta sup_t t**theta e**(-t) decides
+        (-np.arange(1.0, 7.0) ** 2, 20.0, 0.5, 0.0, 1.0, True),
+        # unshifted with gamma = 0: both terms stay below 1
+        (-np.arange(1.0, 7.0) ** 2, 0.0, 0.25, 0.0, 1.0, False),
+        # gamma > 0 and a growing mode: s_1**(theta - gamma) T**(theta -
+        # gamma0) e**(T lam_1) decides
+        ([0.5, -1.0, -4.0], 0.6, 0.5, 0.4, 4.0, True),
+        # the peak of the stiff modes lies inside (0, T], not at T
+        (-np.array([10.0, 100.0, 1e4]), 1e4, 0.75, 0.3, 2.0, True),
+    ])
+    def test_omega_closed_form_against_dense_sup(
+            self, eigs, delta0, theta, gamma, T, dominant):
+        op = sr.diagonal_operator(eigs)
+        lam = op.eigenvalues
+        est = sr.theoretical_threshold(
+            op, sr.GrowthExponents(gamma, theta, 0.5, 1.0), 1.0, T,
+            sr.FractionalNormSpec(theta, delta0))
+        gamma0 = est.gamma0
+        terms = [(theta, theta), (theta - gamma, theta - gamma0)]
+        # the analytic peak of s**a t**p e**(t lam), mode by mode
+        peak = max(
+            (delta0 - l) ** a * t ** p * math.exp(t * l)
+            for a, p in terms for l in lam
+            for t in [min(T, p / -l) if l < 0 else T])
+        bounded = math.exp(T * max(0.0, lam[0]))
+        assert est.omega_T == pytest.approx(max(1.0, bounded, peak),
+                                            rel=1e-12)
+        assert (est.omega_T > max(1.0, bounded)) == dominant
+        # a dense numeric sup over t never exceeds it
+        t = T * np.concatenate([np.logspace(-10, 0, 20001),
+                                np.linspace(0.0, 1.0, 200001)[1:]])[:, None]
+        dense = max(np.max((delta0 - lam) ** a * t ** p * np.exp(t * lam))
+                    for a, p in terms)
+        assert est.omega_T >= dense
+
+    def test_invalid_norm_spec_rejected(self):
+        # delta0 must exceed the spectral bound, as for every norm
+        op = sr.diagonal_operator([0.5, -1.0])
+        with pytest.raises(sr.InvalidParameterError):
+            sr.theoretical_threshold(
+                op, sr.GrowthExponents(0.0, 0.25, 0.5, 1.0), 1.0, 1.0, SPEC)
+
 
 class TestContractionCertificate:
     def test_certified_instances_converge(self):
-        # whenever the zero-forcing data stays below the estimated threshold,
+        # whenever the zero-forcing data stays below the certified threshold,
         # the iteration must contract
         rng = np.random.default_rng(99)
         for _ in range(5):
@@ -755,9 +798,10 @@ class TestContractionCertificate:
             T = float(rng.uniform(0.3, 1.2))
             f = sr.PowerLaw(float(rng.uniform(0.2, 1.0)), 1.0)
             spec = sr.FractionalNormSpec(0.25, 0.0)
-            check = sr.check_growth_condition(f, op, spec, seed=int(rng.integers(1e6)))
+            rng.integers(1e6)  # keeps the instances' draws in order
+            c_bar = sr.check_growth_condition(f, op, spec)
             est = sr.theoretical_threshold(
-                op, sr.GrowthExponents(0.0, 0.25, 0.5, 1.0), check.c_hat, T, spec)
+                op, sr.GrowthExponents(0.0, 0.25, 0.5, 1.0), c_bar, T, spec)
             w = sr.mode_weights(op, 0.0, B1, T)
             z = rng.standard_normal(n)
             z *= 0.9 * est.m_T / np.linalg.norm(z)
