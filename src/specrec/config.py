@@ -348,6 +348,11 @@ def _check_across(cfg):
             f"{_MAX_OPERATOR_ENTRIES // modes} for {modes} modes: the "
             f"operator keeps three grid_size x modes matrices, of at most "
             f"2**26 floats each")
+    if cfg.operator.kind == "neumann2" and spec["c0"] == 0:
+        # the library's message names a keyword that no config key sets
+        raise ConfigError(
+            "operator: Neumann with zero reaction has a zero eigenvalue; "
+            "set operator.c0 > 0")
     try:
         cfg.build_operator()
     except SpecrecError as exc:

@@ -86,10 +86,12 @@ def _spans(e):
     return spans
 
 
-def _scan(e, x, spans=None):
+def _scan(e, x, spans=None, work=None):
     """x[i] <- e[i] x[i - 1] + x[i] for i >= 1, in place, by recursive
     doubling: ceil(log2 k) passes over the k rows, none multiplying by
-    e[0].  ``spans`` are ``_spans(e)``, built here when not given.
+    e[0].  ``spans`` are ``_spans(e)``, built here when not given; each
+    pass's products go into ``work`` (at least k - 1 rows), a kept array
+    when given.
 
     A column whose every e is 1 (lam = 0, or a step too short to move
     e^{h lam} off 1) is summed by ``np.cumsum`` instead: the same additions
@@ -100,26 +102,30 @@ def _scan(e, x, spans=None):
     if e[0, 0] >= 1.0:
         flat = (e == 1.0).all(axis=0)
         sums = np.cumsum(x[:, flat], axis=0)
+    work = np.empty_like(x) if work is None else work
     d = 1
     for span in _spans(e) if spans is None else spans:
-        x[d:] += span * x[:-d]
+        x[d:] += np.multiply(span, x[:-d], out=work[:len(span)])
         d *= 2
     if flat is not None:
         x[:, flat] = sums
     return x
 
 
-def _convolve(tables, G, known, spans=None):
+def _convolve(tables, G, known, spans=None, out=None, work=None):
     """The convolution at the ends of the steps of ``tables`` = (e, wl, wr),
     from the forcing G at those nodes and the ``known`` part of the first
     step: e_0 times the convolution at the node before it plus wl_0 times
     the forcing there.  One doubling scan over the steps, with the
-    ``spans`` of e when given."""
+    ``spans`` of e when given.  A caller convolving many forcings passes
+    kept arrays ``out``, the shape of G, and ``work``, one row fewer, to
+    allocate nothing."""
     e, wl, wr = tables
-    x = wr * G
-    x[1:] += wl[1:] * G[:-1]
+    x = np.multiply(wr, G, out=out)
+    work = np.empty_like(x) if work is None else work
+    x[1:] += np.multiply(wl[1:], G[:-1], out=work[:len(x) - 1])
     x[0] += known
-    return _scan(e, x, spans)
+    return _scan(e, x, spans, work)
 
 
 def _hopeless(res, ratio, prev_ratio, left, stop):

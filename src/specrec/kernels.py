@@ -5,10 +5,10 @@ form ``int b(t) exp(t*lam) dt`` and their tail variants.  Every weight is
 piecewise polynomial on [0, T], so every such integral is a finite sum of
 the moments J_k(z) = int_0^1 s**k exp(z*s) ds, which one evaluator supplies
 in closed form (with a series branch near z = 0 to avoid cancellation).
-One backward march over polynomial pieces turns these sums into the
-recovery's psi weights, the per-mode denominators and scales, and
-``tail_weight``.  The Beta function used by the well-posedness estimates
-lives here too.
+One backward march over the weight's polynomial pieces turns these sums
+into the tail part of the recovery's psi weights, the weight's part of the
+per-mode denominators and scales, and ``tail_weight``.  The Beta function
+used by the well-posedness estimates lives here too.
 """
 
 import math
@@ -206,20 +206,21 @@ def _cut(edges, coeffs, points):
     return w, _taylor_shift(coeffs[p], lo - edges[p]) * w[:, None] ** m
 
 
-def _march(lam, w, c, end, kmax=None):
-    """R(t) = end e^{(T - t) lam} + int_t^T b(s) e^{(s - t) lam} ds at every
-    cut of the pieces from ``_cut``, shape (w.size + 1, lam.size), and the
-    moments J_0..J_kmax at z = w lam (kmax defaults to b's degree).
+def _march(lam, w, c, kmax=None):
+    """R(t) = int_t^T b(s) e^{(s - t) lam} ds at every cut of the pieces
+    from ``_cut``, shape (w.size + 1, lam.size), and the moments
+    J_0..J_kmax at z = w lam (kmax defaults to b's degree).
 
-    R marches back from R(T) = end by R(lo) = w sum_m c_m J_m(z) + e^z R(hi),
-    so every exponent is <= 0 when lam <= 0.
+    R marches back from R(T) = 0 by R(lo) = w sum_m c_m J_m(z) + e^z R(hi),
+    so every exponent is <= 0 when lam <= 0.  A terminal term a e^{(T - t)
+    lam} is not marched: its callers take it in closed form.
     """
     z = w[:, None] * lam
     J = moments(z, c.shape[1] - 1 if kmax is None else kmax)
     inner = w[:, None] * np.einsum("pm,mpj->pj", c, J[:c.shape[1]])
     step = np.exp(z)
     R = np.empty((w.size + 1, lam.size))
-    R[-1] = end
+    R[-1] = 0.0
     for i in range(w.size - 1, -1, -1):
         R[i] = inner[i] + step[i] * R[i + 1]
     return R, J
@@ -258,7 +259,7 @@ def tail_weight(lam, s, T, b):
         raise InvalidParameterError("s must lie in [0, T]")
     points = np.concatenate([[s], edges[edges > s]])
     lam = np.atleast_1d(np.asarray(lam, dtype=float))
-    return float(_march(lam, *_cut(edges, coeffs, points), 0.0)[0][0, 0])
+    return float(_march(lam, *_cut(edges, coeffs, points))[0][0, 0])
 
 
 def exp_weight_integral(lam, T, b):
@@ -294,18 +295,23 @@ class ModeWeights:
 
 
 def mode_weights(op, a, b, T):
-    """Diagonal observation weights for all modes of an operator: R(0) of
-    the march over b's pieces from a, and over |b|'s pieces from |a|."""
+    """Diagonal observation weights for all modes of an operator.  The
+    terminal terms a e^{T lam} and |a| e^{T lam} are taken in closed form;
+    the march over b's pieces, and over |b|'s, adds R(0), and runs only for
+    a nonzero b.  An a of 0 adds no terminal term."""
     lam = op.eigenvalues
-
-    def start(edges, coeffs, end):
-        return _march(lam, *_cut(edges, coeffs, edges), end)[0][0]
-
     edges, coeffs = _pieces(b, T)
+    betas = scales = np.zeros(lam.size)
     # an overflowing unstable mode is reported by ModeWeights, with its index
     with np.errstate(over="ignore", invalid="ignore"):
-        return ModeWeights(start(edges, coeffs, a),
-                           start(*_abs_pieces(edges, coeffs), abs(a)))
+        if a != 0.0:
+            end = np.exp(T * lam)
+            betas, scales = a * end, abs(a) * end
+        if not b.is_zero:
+            betas = betas + _march(lam, *_cut(edges, coeffs, edges))[0][0]
+            edges, coeffs = _abs_pieces(edges, coeffs)
+            scales = scales + _march(lam, *_cut(edges, coeffs, edges))[0][0]
+    return ModeWeights(betas, scales)
 
 
 def beta_function(x, y):

@@ -121,7 +121,8 @@ class ConditionE200(NonlocalCondition):
 #              = int_0^T g_j(s) [a e^{(T-s) lam_j} + tail_j(s)] ds,
 #
 # tail_j(s) = int_s^T b(t) e^{(t-s) lam_j} dt.  Both depend on the problem
-# only, so they are built once and each sweep is two array contractions.
+# only, so they are built once and psi is one array contraction per sweep.
+# The a terms are taken in closed form, so only a nonzero b is marched.
 
 _NO_WEIGHT = ConstantWeight(0.0)
 
@@ -138,28 +139,38 @@ def _coupling(cond):
     raise InvalidParameterError(f"unknown problem tag {cond.problem!r}")
 
 
-def _psi_weights(op, grid, a, b):
-    """Per-node weights (wL, wR), each (n_steps, n_modes), such that
-    psi_j(g) = sum_k wL[k, j] g_k[j] + wR[k, j] g_{k+1}[j] for g linear
-    between the grid nodes, exact for every piecewise-polynomial b.
+def _psi_weights(op, grid, a, b, tables):
+    """Per-node weights W, shape (n_nodes, n_modes), with psi_j(g) =
+    sum_i W[i, j] g_i[j] exact for g linear between the grid nodes and any
+    piecewise-polynomial b; ``tables`` are the grid's ``_step_tables``.
 
-    psi weighs g(s) by R(s) = a e^{(T-s) lam} + tail(s).  ``kernels._march``
-    gives R at every cut of [0, T] at the grid nodes and b's breakpoints, so
-    each piece [lo, hi] of width w lies in one step and one polynomial piece
-    of b, b(lo + w tau) = sum_m c_m tau**m.  There R(lo + w sigma) =
-    e^{(1-sigma) z} R(hi) plus w int_sigma^1 b e^{(tau-sigma) z} dtau at
-    z = w lam.  A hat running from A at lo to B at hi takes
-    w (B J_0 + (A - B) J_1) R(hi) + w**2 sum_k q_k J_k, with
-    q(rho) = int_rho^1 (A + (B - A)(tau - rho)) b(lo + w tau) dtau, so the
-    march's moments, taken to deg + 2, give both terms.
+    psi weighs g(s) by a e^{(T-s) lam} + tail(s).  The a term is a times
+    the convolution at T, so step k's hats take a e^{(T - t_{k+1}) lam}
+    (wl_k, wr_k), the exponent formed directly.  The tail, for a nonzero b
+    only, is ``kernels._march``'s at every cut of [0, T] at the nodes and
+    b's breakpoints, so each piece [lo, hi] of width w lies in one step and
+    one polynomial piece, b(lo + w tau) = sum_m c_m tau**m.  There
+    tail(lo + w sigma) = e^{(1-sigma) z} tail(hi) + w int_sigma^1 b
+    e^{(tau-sigma) z} dtau at z = w lam, and a hat running from A at lo to
+    B at hi takes w (B J_0 + (A - B) J_1) tail(hi) + w**2 sum_k q_k J_k,
+    with q(rho) = int_rho^1 (A + (B - A)(tau - rho)) b(lo + w tau) dtau, so
+    the march's moments, taken to deg + 2, give both terms.
     """
-    nodes = grid.nodes
+    nodes, lam = grid.nodes, op.eigenvalues
     edges, coeffs = b.pieces(grid.T)
+    W = np.zeros((nodes.size, lam.size))
+    if a != 0.0:
+        _, tl, tr = tables
+        decay = a * np.exp((grid.T - nodes[1:, None]) * lam)
+        W[:-1] = decay * tl
+        W[1:] += decay * tr
+    if b.is_zero:
+        return W
     cuts = np.union1d(nodes, edges)
     lo, hi = cuts[:-1], cuts[1:]
     w, c = _cut(edges, coeffs, cuts)
     m = np.arange(c.shape[1])
-    R, J = _march(op.eigenvalues, w, c, a, m.size + 1)
+    R, J = _march(lam, w, c, m.size + 1)
     w = w[:, None]
     k = np.searchsorted(nodes, lo, side="right") - 1
     # end values of the left and right hats of step k on each piece
@@ -177,21 +188,9 @@ def _psi_weights(op, grid, a, b):
     per = (w * (B[..., None] * J[0] + (A - B)[..., None] * J[1]) * R[1:]
            + w * w * np.einsum("hsk,ksj->hsj", q, J))
     wl, wr = np.add.reduceat(per, np.searchsorted(cuts, nodes[:-1]), axis=1)
-    return wl, wr
-
-
-def _psi(weights, g):
-    """psi(g) for the per-node weights of ``_psi_weights`` and coefficient
-    samples g of shape (n_nodes, n_modes)."""
-    wl, wr = weights
-    return np.einsum("kj,kj->j", wl, g[:-1]) + np.einsum("kj,kj->j", wr, g[1:])
-
-
-def _require_forcing_grid(T, g, op):
-    if abs(T - g.grid.T) > 1e-12 * max(1.0, T):
-        raise InvalidParameterError("T does not match the forcing grid")
-    if g.coeffs.shape[1] != op.n_modes:
-        raise InvalidParameterError("forcing trajectory does not match the operator")
+    W[:-1] += wl
+    W[1:] += wr
+    return W
 
 
 def apply_psi_E(a, b, T, g, op):
@@ -206,8 +205,13 @@ def apply_psi_E(a, b, T, g, op):
     for g linear between nodes and any piecewise-polynomial b, and stable
     for arbitrarily stiff modes.
     """
-    _require_forcing_grid(T, g, op)
-    return _psi(_psi_weights(op, g.grid, a, b), g.coeffs)
+    if abs(T - g.grid.T) > 1e-12 * max(1.0, T):
+        raise InvalidParameterError("T does not match the forcing grid")
+    if g.coeffs.shape[1] != op.n_modes:
+        raise InvalidParameterError("forcing trajectory does not match the operator")
+    W = _psi_weights(op, g.grid, a, b,
+                     _step_tables(g.grid.nodes, op.eigenvalues))
+    return np.einsum("ij,ij->j", W, g.coeffs)
 
 
 # --------------------------------------------------------------------------
@@ -293,14 +297,14 @@ _DIVERGENCE_FACTOR = 1e6
 @dataclass(frozen=True, eq=False)
 class _Plan:
     """What a recovery builds that does not depend on the data M: the
-    denominators and their report and, for a solvable problem only, the psi
-    weights, the grid's step tables and the doubling scan's spans of their
-    step factors, the semigroup samples e^{t_i lam_j} and the history
-    operator (None for a pointwise map)."""
+    denominators and their report and, for a solvable problem only, the
+    per-node psi weights W, the grid's step tables and the doubling scan's
+    spans of their step factors, the semigroup samples e^{t_i lam_j} and
+    the history operator (None for a pointwise map)."""
 
     denoms: np.ndarray
     spectral: SpectralConditionReport
-    weights: tuple = None
+    weights: np.ndarray = None
     tables: tuple = None
     spans: list = None
     hom: np.ndarray = None
@@ -317,8 +321,8 @@ def _build_plan(op, cond, f, grid):
     tables = _step_tables(grid.nodes, op.eigenvalues)
     with np.errstate(over="ignore"):
         hom = np.exp(np.outer(grid.nodes, op.eigenvalues))
-    return _Plan(denoms, spectral, _psi_weights(op, grid, a, b), tables,
-                 _spans(tables[0]), hom,
+    return _Plan(denoms, spectral, _psi_weights(op, grid, a, b, tables),
+                 tables, _spans(tables[0]), hom,
                  f.history_rows(grid.nodes, 0, grid.nodes.size))
 
 
@@ -335,20 +339,26 @@ def picard_recover(op, cond, f, grid, spec, tol=1e-10, max_iter=200,
 
     The initial value map u(0) = (M - psi(g)) / d is affine in the forcing
     g.  Everything but M is built once per problem: the denominators, the
-    per-node weights of psi, exact for g linear between nodes and any
+    per-node weights W of psi, exact for g linear between nodes and any
     piecewise-polynomial b, the grid's step tables and the doubling scan's
     span products, the semigroup samples, and the history operator of a
     nonlinearity with memory, (n + 1)**2 floats for n steps (0.13 MB at
     n = 128, 8.4 MB at n = 1024).  A caller recovering many data vectors of
-    one problem passes that plan as ``_plan``; the norm weights
-    (delta0 - lam_j)**theta and t_i**theta are formed once per call.
+    one problem passes that plan as ``_plan``.  Each call forms the norm
+    weights (delta0 - lam_j)**theta and t_i**theta, and its work arrays,
+    once: two state buffers that swap, the convolution, the scan's
+    products and the squared update.
 
     A sweep then works on coefficient arrays: the payload ``f.eval_node``
     of every node in one stacked call (its two matrix products), one
-    product with the history operator for a memory kernel, two
-    contractions for psi, a doubling-scan convolution, O(n m log n) for m
-    modes, and the two residual norms.  The iterate is checked finite each
-    sweep; the report's ``Trajectory`` is built once, from the last one.
+    product with the history operator for a memory kernel, one contraction
+    with W for psi, and the semigroup samples times u(0) plus a
+    doubling-scan convolution, O(n m log n) for m modes.  Both residuals
+    come from one product of S = (new - u)**2 with the columns 1 and
+    mu = (delta0 - lam)**(2 theta): max_i sqrt(S_i . 1) and max_i
+    t_i**theta sqrt(S_i . mu).  Only when one is not finite is the iterate
+    checked finite and the update's norms rescaled as ``_row_norms`` does.
+    The report's ``Trajectory`` is built once, from the last iterate.
     """
     if not (tol > 0 and math.isfinite(tol)):
         raise InvalidParameterError("tol must be positive and finite")
@@ -366,14 +376,14 @@ def picard_recover(op, cond, f, grid, spec, tol=1e-10, max_iter=200,
         raise AdmissibilityError(
             "the nonlinearity must vanish at the zero state")
 
-    hom, history, wl = plan.hom, plan.history, plan.tables[1]
+    hom, history, tables = plan.hom, plan.history, plan.tables
 
     def forcing(u):
         P = f.eval_node(u, op)
         return P if history is None else history @ P
 
     def sigma(G):
-        return (cond.M - _psi(plan.weights, G)) / plan.denoms
+        return (cond.M - np.einsum("ij,ij->j", plan.weights, G)) / plan.denoms
 
     e0_spec = FractionalNormSpec(0.0, spec.delta0)
     # the weighted residual skips t = 0 unless theta = 0, as
@@ -381,21 +391,12 @@ def picard_recover(op, cond, f, grid, spec, tol=1e-10, max_iter=200,
     start = 0 if spec.theta == 0.0 else 1
     t_mu = grid.nodes[start:] ** spec.theta
 
-    def residual(diff, t_weights, norm_spec):
-        """max_i t_weights[i] ||diff[i]|| in ``norm_spec``, by the formula
-        of ``_row_norms``, which rescales rows only when a norm overflows."""
-        c = diff if norm_spec.theta == 0.0 else lam_mu * diff
-        r = float((t_weights * np.sqrt(np.einsum("...j,...j->...", c, c)))
-                  .max())
-        if not math.isfinite(r):
-            r = float((t_weights * _row_norms(op, diff, norm_spec)).max())
-        return r
-
     # overflow of a runaway iterate is caught by the finite checks below
     with np.errstate(over="ignore", invalid="ignore"):
         sigma0 = cond.M / plan.denoms
         sigma_T0_norm = fractional_norm(op, sigma0, e0_spec)  # checks delta0
         lam_mu = (spec.delta0 - op.eigenvalues) ** spec.theta
+        norm_weights = np.column_stack([np.ones_like(lam_mu), lam_mu * lam_mu])
 
         if initial == "zero":
             u = np.zeros_like(hom)
@@ -403,6 +404,8 @@ def picard_recover(op, cond, f, grid, spec, tol=1e-10, max_iter=200,
             u = hom * sigma0
         else:
             raise InvalidParameterError('initial must be "zero" or "linear"')
+        new, S = np.empty_like(hom), np.empty_like(hom)
+        conv, work = np.empty_like(hom[1:]), np.empty_like(hom[1:])
 
         residual_weighted = []
         residual_sup = []
@@ -418,17 +421,24 @@ def picard_recover(op, cond, f, grid, spec, tol=1e-10, max_iter=200,
                 diverged = True
                 break
             u0 = sigma(G)
-            new = hom * u0
-            new[1:] += _convolve(plan.tables, G[1:], wl[0] * G[0], plan.spans)
-            if not np.isfinite(new).all():
-                diverged = True
-                break
-            diff = new - u
-            rw = residual(diff[start:], t_mu, spec)
-            rs = residual(diff, 1.0, e0_spec)
+            np.multiply(hom, u0, out=new)
+            new[1:] += _convolve(tables, G[1:], tables[1][0] * G[0],
+                                 plan.spans, conv, work)
+            np.subtract(new, u, out=S)
+            np.multiply(S, S, out=S)
+            sums = S @ norm_weights
+            rs = math.sqrt(sums[:, 0].max())
+            rw = float((t_mu * np.sqrt(sums[start:, 1])).max())
+            if not (math.isfinite(rs) and math.isfinite(rw)):
+                if not np.isfinite(new).all():
+                    diverged = True
+                    break
+                diff = new - u
+                rw = float((t_mu * _row_norms(op, diff[start:], spec)).max())
+                rs = float(_row_norms(op, diff, e0_spec).max())
             residual_weighted.append(rw)
             residual_sup.append(rs)
-            u = new
+            u, new = new, u
             combined = rw + rs
             if combined <= tol:
                 converged = True

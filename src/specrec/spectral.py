@@ -211,22 +211,25 @@ def _check_spec(op, spec):
 def _row_norms(op, coeffs, spec):
     """Spectral power norm of each row of an (..., n_modes) array.
 
-    The weights (delta0 - lambda_j)**theta are formed once per call.  A row
-    whose sum of squares overflows although its entries are finite is
-    recomputed as s*||c/s|| with s = max|c_j|; every other row keeps the
-    plain result, so a norm is inf only when it exceeds the float range.
+    The weights (delta0 - lambda_j)**theta are formed once per call.  A
+    nonzero row of finite entries whose sum of squares overflows, or falls
+    below the normal range, is recomputed as s*||c/s|| with s = max|c_j|;
+    every other row keeps the plain result, so a norm is inf only when it
+    exceeds the float range and 0 only for a zero row.
     """
     _check_spec(op, spec)
     c = np.asarray(coeffs, dtype=float)
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         if spec.theta != 0.0:
             c = (spec.delta0 - op.eigenvalues) ** spec.theta * c
-        norms = np.asarray(np.sqrt(np.einsum("...j,...j->...", c, c)))
-        big = np.isinf(norms)
-        if big.any():
-            big &= np.isfinite(c).all(axis=-1)
-            s = np.abs(c[big]).max(axis=-1, keepdims=True)
-            norms[big] = s[..., 0] * np.linalg.norm(c[big] / s, axis=-1)
+        squares = np.asarray(np.einsum("...j,...j->...", c, c))
+        norms = np.asarray(np.sqrt(squares))
+        redo = np.isinf(squares) | (squares < np.finfo(float).tiny)
+        if redo.any():
+            rows = c[redo]
+            s = np.abs(rows).max(axis=-1)  # nan when a row holds one
+            fixed = s * np.linalg.norm(rows / s[:, None], axis=-1)
+            norms[redo] = np.where((s > 0.0) & (s < np.inf), fixed, norms[redo])
     return norms
 
 

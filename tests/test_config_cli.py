@@ -248,8 +248,8 @@ PINNED_MESSAGES = [
     # operator values that the operator's constructor rejects
     (deep({"operator.d": 0}), "operator: diffusivity must be positive"),
     (deep({"operator.family": "neumann2", "operator.c0": 0}),
-     "operator: Neumann with zero reaction has a zero eigenvalue; pass "
-     "allow_zero_mode=True to build it anyway"),
+     "operator: Neumann with zero reaction has a zero eigenvalue; set "
+     "operator.c0 > 0"),
     (deep({"operator.grid_size": 3}),
      "operator: grid_size must exceed n_modes"),
     (deep({"operator.modes": 0}),

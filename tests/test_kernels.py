@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import specrec as sr
+from specrec import kernels
 from specrec.errors import IllPosedModeError, NumericFailureError
 from specrec.kernels import moments
 from _util import rel_err, ulp_close
@@ -64,8 +65,9 @@ def _table_pieces(times, values):
 
 
 class TestMoments:
-    # both sides of the series/recurrence switches at |z| = 1 (kmax <= 3)
-    # and |z| = 3 (kmax > 3), the stiff end and the origin
+    # both sides of the one series/recurrence switch, at |z| = 3 for every
+    # kmax, points on either side of |z| = 1 inside the series branch, the
+    # stiff end and the origin
     @pytest.mark.parametrize("z", [
         -7e5, -1e4, -700.0, -50.0, -3.3, -3.0 - 1e-7, -3.0, -3.0 + 1e-7,
         -1.5, -1.0 - 1e-7, -1.0, -1.0 + 1e-7, -0.35, -1e-3, -1e-9, 0.0, 1e-9,
@@ -216,6 +218,20 @@ class TestModeWeights:
         decay = np.exp(1.3 * op.eigenvalues)
         phi0s = sr.mode_weights(op, 0.0, B1, 1.3).betas
         assert np.array_equal(w.betas, 0.7 * decay + phi0s)
+
+    @pytest.mark.parametrize("a", [0.7, -1.3])
+    def test_zero_weight_in_closed_form(self, a, monkeypatch):
+        # b = 0 (problem E100): the terminal terms alone, with no march,
+        # down to the stiffest mode
+        def no_march(*args):
+            raise AssertionError("a zero weight was marched")
+
+        monkeypatch.setattr(kernels, "_march", no_march)
+        op = sr.build_fourth_order(16, 1.0)
+        w = sr.mode_weights(op, a, sr.ConstantWeight(0.0), 0.8)
+        end = np.exp(0.8 * op.eigenvalues)
+        assert w.betas.tobytes() == (a * end).tobytes()
+        assert w.scales.tobytes() == (abs(a) * end).tobytes()
 
     def test_positivity_certificate(self):
         # nonnegative weight, nonnegative a, dissipative modes -> positive betas

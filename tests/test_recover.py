@@ -12,6 +12,7 @@ import specrec as sr
 from specrec.nonlinearity import Nonlinearity
 from specrec.harness import build_condition, resolve_M
 from specrec.recover import _build_plan, _coupling, _denominators
+from specrec.spectral import _row_norms
 from _util import rel_err
 
 B1 = sr.ConstantWeight(1.0)
@@ -254,6 +255,29 @@ class TestApplyPsiE:
         assert rel_err(out[0], want) < 1e-12
 
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("problem", ["E", "E100", "E200"])
+    def test_terminal_term_is_the_convolution_at_T(self, problem, seed):
+        # psi splits into a times the convolution at T and the psi of the
+        # same b with a = 0; a table with breakpoints inside steps, modes
+        # from growing to stiff, a random forcing linear between nodes
+        grid = sr.make_graded_grid(1.0, 16, 1.5)
+        op = sr.diagonal_operator([0.7, -1e-9, -1.0, -40.0, -1e3, -1.05e6])
+        table = sr.TabulatedWeight([0.0, 0.23, 0.61, 1.0],
+                                   [1.0, -0.7, 0.4, 0.9])
+        M = np.zeros(op.n_modes)
+        cond = {"E": sr.ConditionE(0.3, table, M),
+                "E100": sr.ConditionE100(-0.8, M),
+                "E200": sr.ConditionE200(table, M)}[problem]
+        _, a, b = _coupling(cond)
+        rng = np.random.default_rng(seed)
+        g = _traj(grid, rng.standard_normal((grid.nodes.size, op.n_modes)))
+        got = sr.apply_psi_E(a, b, 1.0, g, op)
+        want = (a * sr.duhamel_convolve(op, g).coeffs[-1]
+                + sr.apply_psi_E(0.0, b, 1.0, g, op))
+        assert rel_err(got, want) <= 1e-13
+
+
 def _recover_linear(op, cond, T=1.0, n=8):
     """u(0) recovered for zero forcing, where it is M / d per mode."""
     spec = sr.FractionalNormSpec(SPEC.theta, sr.default_shift(op))
@@ -482,6 +506,46 @@ class TestPicardLinear:
         assert big.iterations == base.iterations
         assert rel_err(big.sigma_T0_norm, 1e160 * base.sigma_T0_norm) <= 1e-14
         assert rel_err(big.u0_recovered, 1e160 * base.u0_recovered) <= 1e-14
+
+
+class TestSweepResiduals:
+    """Both residuals of a sweep come from one pass over the squared
+    update; they match the row norms of the same update."""
+
+    @staticmethod
+    def _first_update(op, cond, f, spec):
+        # one sweep from the zero start: the update is the iterate itself
+        grid = sr.make_graded_grid(1.0, 32)
+        report = sr.picard_recover(op, cond, f, grid, spec, max_iter=1)
+        assert report.iterations == 1 and not report.diverged
+        start = 0 if spec.theta == 0.0 else 1
+        diff = report.trajectory.coeffs
+        t_mu = grid.nodes[start:] ** spec.theta
+        rw = np.max(t_mu * _row_norms(op, diff[start:], spec))
+        rs = np.max(_row_norms(op, diff, sr.FractionalNormSpec(0.0, spec.delta0)))
+        return report, rw, rs
+
+    @pytest.mark.parametrize("theta", [0.0, 0.25, 0.6])
+    def test_match_row_norms(self, theta):
+        op = sr.build_second_order(8, 1.0, 0.0, "dirichlet")
+        spec = sr.FractionalNormSpec(theta, 0.0)
+        M = np.random.default_rng(9).standard_normal(8) * 0.05
+        report, rw, rs = self._first_update(
+            op, sr.ConditionE(0.3, B1, M), sr.PowerLaw(0.5, 1.0), spec)
+        assert rel_err(report.residual_weighted[0], rw) <= 1e-14
+        assert rel_err(report.residual_sup[0], rs) <= 1e-14
+
+    def test_match_row_norms_when_squares_overflow(self):
+        # an update near 1e160 squares past the float range; the residuals
+        # are taken from the rescaled row norms instead
+        op = sr.build_second_order(8, 1.0, 0.0, "dirichlet")
+        spec = sr.FractionalNormSpec(0.25, 0.0)
+        M = np.random.default_rng(9).standard_normal(8) * 1e160
+        report, rw, rs = self._first_update(
+            op, sr.ConditionE(0.3, B1, M), sr.Zero(), spec)
+        assert math.isfinite(rw) and rs > 1e155
+        assert rel_err(report.residual_weighted[0], rw) <= 1e-14
+        assert rel_err(report.residual_sup[0], rs) <= 1e-14
 
 
 class TestPicardNonlinear:

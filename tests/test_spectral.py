@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import specrec as sr
+from specrec.spectral import _row_norms
 from _util import ulp_close
 
 DIRICHLET3 = sr.build_second_order(3, 1.0, 0.0, "dirichlet")
@@ -287,6 +288,31 @@ class TestWeightedSupNormOracle:
         row = sr.fractional_norm(op, big.coeffs[5], spec)
         assert abs(row - 1e200 * sr.fractional_norm(op, c[5], spec)) \
             <= 1e-15 * row
+
+    @pytest.mark.parametrize("value", [1e-170, 3e-160])
+    def test_underflowing_row_keeps_its_digits(self, value):
+        # the sum of squares of these rows is 0 or subnormal; the norm is
+        # rescaled as an overflowing one is
+        op = sr.build_second_order(4, 1.0, 0.0, "dirichlet")
+        got = sr.fractional_norm(op, np.full(4, value),
+                                 sr.FractionalNormSpec(0.0, 0.0))
+        assert abs(got - 2.0 * value) <= 1e-15 * 2.0 * value
+
+    @pytest.mark.parametrize("theta", [0.0, 0.25])
+    def test_rows_in_range_keep_their_bytes(self, theta):
+        # rows whose sum of squares neither overflows nor underflows take
+        # the plain formula, next to rows that are rescaled or zero
+        op = sr.build_second_order(7, 1.0, 0.0, "dirichlet")
+        spec = sr.FractionalNormSpec(theta, 0.0)
+        c = np.random.default_rng(5).standard_normal((6, 7))
+        c *= np.array([1e-150, 1e-3, 1.0, 1e150, 1e-170, 0.0])[:, None]
+        w = c * (-op.eigenvalues) ** theta
+        plain = np.sqrt(np.einsum("ij,ij->i", w, w))
+        got = _row_norms(op, c, spec)
+        assert got[:4].tobytes() == plain[:4].tobytes()
+        assert got[5] == 0.0
+        assert abs(got[4] - 1e-170 * np.linalg.norm(w[4] / 1e-170)) \
+            <= 1e-15 * got[4]
 
     def test_norm_beyond_float_range_is_inf(self):
         op = sr.diagonal_operator([-1.0, -2.0])
