@@ -10,7 +10,7 @@ from .spectral import (FractionalNormSpec, SpectralOperator, TimeGrid,
                        synthesize, weighted_sup_norm)
 from .kernels import (ConstantWeight, ModeWeights, PolynomialWeight,
                       TabulatedWeight, WeightFunction, beta_function,
-                      exp_weight_integral, mode_weights, tail_weight)
+                      mode_weights)
 from .nonlinearity import (MemoryKernel, Nonlinearity, PowerLaw, Zero,
                            check_growth_condition, check_kernel_admissibility)
 from .duhamel import duhamel_convolve, forward_solve, observe

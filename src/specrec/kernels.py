@@ -6,9 +6,9 @@ piecewise polynomial on [0, T], so every such integral is a finite sum of
 the moments J_k(z) = int_0^1 s**k exp(z*s) ds, which one evaluator supplies
 in closed form (with a series branch near z = 0 to avoid cancellation).
 One backward march over the weight's polynomial pieces turns these sums
-into the tail part of the recovery's psi weights, the weight's part of the
-per-mode denominators and scales, and ``tail_weight``.  The Beta function
-used by the well-posedness estimates lives here too.
+into the tail part of the recovery's psi weights and the weight's part of
+the per-mode denominators and scales.  The Beta function used by the
+well-posedness estimates lives here too.
 """
 
 import math
@@ -23,25 +23,44 @@ from .errors import InvalidParameterError, NumericFailureError
 
 # Below |z| = 3 the series gives J_kmax, where 30 terms reach rounding
 # (3**30 / 30! < 1e-18), and the downward recurrence the lower moments;
-# above it the upward recurrence multiplies the error of J_{k-1} by
-# k/|z| < k/3.
-_SERIES_TERMS = 30
-_SERIES_CUTOFF = 3.0
+# above it the upward recurrence multiplies the error of J_{k-1} by k/|z|,
+# kmax!/|z|**kmax in all.  That product passes 1 above |z| = 3 once kmax
+# >= 7, so there the series runs out to (kmax!)**(1/kmax), with as many
+# terms as reach rounding at that cutoff.  Each kmax's cutoff and series
+# coefficients 1/(m! (m + kmax + 1)), highest m first, are built once, and
+# Horner's rule runs in place.  Every step is elementwise, so an entry's
+# value does not depend on the other entries of the call.
+_SERIES = {}
+
+
+def _series(kmax):
+    """The series cutoff for J_kmax and the series coefficients."""
+    if kmax not in _SERIES:
+        # at most 30, where 114 terms reach rounding and their factorials
+        # are still floats
+        cutoff = min(max(3.0, math.exp(math.lgamma(kmax + 1) / max(kmax, 1))),
+                     30.0)
+        terms = next(n for n in range(1, 200)
+                     if cutoff**n / math.factorial(n) < 1e-18)
+        _SERIES[kmax] = cutoff, [1.0 / (math.factorial(m) * (m + kmax + 1))
+                                 for m in range(terms - 1, -1, -1)]
+    return _SERIES[kmax]
 
 
 def moments(z, kmax):
     """J_k(z) for k = 0..kmax, shape (kmax + 1,) + z.shape.
 
-    For |z| < 3, where the by-parts recurrence J_k = (e^z - k J_{k-1}) / z
-    cancels, J_kmax is the series sum_m z**m / (m! (m + kmax + 1)) and the
-    lower moments follow from J_{k-1} = (e^z - z J_k) / k; the upward
-    recurrence elsewhere.
+    For |z| < 3 (more for kmax >= 7), where the by-parts recurrence J_k =
+    (e^z - k J_{k-1}) / z cancels, J_kmax is the series sum_m z**m / (m!
+    (m + kmax + 1)) and the lower moments follow from J_{k-1} = (e^z - z
+    J_k) / k; the upward recurrence elsewhere.
     The phi functions are phi1 = J_0, phi2 = J_0 - J_1 and
     phi3 = (J_0 - 2 J_1 + J_2) / 2.
     """
     z = np.asarray(z, dtype=float)
     flat = z.ravel()
-    small = np.abs(flat) < _SERIES_CUTOFF
+    cutoff, coeffs = _series(kmax)
+    small = np.abs(flat) < cutoff
     zr = np.where(small, 1.0, flat)
     ez = np.exp(zr)
     out = np.empty((kmax + 1, flat.size))
@@ -49,16 +68,19 @@ def moments(z, kmax):
     for k in range(1, kmax + 1):
         out[k] = (ez - k * out[k - 1]) / zr
     if small.any():
-        # Horner for J_kmax, evaluated only where the series is needed
+        # Horner for J_kmax and the downward recurrence, evaluated only
+        # where the series is needed, then written back at once
         zs = flat[small]
-        acc = np.zeros_like(zs)
-        for m in range(_SERIES_TERMS - 1, -1, -1):
-            acc = acc * zs + 1.0 / (math.factorial(m) * (m + kmax + 1))
-        out[kmax, small] = acc
+        first, *rest = coeffs
+        low = np.full((kmax + 1, zs.size), first)
+        acc = low[kmax]
+        for c in rest:
+            acc *= zs
+            acc += c
         es = np.exp(zs)
         for k in range(kmax, 0, -1):
-            acc = (es - zs * acc) / k
-            out[k - 1, small] = acc
+            low[k - 1] = (es - zs * low[k]) / k
+        out[:, small] = low
     return out.reshape((kmax + 1,) + z.shape)
 
 
@@ -187,6 +209,9 @@ class TabulatedWeight(WeightFunction):
 def _taylor_shift(coeffs, d):
     """Taylor coefficients about x + d[p] of the polynomial whose
     coefficients about x are coeffs[p], for every row p."""
+    if not d.any():
+        # the sums below would add only signed zeros to finite coefficients
+        return coeffs + 0.0
     out = np.zeros_like(coeffs)
     for k in range(coeffs.shape[1]):
         for m in range(k + 1):
@@ -221,27 +246,48 @@ def _march(lam, w, c, kmax=None):
     step = np.exp(z)
     R = np.empty((w.size + 1, lam.size))
     R[-1] = 0.0
-    for i in range(w.size - 1, -1, -1):
-        R[i] = inner[i] + step[i] * R[i + 1]
+    # R(lo) = e^z R(hi) + inner, written in place, row by row
+    rows = list(R)
+    for r, nxt, a, e in zip(rows[-2::-1], rows[:0:-1], inner[::-1],
+                            step[::-1]):
+        np.multiply(e, nxt, out=r)
+        r += a
     return R, J
 
 
 def _abs_pieces(edges, coeffs):
-    """The pieces of |b| for the pieces of b: each piece is split at its
-    real roots inside it and takes its sign from its midpoint.  A root that
-    rounds onto an edge is dropped, since |b| is at rounding level there."""
-    out_edges, out_coeffs = [edges[:1]], []
-    for lo, hi, c in zip(edges[:-1], edges[1:], coeffs):
-        r = np.roots(c[::-1])
-        r = np.sort(r[np.isreal(r)].real)
-        r = r[(r > 0.0) & (r < hi - lo)]
-        left = np.concatenate([[0.0], r])
-        right = np.concatenate([r, [hi - lo]])
-        sign = np.sign(np.polynomial.polynomial.polyval(0.5 * (left + right), c))
-        out_edges.append(np.concatenate([lo + r, [hi]]))
-        out_coeffs.append(sign[:, None] * _taylor_shift(
-            np.tile(c, (left.size, 1)), left))
-    return np.concatenate(out_edges), np.concatenate(out_coeffs)
+    """The pieces of |b| for the pieces of b, and the sign of b on each:
+    each piece is split at its real roots inside it and takes its sign from
+    its midpoint.  A root that rounds onto an edge is dropped, since |b| is
+    at rounding level there.  A flat piece has no root and a linear one
+    -c0/c1, which is what ``np.roots`` gives too (unless the root lies
+    within 1e-135 of the piece's start, where LAPACK rescales), so only
+    pieces of higher degree are solved one at a time."""
+    width = np.diff(edges)
+    owner, roots = np.arange(width.size), np.full(width.size, np.nan)
+    if coeffs.shape[1] == 2:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            roots = -coeffs[:, 0] / coeffs[:, 1]
+    elif coeffs.shape[1] > 2:
+        found = [np.sort(r[np.isreal(r)].real)
+                 for r in (np.roots(c[::-1]) for c in coeffs)]
+        owner = np.repeat(owner, [r.size for r in found])
+        roots = np.concatenate(found)
+    inside = (roots > 0.0) & (roots < width[owner])
+    owner, roots = owner[inside], roots[inside]
+    # piece p's parts start at 0 and at its roots, in order, and each ends
+    # where the next starts or at the piece's width
+    at = np.searchsorted(owner, np.arange(width.size))
+    piece = np.insert(owner, at, np.arange(width.size))
+    left = np.insert(roots, at, 0.0)
+    last = np.append(piece[1:] != piece[:-1], True)
+    right = np.where(last, width[piece], np.append(left[1:], 0.0))
+    c = coeffs[piece]
+    sign = np.sign(np.polynomial.polynomial.polyval(
+        0.5 * (left + right), c.T, tensor=False))
+    out_edges = np.where(last, edges[piece + 1], edges[piece] + right)
+    return (np.concatenate([edges[:1], out_edges]),
+            sign[:, None] * _taylor_shift(c, left), sign)
 
 
 def _pieces(b, T):
@@ -250,21 +296,6 @@ def _pieces(b, T):
     if not isinstance(b, WeightFunction):
         raise InvalidParameterError("b must be a WeightFunction")
     return b.pieces(T)
-
-
-def tail_weight(lam, s, T, b):
-    """int_s^T b(t) exp((t - s)*lam) dt; zero at s = T."""
-    edges, coeffs = _pieces(b, T)
-    if not 0.0 <= s <= T:
-        raise InvalidParameterError("s must lie in [0, T]")
-    points = np.concatenate([[s], edges[edges > s]])
-    lam = np.atleast_1d(np.asarray(lam, dtype=float))
-    return float(_march(lam, *_cut(edges, coeffs, points))[0][0, 0])
-
-
-def exp_weight_integral(lam, T, b):
-    """int_0^T b(t) exp(t*lam) dt."""
-    return tail_weight(lam, 0.0, T, b)
 
 
 # --------------------------------------------------------------------------
@@ -297,8 +328,11 @@ class ModeWeights:
 def mode_weights(op, a, b, T):
     """Diagonal observation weights for all modes of an operator.  The
     terminal terms a e^{T lam} and |a| e^{T lam} are taken in closed form;
-    the march over b's pieces, and over |b|'s, adds R(0), and runs only for
-    a nonzero b.  An a of 0 adds no terminal term."""
+    the march over b's pieces adds R(0), and runs only for a nonzero b.  A b
+    of one sign on [0, T] adds +-R(0) to the scales, which is bit for bit
+    what a march over |b| = +-b gives, since negation is exact; any other b
+    gets its own march over the pieces of |b|.  An a of 0 adds no terminal
+    term."""
     lam = op.eigenvalues
     edges, coeffs = _pieces(b, T)
     betas = scales = np.zeros(lam.size)
@@ -308,9 +342,14 @@ def mode_weights(op, a, b, T):
             end = np.exp(T * lam)
             betas, scales = a * end, abs(a) * end
         if not b.is_zero:
-            betas = betas + _march(lam, *_cut(edges, coeffs, edges))[0][0]
-            edges, coeffs = _abs_pieces(edges, coeffs)
-            scales = scales + _march(lam, *_cut(edges, coeffs, edges))[0][0]
+            R0 = _march(lam, *_cut(edges, coeffs, edges))[0][0]
+            betas = betas + R0
+            abs_edges, abs_coeffs, sign = _abs_pieces(edges, coeffs)
+            if sign.size == len(coeffs) and abs(sign.sum()) == sign.size:
+                scales = scales + sign[0] * R0
+            else:
+                scales = scales + _march(
+                    lam, *_cut(abs_edges, abs_coeffs, abs_edges))[0][0]
     return ModeWeights(betas, scales)
 
 

@@ -1,5 +1,6 @@
 """Exponential-weight integrals, observation diagonals, Beta function."""
 
+import functools
 import math
 
 import mpmath as mp
@@ -12,7 +13,7 @@ import specrec as sr
 from specrec import kernels
 from specrec.errors import IllPosedModeError, NumericFailureError
 from specrec.kernels import moments
-from _util import rel_err, ulp_close
+from _util import exp_weight_integral, rel_err, tail_weight, ulp_close
 
 mp.mp.dps = 40
 
@@ -64,10 +65,15 @@ def _table_pieces(times, values):
     return out
 
 
+@functools.lru_cache(maxsize=None)
+def _dense_oracle(i, k):
+    return _moment_oracle(float(TestMoments.DENSE[i]), k)
+
+
 class TestMoments:
-    # both sides of the one series/recurrence switch, at |z| = 3 for every
-    # kmax, points on either side of |z| = 1 inside the series branch, the
-    # stiff end and the origin
+    # both sides of the series/recurrence switch at |z| = 3, where every
+    # kmax up to 6 switches, points on either side of |z| = 1 inside the
+    # series branch, the stiff end and the origin
     @pytest.mark.parametrize("z", [
         -7e5, -1e4, -700.0, -50.0, -3.3, -3.0 - 1e-7, -3.0, -3.0 + 1e-7,
         -1.5, -1.0 - 1e-7, -1.0, -1.0 + 1e-7, -0.35, -1e-3, -1e-9, 0.0, 1e-9,
@@ -87,6 +93,28 @@ class TestMoments:
         J = moments(z, 2)
         assert J.shape == (3, 2, 3)
         assert np.array_equal(J[:, 1, 1], moments(-0.1, 2))
+
+    # steps of 0.01 across both sides of every kmax's switch (|z| = 3 up to
+    # kmax = 6, 3.38 at 7 and 3.76 at 8), and one ulp-scale step either
+    # side of |z| = 3
+    DENSE = np.concatenate([np.linspace(-4.0, 4.0, 801),
+                            [-3.0 - 1e-7, -3.0 + 1e-7, 3.0 - 1e-7,
+                             3.0 + 1e-7]])
+
+    @pytest.mark.parametrize("kmax", range(9))
+    def test_dense_grid_against_mpmath(self, kmax):
+        J = moments(self.DENSE, kmax)
+        for k in range(kmax + 1):
+            want = [_dense_oracle(i, k) for i in range(self.DENSE.size)]
+            assert rel_err(J[k], want) < (1e-14 if k <= 3 else 5e-14)
+
+    @settings(deadline=None, max_examples=80)
+    @given(z=st.lists(st.floats(-40.0, 40.0), min_size=1, max_size=16),
+           kmax=st.integers(0, 8))
+    def test_entry_independent_of_batch(self, z, kmax):
+        J = moments(np.array(z), kmax)
+        for i, zi in enumerate(z):
+            assert J[:, i].tobytes() == moments(zi, kmax).tobytes()
 
 
 class TestWeightFunctions:
@@ -113,16 +141,16 @@ class TestWeightFunctions:
 
 class TestExpWeightIntegral:
     def test_lam_zero_constant(self):
-        assert sr.exp_weight_integral(0.0, 2.0, B1) == 2.0
+        assert exp_weight_integral(0.0, 2.0, B1) == 2.0
 
     def test_closed_form(self):
-        got = sr.exp_weight_integral(-1.0, 1.0, B1)
+        got = exp_weight_integral(-1.0, 1.0, B1)
         assert abs(got - ONE_MINUS_E_INV) < 1e-15
 
     def test_series_limit(self):
         # oracle: 40-digit evaluation of (exp(T*lam) - 1)/lam at lam = -1e-12
         want = float((mp.exp(mp.mpf("-1e-12")) - 1) / mp.mpf("-1e-12"))
-        got = sr.exp_weight_integral(-1e-12, 1.0, B1)
+        got = exp_weight_integral(-1e-12, 1.0, B1)
         assert rel_err(got, want) < 1e-13
 
     @pytest.mark.parametrize("lam,T", [(-3.0, 2.0), (-0.1, 0.5), (2.0, 1.0)])
@@ -132,29 +160,29 @@ class TestExpWeightIntegral:
         want = float(mp.quad(
             lambda t: (coeffs[0] + coeffs[1]*t + coeffs[2]*t**2
                        + coeffs[3]*t**3) * mp.exp(lam * t), [0, T]))
-        assert rel_err(sr.exp_weight_integral(lam, T, b), want) < 1e-13
+        assert rel_err(exp_weight_integral(lam, T, b), want) < 1e-13
 
     def test_tabulated_vs_quadrature_oracle(self):
         b = sr.TabulatedWeight([0.0, 0.5, 1.0], [1.0, 2.0, 0.5])
         want = float(mp.quad(lambda t: (1 + 2*t) * mp.exp(-2*t), [0, mp.mpf("0.5")])
                      + mp.quad(lambda t: (3.5 - 3*t) * mp.exp(-2*t),
                                [mp.mpf("0.5"), 1]))
-        assert rel_err(sr.exp_weight_integral(-2.0, 1.0, b), want) < 1e-12
+        assert rel_err(exp_weight_integral(-2.0, 1.0, b), want) < 1e-12
 
     def test_tabulated_must_cover(self):
         b = sr.TabulatedWeight([0.0, 0.5], [1.0, 1.0])
         with pytest.raises(sr.InvalidParameterError):
-            sr.exp_weight_integral(-1.0, 1.0, b)
+            exp_weight_integral(-1.0, 1.0, b)
 
     def test_invalid_horizon(self):
         with pytest.raises(sr.InvalidParameterError):
-            sr.exp_weight_integral(-1.0, 0.0, B1)
+            exp_weight_integral(-1.0, 0.0, B1)
 
     @settings(deadline=None, max_examples=40)
     @given(lam=st.floats(-40.0, 2.0), T=st.floats(0.05, 4.0))
     def test_constant_vs_oracle(self, lam, T):
         want = float(mp.quad(lambda t: mp.exp(mp.mpf(lam) * t), [0, mp.mpf(T)]))
-        assert rel_err(sr.exp_weight_integral(lam, T, B1), want) < 1e-13
+        assert rel_err(exp_weight_integral(lam, T, B1), want) < 1e-13
 
     def test_taylor_stability_near_zero(self):
         # 4-term Taylor expansion of the integral for b = 1
@@ -162,19 +190,19 @@ class TestExpWeightIntegral:
             T = 1.0
             lam = z / T
             taylor = T * (1 + z/2 + z**2/6 + z**3/24)
-            got = sr.exp_weight_integral(lam, T, B1)
+            got = exp_weight_integral(lam, T, B1)
             assert rel_err(got, taylor) < 1e-13
 
 
 class TestTailWeight:
     def test_empty_interval(self):
-        assert sr.tail_weight(-7.3, 1.0, 1.0, B1) == 0.0
+        assert tail_weight(-7.3, 1.0, 1.0, B1) == 0.0
 
     def test_lam_zero(self):
-        assert sr.tail_weight(0.0, 0.5, 1.0, B1) == 0.5
+        assert tail_weight(0.0, 0.5, 1.0, B1) == 0.5
 
     def test_full_interval_matches_integral(self):
-        got = sr.tail_weight(-1.0, 0.0, 1.0, B1)
+        got = tail_weight(-1.0, 0.0, 1.0, B1)
         assert abs(got - ONE_MINUS_E_INV) < 1e-15
 
     def test_polynomial_shift(self):
@@ -182,22 +210,22 @@ class TestTailWeight:
         want = float(mp.quad(
             lambda t: (1 + 2*t - t**2) * mp.exp(-3 * (t - mp.mpf("0.7"))),
             [mp.mpf("0.7"), 2]))
-        assert rel_err(sr.tail_weight(-3.0, 0.7, 2.0, b), want) < 1e-13
+        assert rel_err(tail_weight(-3.0, 0.7, 2.0, b), want) < 1e-13
 
     def test_out_of_range(self):
         with pytest.raises(sr.InvalidParameterError):
-            sr.tail_weight(-1.0, -0.1, 1.0, B1)
+            tail_weight(-1.0, -0.1, 1.0, B1)
         with pytest.raises(sr.InvalidParameterError):
-            sr.tail_weight(-1.0, 1.5, 1.0, B1)
+            tail_weight(-1.0, 1.5, 1.0, B1)
 
     @settings(deadline=None, max_examples=40)
     @given(lam=st.floats(-20.0, 1.0), s=st.floats(0.01, 0.99))
     def test_additivity(self, lam, s):
         # int_0^T = int_0^s + e^{s*lam} * int_s^T for constant weight
         T = 1.0
-        whole = sr.exp_weight_integral(lam, T, B1)
-        head = sr.exp_weight_integral(lam, s, B1)
-        tail = sr.tail_weight(lam, s, T, B1)
+        whole = exp_weight_integral(lam, T, B1)
+        head = exp_weight_integral(lam, s, B1)
+        tail = tail_weight(lam, s, T, B1)
         assert rel_err(head + math.exp(s * lam) * tail, whole) < 1e-12
 
 
@@ -268,6 +296,149 @@ class TestModeWeights:
         assert np.all(np.diff(phi0s) < 0)
 
 
+def _abs_pieces_oracle(edges, coeffs):
+    """|b|'s pieces found one piece at a time, each split at the real roots
+    that ``np.roots`` gives inside it and signed at its midpoint."""
+    out_edges, out_coeffs = [edges[:1]], []
+    for lo, hi, c in zip(edges[:-1], edges[1:], coeffs):
+        r = np.roots(c[::-1])
+        r = np.sort(r[np.isreal(r)].real)
+        r = r[(r > 0.0) & (r < hi - lo)]
+        left = np.concatenate([[0.0], r])
+        right = np.concatenate([r, [hi - lo]])
+        sign = np.sign(np.polynomial.polynomial.polyval(0.5 * (left + right), c))
+        out_edges.append(np.concatenate([lo + r, [hi]]))
+        out_coeffs.append(sign[:, None] * kernels._taylor_shift(
+            np.tile(c, (left.size, 1)), left))
+    return np.concatenate(out_edges), np.concatenate(out_coeffs)
+
+
+def _two_march_scales(op, a, b, T):
+    """The scales of ``mode_weights`` with |b| marched over its own pieces."""
+    lam = op.eigenvalues
+    edges, coeffs = _abs_pieces_oracle(*b.pieces(T))
+    R = kernels._march(lam, *kernels._cut(edges, coeffs, edges))[0]
+    return abs(a) * np.exp(T * lam) + R[0]
+
+
+ONE_SIGNED = {
+    "constant": B1,
+    "negative-constant": sr.ConstantWeight(-2.0),
+    "poly": sr.PolynomialWeight([1.0, -0.5, 0.25]),
+    "negative-poly": sr.PolynomialWeight([-1.0, 0.5, -0.25]),
+    "table": sr.TabulatedWeight([0.0, 0.2, 0.4, 0.5], [1.0, 0.7, 0.4, 0.2]),
+    "negative-table": sr.TabulatedWeight([0.0, 0.3, 0.5], [-1.0, -0.0, -2.0]),
+}
+# weights with a root inside (0, T), where b changes sign or touches zero
+SPLIT = {
+    "table": sr.TabulatedWeight([0.0, 0.5], [1.0, -1.0]),
+    "poly": sr.PolynomialWeight([0.0075, -0.2, 1.0]),
+    "touching-poly": sr.PolynomialWeight([0.0625, -0.5, 1.0]),
+    "table-with-zero-piece": sr.TabulatedWeight([0.0, 0.2, 0.5],
+                                                [0.0, 0.0, 1.0]),
+}
+
+
+class TestAbsPieces:
+    """|b|'s pieces equal, bit for bit, those of np.roots on every piece."""
+
+    @staticmethod
+    def _check(pieces):
+        edges, coeffs, sign = kernels._abs_pieces(*pieces)
+        want_edges, want_coeffs = _abs_pieces_oracle(*pieces)
+        assert edges.tobytes() == want_edges.tobytes()
+        assert coeffs.tobytes() == want_coeffs.tobytes()
+        assert sign.size == coeffs.shape[0]
+
+    @pytest.mark.parametrize("times,values", [
+        ([0.0, 0.5, 1.0], [2.0, 2.0, 2.0]),        # flat
+        ([0.0, 0.5, 1.0], [-2.0, -2.0, 3.0]),      # flat, then rising
+        ([0.0, 0.4, 1.0], [0.0, 0.0, 1.0]),        # identically zero piece
+        ([0.0, 0.4, 1.0], [-0.0, 0.0, -0.0]),      # zero everywhere
+        ([0.0, 1.0], [1.0, -1.0]),                 # crosses zero inside
+        ([0.0, 0.3, 0.7, 1.0], [1.0, -2.0, 3.0, -1.0]),
+        ([0.0, 0.51, 1.0], [2.86, 0.0, -2.86]),    # root exactly on a knot
+        ([0.0, 0.66, 1.0], [2.77, 0.0, -2.77]),    # an ulp short of the knot
+        ([0.0, 0.73, 1.0], [1.66, 0.0, -1.66]),    # an ulp beyond the knot
+        # a split piece whose start plus width rounds below its end
+        ([0.0, 0.06, 0.88, 1.0], [1.0, 1.0, -1.0, -1.0]),
+    ])
+    def test_table_against_np_roots(self, times, values):
+        self._check(sr.TabulatedWeight(times, values).pieces(1.0))
+
+    @pytest.mark.parametrize("coeffs", [
+        [1.0], [0.1875, -1.0, 1.0], [1.0, -0.5, 0.25], [0.25, -1.0, 1.0],
+        [1.0, 2.0, 0.0, 0.0], [-0.1, 1.1, -3.0, 2.0]])
+    def test_polynomial_against_np_roots(self, coeffs):
+        self._check(sr.PolynomialWeight(coeffs).pieces(1.0))
+
+    def test_root_within_1e_135_of_a_knot(self):
+        # below about 1e-135, np.roots scales its 1 x 1 companion matrix and
+        # returns a neighbour of -c0/c1; the closed form keeps -c0/c1
+        T = 0.01171875
+        pieces = sr.TabulatedWeight([0.0, T], [5.149479152831485e-218,
+                                               -1.0]).pieces(T)
+        c0, c1 = pieces[1][0]
+        edges, _, sign = kernels._abs_pieces(*pieces)
+        want_edges, _ = _abs_pieces_oracle(*pieces)
+        assert edges[1] == -c0 / c1 != want_edges[1]
+        assert edges[1] in (np.nextafter(want_edges[1], 0.0),
+                            np.nextafter(want_edges[1], 1.0))
+        assert sign.tolist() == [1.0, -1.0]
+
+    # values are 0 or at least 1e-100 in magnitude, so that every root lies
+    # 0 or more than 1e-135 from its piece's left knot (see above)
+    @settings(deadline=None, max_examples=80)
+    @given(values=st.lists(st.one_of(
+               st.sampled_from([0.0, -0.0, 1.0, -1.0]),
+               st.floats(-3.0, 3.0).filter(lambda v: abs(v) > 1e-100)),
+               min_size=2, max_size=8),
+           data=st.data())
+    def test_random_table_against_np_roots(self, values, data):
+        steps = data.draw(st.lists(st.floats(0.01, 1.0),
+                                   min_size=len(values) - 1,
+                                   max_size=len(values) - 1))
+        times = np.concatenate([[0.0], np.cumsum(steps)])
+        self._check(sr.TabulatedWeight(times, values).pieces(times[-1]))
+
+
+class TestSingleMarch:
+    """A b of one sign takes its scales from the march over b."""
+
+    OP = sr.build_fourth_order(16, 1.0)
+
+    @staticmethod
+    def _count_marches(monkeypatch):
+        calls = []
+        march = kernels._march
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return march(*args, **kwargs)
+
+        monkeypatch.setattr(kernels, "_march", counted)
+        return calls
+
+    @pytest.mark.parametrize("a", [0.0, -0.3])
+    @pytest.mark.parametrize("name", sorted(ONE_SIGNED))
+    def test_one_signed_weight_marches_once(self, name, a, monkeypatch):
+        b = ONE_SIGNED[name]
+        want = _two_march_scales(self.OP, a, b, 0.5)
+        calls = self._count_marches(monkeypatch)
+        w = sr.mode_weights(self.OP, a, b, 0.5)
+        assert len(calls) == 1
+        assert w.scales.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("name", sorted(SPLIT))
+    def test_split_weight_marches_abs(self, name, monkeypatch):
+        b = SPLIT[name]
+        want = _two_march_scales(self.OP, 0.3, b, 0.5)
+        calls = self._count_marches(monkeypatch)
+        w = sr.mode_weights(self.OP, 0.3, b, 0.5)
+        assert len(calls) == 2
+        assert w.scales.tobytes() == want.tobytes()
+
+
 class TestStiffWeights:
     """Tabulated and sign-uncertified polynomial weights on pinned4 with 32
     modes, where lambda_32 = -32**4: every integral is closed form, so the
@@ -299,7 +470,7 @@ class TestStiffWeights:
         b, pieces = self.WEIGHTS[kind]
         lam = -32.0**4
         want = _tail_oracle(lam, s, self.T, pieces)
-        assert rel_err(sr.tail_weight(lam, s, self.T, b), want) < 1e-12
+        assert rel_err(tail_weight(lam, s, self.T, b), want) < 1e-12
 
     @pytest.mark.parametrize("lam", [-1.0, -1e3, -32.0**4])
     @pytest.mark.parametrize("side", [-1.0, 0.0, 1.0],
@@ -310,7 +481,7 @@ class TestStiffWeights:
         b, pieces = self.WEIGHTS["table"]
         s = 0.2 if side == 0.0 else float(np.nextafter(0.2, side))
         want = _tail_oracle(lam, s, self.T, pieces)
-        assert rel_err(sr.tail_weight(lam, s, self.T, b), want) < 1e-12
+        assert rel_err(tail_weight(lam, s, self.T, b), want) < 1e-12
 
     def test_scales_of_sign_changing_poly(self):
         # b = (t - 1/4)(t - 3/4) changes sign twice in [0, 1], so |b| is
@@ -347,7 +518,7 @@ class TestInverseDiagonal:
     def test_ill_posed_mode_flagged(self):
         # constructed kernel: a = -int b e^{-lam (T-t)} dt makes beta_1 = 0
         op = sr.diagonal_operator([-1.0, -4.0])
-        a = -math.exp(1.0) * sr.exp_weight_integral(-1.0, 1.0, B1)
+        a = -math.exp(1.0) * exp_weight_integral(-1.0, 1.0, B1)
         cond = sr.ConditionE(a, B1, np.zeros(2))
         grid = sr.make_graded_grid(1.0, 8)
         with pytest.raises(IllPosedModeError) as err:

@@ -13,7 +13,7 @@ from specrec.nonlinearity import Nonlinearity
 from specrec.harness import build_condition, resolve_M
 from specrec.recover import _build_plan, _coupling, _denominators
 from specrec.spectral import _row_norms
-from _util import rel_err
+from _util import exp_weight_integral, rel_err
 
 B1 = sr.ConstantWeight(1.0)
 ONE_POLY = sr.PolynomialWeight([1.0])
@@ -331,7 +331,7 @@ class TestSigmaE:
 
     def test_ill_posed_rejected(self):
         op = sr.diagonal_operator([-1.0])
-        a = -math.exp(1.0) * sr.exp_weight_integral(-1.0, 1.0, B1)
+        a = -math.exp(1.0) * exp_weight_integral(-1.0, 1.0, B1)
         with pytest.raises(sr.IllPosedModeError):
             _recover_linear(op, sr.ConditionE(a, B1, [1.0]))
 
@@ -424,7 +424,7 @@ class TestCheckSpectralCondition:
         op = sr.build_second_order(4, 1.0, 0.0, "dirichlet")
         b = sr.PolynomialWeight([1.0, 0.5])
         lam1 = op.eigenvalues[0]
-        a = -math.exp(-lam1 * 1.0) * sr.exp_weight_integral(lam1, 1.0, b)
+        a = -math.exp(-lam1 * 1.0) * exp_weight_integral(lam1, 1.0, b)
         cond = sr.ConditionE(a, b, np.zeros(4))
         report = sr.check_spectral_condition(op, cond, 1.0)
         assert not report.ok
