@@ -16,8 +16,8 @@ from .nonlinearity import (MemoryKernel, Nonlinearity, PowerLaw, Zero,
 from .duhamel import duhamel_convolve, forward_solve, observe
 from .recover import (ConditionE, ConditionE100, ConditionE200,
                       FixedPointReport, GrowthExponents, NonlocalCondition,
-                      WellPosednessEstimate, apply_psi_E,
-                      check_spectral_condition, picard_recover,
+                      RecoveryPlan, WellPosednessEstimate, apply_psi_E,
+                      build_plan, check_spectral_condition, picard_recover,
                       theoretical_threshold)
 from .config import ExperimentConfig, config_from_dict, emit_csv, emit_json, parse_config
 from .harness import (RoundTripResult, SweepRow, roundtrip,

@@ -17,9 +17,8 @@ import numpy as np
 from .config import emit_csv, emit_json, parse_config, to_jsonable
 from .duhamel import forward_solve
 from .errors import ConfigError, IllPosedModeError, SpecrecError
-from .harness import (SWEEP_HEADER, build_condition, resolve_M, roundtrip,
-                      sweep_threshold)
-from .recover import _build_plan, check_spectral_condition, picard_recover
+from .harness import SWEEP_HEADER, resolve_M, roundtrip, sweep_threshold
+from .recover import build_plan, check_spectral_condition, picard_recover
 
 EXIT_OK = 0
 EXIT_SPECTRAL = 2
@@ -75,7 +74,7 @@ def _cmd_check_spectral(cfg, args):
     op = cfg.build_operator()
     f = cfg.build_nonlinearity()
     M, _ = resolve_M(cfg, op, f)
-    cond = build_condition(cfg, M)
+    cond = cfg.build_condition(M)
     report = check_spectral_condition(op, cond, cfg.grid.T)
     header = ["mode", "eigenvalue", "margin", "scale", "ok"]
     rows = [[j + 1, float(op.eigenvalues[j]), float(report.margins[j]),
@@ -96,18 +95,19 @@ def _cmd_recover(cfg, args):
     grid = cfg.build_grid()
     spec = cfg.build_norm_spec(op)
     M, u0_true = resolve_M(cfg, op, f)
-    cond = build_condition(cfg, M)
-    plan = _build_plan(op, cond, f, grid)
-    spectral = plan.spectral
-    if not spectral.ok:
+    cond = cfg.build_condition(M)
+    try:
+        plan = build_plan(op, cond, f, grid)
+    except IllPosedModeError as exc:
+        spectral = check_spectral_condition(op, cond, grid.T)
         emit_json(args.out or sys.stdout,
                   {"spectral": to_jsonable(spectral), "converged": False})
-        _say(args, f"spectral condition violated at modes "
-                   f"{list(spectral.failing_modes)}")
+        _say(args, f"spectral condition violated at modes {exc.modes}")
         return EXIT_SPECTRAL
     report = picard_recover(op, cond, f, grid, spec, tol=cfg.solver.tol,
-                            max_iter=cfg.solver.max_iter, _plan=plan)
-    payload = {"spectral": to_jsonable(spectral), "report": to_jsonable(report)}
+                            max_iter=cfg.solver.max_iter, plan=plan)
+    payload = {"spectral": to_jsonable(plan.spectral),
+               "report": to_jsonable(report)}
     if u0_true is not None:
         payload["u0_true"] = [float(x) for x in u0_true]
         payload["error_e0"] = float(np.linalg.norm(report.u0_recovered - u0_true))

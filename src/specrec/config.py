@@ -18,9 +18,9 @@ import sys
 import numpy as np
 
 from .errors import ConfigError, InvalidParameterError, SpecrecError
-from .harness import build_condition
 from .kernels import ConstantWeight, PolynomialWeight, TabulatedWeight
 from .nonlinearity import MemoryKernel, PowerLaw, Zero
+from .recover import ConditionE, ConditionE100, ConditionE200
 from .spectral import (FractionalNormSpec, analyze, build_fourth_order,
                        build_second_order, default_grading, default_shift,
                        make_graded_grid)
@@ -147,6 +147,7 @@ class ConditionSpec:
 _WEIGHTS = {"constant": ConstantWeight, "poly": PolynomialWeight,
             "table": TabulatedWeight}
 _NONLINEARITIES = {"zero": Zero, "power": PowerLaw, "memory": MemoryKernel}
+_CONDITIONS = {"E": ConditionE, "E100": ConditionE100, "E200": ConditionE200}
 
 _WEIGHT = _tagged("weight", "type", "unknown weight type {!r}", {
     "constant": {"value": (_number, _REQUIRED)},
@@ -285,6 +286,13 @@ class ExperimentConfig:
         a WeightFunction for E and E200, the scalar b for E100."""
         return self.condition.b
 
+    def build_condition(self, M):
+        """The condition of the config's problem for the data M; only
+        problem E takes the coefficient a."""
+        spec = self.condition
+        head = (spec.a,) if spec.problem == "E" else ()
+        return _CONDITIONS[spec.problem](*head, self.build_weight(), M)
+
     def build_nonlinearity(self):
         spec = self.nonlinearity
         return _NONLINEARITIES[spec.kind](*spec.fields.values())
@@ -361,7 +369,7 @@ def _check_across(cfg):
     try:
         if isinstance(b, TabulatedWeight):
             b.require_covers(cfg.grid.T)
-        build_condition(cfg, np.zeros(1))
+        cfg.build_condition(np.zeros(1))
     except SpecrecError as exc:
         raise ConfigError(f"condition.b: {exc}") from exc
 

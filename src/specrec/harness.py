@@ -8,28 +8,18 @@ so the reported errors are genuine method error.
 """
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .duhamel import forward_solve, observe
-from .errors import ConfigError, IllPosedModeError, SpecrecError
+from .errors import ConfigError, SpecrecError
 from .nonlinearity import check_growth_condition
-from .recover import (ConditionE, ConditionE100, ConditionE200,
-                      FixedPointReport, GrowthExponents, _build_plan,
-                      _coupling, picard_recover, theoretical_threshold)
+from .recover import (FixedPointReport, GrowthExponents, build_plan,
+                      picard_recover, theoretical_threshold)
 from .spectral import fractional_norm, make_graded_grid
 
 OBSERVATION_REFINEMENT = 4
-
-
-def build_condition(cfg, M):
-    problem = cfg.condition.problem
-    if problem == "E":
-        return ConditionE(cfg.condition.a, cfg.build_weight(), M)
-    if problem == "E100":
-        return ConditionE100(cfg.build_weight(), M)
-    return ConditionE200(cfg.build_weight(), M)
 
 
 def synthesize_observation(cfg, op, f, u0_true):
@@ -38,7 +28,7 @@ def synthesize_observation(cfg, op, f, u0_true):
                                  OBSERVATION_REFINEMENT * cfg.grid.n,
                                  cfg.grid.r)
     # the coupling (c, a, b) does not depend on M
-    c, a, b = _coupling(build_condition(cfg, np.zeros(op.n_modes)))
+    c, a, b = cfg.build_condition(np.zeros(op.n_modes)).coupling
     u = forward_solve(op, u0_true, f, grid_fine)
     return c * u0_true + observe(u, a, b), grid_fine
 
@@ -84,7 +74,7 @@ def roundtrip(cfg):
     M, grid_fine = synthesize_observation(cfg, op, f, u0_true)
     forward_seconds = time.perf_counter() - t0
 
-    cond = build_condition(cfg, M)
+    cond = cfg.build_condition(M)
     t0 = time.perf_counter()
     report = picard_recover(op, cond, f, grid, spec,
                             tol=cfg.solver.tol, max_iter=cfg.solver.max_iter)
@@ -117,8 +107,7 @@ class SweepRow:
     status: str
 
 
-SWEEP_HEADER = ("index", "scale", "converged", "iterations", "final_ratio",
-                "sigma_T0_norm", "threshold_m", "status")
+SWEEP_HEADER = tuple(field.name for field in fields(SweepRow))
 
 
 def sweep_threshold(cfg):
@@ -152,19 +141,19 @@ def sweep_threshold(cfg):
     rows = []
     plan = None
     for idx, s in enumerate(scales):
-        cond = build_condition(cfg, float(s) * M_base)
+        cond = cfg.build_condition(float(s) * M_base)
         try:
             # a plan that fails to build fails every row alike
             if plan is None:
-                plan = _build_plan(op, cond, f, grid)
+                plan = build_plan(op, cond, f, grid)
             report = picard_recover(op, cond, f, grid, spec,
                                     tol=cfg.solver.tol,
                                     max_iter=cfg.solver.max_iter,
-                                    _plan=plan)
+                                    plan=plan)
             rows.append(SweepRow(idx, float(s), report.converged,
                                  report.iterations, report.final_ratio,
                                  report.sigma_T0_norm, estimate.m_T, "ok"))
-        except (IllPosedModeError, SpecrecError) as exc:
+        except SpecrecError as exc:
             rows.append(SweepRow(idx, float(s), False, 0, float("nan"),
                                  float("nan"), estimate.m_T,
                                  f"error:{type(exc).__name__}"))

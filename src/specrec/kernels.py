@@ -56,6 +56,11 @@ def moments(z, kmax):
     J_k) / k; the upward recurrence elsewhere.
     The phi functions are phi1 = J_0, phi2 = J_0 - J_1 and
     phi3 = (J_0 - 2 J_1 + J_2) / 2.
+
+    Against a 160-digit oracle on z in [-6, 6] the relative error is below
+    1e-14 for k <= 3, 5e-14 for kmax <= 8 and 1e-12 for kmax 9 to 12
+    (gated in ``TestMoments``).  The series alternates for z < 0, so the
+    error grows with kmax, worst just inside the switch.
     """
     z = np.asarray(z, dtype=float)
     flat = z.ravel()
@@ -319,10 +324,6 @@ class ModeWeights:
                 f"non-finite observation weight at mode {j + 1}", mode=j + 1)
         for arr in (betas, scales):
             arr.setflags(write=False)
-
-    @property
-    def n_modes(self):
-        return self.betas.size
 
 
 def mode_weights(op, a, b, T):

@@ -50,8 +50,12 @@ def _finite_scalar(value, name):
     return value
 
 
+_NO_WEIGHT = ConstantWeight(0.0)
+
+
 class NonlocalCondition:
-    """Base class for the three observation couplings."""
+    """Base class for the three observation couplings.  Each sets its
+    ``coupling`` (c, a, b), read c*u(0) + a*u(T) + int b u dt = M, once."""
 
     problem = None
 
@@ -80,6 +84,7 @@ class ConditionE(NonlocalCondition):
             raise AdmissibilityError("problem E requires b(0) != 0")
         self.a = _finite_scalar(a, "a")
         self.b = b
+        self.coupling = 0.0, self.a, b
 
 
 class ConditionE100(NonlocalCondition):
@@ -92,6 +97,7 @@ class ConditionE100(NonlocalCondition):
         self.b = _finite_scalar(b, "b")
         if self.b == 0.0:
             raise AdmissibilityError("problem E100 requires b != 0")
+        self.coupling = 1.0, -self.b, _NO_WEIGHT
 
 
 class ConditionE200(NonlocalCondition):
@@ -106,6 +112,7 @@ class ConditionE200(NonlocalCondition):
         if b.is_zero:
             raise AdmissibilityError("problem E200 requires a nonzero weight")
         self.b = b
+        self.coupling = 1.0, 0.0, b
 
 
 # --------------------------------------------------------------------------
@@ -123,20 +130,6 @@ class ConditionE200(NonlocalCondition):
 # tail_j(s) = int_s^T b(t) e^{(t-s) lam_j} dt.  Both depend on the problem
 # only, so they are built once and psi is one array contraction per sweep.
 # The a terms are taken in closed form, so only a nonzero b is marched.
-
-_NO_WEIGHT = ConstantWeight(0.0)
-
-
-def _coupling(cond):
-    """(c, a, b) of a condition, c*u(0) + a*u(T) + int b u dt = M; the
-    observation synthesis reads it too."""
-    if cond.problem == "E":
-        return 0.0, cond.a, cond.b
-    if cond.problem == "E100":
-        return 1.0, -cond.b, _NO_WEIGHT
-    if cond.problem == "E200":
-        return 1.0, 0.0, cond.b
-    raise InvalidParameterError(f"unknown problem tag {cond.problem!r}")
 
 
 def _psi_weights(op, grid, a, b, tables):
@@ -245,7 +238,7 @@ def _denominators(op, cond, T):
     SpectralConditionReport, with scales
     |c| + |a| e^{T lam_j} + int_0^T |b(t)| e^{t lam_j} dt.  Mode j passes
     the one solvability predicate when |d_j| > ILL_POSED_RTOL * scale_j."""
-    c, a, b = _coupling(cond)
+    c, a, b = cond.coupling
     w = mode_weights(op, a, b, T)
     denoms, scales = c + w.betas, abs(c) + w.scales
     margins = np.abs(denoms)
@@ -295,39 +288,48 @@ _DIVERGENCE_FACTOR = 1e6
 
 
 @dataclass(frozen=True, eq=False)
-class _Plan:
-    """What a recovery builds that does not depend on the data M: the
-    denominators and their report and, for a solvable problem only, the
-    per-node psi weights W, the grid's step tables and the doubling scan's
-    spans of their step factors, the semigroup samples e^{t_i lam_j} and
-    the history operator (None for a pointwise map)."""
+class RecoveryPlan:
+    """What a recovery of a solvable problem builds that does not depend on
+    the data M: the denominators and their report, the per-node psi weights
+    W, the grid's step tables and the doubling scan's spans of their step
+    factors, the semigroup samples e^{t_i lam_j} and the history operator of
+    a nonlinearity with memory, sized in ``MemoryKernel`` (None for a
+    pointwise map)."""
 
     denoms: np.ndarray
     spectral: SpectralConditionReport
-    weights: np.ndarray = None
-    tables: tuple = None
-    spans: list = None
-    hom: np.ndarray = None
-    history: np.ndarray = None
+    weights: np.ndarray
+    tables: tuple
+    spans: list
+    hom: np.ndarray
+    history: np.ndarray
 
 
-def _build_plan(op, cond, f, grid):
-    """The ``_Plan`` of one problem.  Only the coupling of ``cond`` enters,
-    so one plan serves every data vector M of a sweep."""
+def build_plan(op, cond, f, grid):
+    """The ``RecoveryPlan`` of one problem.  Only the coupling of ``cond``
+    enters, so one plan serves every data vector M of a sweep.  An ill-posed
+    mode raises ``IllPosedModeError`` and a nonlinearity that does not
+    vanish at the zero state ``AdmissibilityError``, before any weight is
+    built."""
     denoms, spectral = _denominators(op, cond, grid.T)
     if not spectral.ok:
-        return _Plan(denoms, spectral)
-    _, a, b = _coupling(cond)
+        modes = list(spectral.failing_modes)
+        raise IllPosedModeError(
+            f"spectral condition violated at modes {modes}", modes)
+    if not f.vanishes_at_zero:
+        raise AdmissibilityError(
+            "the nonlinearity must vanish at the zero state")
+    _, a, b = cond.coupling
     tables = _step_tables(grid.nodes, op.eigenvalues)
     with np.errstate(over="ignore"):
         hom = np.exp(np.outer(grid.nodes, op.eigenvalues))
-    return _Plan(denoms, spectral, _psi_weights(op, grid, a, b, tables),
-                 tables, _spans(tables[0]), hom,
-                 f.history_rows(grid.nodes, 0, grid.nodes.size))
+    return RecoveryPlan(denoms, spectral, _psi_weights(op, grid, a, b, tables),
+                        tables, _spans(tables[0]), hom,
+                        f.history_rows(grid.nodes, 0, grid.nodes.size))
 
 
 def picard_recover(op, cond, f, grid, spec, tol=1e-10, max_iter=200,
-                   initial="zero", *, _plan=None):
+                   initial="zero", *, plan=None):
     """Recover the initial state by successive substitution.
 
     Starting from the zero trajectory (or from the linear solution when
@@ -338,16 +340,13 @@ def picard_recover(op, cond, f, grid, spec, tol=1e-10, max_iter=200,
     ``converged=False``, never a silent answer.
 
     The initial value map u(0) = (M - psi(g)) / d is affine in the forcing
-    g.  Everything but M is built once per problem: the denominators, the
-    per-node weights W of psi, exact for g linear between nodes and any
-    piecewise-polynomial b, the grid's step tables and the doubling scan's
-    span products, the semigroup samples, and the history operator of a
-    nonlinearity with memory, (n + 1)**2 floats for n steps (0.13 MB at
-    n = 128, 8.4 MB at n = 1024).  A caller recovering many data vectors of
-    one problem passes that plan as ``_plan``.  Each call forms the norm
-    weights (delta0 - lam_j)**theta and t_i**theta, and its work arrays,
-    once: two state buffers that swap, the convolution, the scan's
-    products and the squared update.
+    g, so everything but M is built once per problem, as the
+    ``RecoveryPlan`` of ``build_plan``, which raises for an ill-posed
+    problem; a caller recovering many data vectors of one problem passes
+    one as ``plan``.  Each call forms the norm weights (delta0 -
+    lam_j)**theta and t_i**theta, and its work arrays, once: two state
+    buffers that swap, the convolution, the scan's products and the
+    squared update.
 
     A sweep then works on coefficient arrays: the payload ``f.eval_node``
     of every node in one stacked call (its two matrix products), one
@@ -366,15 +365,8 @@ def picard_recover(op, cond, f, grid, spec, tol=1e-10, max_iter=200,
         raise InvalidParameterError("max_iter must be a positive integer")
     if cond.M.shape != (op.n_modes,):
         raise InvalidParameterError("M does not match the operator's mode count")
-    plan = _build_plan(op, cond, f, grid) if _plan is None else _plan
-    spectral = plan.spectral
-    if not spectral.ok:
-        modes = list(spectral.failing_modes)
-        raise IllPosedModeError(
-            f"spectral condition violated at modes {modes}", modes)
-    if not f.vanishes_at_zero:
-        raise AdmissibilityError(
-            "the nonlinearity must vanish at the zero state")
+    if plan is None:
+        plan = build_plan(op, cond, f, grid)
 
     hom, history, tables = plan.hom, plan.history, plan.tables
 

@@ -216,6 +216,10 @@ U0_COEFFS = {"type": "coefficients", "values": [1.0, 0.0, 0.0, 0.0]}
 POWER = {"type": "power", "kappa": 0.25, "ell": 1.0}
 MEMORY = {"type": "memory", "c": 0.5, "lambda": -0.25, "ell": 1.0}
 SWEEP = {"scales": [0.0, 1.0]}
+# b = e puts mode 1 in the kernel: 1 - b e^{T lam_1} = 0
+ILL_POSED = {"condition": {"problem": "E100", "b": math.exp(1.0),
+                           "M": {"type": "from-u0"}},
+             "operator": {"family": "dirichlet2", "modes": 4}}
 
 # (document, exact message): every message the schema raises, each section
 # and value check at least once, in the wording users see
@@ -494,21 +498,21 @@ class TestSweep:
         assert rate >= 0.8
 
     def test_plan_built_once_per_sweep(self, monkeypatch):
-        # only M changes between rows: the psi weights and the denominators'
-        # mode weights are built once for the whole sweep
-        calls = {"psi": 0, "mode_weights": 0}
-        psi_weights, mode_weights = recover._psi_weights, recover.mode_weights
+        # only M changes between rows: one plan, and with it the psi weights
+        # and the denominators' mode weights, serves the whole sweep
+        calls = {}
 
-        def counting_psi(*args):
-            calls["psi"] += 1
-            return psi_weights(*args)
+        def count(owner, name):
+            method = getattr(owner, name)
 
-        def counting_weights(*args):
-            calls["mode_weights"] += 1
-            return mode_weights(*args)
+            def counted(*args):
+                calls[name] = calls.get(name, 0) + 1
+                return method(*args)
+            monkeypatch.setattr(owner, name, counted)
 
-        monkeypatch.setattr(recover, "_psi_weights", counting_psi)
-        monkeypatch.setattr(recover, "mode_weights", counting_weights)
+        count(harness, "build_plan")
+        count(recover, "_psi_weights")
+        count(recover, "mode_weights")
         cfg = config_from_dict(deep({
             "nonlinearity": {"type": "power", "kappa": 0.25, "ell": 1.0},
             "u0.amplitude": 0.05,
@@ -517,7 +521,17 @@ class TestSweep:
         }))
         rows, _ = sweep_threshold(cfg)
         assert [row.status for row in rows] == ["ok"] * 4
-        assert calls == {"psi": 1, "mode_weights": 1}
+        assert calls == {"build_plan": 1, "_psi_weights": 1,
+                         "mode_weights": 1}
+
+    def test_ill_posed_fails_every_row(self):
+        # an ill-posed problem has no plan: each row records the error and
+        # the sweep goes on
+        rows, _ = sweep_threshold(config_from_dict(deep({**ILL_POSED,
+                                                         "sweep": SWEEP})))
+        assert [row.status for row in rows] == (
+            ["error:IllPosedModeError"] * len(SWEEP["scales"]))
+        assert not any(row.converged for row in rows)
 
     def test_memory_kernel_rejected_before_synthesis(self, tmp_path,
                                                     capsys, monkeypatch):
@@ -611,13 +625,7 @@ class TestCli:
         assert "must be finite" in capsys.readouterr().err
 
     def test_spectral_violation_exit_code(self, tmp_path):
-        data = deep({
-            "condition": {"problem": "E100",
-                          "b": math.exp(1.0),  # hits 1 - b e^{T lam_1} = 0
-                          "M": {"type": "from-u0"}},
-            "operator": {"family": "dirichlet2", "modes": 4},
-        })
-        path = write_cfg(tmp_path, data)
+        path = write_cfg(tmp_path, deep(ILL_POSED))
         out = tmp_path / "margins.csv"
         code = main(["check-spectral", "--config", path, "--out", str(out),
                      "--quiet"])
@@ -627,6 +635,22 @@ class TestCli:
         first = rows[1].split(",")
         assert float(first[2]) <= 1e-8
         assert first[4] == "false"
+
+    def test_spectral_violation_recover_report(self, tmp_path, capsys):
+        # recover writes the margins with converged = false and exits 2
+        path = write_cfg(tmp_path, deep(ILL_POSED))
+        out = tmp_path / "report.json"
+        assert main(["recover", "--config", path, "--out", str(out)]) == 2
+        op = config_from_dict(deep(ILL_POSED)).build_operator()
+        spectral = sr.check_spectral_condition(
+            op, sr.ConditionE100(math.exp(1.0), np.zeros(4)), 1.0)
+        want = {"converged": False, "spectral": config.to_jsonable(spectral)}
+        assert out.read_text() == json.dumps(want, indent=2,
+                                             sort_keys=True) + "\n"
+        assert want["spectral"]["failing_modes"] == [1]
+        assert want["spectral"]["margins"][0] == 0.0
+        assert capsys.readouterr().err == (
+            "spectral condition violated at modes [1]\n")
 
     def test_no_convergence_exit_code(self, tmp_path):
         # literal observation data far above the smallness regime makes the

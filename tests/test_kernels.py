@@ -66,8 +66,8 @@ def _table_pieces(times, values):
 
 
 @functools.lru_cache(maxsize=None)
-def _dense_oracle(i, k):
-    return _moment_oracle(float(TestMoments.DENSE[i]), k)
+def _dense_oracle(z, k):
+    return _moment_oracle(z, k)
 
 
 class TestMoments:
@@ -105,8 +105,26 @@ class TestMoments:
     def test_dense_grid_against_mpmath(self, kmax):
         J = moments(self.DENSE, kmax)
         for k in range(kmax + 1):
-            want = [_dense_oracle(i, k) for i in range(self.DENSE.size)]
+            want = [_dense_oracle(float(z), k) for z in self.DENSE]
             assert rel_err(J[k], want) < (1e-14 if k <= 3 else 5e-14)
+
+    # kmax 9..12, the psi weights of polynomial weights of degree 7 to 10:
+    # steps of 0.01 on [-6, 6], and 1e-7 either side of every switch from
+    # kmax 7 on, at (kmax!)**(1/kmax) = 3.38, 3.76, 4.15, 4.53, 4.91, 5.29
+    WIDE = np.concatenate([np.linspace(-6.0, 6.0, 1201)] + [
+        [sign * (math.factorial(k) ** (1 / k) + step)
+         for sign in (-1.0, 1.0) for step in (-1e-7, 1e-7)]
+        for k in range(7, 13)])
+
+    @pytest.mark.parametrize("kmax", range(9, 13))
+    def test_wide_grid_against_mpmath(self, kmax):
+        # the series alternates for z < 0, so its error grows with kmax: on
+        # this grid at most 2.9e-14, 1.2e-13, 3.4e-13 and 4.0e-13 for kmax
+        # 9..12; the bound is the one stated in ``moments``
+        J = moments(self.WIDE, kmax)
+        for k in range(kmax + 1):
+            want = [_dense_oracle(float(z), k) for z in self.WIDE]
+            assert rel_err(J[k], want) < 1e-12
 
     @settings(deadline=None, max_examples=80)
     @given(z=st.lists(st.floats(-40.0, 40.0), min_size=1, max_size=16),

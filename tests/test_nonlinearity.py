@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import specrec as sr
 from specrec import nonlinearity
-from specrec.harness import build_condition, resolve_M
+from specrec.harness import resolve_M
 from specrec.nonlinearity import _finite, _pointwise_power
 
 OP = sr.build_second_order(6, 1.0, 0.0, "dirichlet")
@@ -120,7 +120,7 @@ class TestStackedPayload:
         cfg = sr.parse_config(self.FIXTURES / f"{name}.json")
         op, f, grid = cfg.build_operator(), cfg.build_nonlinearity(), cfg.build_grid()
         spec = cfg.build_norm_spec(op)
-        cond = build_condition(cfg, resolve_M(cfg, op, f)[0])
+        cond = cfg.build_condition(resolve_M(cfg, op, f)[0])
 
         def recovered():
             report = sr.picard_recover(op, cond, f, grid, spec,

@@ -20,6 +20,7 @@ def test_library_example_recovers():
     report = scope["report"]
     assert report.converged
     assert np.linalg.norm(report.u0_recovered - scope["u0_true"]) < 1e-8
+    assert scope["half"].converged
 
 
 def test_config_block_parses():

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 import specrec as sr
 from specrec.nonlinearity import Nonlinearity
-from specrec.harness import build_condition, resolve_M
-from specrec.recover import _build_plan, _coupling, _denominators
+from specrec.harness import resolve_M
+from specrec.recover import _denominators
 from specrec.spectral import _row_norms
 from _util import exp_weight_integral, rel_err
 
@@ -269,7 +269,7 @@ class TestApplyPsiE:
         cond = {"E": sr.ConditionE(0.3, table, M),
                 "E100": sr.ConditionE100(-0.8, M),
                 "E200": sr.ConditionE200(table, M)}[problem]
-        _, a, b = _coupling(cond)
+        _, a, b = cond.coupling
         rng = np.random.default_rng(seed)
         g = _traj(grid, rng.standard_normal((grid.nodes.size, op.n_modes)))
         got = sr.apply_psi_E(a, b, 1.0, g, op)
@@ -291,7 +291,7 @@ def _initial_value(op, cond, T, g):
     """The initial-value map (M - psi(g)) / d of a condition for a forcing
     trajectory g."""
     denoms, _ = _denominators(op, cond, T)
-    _, a, b = _coupling(cond)
+    _, a, b = cond.coupling
     return (cond.M - sr.apply_psi_E(a, b, T, g, op)) / denoms
 
 
@@ -663,14 +663,40 @@ class TestRecoveryPlan:
         cfg = sr.parse_config(self.FIXTURES / f"{name}.json")
         op, f, grid = cfg.build_operator(), cfg.build_nonlinearity(), cfg.build_grid()
         spec = cfg.build_norm_spec(op)
-        cond = build_condition(cfg, resolve_M(cfg, op, f)[0])
-        plan = _build_plan(op, build_condition(cfg, np.zeros(op.n_modes)),
-                           f, grid)
+        cond = cfg.build_condition(resolve_M(cfg, op, f)[0])
+        plan = sr.build_plan(op, cfg.build_condition(np.zeros(op.n_modes)),
+                             f, grid)
         kwargs = dict(tol=cfg.solver.tol, max_iter=cfg.solver.max_iter)
         own = sr.picard_recover(op, cond, f, grid, spec, **kwargs)
-        shared = sr.picard_recover(op, cond, f, grid, spec, _plan=plan,
+        shared = sr.picard_recover(op, cond, f, grid, spec, plan=plan,
                                    **kwargs)
         assert own.converged
+        assert shared.u0_recovered.tobytes() == own.u0_recovered.tobytes()
+        assert shared.iterations == own.iterations
+
+    PLAN_OP = sr.build_second_order(4, 1.0, 0.0, "dirichlet")
+    PLAN_TABLE = sr.TabulatedWeight([0.0, 0.2, 0.5], [1.0, -0.5, 0.8])
+
+    @settings(deadline=None, max_examples=25)
+    @given(M=st.lists(st.floats(-0.5, 0.5), min_size=4, max_size=4))
+    @pytest.mark.parametrize("problem", ["E", "E100", "E200"])
+    @pytest.mark.parametrize("forcing", ["zero", "power", "memory"])
+    def test_plan_for_zero_data_serves_any_data(self, forcing, problem, M):
+        # the plan depends on the problem only: one built for M = 0 gives,
+        # for any M, the bytes and iteration count of the recovery's own
+        op, table = self.PLAN_OP, self.PLAN_TABLE
+        f = {"zero": sr.Zero(), "power": sr.PowerLaw(0.5, 1.0),
+             "memory": sr.MemoryKernel(0.5, -0.5, 1.0)}[forcing]
+        make = {"E": lambda M: sr.ConditionE(0.3, table, M),
+                "E100": lambda M: sr.ConditionE100(0.5, M),
+                "E200": lambda M: sr.ConditionE200(table, M)}[problem]
+        grid = sr.make_graded_grid(0.5, 16, 2.0)
+        spec = sr.FractionalNormSpec(0.25, sr.default_shift(op))
+        plan = sr.build_plan(op, make(np.zeros(4)), f, grid)
+        cond = make(np.array(M))
+        own = sr.picard_recover(op, cond, f, grid, spec, max_iter=60)
+        shared = sr.picard_recover(op, cond, f, grid, spec, max_iter=60,
+                                   plan=plan)
         assert shared.u0_recovered.tobytes() == own.u0_recovered.tobytes()
         assert shared.iterations == own.iterations
 
@@ -681,8 +707,8 @@ class TestRecoveryPlan:
         # single Trajectory, the report's
         cfg = sr.parse_config(self.FIXTURES / f"{name}.json")
         op, f, grid = cfg.build_operator(), cfg.build_nonlinearity(), cfg.build_grid()
-        cond = build_condition(cfg, resolve_M(cfg, op, f)[0])
-        plan = _build_plan(op, cond, f, grid)
+        cond = cfg.build_condition(resolve_M(cfg, op, f)[0])
+        plan = sr.build_plan(op, cond, f, grid)
         calls = dict.fromkeys(["eval_node", "eval_trajectory", "Trajectory"], 0)
 
         def counting(key, method):
@@ -697,23 +723,24 @@ class TestRecoveryPlan:
                             counting("Trajectory", sr.Trajectory.__post_init__))
         report = sr.picard_recover(op, cond, f, grid, cfg.build_norm_spec(op),
                                    tol=cfg.solver.tol,
-                                   max_iter=cfg.solver.max_iter, _plan=plan)
+                                   max_iter=cfg.solver.max_iter, plan=plan)
         assert report.converged and report.iterations > 2
         assert calls == {"eval_node": report.iterations + 1,
                          "eval_trajectory": 0, "Trajectory": 1}
 
     def test_failing_mode_raises_with_plan(self):
-        # the plan of an ill-posed problem carries its report, and a
-        # recovery given that plan raises with the failing mode
+        # an ill-posed problem has no plan: building one raises with the
+        # failing mode, as a recovery does
         op = sr.diagonal_operator([-1.0, -2.0])
         lam = op.eigenvalues
         a = -(np.expm1(lam[1]) / lam[1]) / np.exp(lam[1])
         cond = sr.ConditionE(a, B1, np.array([0.1, 0.1]))
         grid = sr.make_graded_grid(1.0, 16)
-        plan = _build_plan(op, cond, sr.Zero(), grid)
-        assert plan.spectral.failing_modes == (2,)
         with pytest.raises(sr.IllPosedModeError) as info:
-            sr.picard_recover(op, cond, sr.Zero(), grid, SPEC, _plan=plan)
+            sr.build_plan(op, cond, sr.Zero(), grid)
+        assert info.value.modes == [2]
+        with pytest.raises(sr.IllPosedModeError) as info:
+            sr.picard_recover(op, cond, sr.Zero(), grid, SPEC)
         assert info.value.modes == [2]
 
 
@@ -741,6 +768,24 @@ class TestSmallTMode:
         cond = sr.ConditionE(0.0, B1, np.array([0.01]))
         with pytest.raises(sr.AdmissibilityError):
             sr.picard_recover(op, cond, _ConstantForcing(0.1, 1), grid, SPEC)
+
+    def test_rejected_by_the_plan(self):
+        op = sr.diagonal_operator([-1.0])
+        grid = sr.make_graded_grid(0.1, 16)
+        cond = sr.ConditionE(0.0, B1, np.array([0.01]))
+        with pytest.raises(sr.AdmissibilityError,
+                           match="must vanish at the zero state"):
+            sr.build_plan(op, cond, _ConstantForcing(0.1, 1), grid)
+
+    def test_ill_posed_mode_reported_first(self):
+        # a problem that is ill-posed and has an inadmissible forcing
+        # reports the failing mode
+        op = sr.diagonal_operator([-1.0])
+        cond = sr.ConditionE100(math.e, np.array([0.01]))
+        with pytest.raises(sr.IllPosedModeError) as info:
+            sr.picard_recover(op, cond, _ConstantForcing(0.1, 1),
+                              sr.make_graded_grid(1.0, 16), SPEC)
+        assert info.value.modes == [1]
 
 
 class TestTheoreticalThreshold:
