@@ -73,8 +73,12 @@ def _cmd_evolve(cfg, args):
 def _cmd_check_spectral(cfg, args):
     op = cfg.build_operator()
     f = cfg.build_nonlinearity()
-    M, _ = resolve_M(cfg, op, f)
-    cond = cfg.build_condition(M)
+    # M does not enter the margins: it is checked but not synthesized
+    if cfg.condition.m_source.kind == "coefficients":
+        resolve_M(cfg, op, f)
+    else:
+        cfg.resolve_u0(op)
+    cond = cfg.build_condition(np.zeros(op.n_modes))
     report = check_spectral_condition(op, cond, cfg.grid.T)
     header = ["mode", "eigenvalue", "margin", "scale", "ok"]
     rows = [[j + 1, float(op.eigenvalues[j]), float(report.margins[j]),

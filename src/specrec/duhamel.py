@@ -160,11 +160,12 @@ def _window(f, op, hom, tables, conv, g, rows, payloads):
         G = P if rows is None else past + block @ P
         x = _convolve(tables, G, known, spans)
         U_old, U = U, hom + x
-        d = np.linalg.norm(U - U_old, axis=1)
+        D = U - U_old  # row norms as np.linalg.norm's, without its checks
+        d = np.sqrt(np.add.reduce(D * D, axis=1))
         res = math.sqrt(d @ d)
         if not math.isfinite(res):
             raise NumericFailureError("corrector diverged", error_estimate=res)
-        stop = _CORRECTOR_RTOL * (1.0 + np.linalg.norm(U, axis=1))
+        stop = _CORRECTOR_RTOL * (1.0 + np.sqrt(np.add.reduce(U * U, axis=1)))
         if np.all(d <= stop):
             return U, x, P, G
         if res >= prev_res:

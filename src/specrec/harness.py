@@ -141,8 +141,9 @@ def sweep_threshold(cfg):
     rows = []
     plan = None
     for idx, s in enumerate(scales):
-        cond = cfg.build_condition(float(s) * M_base)
         try:
+            with np.errstate(over="ignore"):
+                cond = cfg.build_condition(float(s) * M_base)
             # a plan that fails to build fails every row alike
             if plan is None:
                 plan = build_plan(op, cond, f, grid)

@@ -28,8 +28,8 @@ from .errors import InvalidParameterError, NumericFailureError
 # >= 7, so there the series runs out to (kmax!)**(1/kmax), with as many
 # terms as reach rounding at that cutoff.  Each kmax's cutoff and series
 # coefficients 1/(m! (m + kmax + 1)), highest m first, are built once, and
-# Horner's rule runs in place.  Every step is elementwise, so an entry's
-# value does not depend on the other entries of the call.
+# Horner's rule runs in place.  Every step is elementwise, on the entries
+# of its branch only, so an entry's value does not depend on the others.
 _SERIES = {}
 
 
@@ -66,15 +66,16 @@ def moments(z, kmax):
     flat = z.ravel()
     cutoff, coeffs = _series(kmax)
     small = np.abs(flat) < cutoff
-    zr = np.where(small, 1.0, flat)
-    ez = np.exp(zr)
+    big = ~small
     out = np.empty((kmax + 1, flat.size))
-    out[0] = np.expm1(zr) / zr
+    zb = flat[big]
+    eb, Jk = np.exp(zb), np.expm1(zb) / zb
+    out[0][big] = Jk
     for k in range(1, kmax + 1):
-        out[k] = (ez - k * out[k - 1]) / zr
+        Jk = (eb - k * Jk) / zb
+        out[k][big] = Jk
     if small.any():
-        # Horner for J_kmax and the downward recurrence, evaluated only
-        # where the series is needed, then written back at once
+        # Horner for J_kmax, then the downward recurrence
         zs = flat[small]
         first, *rest = coeffs
         low = np.full((kmax + 1, zs.size), first)
@@ -85,7 +86,8 @@ def moments(z, kmax):
         es = np.exp(zs)
         for k in range(kmax, 0, -1):
             low[k - 1] = (es - zs * low[k]) / k
-        out[:, small] = low
+        for row, values in zip(out, low):
+            row[small] = values
     return out.reshape((kmax + 1,) + z.shape)
 
 

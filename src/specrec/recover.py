@@ -262,8 +262,9 @@ def check_spectral_condition(op, cond, T):
 class FixedPointReport:
     """Trace of the successive-substitution iteration.
 
-    ``trajectory`` carries the final iterate (the discrete mild solution on
-    convergence); it is excluded from serialized reports.
+    ``iterations`` counts the sweeps after the start, the linear solution
+    by default.  ``trajectory`` carries the final iterate (the discrete
+    mild solution on convergence); it is excluded from serialized reports.
     """
 
     iterations: int
@@ -329,34 +330,34 @@ def build_plan(op, cond, f, grid):
 
 
 def picard_recover(op, cond, f, grid, spec, tol=1e-10, max_iter=200,
-                   initial="zero", *, plan=None):
+                   initial="linear", *, plan=None):
     """Recover the initial state by successive substitution.
 
-    Starting from the zero trajectory (or from the linear solution when
-    ``initial="linear"``), each sweep recomputes the nonlocal initial value
-    from the current forcing and propagates it forward.  Iteration stops when
-    the combined weighted-plus-sup residual drops below ``tol``; hitting
-    ``max_iter`` or a runaway residual yields a report with
-    ``converged=False``, never a silent answer.
+    The iteration starts at the linear solution e^{tA} M / d, where a sweep
+    from the zero trajectory lands since f(0) = 0; each sweep recomputes the
+    nonlocal initial value from the current forcing and propagates it
+    forward.  It stops when the combined weighted-plus-sup residual drops
+    below ``tol``; ``max_iter`` sweeps after the linear solution, or a
+    residual run away from that solution's norm, give ``converged=False``,
+    never a silent answer.  Iterates and decisions are the zero start's
+    (``initial="zero"``) bit for bit, up to the sign of a zero, one sweep
+    sooner: ``iterations`` is one fewer, 0 if the first payload overflows.
 
     The initial value map u(0) = (M - psi(g)) / d is affine in the forcing
-    g, so everything but M is built once per problem, as the
-    ``RecoveryPlan`` of ``build_plan``, which raises for an ill-posed
-    problem; a caller recovering many data vectors of one problem passes
-    one as ``plan``.  Each call forms the norm weights (delta0 -
-    lam_j)**theta and t_i**theta, and its work arrays, once: two state
-    buffers that swap, the convolution, the scan's products and the
-    squared update.
+    g, so everything but M is built once per problem, as the ``RecoveryPlan``
+    of ``build_plan``, which raises for an ill-posed problem; a caller
+    recovering many data vectors of one problem passes one as ``plan``.  The
+    norm weights and work arrays are formed once per call.
 
-    A sweep then works on coefficient arrays: the payload ``f.eval_node``
-    of every node in one stacked call (its two matrix products), one
-    product with the history operator for a memory kernel, one contraction
-    with W for psi, and the semigroup samples times u(0) plus a
-    doubling-scan convolution, O(n m log n) for m modes.  Both residuals
-    come from one product of S = (new - u)**2 with the columns 1 and
-    mu = (delta0 - lam)**(2 theta): max_i sqrt(S_i . 1) and max_i
-    t_i**theta sqrt(S_i . mu).  Only when one is not finite is the iterate
-    checked finite and the update's norms rescaled as ``_row_norms`` does.
+    A sweep works on coefficient arrays: one stacked ``f.eval_node`` call
+    for every node (two matrix products), a product with the history
+    operator for a memory kernel, one contraction with W for psi, and the
+    semigroup samples times u(0) plus a doubling-scan convolution,
+    O(n m log n) for m modes.  Both residuals come from one product of
+    S = (new - u)**2 with the columns 1 and mu = (delta0 - lam)**(2 theta):
+    max_i sqrt(S_i . 1) and max_i t_i**theta sqrt(S_i . mu); only when one
+    is not finite is the iterate checked finite and the norms rescaled as
+    ``_row_norms`` does.
     The report's ``Trajectory`` is built once, from the last iterate.
     """
     if not (tol > 0 and math.isfinite(tol)):
@@ -365,6 +366,8 @@ def picard_recover(op, cond, f, grid, spec, tol=1e-10, max_iter=200,
         raise InvalidParameterError("max_iter must be a positive integer")
     if cond.M.shape != (op.n_modes,):
         raise InvalidParameterError("M does not match the operator's mode count")
+    if initial not in ("zero", "linear"):
+        raise InvalidParameterError('initial must be "zero" or "linear"')
     if plan is None:
         plan = build_plan(op, cond, f, grid)
 
@@ -390,32 +393,29 @@ def picard_recover(op, cond, f, grid, spec, tol=1e-10, max_iter=200,
         lam_mu = (spec.delta0 - op.eigenvalues) ** spec.theta
         norm_weights = np.column_stack([np.ones_like(lam_mu), lam_mu * lam_mu])
 
-        if initial == "zero":
-            u = np.zeros_like(hom)
-        elif initial == "linear":
-            u = hom * sigma0
-        else:
-            raise InvalidParameterError('initial must be "zero" or "linear"')
-        new, S = np.empty_like(hom), np.empty_like(hom)
+        u, new, S = np.zeros_like(hom), np.empty_like(hom), np.empty_like(hom)
         conv, work = np.empty_like(hom[1:]), np.empty_like(hom[1:])
 
-        residual_weighted = []
-        residual_sup = []
-        converged = False
-        diverged = False
+        residual_weighted, residual_sup = [], []
+        converged = diverged = False
         u0 = sigma0
         first_residual = None
-        for _ in range(int(max_iter)):
-            try:
-                G = forcing(u)
-            except NumericFailureError:
-                # runaway iterate overflowed inside the evaluation chain
-                diverged = True
-                break
-            u0 = sigma(G)
-            np.multiply(hom, u0, out=new)
-            new[1:] += _convolve(tables, G[1:], tables[1][0] * G[0],
-                                 plan.spans, conv, work)
+        # the linear start is the zero start's first sweep, uncounted
+        linear = initial == "linear"
+        for _ in range(int(max_iter) + linear):
+            if linear:
+                np.multiply(hom, sigma0, out=new)
+            else:
+                try:
+                    G = forcing(u)
+                except NumericFailureError:
+                    # runaway iterate overflowed inside the evaluation chain
+                    diverged = True
+                    break
+                u0 = sigma(G)
+                np.multiply(hom, u0, out=new)
+                new[1:] += _convolve(tables, G[1:], tables[1][0] * G[0],
+                                     plan.spans, conv, work)
             np.subtract(new, u, out=S)
             np.multiply(S, S, out=S)
             sums = S @ norm_weights
@@ -428,11 +428,12 @@ def picard_recover(op, cond, f, grid, spec, tol=1e-10, max_iter=200,
                 diff = new - u
                 rw = float((t_mu * _row_norms(op, diff[start:], spec)).max())
                 rs = float(_row_norms(op, diff, e0_spec).max())
-            residual_weighted.append(rw)
-            residual_sup.append(rs)
+            if not linear:
+                residual_weighted.append(rw)
+                residual_sup.append(rs)
             u, new = new, u
             combined = rw + rs
-            if combined <= tol:
+            if combined <= tol and not linear:
                 converged = True
                 break
             if first_residual is None:
@@ -441,6 +442,7 @@ def picard_recover(op, cond, f, grid, spec, tol=1e-10, max_iter=200,
                     or combined > _DIVERGENCE_FACTOR * first_residual):
                 diverged = True
                 break
+            linear = False
     combined = [rw + rs for rw, rs in zip(residual_weighted, residual_sup)]
     contraction_ratios = [combined[i + 1] / combined[i]
                           for i in range(len(combined) - 1)]

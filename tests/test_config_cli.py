@@ -636,6 +636,51 @@ class TestCli:
         assert float(first[2]) <= 1e-8
         assert first[4] == "false"
 
+    def test_check_spectral_forms_no_observation(self, tmp_path,
+                                                 monkeypatch):
+        # the margins do not depend on M: a config giving M from u0 gets
+        # the CSV of any literal M without a forward solve
+        calls = []
+        solve = harness.forward_solve
+        monkeypatch.setattr(harness, "forward_solve",
+                            lambda *args: calls.append(1) or solve(*args))
+        csv = {}
+        for name, update in (("from-u0", {}),
+                             ("literal", {"condition.M": M_LITERAL})):
+            out = tmp_path / f"{name}.csv"
+            path = write_cfg(tmp_path, deep(update), f"{name}.json")
+            assert main(["check-spectral", "--config", path, "--out",
+                         str(out), "--quiet"]) == 0
+            csv[name] = out.read_bytes()
+        assert calls == []
+        assert csv["from-u0"] == csv["literal"]
+
+    @pytest.mark.parametrize("update, message", [
+        ({"condition.M": dict(M_LITERAL, values=[1.0, 2.0])},
+         "condition.M.values has length 2, expected 4"),
+        ({"u0": ...}, "this run needs a 'u0' block in the config"),
+    ], ids=["literal-m-length", "no-u0"])
+    def test_check_spectral_config_errors(self, tmp_path, capsys, update,
+                                          message):
+        path = write_cfg(tmp_path, deep(update))
+        assert main(["check-spectral", "--config", path, "--quiet"]) == 4
+        assert message in capsys.readouterr().err
+
+    def test_sweep_row_overflow_is_an_error_row(self, tmp_path, capsys):
+        # 1e308 * 10 overflows: that row fails, the sweep does not, and no
+        # RuntimeWarning (an error under pytest here) escapes
+        data = deep({"condition.M": dict(M_LITERAL, values=[10.0, 0, 0, 0]),
+                     "u0": ..., "sweep": {"scales": [0.0, 1e308]}})
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--config", write_cfg(tmp_path, data),
+                     "--out", str(out), "--quiet"]) == 0
+        rows = out.read_text().splitlines()
+        assert len(rows) == 3
+        assert rows[1].endswith(",ok")
+        assert rows[2].startswith("1,1e+308,false,0,")
+        assert rows[2].endswith(",error:InvalidParameterError")
+        assert capsys.readouterr().err == ""
+
     def test_spectral_violation_recover_report(self, tmp_path, capsys):
         # recover writes the margins with converged = false and exits 2
         path = write_cfg(tmp_path, deep(ILL_POSED))

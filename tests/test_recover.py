@@ -437,11 +437,22 @@ class TestPicardLinear:
         op = sr.build_second_order(4, 1.0, 0.0, "dirichlet")
         grid = sr.make_graded_grid(1.0, 32)
         cond = sr.ConditionE(0.0, B1, np.array([0.5, 0.1, 0.0, -0.2]))
-        report = sr.picard_recover(op, cond, sr.Zero(), grid, SPEC)
+        report = sr.picard_recover(op, cond, sr.Zero(), grid, SPEC,
+                                   initial="zero")
         assert report.converged
         assert report.iterations == 2
         assert report.residual_weighted[-1] == 0.0
         assert len(report.contraction_ratios) == report.iterations - 1
+
+    def test_one_iteration_for_zero_forcing_from_linear_start(self):
+        # the default start is already the fixed point of a zero forcing
+        op = sr.build_second_order(4, 1.0, 0.0, "dirichlet")
+        grid = sr.make_graded_grid(1.0, 32)
+        cond = sr.ConditionE(0.0, B1, np.array([0.5, 0.1, 0.0, -0.2]))
+        report = sr.picard_recover(op, cond, sr.Zero(), grid, SPEC)
+        assert report.converged and report.iterations == 1
+        assert report.residual_weighted == [0.0]
+        assert report.residual_sup == [0.0]
 
     def test_matches_diagonal_closed_form(self):
         # oracle: u0_j = M_j * lam_j/(e^{T lam_j} - 1) for a=0, b=1
@@ -508,6 +519,95 @@ class TestPicardLinear:
         assert rel_err(big.u0_recovered, 1e160 * base.u0_recovered) <= 1e-14
 
 
+class TestLinearStart:
+    """The default start is the linear solution, where the zero start's
+    first sweep lands: the rest of the run is the zero start's, bit for
+    bit, one sweep sooner."""
+
+    OP = sr.build_second_order(4, 1.0, 0.0, "dirichlet")
+    TABLE = sr.TabulatedWeight([0.0, 0.2, 0.5], [1.0, -0.5, 0.8])
+
+    @settings(deadline=None, max_examples=25)
+    @given(M=st.lists(st.floats(-0.5, 0.5), min_size=4, max_size=4),
+           scale=st.sampled_from([1.0, 100.0, 1e200]))
+    @pytest.mark.parametrize("problem", ["E", "E100", "E200"])
+    @pytest.mark.parametrize("forcing", ["zero", "power", "memory"])
+    def test_zero_start_minus_its_first_sweep(self, forcing, problem, M,
+                                              scale):
+        # 100 diverges for both nonlinear maps, and 1e200 overflows
+        op, table = self.OP, self.TABLE
+        f = {"zero": sr.Zero(), "power": sr.PowerLaw(0.5, 1.0),
+             "memory": sr.MemoryKernel(0.5, -0.5, 1.0)}[forcing]
+        cond = {"E": lambda M: sr.ConditionE(0.3, table, M),
+                "E100": lambda M: sr.ConditionE100(0.5, M),
+                "E200": lambda M: sr.ConditionE200(table, M)}[problem](
+                    scale * np.array(M))
+        grid = sr.make_graded_grid(0.5, 16, 2.0)
+        spec = sr.FractionalNormSpec(0.25, sr.default_shift(op))
+        # the zero start's budget holds one sweep more
+        zero = sr.picard_recover(op, cond, f, grid, spec, max_iter=60,
+                                 initial="zero")
+        lin = sr.picard_recover(op, cond, f, grid, spec, max_iter=59)
+        if zero.converged and zero.iterations == 1:
+            # the linear solution is the answer; one sweep confirms it
+            assert lin.converged and lin.iterations == 1
+            return
+        assert lin.iterations == zero.iterations - 1
+        # equal values, bytes but for signed zeros: a datum of -0.0 can
+        # leave -0.0 in the linear solution where the zero start's sweep
+        # adds +0.0 (the fixtures' bytes are checked below)
+        assert np.array_equal(lin.u0_recovered, zero.u0_recovered,
+                              equal_nan=True)
+        assert np.array_equal(lin.trajectory.coeffs, zero.trajectory.coeffs)
+        assert lin.residual_weighted == zero.residual_weighted[1:]
+        assert lin.residual_sup == zero.residual_sup[1:]
+        assert lin.contraction_ratios == zero.contraction_ratios[1:]
+        # a single sweep has no ratio; the zero start's first is dropped
+        if lin.iterations > 1:
+            assert repr(lin.final_ratio) == repr(zero.final_ratio)
+        else:
+            assert math.isnan(lin.final_ratio)
+        assert (lin.converged, lin.diverged) == (zero.converged, zero.diverged)
+
+    FIXTURES = Path(__file__).resolve().parent.parent / "perfbench" / "fixtures"
+
+    @pytest.mark.parametrize("name", ["psi-quadrature-poly",
+                                      "psi-quadrature-table",
+                                      "memory-forward", "threshold-sweep"])
+    def test_fixture_bytes(self, name):
+        cfg = sr.parse_config(self.FIXTURES / f"{name}.json")
+        op, f, grid = cfg.build_operator(), cfg.build_nonlinearity(), cfg.build_grid()
+        spec = cfg.build_norm_spec(op)
+        cond = cfg.build_condition(resolve_M(cfg, op, f)[0])
+        kwargs = dict(tol=cfg.solver.tol, max_iter=cfg.solver.max_iter)
+        zero = sr.picard_recover(op, cond, f, grid, spec, initial="zero",
+                                 **kwargs)
+        lin = sr.picard_recover(op, cond, f, grid, spec, **kwargs)
+        assert zero.converged and lin.converged
+        assert lin.iterations == zero.iterations - 1
+        assert lin.u0_recovered.tobytes() == zero.u0_recovered.tobytes()
+        assert (lin.trajectory.coeffs.tobytes()
+                == zero.trajectory.coeffs.tobytes())
+        assert lin.residual_weighted == zero.residual_weighted[1:]
+
+    @pytest.mark.parametrize("f", [sr.Zero(), sr.PowerLaw(0.5, 1.0)],
+                             ids=["zero", "power"])
+    def test_overflowing_linear_solution_reported_as_zero_start(self, f):
+        # M / d overflows in the stiff modes: the report says so, as the
+        # zero start's does, instead of raising
+        op = sr.build_second_order(8, 1.0, 0.0, "dirichlet")
+        grid = sr.make_graded_grid(1.0, 16)
+        cond = sr.ConditionE(0.3, B1, np.full(8, 1.7e308))
+        zero = sr.picard_recover(op, cond, f, grid, SPEC, initial="zero")
+        lin = sr.picard_recover(op, cond, f, grid, SPEC)
+        assert lin.diverged and not lin.converged and lin.iterations == 0
+        assert (zero.diverged, zero.converged, zero.iterations) == (True, False, 0)
+        assert lin.u0_recovered.tobytes() == zero.u0_recovered.tobytes()
+        assert (lin.trajectory.coeffs.tobytes()
+                == zero.trajectory.coeffs.tobytes())
+        assert lin.residual_weighted == lin.residual_sup == []
+
+
 class TestSweepResiduals:
     """Both residuals of a sweep come from one pass over the squared
     update; they match the row norms of the same update."""
@@ -516,7 +616,8 @@ class TestSweepResiduals:
     def _first_update(op, cond, f, spec):
         # one sweep from the zero start: the update is the iterate itself
         grid = sr.make_graded_grid(1.0, 32)
-        report = sr.picard_recover(op, cond, f, grid, spec, max_iter=1)
+        report = sr.picard_recover(op, cond, f, grid, spec, max_iter=1,
+                                   initial="zero")
         assert report.iterations == 1 and not report.diverged
         start = 0 if spec.theta == 0.0 else 1
         diff = report.trajectory.coeffs
@@ -591,9 +692,9 @@ class TestPicardNonlinear:
     def test_uniqueness_of_ball_fixed_point(self):
         op, grid, f, cond = self._setup()
         tol = 1e-10
-        r0 = sr.picard_recover(op, cond, f, grid, SPEC, tol=tol)
-        r1 = sr.picard_recover(op, cond, f, grid, SPEC, tol=tol,
-                               initial="linear")
+        r0 = sr.picard_recover(op, cond, f, grid, SPEC, tol=tol,
+                               initial="zero")
+        r1 = sr.picard_recover(op, cond, f, grid, SPEC, tol=tol)
         assert r0.converged and r1.converged
         dist = np.max(np.linalg.norm(r0.trajectory.coeffs
                                      - r1.trajectory.coeffs, axis=1))
