@@ -6,8 +6,8 @@ from .errors import (AdmissibilityError, ConfigError, IllPosedModeError,
 from .spectral import (FractionalNormSpec, SpectralOperator, TimeGrid,
                        Trajectory, analyze, build_fourth_order,
                        build_second_order, default_grading, default_shift,
-                       diagonal_operator, fractional_norm, make_graded_grid,
-                       synthesize, weighted_sup_norm)
+                       fractional_norm, make_graded_grid, synthesize,
+                       weighted_sup_norm)
 from .kernels import (ConstantWeight, ModeWeights, PolynomialWeight,
                       TabulatedWeight, WeightFunction, beta_function,
                       mode_weights)

@@ -262,9 +262,9 @@ def check_spectral_condition(op, cond, T):
 class FixedPointReport:
     """Trace of the successive-substitution iteration.
 
-    ``iterations`` counts the sweeps after the start, the linear solution
-    by default.  ``trajectory`` carries the final iterate (the discrete
-    mild solution on convergence); it is excluded from serialized reports.
+    ``iterations`` counts the sweeps after the linear solution.
+    ``trajectory`` carries the final iterate (the discrete mild solution on
+    convergence); it is excluded from serialized reports.
     """
 
     iterations: int
@@ -283,8 +283,8 @@ class FixedPointReport:
 
 
 # A sweep is declared divergent once its residual exceeds this multiple of
-# the first one: a contracting iteration shrinks it, so such growth is a
-# runaway iterate, reported long before it overflows.
+# the linear solution's combined norm: a contracting iteration shrinks it,
+# so such growth is a runaway iterate, reported long before it overflows.
 _DIVERGENCE_FACTOR = 1e6
 
 
@@ -329,19 +329,18 @@ def build_plan(op, cond, f, grid):
                         f.history_rows(grid.nodes, 0, grid.nodes.size))
 
 
-def picard_recover(op, cond, f, grid, spec, tol=1e-10, max_iter=200,
-                   initial="linear", *, plan=None):
+def picard_recover(op, cond, f, grid, spec, tol=1e-10, max_iter=200, *,
+                   plan=None):
     """Recover the initial state by successive substitution.
 
-    The iteration starts at the linear solution e^{tA} M / d, where a sweep
-    from the zero trajectory lands since f(0) = 0; each sweep recomputes the
-    nonlocal initial value from the current forcing and propagates it
-    forward.  It stops when the combined weighted-plus-sup residual drops
-    below ``tol``; ``max_iter`` sweeps after the linear solution, or a
-    residual run away from that solution's norm, give ``converged=False``,
-    never a silent answer.  Iterates and decisions are the zero start's
-    (``initial="zero"``) bit for bit, up to the sign of a zero, one sweep
-    sooner: ``iterations`` is one fewer, 0 if the first payload overflows.
+    The iteration starts at the linear solution e^{tA} M / d, the first
+    iterate of the substitution map from the zero trajectory, since
+    f(0) = 0; each sweep recomputes the nonlocal initial value from the
+    current forcing and propagates it forward.  It stops when the combined
+    weighted-plus-sup residual drops below ``tol``; ``max_iter`` sweeps
+    after the linear solution, or a residual run away from that solution's
+    norm, give ``converged=False``, never a silent answer.  A linear
+    solution that overflows is reported as divergent after 0 sweeps.
 
     The initial value map u(0) = (M - psi(g)) / d is affine in the forcing
     g, so everything but M is built once per problem, as the ``RecoveryPlan``
@@ -357,7 +356,8 @@ def picard_recover(op, cond, f, grid, spec, tol=1e-10, max_iter=200,
     S = (new - u)**2 with the columns 1 and mu = (delta0 - lam)**(2 theta):
     max_i sqrt(S_i . 1) and max_i t_i**theta sqrt(S_i . mu); only when one
     is not finite is the iterate checked finite and the norms rescaled as
-    ``_row_norms`` does.
+    ``_row_norms`` does.  The linear solution's residual against zero seeds
+    the runaway test.
     The report's ``Trajectory`` is built once, from the last iterate.
     """
     if not (tol > 0 and math.isfinite(tol)):
@@ -366,8 +366,6 @@ def picard_recover(op, cond, f, grid, spec, tol=1e-10, max_iter=200,
         raise InvalidParameterError("max_iter must be a positive integer")
     if cond.M.shape != (op.n_modes,):
         raise InvalidParameterError("M does not match the operator's mode count")
-    if initial not in ("zero", "linear"):
-        raise InvalidParameterError('initial must be "zero" or "linear"')
     if plan is None:
         plan = build_plan(op, cond, f, grid)
 
@@ -388,34 +386,15 @@ def picard_recover(op, cond, f, grid, spec, tol=1e-10, max_iter=200,
 
     # overflow of a runaway iterate is caught by the finite checks below
     with np.errstate(over="ignore", invalid="ignore"):
-        sigma0 = cond.M / plan.denoms
-        sigma_T0_norm = fractional_norm(op, sigma0, e0_spec)  # checks delta0
+        u0 = cond.M / plan.denoms
+        sigma_T0_norm = fractional_norm(op, u0, e0_spec)  # checks delta0
         lam_mu = (spec.delta0 - op.eigenvalues) ** spec.theta
         norm_weights = np.column_stack([np.ones_like(lam_mu), lam_mu * lam_mu])
-
-        u, new, S = np.zeros_like(hom), np.empty_like(hom), np.empty_like(hom)
+        S = np.empty_like(hom)
         conv, work = np.empty_like(hom[1:]), np.empty_like(hom[1:])
 
-        residual_weighted, residual_sup = [], []
-        converged = diverged = False
-        u0 = sigma0
-        first_residual = None
-        # the linear start is the zero start's first sweep, uncounted
-        linear = initial == "linear"
-        for _ in range(int(max_iter) + linear):
-            if linear:
-                np.multiply(hom, sigma0, out=new)
-            else:
-                try:
-                    G = forcing(u)
-                except NumericFailureError:
-                    # runaway iterate overflowed inside the evaluation chain
-                    diverged = True
-                    break
-                u0 = sigma(G)
-                np.multiply(hom, u0, out=new)
-                new[1:] += _convolve(tables, G[1:], tables[1][0] * G[0],
-                                     plan.spans, conv, work)
+        def residuals(new, u):
+            # (weighted, sup) norms of new - u, None if new is not finite
             np.subtract(new, u, out=S)
             np.multiply(S, S, out=S)
             sums = S @ norm_weights
@@ -423,26 +402,48 @@ def picard_recover(op, cond, f, grid, spec, tol=1e-10, max_iter=200,
             rw = float((t_mu * np.sqrt(sums[start:, 1])).max())
             if not (math.isfinite(rs) and math.isfinite(rw)):
                 if not np.isfinite(new).all():
-                    diverged = True
-                    break
+                    return None
                 diff = new - u
                 rw = float((t_mu * _row_norms(op, diff[start:], spec)).max())
                 rs = float(_row_norms(op, diff, e0_spec).max())
-            if not linear:
-                residual_weighted.append(rw)
-                residual_sup.append(rs)
+            return rw, rs
+
+        u, new = np.zeros_like(hom), hom * u0
+        measured = residuals(new, u)
+        diverged = measured is None
+        if not diverged:
+            u, new = new, u
+            first_residual = sum(measured)
+            diverged = not math.isfinite(first_residual)
+        residual_weighted, residual_sup = [], []
+        converged = False
+        for _ in range(0 if diverged else int(max_iter)):
+            try:
+                G = forcing(u)
+            except NumericFailureError:
+                # runaway iterate overflowed inside the evaluation chain
+                diverged = True
+                break
+            u0 = sigma(G)
+            np.multiply(hom, u0, out=new)
+            new[1:] += _convolve(tables, G[1:], tables[1][0] * G[0],
+                                 plan.spans, conv, work)
+            measured = residuals(new, u)
+            if measured is None:
+                diverged = True
+                break
+            rw, rs = measured
+            residual_weighted.append(rw)
+            residual_sup.append(rs)
             u, new = new, u
             combined = rw + rs
-            if combined <= tol and not linear:
+            if combined <= tol:
                 converged = True
                 break
-            if first_residual is None:
-                first_residual = combined
             if (not math.isfinite(combined)
                     or combined > _DIVERGENCE_FACTOR * first_residual):
                 diverged = True
                 break
-            linear = False
     combined = [rw + rs for rw, rs in zip(residual_weighted, residual_sup)]
     contraction_ratios = [combined[i + 1] / combined[i]
                           for i in range(len(combined) - 1)]
@@ -545,8 +546,6 @@ def theoretical_threshold(op, exponents, c_hat, T, spec):
     constant means no smallness is needed at all and the threshold is
     reported as unbounded.
     """
-    if not isinstance(exponents, GrowthExponents):
-        exponents = GrowthExponents(*exponents)
     if c_hat < 0 or not np.isfinite(c_hat):
         raise InvalidParameterError("c_hat must be a finite nonnegative number")
     if not T > 0:

@@ -164,14 +164,6 @@ def build_fourth_order(n_modes, d1, d2=0.0, grid_size=None):
     return SpectralOperator(lam, float(lam[0]), basis, x, w, "pinned4")
 
 
-def diagonal_operator(eigenvalues):
-    """Operator with the identity eigenbasis; handy for scalar oracles."""
-    lam = np.atleast_1d(np.asarray(eigenvalues, dtype=float))
-    n = lam.size
-    return SpectralOperator(lam, float(np.max(lam)), np.eye(n),
-                            np.arange(n, dtype=float), np.ones(n), "diagonal")
-
-
 @dataclass(frozen=True)
 class FractionalNormSpec:
     """Parameters of the spectral power norm.
@@ -312,10 +304,6 @@ class Trajectory:
             raise InvalidParameterError("coeffs must be (n_nodes, n_modes)")
         if not np.all(np.isfinite(coeffs)):
             raise InvalidParameterError("trajectory entries must be finite")
-
-    @property
-    def n_modes(self):
-        return self.coeffs.shape[1]
 
     @classmethod
     def zeros(cls, grid, n_modes):

@@ -2,8 +2,10 @@
 
 import numpy as np
 
-from specrec import kernels
+from specrec import (SpectralOperator, Trajectory, apply_psi_E,
+                     duhamel_convolve, kernels)
 from specrec.errors import InvalidParameterError
+from specrec.recover import _denominators
 
 
 def ulp_close(a, b, n_ulp=4):
@@ -36,3 +38,43 @@ def tail_weight(lam, s, T, b):
 def exp_weight_integral(lam, T, b):
     """int_0^T b(t) exp(t*lam) dt."""
     return tail_weight(lam, 0.0, T, b)
+
+
+def diagonal_operator(eigenvalues):
+    """Operator with the identity eigenbasis; handy for scalar oracles."""
+    lam = np.atleast_1d(np.asarray(eigenvalues, dtype=float))
+    n = lam.size
+    return SpectralOperator(lam, float(np.max(lam)), np.eye(n),
+                            np.arange(n, dtype=float), np.ones(n), "diagonal")
+
+
+def initial_value(op, cond, T, g):
+    """The initial-value map (M - psi(g)) / d of a condition for a forcing
+    trajectory g."""
+    denoms, _ = _denominators(op, cond, T)
+    _, a, b = cond.coupling
+    return (cond.M - apply_psi_E(a, b, T, g, op)) / denoms
+
+
+def fixed_point_from_random_start(op, cond, f, grid, rng, tol):
+    """Iterate the discrete substitution map Phi(u) = e^{tA} (M - psi(g)) / d
+    + conv(g), g = f(u), built from the one-shot ``apply_psi_E`` and
+    ``duhamel_convolve``, from a random trajectory as large as the linear
+    solution e^{tA} M / d in the sup over nodes of the Euclidean norm.  It
+    stops once a sweep moves the iterate by at most ``tol`` in that norm, or
+    after 50 sweeps, and returns the start and the last iterate."""
+    hom = np.exp(np.outer(grid.nodes, op.eigenvalues))
+    denoms, _ = _denominators(op, cond, grid.T)
+    size = np.max(np.linalg.norm(hom * (cond.M / denoms), axis=1))
+    start = rng.standard_normal(hom.shape)
+    start *= size / np.max(np.linalg.norm(start, axis=1))
+    u = start
+    for _ in range(50):
+        g = f.eval_trajectory(Trajectory(grid, u), op)
+        new = (hom * initial_value(op, cond, grid.T, g)
+               + duhamel_convolve(op, g).coeffs)
+        step = np.max(np.linalg.norm(new - u, axis=1))
+        u = new
+        if step <= tol:
+            break
+    return start, u

@@ -12,7 +12,7 @@ import specrec as sr
 from specrec import duhamel
 from specrec.duhamel import _convolve, _scan, _spans, _step_tables
 from specrec.kernels import moments
-from _util import rel_err, ulp_close
+from _util import diagonal_operator, rel_err, ulp_close
 
 
 def phi1(z):
@@ -70,20 +70,20 @@ def _loop_convolve(tables, G):
 
 class TestDuhamelConvolve:
     def test_zero_forcing(self):
-        op = sr.diagonal_operator([-1.0, -2.0])
+        op = diagonal_operator([-1.0, -2.0])
         grid = sr.make_graded_grid(1.0, 16)
         g = sr.Trajectory.zeros(grid, 2)
         assert np.all(sr.duhamel_convolve(op, g).coeffs == 0.0)
 
     def test_lam_zero_integrates_time(self):
-        op = sr.diagonal_operator([0.0])
+        op = diagonal_operator([0.0])
         grid = sr.make_graded_grid(2.0, 10, 2.0)
         g = sr.Trajectory(grid, np.ones((11, 1)))
         v = sr.duhamel_convolve(op, g)
         assert np.array_equal(v.coeffs[:, 0], grid.nodes)
 
     def test_constant_forcing_closed_form(self):
-        op = sr.diagonal_operator([-1.0])
+        op = diagonal_operator([-1.0])
         grid = sr.make_graded_grid(1.0, 200)
         g = sr.Trajectory(grid, np.ones((201, 1)))
         v = sr.duhamel_convolve(op, g)
@@ -95,7 +95,7 @@ class TestDuhamelConvolve:
         import mpmath as mp
         mp.mp.dps = 40
         lam = -4.0
-        op = sr.diagonal_operator([lam])
+        op = diagonal_operator([lam])
         grid = sr.make_graded_grid(1.5, 12, 1.7)
         g = sr.Trajectory(grid, (2.0 - 3.0 * grid.nodes)[:, None])
         v = sr.duhamel_convolve(op, g)
@@ -106,7 +106,7 @@ class TestDuhamelConvolve:
             assert abs(v.coeffs[i, 0] - want) < 1e-15
 
     def test_linearity(self):
-        op = sr.diagonal_operator([-1.0, -9.0])
+        op = diagonal_operator([-1.0, -9.0])
         grid = sr.make_graded_grid(1.0, 20)
         rng = np.random.default_rng(0)
         g1 = rng.standard_normal((21, 2))
@@ -119,7 +119,7 @@ class TestDuhamelConvolve:
         assert np.max(np.abs(vs - (va + vb))) <= 4 * np.spacing(scale)
 
     def test_causality(self):
-        op = sr.diagonal_operator([-2.0])
+        op = diagonal_operator([-2.0])
         grid = sr.make_graded_grid(1.0, 16)
         rng = np.random.default_rng(1)
         g = rng.standard_normal((17, 1))
@@ -170,8 +170,8 @@ class TestDuhamelConvolve:
     @pytest.mark.parametrize("op, T, n, r", [
         (sr.build_fourth_order(32, 1.0), 0.5, 64, 4.0),
         (sr.build_fourth_order(32, 1.0), 0.5, 1000, 2.0),
-        (sr.diagonal_operator([3.0, 1.0, 0.0, -0.5, -40.0]), 1.0, 128, 1.0),
-        (sr.diagonal_operator([8.0, 3.0, 0.5, -0.5, -40.0]), 1.0, 1000, 2.0),
+        (diagonal_operator([3.0, 1.0, 0.0, -0.5, -40.0]), 1.0, 128, 1.0),
+        (diagonal_operator([8.0, 3.0, 0.5, -0.5, -40.0]), 1.0, 1000, 2.0),
     ], ids=["stiff", "stiff-n1000", "growing", "growing-n1000"])
     def test_scan_matches_sequential_loop(self, op, T, n, r):
         # eigenvalues down to -32**4, and positive ones where |e| > 1 and
@@ -191,7 +191,7 @@ class TestDuhamelConvolve:
 class TestForwardSolve:
     def test_heat_decay(self):
         # oracle: exp(-1) for the first mode after unit time
-        op = sr.diagonal_operator([-1.0])
+        op = diagonal_operator([-1.0])
         grid = sr.make_graded_grid(1.0, 64)
         u = sr.forward_solve(op, [1.0], sr.Zero(), grid)
         assert rel_err(u.coeffs[-1, 0], 0.36787944117144233) < 1e-15
@@ -203,7 +203,7 @@ class TestForwardSolve:
         assert np.all(u.coeffs == 0.0)
 
     def test_stationary_mode(self):
-        op = sr.diagonal_operator([0.0])
+        op = diagonal_operator([0.0])
         grid = sr.make_graded_grid(1.0, 16)
         u = sr.forward_solve(op, [2.0], sr.Zero(), grid)
         assert np.all(u.coeffs == 2.0)
@@ -245,7 +245,7 @@ class TestForwardSolve:
     def test_memory_kernel_forward(self):
         # scalar mode, lam = 0, f(u)(t) = int_0^t u(s) ds with u ~ const:
         # u' = 0 + f means u(t) = u0 + u0|u0| t^2/2 + higher order
-        op = sr.diagonal_operator([0.0])
+        op = diagonal_operator([0.0])
         grid = sr.make_graded_grid(0.2, 128)
         f = sr.MemoryKernel(1.0, 0.0, 1.0)
         u = sr.forward_solve(op, [0.1], f, grid)
@@ -518,7 +518,7 @@ class TestCorrectorMarch:
         # the second step is 1e323 times the first, a ratio past the float
         # range
         grid = sr.TimeGrid(np.array([0.0, 5e-324, 0.5, 1.0]))
-        op = sr.diagonal_operator([-1.0, -2.0])
+        op = diagonal_operator([-1.0, -2.0])
         u0 = np.array([0.1, 0.2])
         u = sr.forward_solve(op, u0, sr.Zero(), grid)
         want = np.exp(np.outer(grid.nodes, op.eigenvalues)) * u0
@@ -554,13 +554,13 @@ class TestCorrectorMarch:
 
 class TestObserve:
     def test_zero_trajectory(self):
-        op = sr.diagonal_operator([-1.0])
+        op = diagonal_operator([-1.0])
         grid = sr.make_graded_grid(1.0, 8)
         M = sr.observe(sr.Trajectory.zeros(grid, 1), 1.0, sr.ConstantWeight(1.0))
         assert np.all(M == 0.0)
 
     def test_constant_exact(self):
-        op = sr.diagonal_operator([-1.0])
+        op = diagonal_operator([-1.0])
         grid = sr.make_graded_grid(1.0, 8)
         u = sr.Trajectory(grid, np.full((9, 1), 3.0))
         M = sr.observe(u, 1.0, sr.ConstantWeight(1.0))
@@ -568,7 +568,7 @@ class TestObserve:
         assert ulp_close(M[0], 6.0, 4)
 
     def test_trapezoid_accuracy(self):
-        op = sr.diagonal_operator([-1.0])
+        op = diagonal_operator([-1.0])
         grid = sr.make_graded_grid(1.0, 4096)
         u = sr.Trajectory(grid, np.exp(-grid.nodes)[:, None])
         M = sr.observe(u, 0.0, sr.ConstantWeight(1.0))
@@ -576,7 +576,7 @@ class TestObserve:
 
     def test_weighted(self):
         # oracle: int_0^1 t * e^{-t} dt = 1 - 2/e, frozen at 40 digits
-        op = sr.diagonal_operator([-1.0])
+        op = diagonal_operator([-1.0])
         grid = sr.make_graded_grid(1.0, 4096)
         u = sr.Trajectory(grid, np.exp(-grid.nodes)[:, None])
         M = sr.observe(u, 0.0, sr.PolynomialWeight([0.0, 1.0]))

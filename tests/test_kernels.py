@@ -13,7 +13,8 @@ import specrec as sr
 from specrec import kernels
 from specrec.errors import IllPosedModeError, NumericFailureError
 from specrec.kernels import moments
-from _util import exp_weight_integral, rel_err, tail_weight, ulp_close
+from _util import (diagonal_operator, exp_weight_integral, rel_err,
+                   tail_weight, ulp_close)
 
 mp.mp.dps = 40
 
@@ -250,12 +251,12 @@ class TestTailWeight:
 class TestModeWeights:
     def test_cancellation_to_one(self):
         # oracle: exp(-1) + (1 - exp(-1)) = 1 by the closed-form sum
-        op = sr.diagonal_operator([-1.0])
+        op = diagonal_operator([-1.0])
         w = sr.mode_weights(op, 1.0, B1, 1.0)
         assert ulp_close(w.betas[0], 1.0, 4)
 
     def test_trivial_weights(self):
-        op = sr.diagonal_operator([0.0])
+        op = diagonal_operator([0.0])
         assert sr.mode_weights(op, 0.0, B1, 2.0).betas[0] == 2.0
 
     def test_identity_decomposition(self):
@@ -292,7 +293,7 @@ class TestModeWeights:
         # (e^lam - 1)/lam - 2 (e^{lam/2} - 1)^2 / lam^2
         lams = [2.0, -0.5, -3.0]
         b = sr.TabulatedWeight([0.0, 1.0], [1.0, -1.0])
-        w = sr.mode_weights(sr.diagonal_operator(lams), 0.0, b, 1.0)
+        w = sr.mode_weights(diagonal_operator(lams), 0.0, b, 1.0)
         want = [float(mp.expm1(lam) / lam
                       - 2 * mp.expm1(mp.mpf(lam) / 2) ** 2 / lam**2)
                 for lam in lams]
@@ -302,7 +303,7 @@ class TestModeWeights:
                              ids=["constant", "table"])
     def test_nonfinite_weight_names_mode(self, b):
         # e^{800} overflows: mode 1 cannot be observed in double precision
-        op = sr.diagonal_operator([800.0, -1.0])
+        op = diagonal_operator([800.0, -1.0])
         with pytest.raises(NumericFailureError) as err:
             sr.mode_weights(op, 0.0, b, 1.0)
         assert err.value.mode == 1
@@ -509,7 +510,7 @@ class TestStiffWeights:
                   (0.25, 0.75, [-0.1875, 1.0, -1.0]),
                   (0.75, 1.0, [0.1875, -1.0, 1.0])]
         lams = [-1.0, -1e3, -1.05e6]
-        w = sr.mode_weights(sr.diagonal_operator(lams), 0.0, b, 1.0)
+        w = sr.mode_weights(diagonal_operator(lams), 0.0, b, 1.0)
         for j, lam in enumerate(lams):
             want = _tail_oracle(lam, 0.0, 1.0, pieces)
             assert rel_err(w.scales[j], want) < 1e-12
@@ -517,25 +518,25 @@ class TestStiffWeights:
 
 class TestInverseDiagonal:
     def test_lam_zero_gives_inverse_horizon(self):
-        op = sr.diagonal_operator([0.0])
+        op = diagonal_operator([0.0])
         w = sr.mode_weights(op, 0.0, B1, 2.0)
         assert 1.0 / w.betas[0] == 0.5
 
     def test_matches_closed_form(self):
         # oracle: lam/(exp(T*lam) - 1) at 40 digits = 1.581976706869326...
-        op = sr.diagonal_operator([-1.0])
+        op = diagonal_operator([-1.0])
         w = sr.mode_weights(op, 0.0, B1, 1.0)
         got = 1.0 / w.betas[0]
         assert rel_err(got, 1.5819767068693264) < 1e-15
 
     def test_unit_beta(self):
-        op = sr.diagonal_operator([-1.0])
+        op = diagonal_operator([-1.0])
         w = sr.mode_weights(op, 1.0, B1, 1.0)
         assert ulp_close(1.0 / w.betas[0], 1.0, 4)
 
     def test_ill_posed_mode_flagged(self):
         # constructed kernel: a = -int b e^{-lam (T-t)} dt makes beta_1 = 0
-        op = sr.diagonal_operator([-1.0, -4.0])
+        op = diagonal_operator([-1.0, -4.0])
         a = -math.exp(1.0) * exp_weight_integral(-1.0, 1.0, B1)
         cond = sr.ConditionE(a, B1, np.zeros(2))
         grid = sr.make_graded_grid(1.0, 8)

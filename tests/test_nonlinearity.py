@@ -12,6 +12,7 @@ import specrec as sr
 from specrec import nonlinearity
 from specrec.harness import resolve_M
 from specrec.nonlinearity import _finite, _pointwise_power
+from _util import diagonal_operator
 
 OP = sr.build_second_order(6, 1.0, 0.0, "dirichlet")
 GRID = sr.make_graded_grid(1.0, 32)
@@ -53,7 +54,7 @@ class TestEvalLocal:
         assert np.all(out.coeffs == 0.0)
 
     def test_scalar_mode(self):
-        op1 = sr.diagonal_operator([-1.0])
+        op1 = diagonal_operator([-1.0])
         grid = sr.make_graded_grid(1.0, 4)
         f = sr.PowerLaw(1.0, 1.0)
         out = f.eval_trajectory(_const_traj(op1, grid, [2.0]), op1)
@@ -142,7 +143,7 @@ class TestMemoryKernel:
 
     def test_constant_state_linear_growth(self):
         # oracle: int_0^t v0*|v0| ds = v0*|v0|*t for lambda_exp = 0
-        op1 = sr.diagonal_operator([-1.0])
+        op1 = diagonal_operator([-1.0])
         grid = sr.make_graded_grid(1.0, 50)
         f = sr.MemoryKernel(1.0, 0.0, 1.0)
         v0 = -1.5
@@ -152,7 +153,7 @@ class TestMemoryKernel:
 
     def test_singular_kernel_closed_form(self):
         # oracle: int_0^t (t-s)^(-1/2) ds = 2*sqrt(t)
-        op1 = sr.diagonal_operator([-1.0])
+        op1 = diagonal_operator([-1.0])
         grid = sr.make_graded_grid(1.0, 50)
         f = sr.MemoryKernel(1.0, -0.5, 1.0)
         out = f.eval_trajectory(_const_traj(op1, grid, [1.0]), op1)
@@ -341,7 +342,7 @@ def _growth_operator(family, modes, coef, seed):
         return sr.build_fourth_order(modes, coef, 0.5)
     # eigenvalues of either sign, so the shift is positive or zero
     rng = np.random.default_rng(seed)
-    return sr.diagonal_operator(np.sort(rng.uniform(-20.0, 2.0, modes))[::-1])
+    return diagonal_operator(np.sort(rng.uniform(-20.0, 2.0, modes))[::-1])
 
 
 class TestGrowthCondition:
@@ -355,14 +356,14 @@ class TestGrowthCondition:
 
     def test_scalar_power_law_bounded_by_one(self):
         # scalar inequality | |v|v - |w|w | <= (|v| + |w|) |v - w|
-        op1 = sr.diagonal_operator([-1.0])
+        op1 = diagonal_operator([-1.0])
         c_bar = sr.check_growth_condition(sr.PowerLaw(1.0, 1.0), op1, SPEC0)
         assert c_bar <= 1.0 + 1e-9
 
     def test_scalar_bound_attained(self):
         # C_1 = 1 is sharp: a same-signed scalar pair attains it, up to the
         # Gram slack of 1e-10 per mode
-        op1 = sr.diagonal_operator([-1.0])
+        op1 = diagonal_operator([-1.0])
         f = sr.PowerLaw(1.0, 1.0)
         c_bar = sr.check_growth_condition(f, op1, SPEC0)
         pair = (np.array([0.5]), np.array([0.25]))
@@ -370,7 +371,7 @@ class TestGrowthCondition:
             c_bar, rel=1e-9)
 
     def test_homogeneous_in_kappa(self):
-        op1 = sr.diagonal_operator([-1.0])
+        op1 = diagonal_operator([-1.0])
         c_bar = sr.check_growth_condition(sr.PowerLaw(2.0, 1.0), op1, SPEC0)
         assert c_bar <= 2.0 + 1e-9
         base = sr.check_growth_condition(sr.PowerLaw(1.0, 1.0), op1, SPEC0)

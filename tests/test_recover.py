@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 import specrec as sr
 from specrec.nonlinearity import Nonlinearity
 from specrec.harness import resolve_M
-from specrec.recover import _denominators
 from specrec.spectral import _row_norms
-from _util import exp_weight_integral, rel_err
+from _util import (diagonal_operator, exp_weight_integral,
+                   fixed_point_from_random_start, initial_value, rel_err)
 
 B1 = sr.ConstantWeight(1.0)
 ONE_POLY = sr.PolynomialWeight([1.0])
@@ -61,7 +61,7 @@ def _with_bad(values, i, bad):
 _NONFINITE_TARGETS = {
     "M": lambda bad, i: sr.ConditionE(0.0, B1, _with_bad([0.1, 0.2, 0.3], i, bad)),
     "u0": lambda bad, i: sr.forward_solve(
-        sr.diagonal_operator([-1.0, -2.0, -3.0]),
+        diagonal_operator([-1.0, -2.0, -3.0]),
         _with_bad([0.1, 0.2, 0.3], i, bad), sr.Zero(),
         sr.make_graded_grid(1.0, 4)),
     "table": lambda bad, i: sr.TabulatedWeight(
@@ -135,14 +135,14 @@ def _psi_oracle(lam, nodes, g, a, b, dps=25):
 
 class TestApplyPsiE:
     def test_zero_forcing(self):
-        op = sr.diagonal_operator([-1.0])
+        op = diagonal_operator([-1.0])
         grid = sr.make_graded_grid(1.0, 16)
         out = sr.apply_psi_E(1.0, B1, 1.0, sr.Trajectory.zeros(grid, 1), op)
         assert np.all(out == 0.0)
 
     def test_final_time_propagation_only(self):
         # a = 1, b = 0, lam = 0, g = 1: int_0^1 ds = 1
-        op = sr.diagonal_operator([0.0])
+        op = diagonal_operator([0.0])
         grid = sr.make_graded_grid(1.0, 16)
         g = _traj(grid, np.ones((17, 1)))
         out = sr.apply_psi_E(1.0, sr.ConstantWeight(0.0), 1.0, g, op)
@@ -150,7 +150,7 @@ class TestApplyPsiE:
 
     def test_tail_average_only(self):
         # a = 0, b = 1, lam = 0, g = 1: int_0^1 (1 - s) ds = 0.5
-        op = sr.diagonal_operator([0.0])
+        op = diagonal_operator([0.0])
         grid = sr.make_graded_grid(1.0, 16)
         g = _traj(grid, np.ones((17, 1)))
         out = sr.apply_psi_E(0.0, B1, 1.0, g, op)
@@ -164,7 +164,7 @@ class TestApplyPsiE:
         import mpmath as mp
         mp.mp.dps = 30
         lam, T, a = -2.0, 1.0, 0.5
-        op = sr.diagonal_operator([lam])
+        op = diagonal_operator([lam])
         grid = sr.make_graded_grid(T, 24, 1.3)
         g = _traj(grid, (0.3 + 0.4 * grid.nodes)[:, None])
         out = sr.apply_psi_E(a, b, T, g, op)
@@ -224,7 +224,7 @@ class TestApplyPsiE:
         # with a = 0.3 and modes from stiff to growing
         grid = sr.make_graded_grid(1.0, 8, 1.5)
         lams = [0.7, -1e-9, -1.0, -1e3, -1.05e6]
-        op = sr.diagonal_operator(lams)
+        op = diagonal_operator(lams)
         weights = {
             "table": sr.TabulatedWeight([0.0, 0.23, 0.61, 1.0],
                                         [1.0, -0.7, 0.4, 0.9]),
@@ -247,7 +247,7 @@ class TestApplyPsiE:
         # the a-term has a boundary layer at s = T; the convolution
         # recurrence must capture it even when |lam| * h >> 1
         lam = -4096.0
-        op = sr.diagonal_operator([lam])
+        op = diagonal_operator([lam])
         grid = sr.make_graded_grid(1.0, 32)
         g = _traj(grid, np.ones((33, 1)))
         out = sr.apply_psi_E(1.0, sr.ConstantWeight(0.0), 1.0, g, op)
@@ -262,7 +262,7 @@ class TestApplyPsiE:
         # same b with a = 0; a table with breakpoints inside steps, modes
         # from growing to stiff, a random forcing linear between nodes
         grid = sr.make_graded_grid(1.0, 16, 1.5)
-        op = sr.diagonal_operator([0.7, -1e-9, -1.0, -40.0, -1e3, -1.05e6])
+        op = diagonal_operator([0.7, -1e-9, -1.0, -40.0, -1e3, -1.05e6])
         table = sr.TabulatedWeight([0.0, 0.23, 0.61, 1.0],
                                    [1.0, -0.7, 0.4, 0.9])
         M = np.zeros(op.n_modes)
@@ -287,31 +287,23 @@ def _recover_linear(op, cond, T=1.0, n=8):
     return report.u0_recovered
 
 
-def _initial_value(op, cond, T, g):
-    """The initial-value map (M - psi(g)) / d of a condition for a forcing
-    trajectory g."""
-    denoms, _ = _denominators(op, cond, T)
-    _, a, b = cond.coupling
-    return (cond.M - sr.apply_psi_E(a, b, T, g, op)) / denoms
-
-
 class TestSigmaE:
     """The initial-value map of problem E, u(0) = (M - psi(g)) / beta."""
 
     def test_diagonal_inversion(self):
-        op = sr.diagonal_operator([-1.0, -4.0, -9.0])
+        op = diagonal_operator([-1.0, -4.0, -9.0])
         w = sr.mode_weights(op, 0.3, B1, 1.0)
         z = np.array([1.0, -2.0, 0.5])
         got = _recover_linear(op, sr.ConditionE(0.3, B1, w.betas * z))
         assert np.allclose(got, z, rtol=1e-15, atol=0)
 
     def test_linear_scalar_oracle(self):
-        op = sr.diagonal_operator([-1.0])
+        op = diagonal_operator([-1.0])
         got = _recover_linear(op, sr.ConditionE(0.0, B1, [ONE_MINUS_E_INV]))
         assert abs(got[0] - 1.0) < 1e-14
 
     def test_zero_data(self):
-        op = sr.diagonal_operator([-1.0])
+        op = diagonal_operator([-1.0])
         got = _recover_linear(op, sr.ConditionE(0.0, B1, [0.0]))
         assert got[0] == 0.0
 
@@ -322,15 +314,15 @@ class TestSigmaE:
         M = rng.standard_normal(5)
         g = rng.standard_normal((13, 5))
         c1 = 3.7
-        a_side = _initial_value(op, sr.ConditionE(0.2, B1, c1 * M), 1.0,
-                                _traj(grid, c1 * g))
-        b_side = c1 * _initial_value(op, sr.ConditionE(0.2, B1, M), 1.0,
-                                     _traj(grid, g))
+        a_side = initial_value(op, sr.ConditionE(0.2, B1, c1 * M), 1.0,
+                               _traj(grid, c1 * g))
+        b_side = c1 * initial_value(op, sr.ConditionE(0.2, B1, M), 1.0,
+                                    _traj(grid, g))
         scale = np.max(np.abs(b_side))
         assert np.max(np.abs(a_side - b_side)) <= 4 * np.spacing(scale)
 
     def test_ill_posed_rejected(self):
-        op = sr.diagonal_operator([-1.0])
+        op = diagonal_operator([-1.0])
         a = -math.exp(1.0) * exp_weight_integral(-1.0, 1.0, B1)
         with pytest.raises(sr.IllPosedModeError):
             _recover_linear(op, sr.ConditionE(a, B1, [1.0]))
@@ -341,17 +333,17 @@ class TestSigmaE100:
     u(0) = (M + b int_0^T e^{(T-s)lam} g ds) / (1 - b e^{T lam})."""
 
     def test_linear_scalar_oracle(self):
-        op = sr.diagonal_operator([-1.0])
+        op = diagonal_operator([-1.0])
         got = _recover_linear(op, sr.ConditionE100(1.0, [ONE_MINUS_E_INV]))
         assert abs(got[0] - 1.0) < 1e-14
 
     def test_zero_data(self):
-        op = sr.diagonal_operator([-1.0])
+        op = diagonal_operator([-1.0])
         got = _recover_linear(op, sr.ConditionE100(1.0, [0.0]))
         assert got[0] == 0.0
 
     def test_constructed_root_rejected(self):
-        op = sr.diagonal_operator([-1.0])
+        op = diagonal_operator([-1.0])
         with pytest.raises(sr.IllPosedModeError) as err:
             _recover_linear(op, sr.ConditionE100(math.e, [1.0]))
         assert err.value.modes == [1]
@@ -361,10 +353,10 @@ class TestSigmaE100:
         import mpmath as mp
         mp.mp.dps = 30
         lam, T, b = -1.5, 1.0, 0.8
-        op = sr.diagonal_operator([lam])
+        op = diagonal_operator([lam])
         grid = sr.make_graded_grid(T, 100)
         g = _traj(grid, np.ones((101, 1)))
-        got = _initial_value(op, sr.ConditionE100(b, [0.0]), T, g)
+        got = initial_value(op, sr.ConditionE100(b, [0.0]), T, g)
         z = float(mp.quad(lambda s: mp.exp(lam * (T - s)), [0, T]))
         want = b * z / (1.0 - b * math.exp(lam * T))
         assert rel_err(got[0], want) < 1e-13
@@ -375,12 +367,12 @@ class TestSigmaE200:
 
     def test_linear_scalar_oracle(self):
         # b = 1, lam = 0, T = 1: phi0 = 1 so u0 = M / 2
-        op = sr.diagonal_operator([0.0])
+        op = diagonal_operator([0.0])
         got = _recover_linear(op, sr.ConditionE200(B1, [2.0]))
         assert got[0] == 1.0
 
     def test_zero_data(self):
-        op = sr.diagonal_operator([0.0])
+        op = diagonal_operator([0.0])
         got = _recover_linear(op, sr.ConditionE200(B1, [0.0]))
         assert got[0] == 0.0
 
@@ -420,6 +412,20 @@ class TestCheckSpectralCondition:
         assert report.failing_modes == (1,)
         assert report.margins[0] <= 1e-8
 
+    @pytest.mark.parametrize("eps, ok", [(1e-9, True), (1e-10, False)])
+    def test_e100_margin_at_the_relative_tolerance(self, eps, ok):
+        # b = e^{-T lam_1} (1 - eps) leaves mode 1 the margin eps against a
+        # scale of about 2: eps / 2 = 5e-10 passes and 5e-11 fails, so the
+        # tolerance lies between them
+        op = sr.build_second_order(4, 1.0, 0.0, "dirichlet")
+        b = math.exp(-op.eigenvalues[0] * 1.0) * (1.0 - eps)
+        report = sr.check_spectral_condition(
+            op, sr.ConditionE100(b, np.zeros(4)), 1.0)
+        assert report.margins[0] / report.scales[0] == pytest.approx(
+            eps / 2, rel=1e-3)
+        assert bool(report.ok_per_mode[0]) is ok
+        assert report.ok is ok
+
     def test_e_constructed_kernel(self):
         op = sr.build_second_order(4, 1.0, 0.0, "dirichlet")
         b = sr.PolynomialWeight([1.0, 0.5])
@@ -433,17 +439,6 @@ class TestCheckSpectralCondition:
 
 
 class TestPicardLinear:
-    def test_two_iterations_for_zero_forcing(self):
-        op = sr.build_second_order(4, 1.0, 0.0, "dirichlet")
-        grid = sr.make_graded_grid(1.0, 32)
-        cond = sr.ConditionE(0.0, B1, np.array([0.5, 0.1, 0.0, -0.2]))
-        report = sr.picard_recover(op, cond, sr.Zero(), grid, SPEC,
-                                   initial="zero")
-        assert report.converged
-        assert report.iterations == 2
-        assert report.residual_weighted[-1] == 0.0
-        assert len(report.contraction_ratios) == report.iterations - 1
-
     def test_one_iteration_for_zero_forcing_from_linear_start(self):
         # the default start is already the fixed point of a zero forcing
         op = sr.build_second_order(4, 1.0, 0.0, "dirichlet")
@@ -467,7 +462,7 @@ class TestPicardLinear:
         assert rel_err(report.u0_recovered, want) < 1e-12
 
     def test_scalar_recovery(self):
-        op = sr.diagonal_operator([-1.0])
+        op = diagonal_operator([-1.0])
         grid = sr.make_graded_grid(1.0, 16)
         cond = sr.ConditionE(0.0, B1, np.array([ONE_MINUS_E_INV]))
         report = sr.picard_recover(op, cond, sr.Zero(), grid, SPEC)
@@ -488,7 +483,7 @@ class TestPicardLinear:
         assert np.all(delta[[0, 1, 3, 4]] == 0.0)
 
     def test_sigma0_norm_reported(self):
-        op = sr.diagonal_operator([-1.0])
+        op = diagonal_operator([-1.0])
         grid = sr.make_graded_grid(1.0, 16)
         cond = sr.ConditionE(0.0, B1, np.array([ONE_MINUS_E_INV]))
         report = sr.picard_recover(op, cond, sr.Zero(), grid, SPEC)
@@ -497,7 +492,7 @@ class TestPicardLinear:
     @pytest.mark.parametrize("tol", [math.inf, math.nan])
     def test_rejects_nonfinite_tol(self, tol):
         # an infinite tol would report convergence after one sweep
-        op = sr.diagonal_operator([-1.0])
+        op = diagonal_operator([-1.0])
         cond = sr.ConditionE(0.0, B1, np.array([ONE_MINUS_E_INV]))
         with pytest.raises(sr.InvalidParameterError):
             sr.picard_recover(op, cond, sr.Zero(), sr.make_graded_grid(1.0, 8),
@@ -520,9 +515,9 @@ class TestPicardLinear:
 
 
 class TestLinearStart:
-    """The default start is the linear solution, where the zero start's
-    first sweep lands: the rest of the run is the zero start's, bit for
-    bit, one sweep sooner."""
+    """Every recovery starts at the linear solution, where a sweep from the
+    zero trajectory lands: a converged run ends at a fixed point of the
+    initial-value map, and any other run says why it stopped."""
 
     OP = sr.build_second_order(4, 1.0, 0.0, "dirichlet")
     TABLE = sr.TabulatedWeight([0.0, 0.2, 0.5], [1.0, -0.5, 0.8])
@@ -544,68 +539,54 @@ class TestLinearStart:
                     scale * np.array(M))
         grid = sr.make_graded_grid(0.5, 16, 2.0)
         spec = sr.FractionalNormSpec(0.25, sr.default_shift(op))
-        # the zero start's budget holds one sweep more
-        zero = sr.picard_recover(op, cond, f, grid, spec, max_iter=60,
-                                 initial="zero")
-        lin = sr.picard_recover(op, cond, f, grid, spec, max_iter=59)
-        if zero.converged and zero.iterations == 1:
-            # the linear solution is the answer; one sweep confirms it
-            assert lin.converged and lin.iterations == 1
-            return
-        assert lin.iterations == zero.iterations - 1
-        # equal values, bytes but for signed zeros: a datum of -0.0 can
-        # leave -0.0 in the linear solution where the zero start's sweep
-        # adds +0.0 (the fixtures' bytes are checked below)
-        assert np.array_equal(lin.u0_recovered, zero.u0_recovered,
-                              equal_nan=True)
-        assert np.array_equal(lin.trajectory.coeffs, zero.trajectory.coeffs)
-        assert lin.residual_weighted == zero.residual_weighted[1:]
-        assert lin.residual_sup == zero.residual_sup[1:]
-        assert lin.contraction_ratios == zero.contraction_ratios[1:]
-        # a single sweep has no ratio; the zero start's first is dropped
-        if lin.iterations > 1:
-            assert repr(lin.final_ratio) == repr(zero.final_ratio)
+        report = sr.picard_recover(op, cond, f, grid, spec, max_iter=60)
+        if report.converged:
+            assert not report.diverged
+            g = f.eval_trajectory(report.trajectory, op)
+            want = initial_value(op, cond, grid.T, g)
+            assert rel_err(report.u0_recovered, want) <= 1e-10
         else:
-            assert math.isnan(lin.final_ratio)
-        assert (lin.converged, lin.diverged) == (zero.converged, zero.diverged)
-
-    FIXTURES = Path(__file__).resolve().parent.parent / "perfbench" / "fixtures"
-
-    @pytest.mark.parametrize("name", ["psi-quadrature-poly",
-                                      "psi-quadrature-table",
-                                      "memory-forward", "threshold-sweep"])
-    def test_fixture_bytes(self, name):
-        cfg = sr.parse_config(self.FIXTURES / f"{name}.json")
-        op, f, grid = cfg.build_operator(), cfg.build_nonlinearity(), cfg.build_grid()
-        spec = cfg.build_norm_spec(op)
-        cond = cfg.build_condition(resolve_M(cfg, op, f)[0])
-        kwargs = dict(tol=cfg.solver.tol, max_iter=cfg.solver.max_iter)
-        zero = sr.picard_recover(op, cond, f, grid, spec, initial="zero",
-                                 **kwargs)
-        lin = sr.picard_recover(op, cond, f, grid, spec, **kwargs)
-        assert zero.converged and lin.converged
-        assert lin.iterations == zero.iterations - 1
-        assert lin.u0_recovered.tobytes() == zero.u0_recovered.tobytes()
-        assert (lin.trajectory.coeffs.tobytes()
-                == zero.trajectory.coeffs.tobytes())
-        assert lin.residual_weighted == zero.residual_weighted[1:]
+            assert report.diverged or report.iterations == 60
 
     @pytest.mark.parametrize("f", [sr.Zero(), sr.PowerLaw(0.5, 1.0)],
                              ids=["zero", "power"])
     def test_overflowing_linear_solution_reported_as_zero_start(self, f):
-        # M / d overflows in the stiff modes: the report says so, as the
-        # zero start's does, instead of raising
+        # M / d overflows in the stiff modes: the report says so, with the
+        # zero trajectory, instead of raising
         op = sr.build_second_order(8, 1.0, 0.0, "dirichlet")
         grid = sr.make_graded_grid(1.0, 16)
         cond = sr.ConditionE(0.3, B1, np.full(8, 1.7e308))
-        zero = sr.picard_recover(op, cond, f, grid, SPEC, initial="zero")
         lin = sr.picard_recover(op, cond, f, grid, SPEC)
         assert lin.diverged and not lin.converged and lin.iterations == 0
-        assert (zero.diverged, zero.converged, zero.iterations) == (True, False, 0)
-        assert lin.u0_recovered.tobytes() == zero.u0_recovered.tobytes()
-        assert (lin.trajectory.coeffs.tobytes()
-                == zero.trajectory.coeffs.tobytes())
+        assert not lin.trajectory.coeffs.any()
+        with np.errstate(over="ignore"):
+            sigma0 = cond.M / sr.build_plan(op, cond, f, grid).denoms
+        assert lin.u0_recovered.tobytes() == sigma0.tobytes()
         assert lin.residual_weighted == lin.residual_sup == []
+
+    def test_overflowing_linear_norm_reported_at_the_start(self):
+        # a finite linear solution whose norm at t = 0 overflows stops
+        # there, and the report carries it
+        op = sr.build_second_order(8, 1.0, 0.0, "dirichlet")
+        grid = sr.make_graded_grid(1.0, 16)
+        f = sr.PowerLaw(0.5, 1.0)
+        plan = sr.build_plan(op, sr.ConditionE(0.3, B1, np.zeros(8)), f, grid)
+        cond = sr.ConditionE(0.3, B1, 1e308 * plan.denoms)
+        report = sr.picard_recover(op, cond, f, grid, SPEC, plan=plan)
+        assert report.diverged and not report.converged
+        assert report.iterations == 0
+        start = plan.hom * (cond.M / plan.denoms)
+        assert np.all(np.isfinite(start))
+        assert report.trajectory.coeffs.tobytes() == start.tobytes()
+
+
+def _update_norms(op, grid, spec, diff):
+    """Weighted and sup residual of an update, from ``_row_norms``."""
+    start = 0 if spec.theta == 0.0 else 1
+    t_mu = grid.nodes[start:] ** spec.theta
+    rw = np.max(t_mu * _row_norms(op, diff[start:], spec))
+    rs = np.max(_row_norms(op, diff, sr.FractionalNormSpec(0.0, spec.delta0)))
+    return rw, rs
 
 
 class TestSweepResiduals:
@@ -614,17 +595,14 @@ class TestSweepResiduals:
 
     @staticmethod
     def _first_update(op, cond, f, spec):
-        # one sweep from the zero start: the update is the iterate itself
+        # the first counted sweep, measured from the linear solution
         grid = sr.make_graded_grid(1.0, 32)
+        plan = sr.build_plan(op, cond, f, grid)
         report = sr.picard_recover(op, cond, f, grid, spec, max_iter=1,
-                                   initial="zero")
+                                   plan=plan)
         assert report.iterations == 1 and not report.diverged
-        start = 0 if spec.theta == 0.0 else 1
-        diff = report.trajectory.coeffs
-        t_mu = grid.nodes[start:] ** spec.theta
-        rw = np.max(t_mu * _row_norms(op, diff[start:], spec))
-        rs = np.max(_row_norms(op, diff, sr.FractionalNormSpec(0.0, spec.delta0)))
-        return report, rw, rs
+        diff = report.trajectory.coeffs - plan.hom * (cond.M / plan.denoms)
+        return (report, *_update_norms(op, grid, spec, diff))
 
     @pytest.mark.parametrize("theta", [0.0, 0.25, 0.6])
     def test_match_row_norms(self, theta):
@@ -638,12 +616,13 @@ class TestSweepResiduals:
 
     def test_match_row_norms_when_squares_overflow(self):
         # an update near 1e160 squares past the float range; the residuals
-        # are taken from the rescaled row norms instead
+        # are taken from the rescaled row norms instead.  With ell = 1e-3
+        # the forcing is about 0.5 u, so one sweep moves u by about 1e160
         op = sr.build_second_order(8, 1.0, 0.0, "dirichlet")
         spec = sr.FractionalNormSpec(0.25, 0.0)
         M = np.random.default_rng(9).standard_normal(8) * 1e160
         report, rw, rs = self._first_update(
-            op, sr.ConditionE(0.3, B1, M), sr.Zero(), spec)
+            op, sr.ConditionE(0.3, B1, M), sr.PowerLaw(0.5, 1e-3), spec)
         assert math.isfinite(rw) and rs > 1e155
         assert rel_err(report.residual_weighted[0], rw) <= 1e-14
         assert rel_err(report.residual_sup[0], rs) <= 1e-14
@@ -674,7 +653,7 @@ class TestPicardNonlinear:
         report = sr.picard_recover(op, cond, f, grid, SPEC)
         assert report.converged
         g = f.eval_trajectory(report.trajectory, op)
-        want = _initial_value(op, cond, grid.T, g)
+        want = initial_value(op, cond, grid.T, g)
         assert rel_err(report.u0_recovered, want) < 1e-10
 
     def test_no_convergence_reported_not_raised(self):
@@ -685,19 +664,34 @@ class TestPicardNonlinear:
         assert report.iterations == 2
 
     def test_divergence_flagged(self):
+        # the run stops at the first sweep whose combined residual passes
+        # 1e6 times the linear solution's combined norm
         op, grid, f, cond = self._setup(kappa=50.0, amp=20.0)
-        report = sr.picard_recover(op, cond, f, grid, SPEC, max_iter=200)
+        plan = sr.build_plan(op, cond, f, grid)
+        report = sr.picard_recover(op, cond, f, grid, SPEC, max_iter=200,
+                                   plan=plan)
         assert not report.converged
+        assert report.diverged
+        bound = 1e6 * sum(_update_norms(op, grid, SPEC,
+                                        plan.hom * (cond.M / plan.denoms)))
+        combined = [rw + rs for rw, rs in zip(report.residual_weighted,
+                                               report.residual_sup)]
+        assert combined[-1] > bound
+        assert all(c <= bound for c in combined[:-1])
 
     def test_uniqueness_of_ball_fixed_point(self):
+        # the substitution map iterated from a random start of the linear
+        # solution's size lands where the recovery does
         op, grid, f, cond = self._setup()
         tol = 1e-10
-        r0 = sr.picard_recover(op, cond, f, grid, SPEC, tol=tol,
-                               initial="zero")
-        r1 = sr.picard_recover(op, cond, f, grid, SPEC, tol=tol)
-        assert r0.converged and r1.converged
-        dist = np.max(np.linalg.norm(r0.trajectory.coeffs
-                                     - r1.trajectory.coeffs, axis=1))
+        report = sr.picard_recover(op, cond, f, grid, SPEC, tol=tol)
+        assert report.converged
+        start, other = fixed_point_from_random_start(
+            op, cond, f, grid, np.random.default_rng(12), tol)
+        assert np.max(np.linalg.norm(start - report.trajectory.coeffs,
+                                     axis=1)) > 1e3 * tol
+        dist = np.max(np.linalg.norm(other - report.trajectory.coeffs,
+                                     axis=1))
         assert dist <= 2 * tol
 
     def test_memory_kernel_recovery(self):
@@ -832,7 +826,7 @@ class TestRecoveryPlan:
     def test_failing_mode_raises_with_plan(self):
         # an ill-posed problem has no plan: building one raises with the
         # failing mode, as a recovery does
-        op = sr.diagonal_operator([-1.0, -2.0])
+        op = diagonal_operator([-1.0, -2.0])
         lam = op.eigenvalues
         a = -(np.expm1(lam[1]) / lam[1]) / np.exp(lam[1])
         cond = sr.ConditionE(a, B1, np.array([0.1, 0.1]))
@@ -864,14 +858,14 @@ class TestSmallTMode:
     """The theory needs f(0) = 0; a forcing without it is rejected."""
 
     def test_rejected_without_flag(self):
-        op = sr.diagonal_operator([-1.0])
+        op = diagonal_operator([-1.0])
         grid = sr.make_graded_grid(0.1, 16)
         cond = sr.ConditionE(0.0, B1, np.array([0.01]))
         with pytest.raises(sr.AdmissibilityError):
             sr.picard_recover(op, cond, _ConstantForcing(0.1, 1), grid, SPEC)
 
     def test_rejected_by_the_plan(self):
-        op = sr.diagonal_operator([-1.0])
+        op = diagonal_operator([-1.0])
         grid = sr.make_graded_grid(0.1, 16)
         cond = sr.ConditionE(0.0, B1, np.array([0.01]))
         with pytest.raises(sr.AdmissibilityError,
@@ -881,7 +875,7 @@ class TestSmallTMode:
     def test_ill_posed_mode_reported_first(self):
         # a problem that is ill-posed and has an inadmissible forcing
         # reports the failing mode
-        op = sr.diagonal_operator([-1.0])
+        op = diagonal_operator([-1.0])
         cond = sr.ConditionE100(math.e, np.array([0.01]))
         with pytest.raises(sr.IllPosedModeError) as info:
             sr.picard_recover(op, cond, _ConstantForcing(0.1, 1),
@@ -899,7 +893,7 @@ class TestTheoreticalThreshold:
             sr.GrowthExponents(0.0, 0.5, 0.5, 0.0)   # ell = 0
 
     def test_zero_growth_is_unbounded(self):
-        op = sr.diagonal_operator([-1.0])
+        op = diagonal_operator([-1.0])
         est = sr.theoretical_threshold(
             op, sr.GrowthExponents(0.0, 0.25, 0.5, 1.0), 0.0, 1.0, SPEC)
         assert est.unbounded
@@ -909,7 +903,7 @@ class TestTheoreticalThreshold:
     def test_beta_unit_path(self):
         # gamma = 0 forces gamma0 = 0; vanishing theta and nu push the Beta
         # factor to B(1, 1) = 1
-        op = sr.diagonal_operator([-1.0])
+        op = diagonal_operator([-1.0])
         est = sr.theoretical_threshold(
             op, sr.GrowthExponents(0.0, 1e-9, 0.0, 1.0), 1.0, 1.0,
             sr.FractionalNormSpec(0.0, 0.0))
@@ -918,7 +912,7 @@ class TestTheoreticalThreshold:
 
     def test_bisection_against_closed_form(self):
         # independent root: L = (1/(2 w c B'))**(1/ell) for the increasing map
-        op = sr.diagonal_operator([-1.0])
+        op = diagonal_operator([-1.0])
         exps = sr.GrowthExponents(0.2, 0.25, 0.5, 1.0)
         est = sr.theoretical_threshold(op, exps, 1.0, 1.0, SPEC)
         assert est.gamma0 == pytest.approx(0.1, rel=1e-15)
@@ -929,7 +923,7 @@ class TestTheoreticalThreshold:
         assert est.m_T > 0
 
     def test_ell_two_root(self):
-        op = sr.diagonal_operator([-1.0])
+        op = diagonal_operator([-1.0])
         exps = sr.GrowthExponents(0.0, 0.2, 0.3, 2.0)
         c_hat = 3.0
         est = sr.theoretical_threshold(op, exps, c_hat, 0.7, SPEC)
@@ -964,7 +958,7 @@ class TestTheoreticalThreshold:
     ])
     def test_omega_closed_form_against_dense_sup(
             self, eigs, delta0, theta, gamma, T, dominant):
-        op = sr.diagonal_operator(eigs)
+        op = diagonal_operator(eigs)
         lam = op.eigenvalues
         est = sr.theoretical_threshold(
             op, sr.GrowthExponents(gamma, theta, 0.5, 1.0), 1.0, T,
@@ -989,7 +983,7 @@ class TestTheoreticalThreshold:
 
     def test_invalid_norm_spec_rejected(self):
         # delta0 must exceed the spectral bound, as for every norm
-        op = sr.diagonal_operator([0.5, -1.0])
+        op = diagonal_operator([0.5, -1.0])
         with pytest.raises(sr.InvalidParameterError):
             sr.theoretical_threshold(
                 op, sr.GrowthExponents(0.0, 0.25, 0.5, 1.0), 1.0, 1.0, SPEC)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import specrec as sr
 from specrec.spectral import _row_norms
-from _util import ulp_close
+from _util import diagonal_operator, ulp_close
 
 DIRICHLET3 = sr.build_second_order(3, 1.0, 0.0, "dirichlet")
 
@@ -79,16 +79,16 @@ class TestOperators:
 
 class TestSemigroup:
     def test_identity_at_zero(self):
-        out = semigroup(sr.diagonal_operator([-1.0]), 0.0, [3.5])
+        out = semigroup(diagonal_operator([-1.0]), 0.0, [3.5])
         assert out[0] == 3.5
 
     def test_scalar_exponential(self):
         # oracle: exp(-1) to double precision
-        out = semigroup(sr.diagonal_operator([-1.0]), 1.0, [1.0])
+        out = semigroup(diagonal_operator([-1.0]), 1.0, [1.0])
         assert abs(out[0] - 0.36787944117144233) < 1e-16
 
     def test_modewise(self):
-        out = semigroup(sr.diagonal_operator([0.0, -2.0]), 0.5, [1.0, 1.0])
+        out = semigroup(diagonal_operator([0.0, -2.0]), 0.5, [1.0, 1.0])
         assert out[0] == 1.0
         assert abs(out[1] - math.exp(-1.0)) < 1e-16
 
@@ -103,7 +103,7 @@ class TestSemigroup:
         c=st.floats(-10.0, 10.0),
     )
     def test_semigroup_law(self, t, s, lam, c):
-        op = sr.diagonal_operator([lam])
+        op = diagonal_operator([lam])
         once = semigroup(op, t + s, [c])
         twice = semigroup(op, t, semigroup(op, s, [c]))
         assert ulp_close(once, twice, 4)
@@ -124,15 +124,15 @@ class TestFractionalNorm:
         assert sr.fractional_norm(DIRICHLET3, [1.0, 0.0, 0.0], spec) == 1.0
 
     def test_weighting(self):
-        op = sr.diagonal_operator([-1.0])
+        op = diagonal_operator([-1.0])
         # (0 - (-1))**0.5 * 2 = 2
         assert sr.fractional_norm(op, [2.0], sr.FractionalNormSpec(0.5, 0.0)) == 2.0
-        op = sr.diagonal_operator([-3.0])
+        op = diagonal_operator([-3.0])
         # (1 + 3)**0.5 = 2
         assert sr.fractional_norm(op, [1.0], sr.FractionalNormSpec(0.5, 1.0)) == 2.0
 
     def test_invalid_shift_rejected(self):
-        op = sr.diagonal_operator([-1.0])
+        op = diagonal_operator([-1.0])
         with pytest.raises(sr.InvalidParameterError):
             sr.fractional_norm(op, [1.0], sr.FractionalNormSpec(0.5, -1.0))
 
@@ -208,14 +208,14 @@ class TestTimeGrid:
 
 class TestWeightedSupNorm:
     def test_constant_trajectory(self):
-        op = sr.diagonal_operator([-1.0])
+        op = diagonal_operator([-1.0])
         grid = sr.make_graded_grid(1.0, 8)
         u = sr.Trajectory(grid, np.ones((9, 1)))
         spec = sr.FractionalNormSpec(0.0, 0.0)
         assert sr.weighted_sup_norm(op, u, 0.0, spec) == 1.0
 
     def test_weight_cancels_singularity(self):
-        op = sr.diagonal_operator([-1.0])
+        op = diagonal_operator([-1.0])
         grid = sr.make_graded_grid(1.0, 8)
         vals = np.zeros((9, 1))
         vals[1:, 0] = 1.0 / grid.nodes[1:]
@@ -224,7 +224,7 @@ class TestWeightedSupNorm:
         assert abs(sr.weighted_sup_norm(op, u, 1.0, spec) - 1.0) < 1e-14
 
     def test_zero_trajectory(self):
-        op = sr.diagonal_operator([-1.0])
+        op = diagonal_operator([-1.0])
         grid = sr.make_graded_grid(1.0, 4)
         u = sr.Trajectory.zeros(grid, 1)
         assert sr.weighted_sup_norm(op, u, 0.3, sr.FractionalNormSpec(0.5, 0.0)) == 0.0
@@ -315,7 +315,7 @@ class TestWeightedSupNormOracle:
             <= 1e-15 * got[4]
 
     def test_norm_beyond_float_range_is_inf(self):
-        op = sr.diagonal_operator([-1.0, -2.0])
+        op = diagonal_operator([-1.0, -2.0])
         spec = sr.FractionalNormSpec(0.0, 0.0)
         assert sr.fractional_norm(op, [1.5e308, 1.5e308], spec) == math.inf
 
@@ -356,7 +356,7 @@ class TestTransforms:
     @pytest.mark.parametrize("op", [
         sr.build_second_order(12, 1.0, 0.0, "dirichlet"),
         sr.build_fourth_order(16, 1.0),
-        sr.diagonal_operator([-1.0, -3.0]),
+        diagonal_operator([-1.0, -3.0]),
     ], ids=["dirichlet2", "pinned4", "diagonal"])
     def test_stack_matches_rows(self, op):
         # a (k, .) stack transforms each row as a one-vector call does, to
