@@ -79,7 +79,7 @@ def _cmd_check_spectral(cfg, args):
     else:
         cfg.resolve_u0(op)
     cond = cfg.build_condition(np.zeros(op.n_modes))
-    report = check_spectral_condition(op, cond, cfg.grid.T)
+    report = check_spectral_condition(op, cond, cfg.build_grid())
     header = ["mode", "eigenvalue", "margin", "scale", "ok"]
     rows = [[j + 1, float(op.eigenvalues[j]), float(report.margins[j]),
              float(report.scales[j]), bool(report.ok_per_mode[j])]
@@ -103,7 +103,7 @@ def _cmd_recover(cfg, args):
     try:
         plan = build_plan(op, cond, f, grid)
     except IllPosedModeError as exc:
-        spectral = check_spectral_condition(op, cond, grid.T)
+        spectral = check_spectral_condition(op, cond, grid)
         emit_json(args.out or sys.stdout,
                   {"spectral": to_jsonable(spectral), "converged": False})
         _say(args, f"spectral condition violated at modes {exc.modes}")

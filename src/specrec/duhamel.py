@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from .errors import InvalidParameterError, NumericFailureError
-from .kernels import WeightFunction, moments
+from .kernels import WeightFunction, _scan, _spans, moments
 from .spectral import Trajectory
 
 __all__ = ["duhamel_convolve", "forward_solve", "observe"]
@@ -29,8 +29,11 @@ def _step_tables(nodes, lam):
     """
     h = np.diff(nodes)[:, None]
     z = h * lam[None, :]
-    J = moments(z, 1)
-    return np.exp(z), h * J[1], h * (J[0] - J[1])
+    J0, J1 = moments(z, 1)
+    J0 -= J1
+    J0 *= h
+    J1 *= h
+    return np.exp(z, out=z), J1, J0
 
 
 def duhamel_convolve(op, g):
@@ -69,47 +72,6 @@ _CORRECTOR_RTOL = 1e-14
 # too long for the forcing's Lipschitz constant and is reported, not ground
 # through.
 _CORRECTOR_MAX_PASSES = 25
-
-
-def _spans(e):
-    """The products of e that the passes of ``_scan`` over e's rows
-    multiply by: pass d = 1, 2, 4, ... takes, for each row i >= d, the
-    product of e over rows i - d + 1 .. i, formed by the same products in
-    the same order as a scan that updates them in place.  They depend on
-    the step factors only, so a caller scanning many forcings over one
-    grid builds them once."""
-    spans, span, d = [], e, 1
-    while d < e.shape[0]:
-        spans.append(span[d:])
-        span = np.concatenate([span[:d], span[d:] * span[:-d]])
-        d *= 2
-    return spans
-
-
-def _scan(e, x, spans=None, work=None):
-    """x[i] <- e[i] x[i - 1] + x[i] for i >= 1, in place, by recursive
-    doubling: ceil(log2 k) passes over the k rows, none multiplying by
-    e[0].  ``spans`` are ``_spans(e)``, built here when not given; each
-    pass's products go into ``work`` (at least k - 1 rows), a kept array
-    when given.
-
-    A column whose every e is 1 (lam = 0, or a step too short to move
-    e^{h lam} off 1) is summed by ``np.cumsum`` instead: the same additions
-    in the same order as the one-step loop, so it integrates exactly what
-    the loop does.  Column 0 holds the largest eigenvalue, so e[0, 0] < 1
-    rules such a column out at the cost of one comparison."""
-    flat = None
-    if e[0, 0] >= 1.0:
-        flat = (e == 1.0).all(axis=0)
-        sums = np.cumsum(x[:, flat], axis=0)
-    work = np.empty_like(x) if work is None else work
-    d = 1
-    for span in _spans(e) if spans is None else spans:
-        x[d:] += np.multiply(span, x[:-d], out=work[:len(span)])
-        d *= 2
-    if flat is not None:
-        x[:, flat] = sums
-    return x
 
 
 def _convolve(tables, G, known, spans=None, out=None, work=None):
@@ -224,7 +186,9 @@ def forward_solve(op, u0, f, grid):
     payloads = np.empty_like(coeffs)
     conv = np.zeros(op.n_modes)
     with np.errstate(over="ignore", invalid="ignore"):
-        hom = np.exp(np.outer(nodes, op.eigenvalues)) * u0
+        hom = np.outer(nodes, op.eigenvalues)
+        np.exp(hom, out=hom)
+        hom *= u0
         try:
             payloads[0] = f.eval_node(u0, op)
         except NumericFailureError as err:

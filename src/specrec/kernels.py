@@ -5,10 +5,10 @@ form ``int b(t) exp(t*lam) dt`` and their tail variants.  Every weight is
 piecewise polynomial on [0, T], so every such integral is a finite sum of
 the moments J_k(z) = int_0^1 s**k exp(z*s) ds, which one evaluator supplies
 in closed form (with a series branch near z = 0 to avoid cancellation).
-One backward march over the weight's polynomial pieces turns these sums
-into the tail part of the recovery's psi weights and the weight's part of
-the per-mode denominators and scales.  The Beta function used by the
-well-posedness estimates lives here too.
+One backward march over the weight's polynomial pieces, solved as one
+doubling scan, turns these sums into the tail part of the recovery's psi
+weights and the weight's part of the per-mode denominators and scales.
+The Beta function used by the well-posedness estimates lives here too.
 """
 
 import math
@@ -21,25 +21,20 @@ from .errors import InvalidParameterError, NumericFailureError
 # moments  J_k(z) = int_0^1 s**k exp(z*s) ds
 # --------------------------------------------------------------------------
 
-# Below |z| = 3 the series gives J_kmax, where 30 terms reach rounding
-# (3**30 / 30! < 1e-18), and the downward recurrence the lower moments;
-# above it the upward recurrence multiplies the error of J_{k-1} by k/|z|,
-# kmax!/|z|**kmax in all.  That product passes 1 above |z| = 3 once kmax
-# >= 7, so there the series runs out to (kmax!)**(1/kmax), with as many
-# terms as reach rounding at that cutoff.  Each kmax's cutoff and series
-# coefficients 1/(m! (m + kmax + 1)), highest m first, are built once, and
-# Horner's rule runs in place.  Every step is elementwise, on the entries
-# of its branch only, so an entry's value does not depend on the others.
+# The series takes as many terms as reach rounding at the cutoff (cutoff**n
+# / n! < 1e-18), and the cutoff stops at 30, where 114 terms do and their
+# factorials are still floats.  Coefficients are built once per kmax.
+_NEAR_ZERO = 2.0**-20
 _SERIES = {}
 
 
 def _series(kmax):
     """The series cutoff for J_kmax and the series coefficients."""
     if kmax not in _SERIES:
-        # at most 30, where 114 terms reach rounding and their factorials
-        # are still floats
-        cutoff = min(max(3.0, math.exp(math.lgamma(kmax + 1) / max(kmax, 1))),
-                     30.0)
+        cutoff = (_NEAR_ZERO if kmax == 0 else
+                  (math.factorial(kmax) / 8.0) ** (1.0 / kmax) if kmax <= 3
+                  else min(max(3.0, math.exp(math.lgamma(kmax + 1) / kmax)),
+                           30.0))
         terms = next(n for n in range(1, 200)
                      if cutoff**n / math.factorial(n) < 1e-18)
         _SERIES[kmax] = cutoff, [1.0 / (math.factorial(m) * (m + kmax + 1))
@@ -50,10 +45,14 @@ def _series(kmax):
 def moments(z, kmax):
     """J_k(z) for k = 0..kmax, shape (kmax + 1,) + z.shape.
 
-    For |z| < 3 (more for kmax >= 7), where the by-parts recurrence J_k =
-    (e^z - k J_{k-1}) / z cancels, J_kmax is the series sum_m z**m / (m!
-    (m + kmax + 1)) and the lower moments follow from J_{k-1} = (e^z - z
-    J_k) / k; the upward recurrence elsewhere.
+    J_0 is expm1(z) / z, and the upward recurrence J_k = (e^z - k J_{k-1})
+    / z gives the others, except below a cutoff where it cancels: there
+    J_kmax is the series sum_m z**m / (m! (m + kmax + 1)) by Horner's rule
+    and J_{k-1} = (e^z - z J_k) / k the rows below (J_0 for |z| < 2**-20).
+    The recurrence multiplies the error of J_0 by kmax! / |z|**kmax, so the
+    cutoff is 2**-20 for kmax = 0; 0.125, 0.5 and 0.91 for kmax 1 to 3,
+    where that is 8; 3 for kmax 4 to 6; and (kmax!)**(1/kmax) above.  All
+    steps are elementwise: an entry does not depend on the others.
     The phi functions are phi1 = J_0, phi2 = J_0 - J_1 and
     phi3 = (J_0 - 2 J_1 + J_2) / 2.
 
@@ -65,15 +64,14 @@ def moments(z, kmax):
     z = np.asarray(z, dtype=float)
     flat = z.ravel()
     cutoff, coeffs = _series(kmax)
-    small = np.abs(flat) < cutoff
-    big = ~small
     out = np.empty((kmax + 1, flat.size))
-    zb = flat[big]
-    eb, Jk = np.exp(zb), np.expm1(zb) / zb
-    out[0][big] = Jk
-    for k in range(1, kmax + 1):
-        Jk = (eb - k * Jk) / zb
-        out[k][big] = Jk
+    # upward on whole rows; the entries below the cutoff are overwritten
+    with np.errstate(all="ignore"):
+        e = np.exp(flat)
+        np.divide(np.expm1(flat), flat, out=out[0])
+        for k in range(1, kmax + 1):
+            out[k] = (e - k * out[k - 1]) / flat
+    small = np.abs(flat) < cutoff
     if small.any():
         # Horner for J_kmax, then the downward recurrence
         zs = flat[small]
@@ -83,11 +81,12 @@ def moments(z, kmax):
         for c in rest:
             acc *= zs
             acc += c
-        es = np.exp(zs)
+        es = e[small]
         for k in range(kmax, 0, -1):
             low[k - 1] = (es - zs * low[k]) / k
-        for row, values in zip(out, low):
-            row[small] = values
+        out[1:, small] = low[1:]
+        near = np.abs(flat) < _NEAR_ZERO
+        out[0][near] = low[0][near[small]]
     return out.reshape((kmax + 1,) + z.shape)
 
 
@@ -215,14 +214,15 @@ class TabulatedWeight(WeightFunction):
 
 def _taylor_shift(coeffs, d):
     """Taylor coefficients about x + d[p] of the polynomial whose
-    coefficients about x are coeffs[p], for every row p."""
+    coefficients about x are coeffs[p], for every row p, by repeated
+    synthetic division: deg (deg + 1) / 2 whole-column updates."""
+    out = coeffs + 0.0
     if not d.any():
-        # the sums below would add only signed zeros to finite coefficients
-        return coeffs + 0.0
-    out = np.zeros_like(coeffs)
-    for k in range(coeffs.shape[1]):
-        for m in range(k + 1):
-            out[:, m] += math.comb(k, m) * d ** (k - m) * coeffs[:, k]
+        # the updates would add only signed zeros to finite coefficients
+        return out
+    for i in range(coeffs.shape[1] - 1):
+        for j in range(coeffs.shape[1] - 2, i - 1, -1):
+            out[:, j] += d * out[:, j + 1]
     return out
 
 
@@ -238,38 +238,71 @@ def _cut(edges, coeffs, points):
     return w, _taylor_shift(coeffs[p], lo - edges[p]) * w[:, None] ** m
 
 
+def _spans(e):
+    """The products of e that the passes of ``_scan`` over e's rows
+    multiply by: pass d = 1, 2, 4, ... takes, for each row i >= d, the
+    product of e over rows i - d + 1 .. i, pass d's at rows i and i - d
+    times each other.  A caller scanning many forcings builds them once."""
+    spans, span, d = [], e[1:], 1
+    while d < e.shape[0]:
+        spans.append(span)
+        span = span[d:] * span[:-d]
+        d *= 2
+    return spans
+
+
+def _scan(e, x, spans=None, work=None):
+    """x[i] <- e[i] x[i - 1] + x[i] for i >= 1, in place, by recursive
+    doubling: ceil(log2 k) passes over the k rows, none multiplying by
+    e[0].  ``spans`` are ``_spans(e)``, built here when not given; each
+    pass's products go into ``work`` (at least k - 1 rows), a kept array
+    when given.
+
+    A column whose every e is 1 (lam = 0, or a step too short to move
+    e^{h lam} off 1) is summed by ``np.cumsum`` instead, in the one-step
+    loop's order.  Column 0 holds the largest eigenvalue, so e[0, 0] < 1
+    rules such a column out at the cost of one comparison."""
+    flat = None
+    if e.size and e[0, 0] >= 1.0:
+        flat = (e == 1.0).all(axis=0)
+        sums = np.cumsum(x[:, flat], axis=0)
+    work = np.empty_like(x) if work is None else work
+    d = 1
+    for span in _spans(e) if spans is None else spans:
+        x[d:] += np.multiply(span, x[:-d], out=work[:len(span)])
+        d *= 2
+    if flat is not None:
+        x[:, flat] = sums
+    return x
+
+
 def _march(lam, w, c, kmax=None):
     """R(t) = int_t^T b(s) e^{(s - t) lam} ds at every cut of the pieces
-    from ``_cut``, shape (w.size + 1, lam.size), and the moments
-    J_0..J_kmax at z = w lam (kmax defaults to b's degree).
-
-    R marches back from R(T) = 0 by R(lo) = w sum_m c_m J_m(z) + e^z R(hi),
+    from ``_cut``, shape (w.size + 1, lam.size), the moments J_0..J_kmax at
+    z = w lam (kmax defaults to b's degree) and e^z.  R(T) = 0 and R(lo) =
+    e^z R(hi) + w sum_m c_m J_m(z), one ``_scan`` over the reversed pieces,
     so every exponent is <= 0 when lam <= 0.  A terminal term a e^{(T - t)
-    lam} is not marched: its callers take it in closed form.
-    """
+    lam} is not marched: its callers take it in closed form."""
     z = w[:, None] * lam
     J = moments(z, c.shape[1] - 1 if kmax is None else kmax)
-    inner = w[:, None] * np.einsum("pm,mpj->pj", c, J[:c.shape[1]])
-    step = np.exp(z)
     R = np.empty((w.size + 1, lam.size))
     R[-1] = 0.0
-    # R(lo) = e^z R(hi) + inner, written in place, row by row
-    rows = list(R)
-    for r, nxt, a, e in zip(rows[-2::-1], rows[:0:-1], inner[::-1],
-                            step[::-1]):
-        np.multiply(e, nxt, out=r)
-        r += a
-    return R, J
+    back = R[-2::-1]
+    np.einsum("pm,mpj->pj", c[::-1], J[:c.shape[1], ::-1], out=back)
+    back *= w[::-1, None]
+    e = np.exp(z, out=z)
+    _scan(e[::-1], back)
+    return R, J, e
 
 
 def _abs_pieces(edges, coeffs):
     """The pieces of |b| for the pieces of b, and the sign of b on each:
     each piece is split at its real roots inside it and takes its sign from
-    its midpoint.  A root that rounds onto an edge is dropped, since |b| is
-    at rounding level there.  A flat piece has no root and a linear one
-    -c0/c1, which is what ``np.roots`` gives too (unless the root lies
-    within 1e-135 of the piece's start, where LAPACK rescales), so only
-    pieces of higher degree are solved one at a time."""
+    its midpoint.  A root that rounds onto the piece's end, by width or
+    place, is dropped: |b| is at rounding level there.  A flat piece has no
+    root and a linear one -c0/c1, as ``np.roots`` gives (unless the root
+    lies within 1e-135 of the piece's start, where LAPACK rescales), so
+    only pieces of higher degree are solved one at a time."""
     width = np.diff(edges)
     owner, roots = np.arange(width.size), np.full(width.size, np.nan)
     if coeffs.shape[1] == 2:
@@ -280,7 +313,8 @@ def _abs_pieces(edges, coeffs):
                  for r in (np.roots(c[::-1]) for c in coeffs)]
         owner = np.repeat(owner, [r.size for r in found])
         roots = np.concatenate(found)
-    inside = (roots > 0.0) & (roots < width[owner])
+    inside = ((roots > 0.0) & (roots < width[owner])
+              & (edges[owner] + roots < edges[owner + 1]))
     owner, roots = owner[inside], roots[inside]
     # piece p's parts start at 0 and at its roots, in order, and each ends
     # where the next starts or at the piece's width
@@ -328,32 +362,45 @@ class ModeWeights:
             arr.setflags(write=False)
 
 
-def mode_weights(op, a, b, T):
-    """Diagonal observation weights for all modes of an operator.  The
-    terminal terms a e^{T lam} and |a| e^{T lam} are taken in closed form;
-    the march over b's pieces adds R(0), and runs only for a nonzero b.  A b
-    of one sign on [0, T] adds +-R(0) to the scales, which is bit for bit
-    what a march over |b| = +-b gives, since negation is exact; any other b
-    gets its own march over the pieces of |b|.  An a of 0 adds no terminal
-    term."""
-    lam = op.eigenvalues
+def _weight_march(lam, a, b, T, nodes, extra=0):
+    """The ``ModeWeights`` of (a, b) and the march of b cut at the nodes
+    too, moments to b's degree plus ``extra``: (cuts, w, c, R, J, e^z), None
+    for a zero b.  a e^{T lam} and |a| e^{T lam} are taken in closed form;
+    R(0) is b's part of betas and, for a b of one sign, +-R(0) its part of
+    the scales, bit for bit what a march over |b| = +-b gives.  Any other b
+    is split at its roots and marched once more, over |b|'s pieces."""
     edges, coeffs = _pieces(b, T)
     betas = scales = np.zeros(lam.size)
+    march = None
     # an overflowing unstable mode is reported by ModeWeights, with its index
     with np.errstate(over="ignore", invalid="ignore"):
         if a != 0.0:
             end = np.exp(T * lam)
             betas, scales = a * end, abs(a) * end
         if not b.is_zero:
-            R0 = _march(lam, *_cut(edges, coeffs, edges))[0][0]
-            betas = betas + R0
-            abs_edges, abs_coeffs, sign = _abs_pieces(edges, coeffs)
+            cuts = np.union1d(nodes, edges)
+            w, c = _cut(edges, coeffs, cuts)
+            R, J, e = _march(lam, w, c, c.shape[1] - 1 + extra)
+            march = cuts, w, c, R, J, e
+            betas = betas + R[0]
+            # a piece with |c_0| > sum_{k>0} |c_k| w**k keeps c_0's sign
+            sign = np.sign(coeffs[:, 0])
+            size = np.abs(coeffs) * np.diff(edges)[:, None] ** np.arange(
+                coeffs.shape[1])
+            if not (abs(sign.sum()) == sign.size and np.all(
+                    size[:, 0] > (1.0 + 1e-12) * size[:, 1:].sum(axis=1))):
+                abs_edges, abs_coeffs, sign = _abs_pieces(edges, coeffs)
             if sign.size == len(coeffs) and abs(sign.sum()) == sign.size:
-                scales = scales + sign[0] * R0
+                scales = scales + sign[0] * R[0]
             else:
                 scales = scales + _march(
                     lam, *_cut(abs_edges, abs_coeffs, abs_edges))[0][0]
-    return ModeWeights(betas, scales)
+    return ModeWeights(betas, scales), march
+
+
+def mode_weights(op, a, b, T):
+    """``_weight_march``'s observation weights, over b's own pieces."""
+    return _weight_march(op.eigenvalues, a, b, T, [0.0, T])[0]
 
 
 def beta_function(x, y):

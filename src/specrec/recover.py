@@ -11,10 +11,10 @@ The recovered initial state is the fixed point of successive substitution
 u -> e^{tA} S(u) + convolution(f(u)), run in the combined weighted-plus-sup
 metric.  S is affine in the forcing, S(g) = (M - psi(g)) / d per mode, and
 its denominators d and the per-node weights of psi are built once per
-problem, in closed form from moments: exact for g linear between nodes and
-any piecewise-polynomial b.  Each condition maps to one coupling (c, a, b),
-and one predicate on the denominators, |d_j| > tol * scale_j, decides
-solvability for both the spectral check and the Picard driver.  A
+problem, by one march of b in closed form: exact for g linear between
+nodes and any piecewise-polynomial b.  Each condition maps to one coupling
+(c, a, b), and one predicate on the denominators, |d_j| > tol * scale_j,
+decides solvability for both the spectral check and the Picard driver.  A
 smallness threshold for the observation data, below which the substitution
 provably contracts, is certified alongside from closed-form bounds.
 """
@@ -27,15 +27,16 @@ import numpy as np
 from .duhamel import _convolve, _spans, _step_tables
 from .errors import (AdmissibilityError, IllPosedModeError,
                      InvalidParameterError, NumericFailureError)
-from .kernels import (ConstantWeight, WeightFunction, _cut, _march,
-                      beta_function, mode_weights)
+from .kernels import (ConstantWeight, WeightFunction, _weight_march,
+                      beta_function)
 from .spectral import (FractionalNormSpec, Trajectory, _check_spec,
                        _row_norms, fractional_norm)
 
 # Not called here: perfbench wraps these names at this module to time the
-# layers of a recovery (tests/test_benchmark_targets.py), and a sweep now
-# uses the array-level helpers behind them.
+# layers of a recovery (tests/test_benchmark_targets.py); a sweep and a plan
+# now use the array-level helpers and the march behind them.
 from .duhamel import duhamel_convolve  # noqa: F401
+from .kernels import mode_weights  # noqa: F401
 from .spectral import weighted_sup_norm  # noqa: F401
 
 
@@ -129,61 +130,66 @@ class ConditionE200(NonlocalCondition):
 #
 # tail_j(s) = int_s^T b(t) e^{(t-s) lam_j} dt.  Both depend on the problem
 # only, so they are built once and psi is one array contraction per sweep.
-# The a terms are taken in closed form, so only a nonzero b is marched.
+# The a terms are taken in closed form; one march of a nonzero b gives tail
+# at every cut, and int_0^T b e^{t lam} dt = tail(0).
 
 
-def _psi_weights(op, grid, a, b, tables):
-    """Per-node weights W, shape (n_nodes, n_modes), with psi_j(g) =
-    sum_i W[i, j] g_i[j] exact for g linear between the grid nodes and any
-    piecewise-polynomial b; ``tables`` are the grid's ``_step_tables``.
+def _plan_weights(op, grid, coupling, problem):
+    """The per-node psi weights W, shape (n_nodes, n_modes), exact for g
+    linear between the nodes and any piecewise-polynomial b, the
+    denominators d, their ``SpectralConditionReport`` and the grid's step
+    tables, from ``kernels._weight_march``'s one march of b.
 
-    psi weighs g(s) by a e^{(T-s) lam} + tail(s).  The a term is a times
-    the convolution at T, so step k's hats take a e^{(T - t_{k+1}) lam}
-    (wl_k, wr_k), the exponent formed directly.  The tail, for a nonzero b
-    only, is ``kernels._march``'s at every cut of [0, T] at the nodes and
-    b's breakpoints, so each piece [lo, hi] of width w lies in one step and
-    one polynomial piece, b(lo + w tau) = sum_m c_m tau**m.  There
-    tail(lo + w sigma) = e^{(1-sigma) z} tail(hi) + w int_sigma^1 b
-    e^{(tau-sigma) z} dtau at z = w lam, and a hat running from A at lo to
-    B at hi takes w (B J_0 + (A - B) J_1) tail(hi) + w**2 sum_k q_k J_k,
-    with q(rho) = int_rho^1 (A + (B - A)(tau - rho)) b(lo + w tau) dtau, so
-    the march's moments, taken to deg + 2, give both terms.
-    """
+    The a term takes a e^{(T - t_{k+1}) lam} times step k's tables.  A
+    piece [lo, lo + w] of the march lies in one step, b(lo + w tau) = sum_m
+    c_m tau**m, and a hat A + D tau there takes A X + D Y: X = w J_0
+    tail(hi) + w**2 sum_k u_k J_k and Y = w (J_0 - J_1) tail(hi) + w**2
+    sum_k v_k J_k, u(rho) = int_rho^1 b and v(rho) = int_rho^1 (tau - rho)
+    b, with moments to deg + 2 at z = w lam, which are the step tables too
+    when the cuts are the nodes."""
+    c0, a, b = coupling
     nodes, lam = grid.nodes, op.eigenvalues
-    edges, coeffs = b.pieces(grid.T)
-    W = np.zeros((nodes.size, lam.size))
+    weights, march = _weight_march(lam, a, b, grid.T, nodes, 2)
+    W, tables = np.zeros((nodes.size, lam.size)), None
+    if march is not None:
+        cuts, w, c, R, J, e = march
+        w, m = w[:, None], np.arange(c.shape[1])
+        uv = np.zeros((w.size, 2, m.size + 2))
+        uv[:, 0, 0] = c @ (1.0 / (m + 1))
+        uv[:, 0, 1:-1] = -c / (m + 1)
+        uv[:, 1, 0] = c @ (1.0 / (m + 2))
+        uv[:, 1, 1] = -uv[:, 0, 0]
+        uv[:, 1, 2:] = c / ((m + 1) * (m + 2))
+        XY = np.matmul(uv, J.transpose(1, 0, 2)) * (w * w)[:, None]
+        X, Y = XY.transpose(1, 0, 2)
+        wl, wr = w * J[1], w * (J[0] - J[1])
+        X += w * J[0] * R[1:]
+        Y += wr * R[1:]
+        if cuts.size == nodes.size:
+            # each piece is a step, whose hats are 1 - tau and tau
+            tables, left, right = (e, wl, wr), X - Y, Y
+        else:
+            k = np.searchsorted(nodes, cuts[:-1], side="right") - 1
+            h = (nodes[k + 1] - nodes[k])[:, None]
+            A, D = (nodes[k + 1] - cuts[:-1])[:, None] / h, w / h
+            left, right = np.add.reduceat(
+                [A * X - D * Y, (1.0 - A) * X + D * Y],
+                np.searchsorted(cuts, nodes[:-1]), axis=1)
+        W[:-1] += left
+        W[1:] += right
+    tables = tables or _step_tables(nodes, lam)
     if a != 0.0:
         _, tl, tr = tables
         decay = a * np.exp((grid.T - nodes[1:, None]) * lam)
-        W[:-1] = decay * tl
+        W[:-1] += decay * tl
         W[1:] += decay * tr
-    if b.is_zero:
-        return W
-    cuts = np.union1d(nodes, edges)
-    lo, hi = cuts[:-1], cuts[1:]
-    w, c = _cut(edges, coeffs, cuts)
-    m = np.arange(c.shape[1])
-    R, J = _march(lam, w, c, m.size + 1)
-    w = w[:, None]
-    k = np.searchsorted(nodes, lo, side="right") - 1
-    # end values of the left and right hats of step k on each piece
-    h = np.diff(nodes)[k]
-    A = np.stack([nodes[k + 1] - lo, lo - nodes[k]]) / h
-    B = np.stack([nodes[k + 1] - hi, hi - nodes[k]]) / h
-    D = B - A
-    # q's coefficients, from int_rho^1 tau**m dtau = (1 - rho**(m+1)) / (m+1)
-    P1, P2 = c @ (1.0 / (m + 1)), c @ (1.0 / (m + 2))
-    q = np.zeros((2, lo.size, m.size + 2))
-    q[..., 0] = A * P1 + D * P2
-    q[..., 1] = -D * P1
-    q[..., 1:-1] -= A[..., None] * c / (m + 1)
-    q[..., 2:] += D[..., None] * c / ((m + 1) * (m + 2))
-    per = (w * (B[..., None] * J[0] + (A - B)[..., None] * J[1]) * R[1:]
-           + w * w * np.einsum("hsk,ksj->hsj", q, J))
-    wl, wr = np.add.reduceat(per, np.searchsorted(cuts, nodes[:-1]), axis=1)
-    W[:-1] += wl
-    W[1:] += wr
-    return W
+    denoms, scales = c0 + weights.betas, abs(c0) + weights.scales
+    margins = np.abs(denoms)
+    ok = margins > ILL_POSED_RTOL * scales
+    failing = tuple(int(j) + 1 for j in np.nonzero(~ok)[0])
+    return W, denoms, SpectralConditionReport(
+        problem, margins, scales, ILL_POSED_RTOL, ok, failing,
+        not failing), tables
 
 
 def apply_psi_E(a, b, T, g, op):
@@ -202,8 +208,7 @@ def apply_psi_E(a, b, T, g, op):
         raise InvalidParameterError("T does not match the forcing grid")
     if g.coeffs.shape[1] != op.n_modes:
         raise InvalidParameterError("forcing trajectory does not match the operator")
-    W = _psi_weights(op, g.grid, a, b,
-                     _step_tables(g.grid.nodes, op.eigenvalues))
+    W = _plan_weights(op, g.grid, (0.0, a, b), "E")[0]
     return np.einsum("ij,ij->j", W, g.coeffs)
 
 
@@ -233,25 +238,10 @@ class SpectralConditionReport:
     ok: bool
 
 
-def _denominators(op, cond, T):
-    """Per-mode denominators d_j of a condition and its
-    SpectralConditionReport, with scales
-    |c| + |a| e^{T lam_j} + int_0^T |b(t)| e^{t lam_j} dt.  Mode j passes
-    the one solvability predicate when |d_j| > ILL_POSED_RTOL * scale_j."""
-    c, a, b = cond.coupling
-    w = mode_weights(op, a, b, T)
-    denoms, scales = c + w.betas, abs(c) + w.scales
-    margins = np.abs(denoms)
-    ok_per_mode = margins > ILL_POSED_RTOL * scales
-    failing = tuple(int(j) + 1 for j in np.nonzero(~ok_per_mode)[0])
-    return denoms, SpectralConditionReport(
-        cond.problem, margins, scales, ILL_POSED_RTOL, ok_per_mode, failing,
-        not failing)
-
-
-def check_spectral_condition(op, cond, T):
-    """Evaluate the per-mode solvability margins for a condition."""
-    return _denominators(op, cond, T)[1]
+def check_spectral_condition(op, cond, grid):
+    """The per-mode solvability margins of a condition on a time grid, from
+    the plan's march: ``build_plan(...).spectral``, bit for bit."""
+    return _plan_weights(op, grid, cond.coupling, cond.problem)[2]
 
 
 # --------------------------------------------------------------------------
@@ -295,7 +285,7 @@ class RecoveryPlan:
     W, the grid's step tables and the doubling scan's spans of their step
     factors, the semigroup samples e^{t_i lam_j} and the history operator of
     a nonlinearity with memory, sized in ``MemoryKernel`` (None for a
-    pointwise map)."""
+    pointwise map); one march of b gives the first three."""
 
     denoms: np.ndarray
     spectral: SpectralConditionReport
@@ -308,11 +298,12 @@ class RecoveryPlan:
 
 def build_plan(op, cond, f, grid):
     """The ``RecoveryPlan`` of one problem.  Only the coupling of ``cond``
-    enters, so one plan serves every data vector M of a sweep.  An ill-posed
-    mode raises ``IllPosedModeError`` and a nonlinearity that does not
-    vanish at the zero state ``AdmissibilityError``, before any weight is
-    built."""
-    denoms, spectral = _denominators(op, cond, grid.T)
+    enters, so one plan serves every data vector M of a sweep; it comes
+    from one march of b (two when b changes sign), see ``_plan_weights``.
+    An ill-posed mode raises ``IllPosedModeError`` and a nonlinearity that
+    does not vanish at the zero state ``AdmissibilityError``."""
+    weights, denoms, spectral, tables = _plan_weights(
+        op, grid, cond.coupling, cond.problem)
     if not spectral.ok:
         modes = list(spectral.failing_modes)
         raise IllPosedModeError(
@@ -320,13 +311,11 @@ def build_plan(op, cond, f, grid):
     if not f.vanishes_at_zero:
         raise AdmissibilityError(
             "the nonlinearity must vanish at the zero state")
-    _, a, b = cond.coupling
-    tables = _step_tables(grid.nodes, op.eigenvalues)
     with np.errstate(over="ignore"):
-        hom = np.exp(np.outer(grid.nodes, op.eigenvalues))
-    return RecoveryPlan(denoms, spectral, _psi_weights(op, grid, a, b, tables),
-                        tables, _spans(tables[0]), hom,
-                        f.history_rows(grid.nodes, 0, grid.nodes.size))
+        hom = np.outer(grid.nodes, op.eigenvalues)
+        np.exp(hom, out=hom)
+    return RecoveryPlan(denoms, spectral, weights, tables, _spans(tables[0]),
+                        hom, f.history_rows(grid.nodes, 0, grid.nodes.size))
 
 
 def picard_recover(op, cond, f, grid, spec, tol=1e-10, max_iter=200, *,

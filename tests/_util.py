@@ -5,7 +5,7 @@ import numpy as np
 from specrec import (SpectralOperator, Trajectory, apply_psi_E,
                      duhamel_convolve, kernels)
 from specrec.errors import InvalidParameterError
-from specrec.recover import _denominators
+from specrec.recover import _plan_weights
 
 
 def ulp_close(a, b, n_ulp=4):
@@ -40,6 +40,27 @@ def exp_weight_integral(lam, T, b):
     return tail_weight(lam, 0.0, T, b)
 
 
+def loop_march(lam, w, c, kmax=None):
+    """``kernels._march`` as a Python loop over the pieces, last first:
+    R(lo) = e^z R(hi) + w sum_m c_m J_m(z), one row at a time, with the
+    same moments and e^z."""
+    z = w[:, None] * lam
+    J = kernels.moments(z, c.shape[1] - 1 if kmax is None else kmax)
+    inner = w[:, None] * np.einsum("pm,mpj->pj", c, J[:c.shape[1]])
+    step = np.exp(z)
+    R = np.empty((w.size + 1, lam.size))
+    R[-1] = 0.0
+    for p in range(w.size - 1, -1, -1):
+        R[p] = step[p] * R[p + 1] + inner[p]
+    return R, J, step
+
+
+def denominators(op, cond, grid):
+    """The per-mode denominators d_j of a condition, as a recovery plan on
+    the grid takes them."""
+    return _plan_weights(op, grid, cond.coupling, cond.problem)[1]
+
+
 def diagonal_operator(eigenvalues):
     """Operator with the identity eigenbasis; handy for scalar oracles."""
     lam = np.atleast_1d(np.asarray(eigenvalues, dtype=float))
@@ -51,7 +72,7 @@ def diagonal_operator(eigenvalues):
 def initial_value(op, cond, T, g):
     """The initial-value map (M - psi(g)) / d of a condition for a forcing
     trajectory g."""
-    denoms, _ = _denominators(op, cond, T)
+    denoms = denominators(op, cond, g.grid)
     _, a, b = cond.coupling
     return (cond.M - apply_psi_E(a, b, T, g, op)) / denoms
 
@@ -64,7 +85,7 @@ def fixed_point_from_random_start(op, cond, f, grid, rng, tol):
     stops once a sweep moves the iterate by at most ``tol`` in that norm, or
     after 50 sweeps, and returns the start and the last iterate."""
     hom = np.exp(np.outer(grid.nodes, op.eigenvalues))
-    denoms, _ = _denominators(op, cond, grid.T)
+    denoms = denominators(op, cond, grid)
     size = np.max(np.linalg.norm(hom * (cond.M / denoms), axis=1))
     start = rng.standard_normal(hom.shape)
     start *= size / np.max(np.linalg.norm(start, axis=1))

@@ -169,8 +169,9 @@ def test_criterion_06_spectral_violation_detection(tmp_path):
 
     # initial-final coupling with b placed exactly on the first root
     b100 = math.exp(-lam1 * 1.0)
+    grid = sr.make_graded_grid(1.0, 16)
     rep100 = sr.check_spectral_condition(
-        op, sr.ConditionE100(b100, np.zeros(4)), 1.0)
+        op, sr.ConditionE100(b100, np.zeros(4)), grid)
     ok = (not rep100.ok and rep100.failing_modes == (1,)
           and rep100.margins[0] <= 1e-8)
 
@@ -178,7 +179,7 @@ def test_criterion_06_spectral_violation_detection(tmp_path):
     bpoly = sr.PolynomialWeight([1.0, 0.5])
     a = -math.exp(-lam1 * 1.0) * exp_weight_integral(lam1, 1.0, bpoly)
     repE = sr.check_spectral_condition(
-        op, sr.ConditionE(a, bpoly, np.zeros(4)), 1.0)
+        op, sr.ConditionE(a, bpoly, np.zeros(4)), grid)
     ok = ok and (not repE.ok and 1 in repE.failing_modes
                  and repE.margins[0] <= 1e-8)
 

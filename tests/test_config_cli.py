@@ -498,8 +498,8 @@ class TestSweep:
         assert rate >= 0.8
 
     def test_plan_built_once_per_sweep(self, monkeypatch):
-        # only M changes between rows: one plan, and with it the psi weights
-        # and the denominators' mode weights, serves the whole sweep
+        # only M changes between rows: one plan, and with it the one march
+        # of the psi weights and the denominators, serves the whole sweep
         calls = {}
 
         def count(owner, name):
@@ -511,8 +511,8 @@ class TestSweep:
             monkeypatch.setattr(owner, name, counted)
 
         count(harness, "build_plan")
-        count(recover, "_psi_weights")
-        count(recover, "mode_weights")
+        count(recover, "_plan_weights")
+        count(recover, "_weight_march")
         cfg = config_from_dict(deep({
             "nonlinearity": {"type": "power", "kappa": 0.25, "ell": 1.0},
             "u0.amplitude": 0.05,
@@ -521,8 +521,8 @@ class TestSweep:
         }))
         rows, _ = sweep_threshold(cfg)
         assert [row.status for row in rows] == ["ok"] * 4
-        assert calls == {"build_plan": 1, "_psi_weights": 1,
-                         "mode_weights": 1}
+        assert calls == {"build_plan": 1, "_plan_weights": 1,
+                         "_weight_march": 1}
 
     def test_ill_posed_fails_every_row(self):
         # an ill-posed problem has no plan: each row records the error and
@@ -686,9 +686,10 @@ class TestCli:
         path = write_cfg(tmp_path, deep(ILL_POSED))
         out = tmp_path / "report.json"
         assert main(["recover", "--config", path, "--out", str(out)]) == 2
-        op = config_from_dict(deep(ILL_POSED)).build_operator()
+        cfg = config_from_dict(deep(ILL_POSED))
         spectral = sr.check_spectral_condition(
-            op, sr.ConditionE100(math.exp(1.0), np.zeros(4)), 1.0)
+            cfg.build_operator(), sr.ConditionE100(math.exp(1.0), np.zeros(4)),
+            cfg.build_grid())
         want = {"converged": False, "spectral": config.to_jsonable(spectral)}
         assert out.read_text() == json.dumps(want, indent=2,
                                              sort_keys=True) + "\n"

@@ -72,9 +72,9 @@ def _dense_oracle(z, k):
 
 
 class TestMoments:
-    # both sides of the series/recurrence switch at |z| = 3, where every
-    # kmax up to 6 switches, points on either side of |z| = 1 inside the
-    # series branch, the stiff end and the origin
+    # both sides of the series/recurrence switch at |z| = 3, where kmax 4
+    # to 6 switch, points on either side of |z| = 1, the stiff end and the
+    # origin
     @pytest.mark.parametrize("z", [
         -7e5, -1e4, -700.0, -50.0, -3.3, -3.0 - 1e-7, -3.0, -3.0 + 1e-7,
         -1.5, -1.0 - 1e-7, -1.0, -1.0 + 1e-7, -0.35, -1e-3, -1e-9, 0.0, 1e-9,
@@ -95,9 +95,9 @@ class TestMoments:
         assert J.shape == (3, 2, 3)
         assert np.array_equal(J[:, 1, 1], moments(-0.1, 2))
 
-    # steps of 0.01 across both sides of every kmax's switch (|z| = 3 up to
-    # kmax = 6, 3.38 at 7 and 3.76 at 8), and one ulp-scale step either
-    # side of |z| = 3
+    # steps of 0.01 across both sides of every kmax's switch (0.125, 0.5
+    # and 0.91 for kmax 1 to 3, |z| = 3 for kmax 4 to 6, 3.38 at 7 and 3.76
+    # at 8), and one ulp-scale step either side of |z| = 3
     DENSE = np.concatenate([np.linspace(-4.0, 4.0, 801),
                             [-3.0 - 1e-7, -3.0 + 1e-7, 3.0 - 1e-7,
                              3.0 + 1e-7]])
@@ -107,6 +107,23 @@ class TestMoments:
         J = moments(self.DENSE, kmax)
         for k in range(kmax + 1):
             want = [_dense_oracle(float(z), k) for z in self.DENSE]
+            assert rel_err(J[k], want) < (1e-14 if k <= 3 else 5e-14)
+
+    # on and one ulp either side of each kmax's switches, with 0.001 steps
+    # within 0.01 of them: J_0 leaves expm1(z) / z below |z| = 2**-20, and
+    # the series starts below 0.125, 0.5 and 0.91 for kmax 1 to 3 and
+    # below 3 or (kmax!)**(1/kmax) from kmax 4 on
+    @pytest.mark.parametrize("kmax", range(9))
+    def test_switches_against_mpmath(self, kmax):
+        points = []
+        for switch in (kernels._NEAR_ZERO, kernels._series(kmax)[0]):
+            near = [np.nextafter(switch, 0.0), switch,
+                    np.nextafter(switch, 1.0)]
+            near += list(switch + np.linspace(-0.01, 0.01, 21))
+            points += [sign * x for x in near if x > 0 for sign in (-1, 1)]
+        J = moments(np.array(points), kmax)
+        for k in range(kmax + 1):
+            want = [_dense_oracle(float(z), k) for z in points]
             assert rel_err(J[k], want) < (1e-14 if k <= 3 else 5e-14)
 
     # kmax 9..12, the psi weights of polynomial weights of degree 7 to 10:
@@ -322,7 +339,7 @@ def _abs_pieces_oracle(edges, coeffs):
     for lo, hi, c in zip(edges[:-1], edges[1:], coeffs):
         r = np.roots(c[::-1])
         r = np.sort(r[np.isreal(r)].real)
-        r = r[(r > 0.0) & (r < hi - lo)]
+        r = r[(r > 0.0) & (r < hi - lo) & (lo + r < hi)]
         left = np.concatenate([[0.0], r])
         right = np.concatenate([r, [hi - lo]])
         sign = np.sign(np.polynomial.polynomial.polyval(0.5 * (left + right), c))
@@ -391,6 +408,19 @@ class TestAbsPieces:
     def test_polynomial_against_np_roots(self, coeffs):
         self._check(sr.PolynomialWeight(coeffs).pieces(1.0))
 
+    def test_root_rounding_onto_the_end(self):
+        # the last piece's root 1.75 / 35.00000000000013 lies below its
+        # width, but 2.0 plus it rounds to 2.05: it is dropped, since kept
+        # it makes a piece of zero width past b's last edge
+        b = sr.TabulatedWeight([0.0, 1.0, 2.0, 2.05], [0.0, 0.0, 1.75, 0.0])
+        pieces = b.pieces(2.05)
+        self._check(pieces)
+        edges, _, sign = kernels._abs_pieces(*pieces)
+        assert edges.tolist() == [0.0, 1.0, 2.0, 2.05]
+        assert sign.tolist() == [0.0, 1.0, 1.0]
+        w = sr.mode_weights(diagonal_operator([-1.0, -30.0]), 0.0, b, 2.05)
+        assert np.all(w.scales >= w.betas)
+
     def test_root_within_1e_135_of_a_knot(self):
         # below about 1e-135, np.roots scales its 1 x 1 companion matrix and
         # returns a neighbour of -c0/c1; the closed form keeps -c0/c1
@@ -456,6 +486,31 @@ class TestSingleMarch:
         w = sr.mode_weights(self.OP, 0.3, b, 0.5)
         assert len(calls) == 2
         assert w.scales.tobytes() == want.tobytes()
+
+    # a plan marches b once for its psi weights, denominators and scales,
+    # and |b| once more only when b changes sign
+    @staticmethod
+    def _plan(b):
+        cond = sr.ConditionE200(b, np.zeros(16))
+        return sr.build_plan(TestSingleMarch.OP, cond, sr.Zero(),
+                             sr.make_graded_grid(0.5, 16))
+
+    @pytest.mark.parametrize("name", sorted(ONE_SIGNED))
+    def test_one_signed_plan_marches_once(self, name, monkeypatch):
+        calls = self._count_marches(monkeypatch)
+        plan = self._plan(ONE_SIGNED[name])
+        assert len(calls) == 1
+        # E200 has d = 1 + R(0) and scales 1 + |R(0)|, with R(0) of that
+        # march
+        R0 = kernels._march(*calls[0])[0][0]
+        assert plan.denoms.tobytes() == (1.0 + R0).tobytes()
+        assert plan.spectral.scales.tobytes() == (1.0 + abs(R0)).tobytes()
+
+    @pytest.mark.parametrize("name", sorted(SPLIT))
+    def test_split_plan_marches_abs(self, name, monkeypatch):
+        calls = self._count_marches(monkeypatch)
+        self._plan(SPLIT[name])
+        assert len(calls) == 2
 
 
 class TestStiffWeights:

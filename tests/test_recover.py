@@ -5,15 +5,19 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import specrec as sr
 from specrec.nonlinearity import Nonlinearity
 from specrec.harness import resolve_M
 from specrec.spectral import _row_norms
+from specrec import kernels
+from specrec.duhamel import _step_tables
+from specrec.recover import _plan_weights
 from _util import (diagonal_operator, exp_weight_integral,
-                   fixed_point_from_random_start, initial_value, rel_err)
+                   fixed_point_from_random_start, initial_value, loop_march,
+                   rel_err)
 
 B1 = sr.ConstantWeight(1.0)
 ONE_POLY = sr.PolynomialWeight([1.0])
@@ -382,17 +386,20 @@ class TestSigmaE200:
         cond = sr.ConditionE200(B1, np.ones(10))
         got = _recover_linear(op, cond, T=2.0)
         assert np.all(np.isfinite(got))
-        report = sr.check_spectral_condition(op, cond, 2.0)
+        report = sr.check_spectral_condition(
+            op, cond, sr.make_graded_grid(2.0, 16))
         assert report.ok
         assert np.all(report.margins >= 1.0)
 
 
 class TestCheckSpectralCondition:
+    GRID_1 = sr.make_graded_grid(1.0, 16)
+
     def test_e_sufficiency(self):
         # nonnegative weight with positive mass, a >= 0, dissipative modes
         op = sr.build_second_order(8, 1.0, 0.0, "dirichlet")
         cond = sr.ConditionE(0.0, B1, np.zeros(8))
-        report = sr.check_spectral_condition(op, cond, 1.0)
+        report = sr.check_spectral_condition(op, cond, self.GRID_1)
         assert report.ok
         assert np.all(report.margins > 0)
 
@@ -400,14 +407,14 @@ class TestCheckSpectralCondition:
         # b <= 1 with strictly negative spectrum
         op = sr.build_second_order(8, 1.0, 0.0, "dirichlet")
         cond = sr.ConditionE100(1.0, np.zeros(8))
-        report = sr.check_spectral_condition(op, cond, 1.0)
+        report = sr.check_spectral_condition(op, cond, self.GRID_1)
         assert report.ok
 
     def test_e100_constructed_root(self):
         op = sr.build_second_order(4, 1.0, 0.0, "dirichlet")
         b = math.exp(-op.eigenvalues[0] * 1.0)
         cond = sr.ConditionE100(b, np.zeros(4))
-        report = sr.check_spectral_condition(op, cond, 1.0)
+        report = sr.check_spectral_condition(op, cond, self.GRID_1)
         assert not report.ok
         assert report.failing_modes == (1,)
         assert report.margins[0] <= 1e-8
@@ -420,7 +427,7 @@ class TestCheckSpectralCondition:
         op = sr.build_second_order(4, 1.0, 0.0, "dirichlet")
         b = math.exp(-op.eigenvalues[0] * 1.0) * (1.0 - eps)
         report = sr.check_spectral_condition(
-            op, sr.ConditionE100(b, np.zeros(4)), 1.0)
+            op, sr.ConditionE100(b, np.zeros(4)), self.GRID_1)
         assert report.margins[0] / report.scales[0] == pytest.approx(
             eps / 2, rel=1e-3)
         assert bool(report.ok_per_mode[0]) is ok
@@ -432,7 +439,7 @@ class TestCheckSpectralCondition:
         lam1 = op.eigenvalues[0]
         a = -math.exp(-lam1 * 1.0) * exp_weight_integral(lam1, 1.0, b)
         cond = sr.ConditionE(a, b, np.zeros(4))
-        report = sr.check_spectral_condition(op, cond, 1.0)
+        report = sr.check_spectral_condition(op, cond, self.GRID_1)
         assert not report.ok
         assert 1 in report.failing_modes
         assert report.margins[0] <= 1e-8
@@ -837,6 +844,124 @@ class TestRecoveryPlan:
         with pytest.raises(sr.IllPosedModeError) as info:
             sr.picard_recover(op, cond, sr.Zero(), grid, SPEC)
         assert info.value.modes == [2]
+
+
+# weights for the plan's one march: polynomials of degree 0 to 4, whose
+# leading coefficients may be zero and which may change sign, and tables
+_COEFF = st.one_of(st.integers(-8, 8).map(lambda k: k / 4.0),
+                   st.floats(-2.0, 2.0).filter(lambda v: abs(v) > 1e-3))
+
+
+@st.composite
+def _weights(draw):
+    """(b, T): a polynomial on [0, T] or a table over its own span."""
+    if draw(st.booleans()):
+        coeffs = draw(st.lists(_COEFF, min_size=1, max_size=5))
+        return sr.PolynomialWeight(coeffs), draw(st.floats(0.25, 1.0))
+    values = draw(st.lists(_COEFF, min_size=2, max_size=6))
+    steps = draw(st.lists(st.floats(0.05, 0.5), min_size=len(values) - 1,
+                          max_size=len(values) - 1))
+    times = np.concatenate([[0.0], np.cumsum(steps)])
+    return sr.TabulatedWeight(times, values), float(times[-1])
+
+
+class TestOneMarch:
+    """A plan's psi weights, denominators and scales come from one march of
+    b, which ``check_spectral_condition`` shares."""
+
+    FIXTURES = TestRecoveryPlan.FIXTURES
+    NAMES = ["psi-quadrature-poly", "psi-quadrature-table", "memory-forward",
+             "threshold-sweep"]
+    OP = sr.build_second_order(8, 1.0, 0.0, "dirichlet")
+
+    @staticmethod
+    def _same_report(got, want):
+        assert got.problem == want.problem
+        assert got.margins.tobytes() == want.margins.tobytes()
+        assert got.scales.tobytes() == want.scales.tobytes()
+        assert got.ok_per_mode.tobytes() == want.ok_per_mode.tobytes()
+        assert got.failing_modes == want.failing_modes
+        assert got.ok is want.ok
+
+    def _fixture(self, name):
+        cfg = sr.parse_config(self.FIXTURES / f"{name}.json")
+        op, grid = cfg.build_operator(), cfg.build_grid()
+        return op, cfg.build_condition(np.zeros(op.n_modes)), grid
+
+    @staticmethod
+    def _drawn(b, T, problem):
+        op = TestOneMarch.OP
+        if problem == "E":
+            cond = sr.ConditionE(0.3, b, np.zeros(op.n_modes))
+        else:
+            cond = sr.ConditionE200(b, np.zeros(op.n_modes))
+        return op, cond, sr.make_graded_grid(T, 12)
+
+    def _check_report(self, op, cond, grid):
+        spectral = sr.check_spectral_condition(op, cond, grid)
+        if not spectral.ok:
+            with pytest.raises(sr.IllPosedModeError) as info:
+                sr.build_plan(op, cond, sr.Zero(), grid)
+            assert info.value.modes == list(spectral.failing_modes)
+            return
+        self._same_report(sr.build_plan(op, cond, sr.Zero(), grid).spectral,
+                          spectral)
+
+    def _check_denominators(self, op, cond, grid):
+        # within 1e-13 of the scale of the one-shot march over b's pieces
+        c, a, b = cond.coupling
+        _, denoms, report, _ = _plan_weights(op, grid, cond.coupling,
+                                             cond.problem)
+        scales = report.scales
+        w = sr.mode_weights(op, a, b, grid.T)
+        assert np.all(np.abs(denoms - (c + w.betas)) <= 1e-13 * scales)
+        assert np.all(np.abs(scales - (abs(c) + w.scales)) <= 1e-13 * scales)
+
+    def _check_loop_march(self, op, cond, grid, monkeypatch):
+        # W within 1e-13 of the one from a march solved row by row, relative
+        # to each mode's largest weight
+        W = _plan_weights(op, grid, cond.coupling, cond.problem)[0]
+        monkeypatch.setattr(kernels, "_march", loop_march)
+        want = _plan_weights(op, grid, cond.coupling, cond.problem)[0]
+        monkeypatch.undo()
+        scale = np.max(np.abs(want), axis=0)
+        assert np.all(np.abs(W - want) <= 1e-13 * scale)
+
+    @pytest.mark.parametrize("name", NAMES)
+    def test_check_spectral_same_bytes_on_fixtures(self, name):
+        self._check_report(*self._fixture(name))
+
+    @pytest.mark.parametrize("name", NAMES)
+    def test_denominators_near_mode_weights_on_fixtures(self, name):
+        self._check_denominators(*self._fixture(name))
+
+    @pytest.mark.parametrize("name", NAMES)
+    def test_psi_weights_near_loop_march_on_fixtures(self, name, monkeypatch):
+        self._check_loop_march(*self._fixture(name), monkeypatch)
+
+    @pytest.mark.parametrize("name", NAMES)
+    def test_step_tables_from_the_march(self, name):
+        # where the cuts are the nodes the plan's step tables are the
+        # march's: e^z bit for bit, the hat weights to the moments' accuracy
+        op, cond, grid = self._fixture(name)
+        plan = sr.build_plan(op, cond, sr.Zero(), grid)
+        want = _step_tables(grid.nodes, op.eigenvalues)
+        assert plan.tables[0].tobytes() == want[0].tobytes()
+        for got, ref in zip(plan.tables[1:], want[1:]):
+            assert rel_err(got, ref) < 1e-14
+
+    @settings(deadline=None, max_examples=60)
+    @given(weight=_weights(), problem=st.sampled_from(["E", "E200"]))
+    def test_drawn_weights(self, weight, problem):
+        b, T = weight
+        assume(not b.is_zero)
+        if b.value_at_zero == 0.0:
+            problem = "E200"  # problem E needs b(0) != 0
+        op, cond, grid = self._drawn(b, T, problem)
+        self._check_report(op, cond, grid)
+        self._check_denominators(op, cond, grid)
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            self._check_loop_march(op, cond, grid, monkeypatch)
 
 
 class _ConstantForcing(Nonlinearity):
