@@ -8,9 +8,7 @@ from .spectral import (FractionalNormSpec, SpectralOperator, TimeGrid,
                        build_second_order, default_grading, default_shift,
                        fractional_norm, make_graded_grid, synthesize,
                        weighted_sup_norm)
-from .kernels import (ConstantWeight, ModeWeights, PolynomialWeight,
-                      TabulatedWeight, WeightFunction, beta_function,
-                      mode_weights)
+from .kernels import ModeWeights, WeightFunction, beta_function, mode_weights
 from .nonlinearity import (MemoryKernel, Nonlinearity, PowerLaw, Zero,
                            check_growth_condition, check_kernel_admissibility)
 from .duhamel import duhamel_convolve, forward_solve, observe

@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from .errors import ConfigError, InvalidParameterError, SpecrecError
-from .kernels import ConstantWeight, PolynomialWeight, TabulatedWeight
+from .kernels import WeightFunction
 from .nonlinearity import MemoryKernel, PowerLaw, Zero
 from .recover import ConditionE, ConditionE100, ConditionE200
 from .spectral import (FractionalNormSpec, analyze, build_fourth_order,
@@ -144,8 +144,6 @@ class ConditionSpec:
 # --------------------------------------------------------------------------
 
 # constructors by variant, each taking its section's keys in schema order
-_WEIGHTS = {"constant": ConstantWeight, "poly": PolynomialWeight,
-            "table": TabulatedWeight}
 _NONLINEARITIES = {"zero": Zero, "power": PowerLaw, "memory": MemoryKernel}
 _CONDITIONS = {"E": ConditionE, "E100": ConditionE100, "E200": ConditionE200}
 
@@ -153,7 +151,7 @@ _WEIGHT = _tagged("weight", "type", "unknown weight type {!r}", {
     "constant": {"value": (_number, _REQUIRED)},
     "poly": {"coeffs": (_numbers, _REQUIRED)},
     "table": {"t": (_numbers, _REQUIRED), "b": (_numbers, _REQUIRED)},
-}, make=lambda kind, values: _WEIGHTS[kind](*values.values()))
+}, make=lambda kind, values: getattr(WeightFunction, kind)(*values.values()))
 
 
 def _weight_for(problem):
@@ -365,10 +363,9 @@ def _check_across(cfg):
         cfg.build_operator()
     except SpecrecError as exc:
         raise ConfigError(f"operator: {exc}") from exc
-    b = cfg.condition.b
     try:
-        if isinstance(b, TabulatedWeight):
-            b.require_covers(cfg.grid.T)
+        if isinstance(cfg.condition.b, WeightFunction):  # it must cover [0, T]
+            cfg.condition.b.pieces(cfg.grid.T)
         cfg.build_condition(np.zeros(1))
     except SpecrecError as exc:
         raise ConfigError(f"condition.b: {exc}") from exc

@@ -97,6 +97,9 @@ def roundtrip(cfg):
 
 @dataclass
 class SweepRow:
+    """A sweep row; ``final_ratio`` estimates the contraction only on a row
+    that did not converge (see ``FixedPointReport.final_ratio``)."""
+
     index: int
     scale: float
     converged: bool

@@ -2,10 +2,11 @@
 
 Everything the recovery operators need reduces per mode to integrals of the
 form ``int b(t) exp(t*lam) dt`` and their tail variants.  Every weight is
-piecewise polynomial on [0, T], so every such integral is a finite sum of
-the moments J_k(z) = int_0^1 s**k exp(z*s) ds, which one evaluator supplies
-in closed form (with a series branch near z = 0 to avoid cancellation).
-One backward march over the weight's polynomial pieces, solved as one
+one ``WeightFunction``, polynomial pieces (edges, coeffs) however it was
+built, and is read only as its pieces on [0, T], so every such integral is
+a finite sum of the moments J_k(z) = int_0^1 s**k exp(z*s) ds, which one
+evaluator supplies in closed form (with a series branch near z = 0 to avoid
+cancellation).  One backward march over those pieces, solved as one
 doubling scan, turns these sums into the tail part of the recovery's psi
 weights and the weight's part of the per-mode denominators and scales.
 The Beta function used by the well-posedness estimates lives here too.
@@ -95,10 +96,60 @@ def moments(z, kmax):
 # --------------------------------------------------------------------------
 
 class WeightFunction:
-    """Scalar time weight b on [0, T]."""
+    """Scalar time weight b(t) = sum_k coeffs[p, k] (t - edges[p])**k on
+    the piece [edges[p], edges[p + 1]], its first and last pieces run on
+    outside the edges.  The edges increase strictly and only the last may
+    be inf: ``constant`` and ``poly`` build the one piece [0, inf]."""
+
+    def __init__(self, edges, coeffs):
+        self.edges = e = np.array(edges, dtype=float)
+        self.coeffs = c = np.array(coeffs, dtype=float)
+        if not (c.ndim == 2 and c.size and e.shape == (len(c) + 1,)
+                and np.all(np.diff(e) > 0) and math.isfinite(e[0])
+                and np.all(np.isfinite(c))):
+            raise InvalidParameterError(
+                "a weight needs strictly increasing edges and finite "
+                "coefficients, one row per piece")
+        e.setflags(write=False)
+        c.setflags(write=False)
+
+    @classmethod
+    def constant(cls, value):
+        """b(t) = value."""
+        return cls.poly([value])
+
+    @classmethod
+    def poly(cls, coeffs):
+        """b(t) = sum_k coeffs[k] t**k, in increasing degree."""
+        return cls([0.0, math.inf], [coeffs])
+
+    @classmethod
+    def table(cls, t, b):
+        """Linear between the knots (t[i], b[i]): ``np.interp`` on [t0, tn)."""
+        t, v = np.asarray(t, dtype=float), np.asarray(b, dtype=float)
+        if t.ndim != 1 or t.size < 2 or t.shape != v.shape:
+            raise InvalidParameterError("table needs matching time/value vectors")
+        if np.any(np.diff(t) <= 0):
+            raise InvalidParameterError("table nodes must be strictly increasing")
+        if not (np.all(np.isfinite(t)) and np.all(np.isfinite(v))):
+            raise InvalidParameterError("table entries must be finite")
+        with np.errstate(all="ignore"):
+            slopes = np.diff(v) / np.diff(t)
+        if not np.all(np.isfinite(slopes)):
+            i = np.argmin(np.isfinite(slopes))
+            raise InvalidParameterError(
+                f"table slope on [{t[i]}, {t[i + 1]}] is not finite")
+        return cls(t, np.column_stack([v[:-1], slopes]))
 
     def __call__(self, t):
-        raise NotImplementedError
+        t = np.asarray(t, dtype=float)
+        # the piece holding each t, the first or last one outside them all
+        p = np.searchsorted(self.edges[1:-1], t, side="right")
+        x, c = t - self.edges[p], self.coeffs[p]
+        out = c[..., -1]
+        for k in range(self.coeffs.shape[1] - 2, -1, -1):
+            out = out * x + c[..., k]
+        return out
 
     @property
     def value_at_zero(self):
@@ -106,106 +157,23 @@ class WeightFunction:
 
     @property
     def is_zero(self):
-        raise NotImplementedError
+        return not self.coeffs.any()
 
     def pieces(self, T):
-        """b on [0, T] as polynomial pieces (edges, coeffs): breakpoints
-        0 = edges[0] < ... < edges[-1] = T, and coeffs[p] the Taylor
-        coefficients of b about edges[p] in increasing degree."""
-        raise NotImplementedError
-
-
-class ConstantWeight(WeightFunction):
-    """b(t) = value."""
-
-    def __init__(self, value):
-        self.value = float(value)
-        if not math.isfinite(self.value):
-            raise InvalidParameterError("constant weight must be finite")
-
-    def __call__(self, t):
-        t = np.asarray(t, dtype=float)
-        return np.full_like(t, self.value)
-
-    @property
-    def is_zero(self):
-        return self.value == 0.0
-
-    def pieces(self, T):
-        return np.array([0.0, T]), np.array([[self.value]])
-
-    def __repr__(self):
-        return f"ConstantWeight({self.value!r})"
-
-
-class PolynomialWeight(WeightFunction):
-    """b(t) = sum_k coeffs[k] * t**k (coefficients in increasing degree)."""
-
-    def __init__(self, coeffs):
-        c = np.asarray(coeffs, dtype=float)
-        if c.ndim != 1 or c.size == 0 or not np.all(np.isfinite(c)):
-            raise InvalidParameterError("polynomial coefficients must be a finite vector")
-        self.coeffs = c.copy()
-        self.coeffs.setflags(write=False)
-
-    def __call__(self, t):
-        t = np.asarray(t, dtype=float)
-        out = np.zeros_like(t)
-        for a in self.coeffs[::-1]:
-            out = out * t + a
-        return out
-
-    @property
-    def is_zero(self):
-        return bool(np.all(self.coeffs == 0.0))
-
-    def pieces(self, T):
-        return np.array([0.0, T]), self.coeffs[None, :]
-
-    def __repr__(self):
-        return f"PolynomialWeight({list(self.coeffs)!r})"
-
-
-class TabulatedWeight(WeightFunction):
-    """Piecewise-linear weight through (times[i], values[i])."""
-
-    def __init__(self, times, values):
-        t = np.asarray(times, dtype=float)
-        v = np.asarray(values, dtype=float)
-        if t.ndim != 1 or t.size < 2 or t.shape != v.shape:
-            raise InvalidParameterError("table needs matching time/value vectors")
-        if np.any(np.diff(t) <= 0):
-            raise InvalidParameterError("table nodes must be strictly increasing")
-        if not (np.all(np.isfinite(t)) and np.all(np.isfinite(v))):
-            raise InvalidParameterError("table entries must be finite")
-        self.times = t.copy()
-        self.values = v.copy()
-        self.times.setflags(write=False)
-        self.values.setflags(write=False)
-
-    def __call__(self, t):
-        t = np.asarray(t, dtype=float)
-        return np.interp(t, self.times, self.values)
-
-    def require_covers(self, T):
-        if self.times[0] > 0.0 or self.times[-1] < T - 1e-12 * max(1.0, T):
+        """b on [0, T] as pieces (edges, coeffs), cut at 0, T and b's edges
+        between, with coeffs[p] the Taylor coefficients about edges[p].  b
+        must cover [0, T], but for a last edge up to 1e-12 max(1, T) short
+        of T, where its last piece runs on."""
+        if not T > 0:
+            raise InvalidParameterError("T must be positive")
+        e = self.edges
+        if e[0] > 0.0 or e[-1] < T - 1e-12 * max(1.0, T):
             raise InvalidParameterError(
-                f"table covers [{self.times[0]}, {self.times[-1]}], not [0, {T}]"
-            )
-
-    def pieces(self, T):
-        self.require_covers(T)
-        inner = self.times[(self.times > 0.0) & (self.times < T)]
-        edges = np.concatenate([[0.0], inner, [T]])
-        v = self(edges)
-        return edges, np.column_stack([v[:-1], np.diff(v) / np.diff(edges)])
-
-    @property
-    def is_zero(self):
-        return bool(np.all(self.values == 0.0))
-
-    def __repr__(self):
-        return f"TabulatedWeight({list(self.times)!r}, {list(self.values)!r})"
+                f"table covers [{e[0]}, {e[-1]}], not [0, {T}]")
+        inner = e[1:-1]
+        cuts = np.concatenate([[0.0], inner[(inner > 0.0) & (inner < T)]])
+        p = np.searchsorted(inner, cuts, side="right")
+        return np.append(cuts, T), _taylor_shift(self.coeffs[p], cuts - e[p])
 
 
 # --------------------------------------------------------------------------
@@ -331,14 +299,6 @@ def _abs_pieces(edges, coeffs):
             sign[:, None] * _taylor_shift(c, left), sign)
 
 
-def _pieces(b, T):
-    if not T > 0:
-        raise InvalidParameterError("T must be positive")
-    if not isinstance(b, WeightFunction):
-        raise InvalidParameterError("b must be a WeightFunction")
-    return b.pieces(T)
-
-
 # --------------------------------------------------------------------------
 # per-mode observation weights
 # --------------------------------------------------------------------------
@@ -369,7 +329,9 @@ def _weight_march(lam, a, b, T, nodes, extra=0):
     R(0) is b's part of betas and, for a b of one sign, +-R(0) its part of
     the scales, bit for bit what a march over |b| = +-b gives.  Any other b
     is split at its roots and marched once more, over |b|'s pieces."""
-    edges, coeffs = _pieces(b, T)
+    if not isinstance(b, WeightFunction):
+        raise InvalidParameterError("b must be a WeightFunction")
+    edges, coeffs = b.pieces(T)
     betas = scales = np.zeros(lam.size)
     march = None
     # an overflowing unstable mode is reported by ModeWeights, with its index

@@ -26,7 +26,7 @@ def rel_err(got, want):
 def tail_weight(lam, s, T, b):
     """int_s^T b(t) exp((t - s)*lam) dt, zero at s = T: the weight march
     of ``specrec.kernels`` started from a cut at s."""
-    edges, coeffs = kernels._pieces(b, T)
+    edges, coeffs = b.pieces(T)
     if not 0.0 <= s <= T:
         raise InvalidParameterError("s must lie in [0, T]")
     points = np.concatenate([[s], edges[edges > s]])

@@ -18,7 +18,7 @@ from _util import (diagonal_operator, exp_weight_integral,
 
 mp.mp.dps = 40
 
-B1 = sr.ConstantWeight(1.0)
+B1 = sr.WeightFunction.constant(1.0)
 SPEC = sr.FractionalNormSpec(0.25, 0.0)
 
 # frozen 40-digit oracles
@@ -140,7 +140,7 @@ def test_criterion_05_smallness_certificate():
         theta = 0.3 / (ell + 1.0)
         f = sr.PowerLaw(float(rng.uniform(0.2, 1.0)), ell)
         spec = sr.FractionalNormSpec(theta, 0.0)
-        b = sr.ConstantWeight(float(rng.uniform(0.5, 2.0)))
+        b = sr.WeightFunction.constant(float(rng.uniform(0.5, 2.0)))
         a = float(rng.choice([0.0, rng.uniform(0.0, 0.5)]))
         rng.integers(10**6)  # keeps the instances' draws in order
         c_bar = sr.check_growth_condition(f, op, spec)
@@ -176,7 +176,7 @@ def test_criterion_06_spectral_violation_detection(tmp_path):
           and rep100.margins[0] <= 1e-8)
 
     # time-average coupling with a tuned against the quadrature of b
-    bpoly = sr.PolynomialWeight([1.0, 0.5])
+    bpoly = sr.WeightFunction.poly([1.0, 0.5])
     a = -math.exp(-lam1 * 1.0) * exp_weight_integral(lam1, 1.0, bpoly)
     repE = sr.check_spectral_condition(
         op, sr.ConditionE(a, bpoly, np.zeros(4)), grid)

@@ -296,6 +296,10 @@ PINNED_MESSAGES = [
      "condition.b: table needs matching time/value vectors"),
     (deep({"condition": dict(E200, b=dict(TABLE, t=[0.0, 0.0]))}),
      "condition.b: table nodes must be strictly increasing"),
+    # 1 / 1e-310 overflows: once a RuntimeWarning and a failed recovery
+    (deep({"condition.b": dict(TABLE, t=[0.0, 1e-310, 1.0],
+                               b=[1.0, 2.0, 1.0])}),
+     "condition.b: table slope on [0.0, 1e-310] is not finite"),
     # weights against the problem and the grid
     (deep({"condition.b": dict(TABLE, t=[0.5, 1.0])}),
      "condition.b: table covers [0.5, 1.0], not [0, 1.0]"),
@@ -590,7 +594,10 @@ class TestCli:
          "condition.b: problem E requires b(0) != 0"),
         ({"operator.grid_size": 10**23},
          "operator.grid_size must be at most 16777216 for 4 modes"),
-    ], ids=["table-short", "e-weight-zero-at-0", "grid-size-huge"])
+        ({"condition.b": dict(TABLE, t=[0.0, 1e-310, 1.0], b=[1.0, 2.0, 1.0])},
+         "condition.b: table slope on [0.0, 1e-310] is not finite"),
+    ], ids=["table-short", "e-weight-zero-at-0", "grid-size-huge",
+            "table-slope-overflow"])
     def test_cross_section_error_exit_code(self, tmp_path, capsys, update,
                                            message):
         # each of these once ended in a failure of the recovery itself

@@ -556,14 +556,14 @@ class TestObserve:
     def test_zero_trajectory(self):
         op = diagonal_operator([-1.0])
         grid = sr.make_graded_grid(1.0, 8)
-        M = sr.observe(sr.Trajectory.zeros(grid, 1), 1.0, sr.ConstantWeight(1.0))
+        M = sr.observe(sr.Trajectory.zeros(grid, 1), 1.0, sr.WeightFunction.constant(1.0))
         assert np.all(M == 0.0)
 
     def test_constant_exact(self):
         op = diagonal_operator([-1.0])
         grid = sr.make_graded_grid(1.0, 8)
         u = sr.Trajectory(grid, np.full((9, 1), 3.0))
-        M = sr.observe(u, 1.0, sr.ConstantWeight(1.0))
+        M = sr.observe(u, 1.0, sr.WeightFunction.constant(1.0))
         # a*c + int b*c = 3 + 3
         assert ulp_close(M[0], 6.0, 4)
 
@@ -571,7 +571,7 @@ class TestObserve:
         op = diagonal_operator([-1.0])
         grid = sr.make_graded_grid(1.0, 4096)
         u = sr.Trajectory(grid, np.exp(-grid.nodes)[:, None])
-        M = sr.observe(u, 0.0, sr.ConstantWeight(1.0))
+        M = sr.observe(u, 0.0, sr.WeightFunction.constant(1.0))
         assert abs(M[0] - 0.6321205588285577) < 1e-7
 
     def test_weighted(self):
@@ -579,5 +579,5 @@ class TestObserve:
         op = diagonal_operator([-1.0])
         grid = sr.make_graded_grid(1.0, 4096)
         u = sr.Trajectory(grid, np.exp(-grid.nodes)[:, None])
-        M = sr.observe(u, 0.0, sr.PolynomialWeight([0.0, 1.0]))
+        M = sr.observe(u, 0.0, sr.WeightFunction.poly([0.0, 1.0]))
         assert abs(M[0] - 0.26424111765711533) < 1e-7

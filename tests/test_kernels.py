@@ -2,6 +2,7 @@
 
 import functools
 import math
+import re
 
 import mpmath as mp
 import numpy as np
@@ -18,7 +19,7 @@ from _util import (diagonal_operator, exp_weight_integral, rel_err,
 
 mp.mp.dps = 40
 
-B1 = sr.ConstantWeight(1.0)
+B1 = sr.WeightFunction.constant(1.0)
 
 # frozen from the 40-digit oracle 1 - exp(-1)
 ONE_MINUS_E_INV = 0.6321205588285577
@@ -155,24 +156,128 @@ class TestMoments:
 
 class TestWeightFunctions:
     def test_constant(self):
-        b = sr.ConstantWeight(2.5)
+        b = sr.WeightFunction.constant(2.5)
         assert b.value_at_zero == 2.5
         assert not b.is_zero
-        assert sr.ConstantWeight(0.0).is_zero
+        assert sr.WeightFunction.constant(0.0).is_zero
         for value in (math.nan, math.inf, -math.inf):
             with pytest.raises(sr.InvalidParameterError):
-                sr.ConstantWeight(value)
+                sr.WeightFunction.constant(value)
 
     def test_polynomial(self):
-        b = sr.PolynomialWeight([1.0, 2.0])
+        b = sr.WeightFunction.poly([1.0, 2.0])
         assert b.value_at_zero == 1.0
         assert b(1.0) == 3.0
 
     def test_tabulated(self):
-        b = sr.TabulatedWeight([0.0, 1.0, 2.0], [1.0, 3.0, 0.0])
+        b = sr.WeightFunction.table([0.0, 1.0, 2.0], [1.0, 3.0, 0.0])
         assert b(0.5) == 2.0
         with pytest.raises(sr.InvalidParameterError):
-            sr.TabulatedWeight([0.0, 0.0], [1.0, 1.0])
+            sr.WeightFunction.table([0.0, 0.0], [1.0, 1.0])
+
+    def test_pieces_layout(self):
+        # a constant and a polynomial are one piece [0, inf]; a table has a
+        # piece per pair of knots, its value and slope at the left one
+        assert sr.WeightFunction.constant(2.5).edges.tolist() == [0.0, math.inf]
+        assert sr.WeightFunction.constant(2.5).coeffs.tolist() == [[2.5]]
+        b = sr.WeightFunction.poly([1.0, 2.0])
+        assert b.edges.tolist() == [0.0, math.inf]
+        assert b.coeffs.tolist() == [[1.0, 2.0]]
+        b = sr.WeightFunction.table([0.0, 1.0, 2.0], [1.0, 3.0, 0.0])
+        assert b.edges.tolist() == [0.0, 1.0, 2.0]
+        assert b.coeffs.tolist() == [[1.0, 2.0], [3.0, -3.0]]
+        for arr in (b.edges, b.coeffs):
+            with pytest.raises(ValueError):
+                arr[0] = 5.0
+
+    @pytest.mark.parametrize("edges, coeffs", [
+        ([0.0, 1.0], [[1.0], [2.0]]),            # two rows for one piece
+        ([1.0, 0.0], [[1.0]]),                   # decreasing edges
+        ([0.0], np.zeros((0, 1))),               # no piece
+        ([0.0, 1.0], np.zeros((1, 0))),          # no coefficient
+        ([-math.inf, 0.0], [[1.0]]),             # only the last edge is inf
+        ([0.0, math.nan], [[1.0]]),
+        ([0.0, 1.0], [[math.inf]]),
+    ])
+    def test_invalid_pieces(self, edges, coeffs):
+        with pytest.raises(sr.InvalidParameterError):
+            sr.WeightFunction(edges, coeffs)
+
+    @pytest.mark.parametrize("t, values, where", [
+        ([0.0, 1e-310, 1.0], [1.0, 2.0, 1.0], "[0.0, 1e-310]"),
+        ([0.0, 1.0], [-1e308, 1e308], "[0.0, 1.0]"),
+    ], ids=["step-underflows", "rise-overflows"])
+    def test_table_slope_must_be_finite(self, t, values, where):
+        with pytest.raises(sr.InvalidParameterError,
+                           match=re.escape(f"table slope on {where} is not")):
+            sr.WeightFunction.table(t, values)
+
+    @pytest.mark.parametrize("call", [
+        lambda b: sr.mode_weights(diagonal_operator([-1.0]), 0.0, b, 1.0),
+        lambda b: sr.apply_psi_E(0.0, b, 1.0, sr.Trajectory.zeros(
+            sr.make_graded_grid(1.0, 4), 1), diagonal_operator([-1.0])),
+        lambda b: sr.ConditionE(0.0, b, [1.0]),
+        lambda b: sr.ConditionE200(b, [1.0]),
+    ], ids=["mode_weights", "apply_psi_E", "E", "E200"])
+    def test_rejects_what_is_not_a_weight(self, call):
+        with pytest.raises(sr.InvalidParameterError,
+                           match="b must be a WeightFunction"):
+            call(1.0)
+
+    # np.interp on [t[0], t[-1]), knots included, for tables anywhere on
+    # the line; the two agree as numbers (a zero's sign may differ)
+    @settings(deadline=None, max_examples=200)
+    @given(values=st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=8),
+           start=st.floats(-2.0, 2.0), data=st.data())
+    def test_table_is_np_interp(self, values, start, data):
+        steps = data.draw(st.lists(st.floats(1e-3, 2.0),
+                                   min_size=len(values) - 1,
+                                   max_size=len(values) - 1))
+        t = start + np.concatenate([[0.0], np.cumsum(steps)])
+        v = np.array(values)
+        b = sr.WeightFunction.table(t, v)
+        x = np.concatenate([t[:-1], data.draw(st.lists(
+            st.floats(t[0], t[-1], exclude_max=True), max_size=16))])
+        assert np.array_equal(b(x), np.interp(x, t, v))
+        # at the last knot b is its last piece's Horner value: the slope
+        # of the difference of two values, times the same difference of
+        # knots, plus a value, each rounded once
+        bound = 2.0 * np.finfo(float).eps * (abs(v[-2]) + abs(v[-1]))
+        assert abs(b(t[-1]) - v[-1]) <= bound
+
+    # Horner's rule as a loop from zero, with the leading coefficient
+    # nonzero (a zero one may change only the sign of a zero)
+    @settings(deadline=None, max_examples=100)
+    @given(coeffs=st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=6),
+           lead=st.floats(-1e3, 1e3).filter(bool),
+           t=st.lists(st.floats(-4.0, 4.0), min_size=1, max_size=16))
+    def test_polynomial_is_horner(self, coeffs, lead, t):
+        t = np.array(t)
+        want = np.zeros_like(t)
+        for a in (coeffs + [lead])[::-1]:
+            want = want * t + a
+        got = sr.WeightFunction.poly(coeffs + [lead])(t)
+        assert got.tobytes() == want.tobytes()
+
+    def test_pieces_past_the_horizon(self):
+        # a table from before 0 to past T is cut at 0 and T, and at its
+        # knots inside; each piece keeps its slope and takes its value at
+        # 0 as np.interp does; one ending inside the cover's slack of
+        # 1e-12 T runs its last piece on to T
+        b = sr.WeightFunction.table([-0.25, 0.3, 1.5], [-0.5, 1.0, 0.6])
+        edges, coeffs = b.pieces(1.0)
+        assert edges.tolist() == [0.0, 0.3, 1.0]
+        assert coeffs[:, 1].tolist() == b.coeffs[:, 1].tolist()
+        assert coeffs[0, 0] == np.interp(0.0, [-0.25, 0.3], [-0.5, 1.0])
+        assert coeffs[1, 0] == 1.0
+        b = sr.WeightFunction.table([0.0, 0.5, 1.0 - 1e-13], [1.0, 0.7, 0.4])
+        edges, coeffs = b.pieces(1.0)
+        assert edges.tolist() == [0.0, 0.5, 1.0]
+        assert coeffs.tobytes() == b.coeffs.tobytes()
+        with pytest.raises(sr.InvalidParameterError,
+                           match=re.escape("table covers [0.0, 0.9999999999999],"
+                                           " not [0, 1.01]")):
+            b.pieces(1.01)
 
 
 class TestExpWeightIntegral:
@@ -192,21 +297,21 @@ class TestExpWeightIntegral:
     @pytest.mark.parametrize("lam,T", [(-3.0, 2.0), (-0.1, 0.5), (2.0, 1.0)])
     def test_polynomial_vs_quadrature_oracle(self, lam, T):
         coeffs = [1.0, 2.0, -1.0, 0.5]
-        b = sr.PolynomialWeight(coeffs)
+        b = sr.WeightFunction.poly(coeffs)
         want = float(mp.quad(
             lambda t: (coeffs[0] + coeffs[1]*t + coeffs[2]*t**2
                        + coeffs[3]*t**3) * mp.exp(lam * t), [0, T]))
         assert rel_err(exp_weight_integral(lam, T, b), want) < 1e-13
 
     def test_tabulated_vs_quadrature_oracle(self):
-        b = sr.TabulatedWeight([0.0, 0.5, 1.0], [1.0, 2.0, 0.5])
+        b = sr.WeightFunction.table([0.0, 0.5, 1.0], [1.0, 2.0, 0.5])
         want = float(mp.quad(lambda t: (1 + 2*t) * mp.exp(-2*t), [0, mp.mpf("0.5")])
                      + mp.quad(lambda t: (3.5 - 3*t) * mp.exp(-2*t),
                                [mp.mpf("0.5"), 1]))
         assert rel_err(exp_weight_integral(-2.0, 1.0, b), want) < 1e-12
 
     def test_tabulated_must_cover(self):
-        b = sr.TabulatedWeight([0.0, 0.5], [1.0, 1.0])
+        b = sr.WeightFunction.table([0.0, 0.5], [1.0, 1.0])
         with pytest.raises(sr.InvalidParameterError):
             exp_weight_integral(-1.0, 1.0, b)
 
@@ -242,7 +347,7 @@ class TestTailWeight:
         assert abs(got - ONE_MINUS_E_INV) < 1e-15
 
     def test_polynomial_shift(self):
-        b = sr.PolynomialWeight([1.0, 2.0, -1.0])
+        b = sr.WeightFunction.poly([1.0, 2.0, -1.0])
         want = float(mp.quad(
             lambda t: (1 + 2*t - t**2) * mp.exp(-3 * (t - mp.mpf("0.7"))),
             [mp.mpf("0.7"), 2]))
@@ -292,7 +397,7 @@ class TestModeWeights:
 
         monkeypatch.setattr(kernels, "_march", no_march)
         op = sr.build_fourth_order(16, 1.0)
-        w = sr.mode_weights(op, a, sr.ConstantWeight(0.0), 0.8)
+        w = sr.mode_weights(op, a, sr.WeightFunction.constant(0.0), 0.8)
         end = np.exp(0.8 * op.eigenvalues)
         assert w.betas.tobytes() == (a * end).tobytes()
         assert w.scales.tobytes() == (abs(a) * end).tobytes()
@@ -300,8 +405,8 @@ class TestModeWeights:
     def test_positivity_certificate(self):
         # nonnegative weight, nonnegative a, dissipative modes -> positive betas
         op = sr.build_second_order(12, 1.0, 0.5, "dirichlet")
-        for b in (B1, sr.PolynomialWeight([0.5, 1.0]),
-                  sr.TabulatedWeight([0.0, 2.0], [1.0, 0.5])):
+        for b in (B1, sr.WeightFunction.poly([0.5, 1.0]),
+                  sr.WeightFunction.table([0.0, 2.0], [1.0, 0.5])):
             w = sr.mode_weights(op, 0.3, b, 2.0)
             assert np.all(w.betas > 0)
 
@@ -309,14 +414,14 @@ class TestModeWeights:
         # |1 - 2t| on [0, 1]: the scale integrates |b|, exactly
         # (e^lam - 1)/lam - 2 (e^{lam/2} - 1)^2 / lam^2
         lams = [2.0, -0.5, -3.0]
-        b = sr.TabulatedWeight([0.0, 1.0], [1.0, -1.0])
+        b = sr.WeightFunction.table([0.0, 1.0], [1.0, -1.0])
         w = sr.mode_weights(diagonal_operator(lams), 0.0, b, 1.0)
         want = [float(mp.expm1(lam) / lam
                       - 2 * mp.expm1(mp.mpf(lam) / 2) ** 2 / lam**2)
                 for lam in lams]
         assert rel_err(w.scales, want) < 1e-12
 
-    @pytest.mark.parametrize("b", [B1, sr.TabulatedWeight([0.0, 1.0], [1.0, 0.5])],
+    @pytest.mark.parametrize("b", [B1, sr.WeightFunction.table([0.0, 1.0], [1.0, 0.5])],
                              ids=["constant", "table"])
     def test_nonfinite_weight_names_mode(self, b):
         # e^{800} overflows: mode 1 cannot be observed in double precision
@@ -359,18 +464,18 @@ def _two_march_scales(op, a, b, T):
 
 ONE_SIGNED = {
     "constant": B1,
-    "negative-constant": sr.ConstantWeight(-2.0),
-    "poly": sr.PolynomialWeight([1.0, -0.5, 0.25]),
-    "negative-poly": sr.PolynomialWeight([-1.0, 0.5, -0.25]),
-    "table": sr.TabulatedWeight([0.0, 0.2, 0.4, 0.5], [1.0, 0.7, 0.4, 0.2]),
-    "negative-table": sr.TabulatedWeight([0.0, 0.3, 0.5], [-1.0, -0.0, -2.0]),
+    "negative-constant": sr.WeightFunction.constant(-2.0),
+    "poly": sr.WeightFunction.poly([1.0, -0.5, 0.25]),
+    "negative-poly": sr.WeightFunction.poly([-1.0, 0.5, -0.25]),
+    "table": sr.WeightFunction.table([0.0, 0.2, 0.4, 0.5], [1.0, 0.7, 0.4, 0.2]),
+    "negative-table": sr.WeightFunction.table([0.0, 0.3, 0.5], [-1.0, -0.0, -2.0]),
 }
 # weights with a root inside (0, T), where b changes sign or touches zero
 SPLIT = {
-    "table": sr.TabulatedWeight([0.0, 0.5], [1.0, -1.0]),
-    "poly": sr.PolynomialWeight([0.0075, -0.2, 1.0]),
-    "touching-poly": sr.PolynomialWeight([0.0625, -0.5, 1.0]),
-    "table-with-zero-piece": sr.TabulatedWeight([0.0, 0.2, 0.5],
+    "table": sr.WeightFunction.table([0.0, 0.5], [1.0, -1.0]),
+    "poly": sr.WeightFunction.poly([0.0075, -0.2, 1.0]),
+    "touching-poly": sr.WeightFunction.poly([0.0625, -0.5, 1.0]),
+    "table-with-zero-piece": sr.WeightFunction.table([0.0, 0.2, 0.5],
                                                 [0.0, 0.0, 1.0]),
 }
 
@@ -400,19 +505,19 @@ class TestAbsPieces:
         ([0.0, 0.06, 0.88, 1.0], [1.0, 1.0, -1.0, -1.0]),
     ])
     def test_table_against_np_roots(self, times, values):
-        self._check(sr.TabulatedWeight(times, values).pieces(1.0))
+        self._check(sr.WeightFunction.table(times, values).pieces(1.0))
 
     @pytest.mark.parametrize("coeffs", [
         [1.0], [0.1875, -1.0, 1.0], [1.0, -0.5, 0.25], [0.25, -1.0, 1.0],
         [1.0, 2.0, 0.0, 0.0], [-0.1, 1.1, -3.0, 2.0]])
     def test_polynomial_against_np_roots(self, coeffs):
-        self._check(sr.PolynomialWeight(coeffs).pieces(1.0))
+        self._check(sr.WeightFunction.poly(coeffs).pieces(1.0))
 
     def test_root_rounding_onto_the_end(self):
         # the last piece's root 1.75 / 35.00000000000013 lies below its
         # width, but 2.0 plus it rounds to 2.05: it is dropped, since kept
         # it makes a piece of zero width past b's last edge
-        b = sr.TabulatedWeight([0.0, 1.0, 2.0, 2.05], [0.0, 0.0, 1.75, 0.0])
+        b = sr.WeightFunction.table([0.0, 1.0, 2.0, 2.05], [0.0, 0.0, 1.75, 0.0])
         pieces = b.pieces(2.05)
         self._check(pieces)
         edges, _, sign = kernels._abs_pieces(*pieces)
@@ -425,7 +530,7 @@ class TestAbsPieces:
         # below about 1e-135, np.roots scales its 1 x 1 companion matrix and
         # returns a neighbour of -c0/c1; the closed form keeps -c0/c1
         T = 0.01171875
-        pieces = sr.TabulatedWeight([0.0, T], [5.149479152831485e-218,
+        pieces = sr.WeightFunction.table([0.0, T], [5.149479152831485e-218,
                                                -1.0]).pieces(T)
         c0, c1 = pieces[1][0]
         edges, _, sign = kernels._abs_pieces(*pieces)
@@ -448,7 +553,7 @@ class TestAbsPieces:
                                    min_size=len(values) - 1,
                                    max_size=len(values) - 1))
         times = np.concatenate([[0.0], np.cumsum(steps)])
-        self._check(sr.TabulatedWeight(times, values).pieces(times[-1]))
+        self._check(sr.WeightFunction.table(times, values).pieces(times[-1]))
 
 
 class TestSingleMarch:
@@ -523,8 +628,8 @@ class TestStiffWeights:
     TABLE = ([0.0, 0.2, 0.4, 0.5], [1.0, 0.7, 0.4, 0.2])
     POLY = [1.0, -0.5, 0.25]
     WEIGHTS = {
-        "table": (sr.TabulatedWeight(*TABLE), _table_pieces(*TABLE)),
-        "poly": (sr.PolynomialWeight(POLY), [(0.0, 0.5, POLY)]),
+        "table": (sr.WeightFunction.table(*TABLE), _table_pieces(*TABLE)),
+        "poly": (sr.WeightFunction.poly(POLY), [(0.0, 0.5, POLY)]),
     }
 
     @pytest.mark.parametrize("kind", ["table", "poly"])
@@ -536,6 +641,29 @@ class TestStiffWeights:
             want = _tail_oracle(lam, 0.0, self.T, pieces)
             assert rel_err(w.betas[j - 1], want) < 1e-12
             # both weights are positive on [0, T], so |b| = b
+            assert rel_err(w.scales[j - 1], want) < 1e-12
+
+    # tables reaching past [0, T] = [0, 1]; the oracle is np.interp's b:
+    # through the knots in exact arithmetic, and flat past the last one.
+    # Each is positive on [0, T], so its scales are its betas; the first
+    # two are negative beyond, so they must be cut at 0 and T before
+    # their sign is read
+    PAST = {
+        "starts-before-0": ([-0.25, 0.3, 1.5], [-0.5, 1.0, 0.6]),
+        "ends-after-T": ([0.0, 0.4, 1.5], [1.0, 0.7, -0.4]),
+        "ends-in-the-slack": ([0.0, 0.5, 1.0 - 1e-13], [1.0, 0.7, 0.4]),
+    }
+
+    @pytest.mark.parametrize("name", sorted(PAST))
+    def test_table_past_the_horizon(self, name):
+        times, values = self.PAST[name]
+        pieces = _table_pieces(times, values) + [(times[-1], 1.0,
+                                                  [values[-1]])]
+        b = sr.WeightFunction.table(times, values)
+        w = sr.mode_weights(self.OP, 0.0, b, 1.0)
+        for j in (1, 13, 32):
+            want = _tail_oracle(self.OP.eigenvalues[j - 1], 0.0, 1.0, pieces)
+            assert rel_err(w.betas[j - 1], want) < 1e-12
             assert rel_err(w.scales[j - 1], want) < 1e-12
 
     @pytest.mark.parametrize("kind", ["table", "poly"])
@@ -560,7 +688,7 @@ class TestStiffWeights:
     def test_scales_of_sign_changing_poly(self):
         # b = (t - 1/4)(t - 3/4) changes sign twice in [0, 1], so |b| is
         # split at both roots
-        b = sr.PolynomialWeight([0.1875, -1.0, 1.0])
+        b = sr.WeightFunction.poly([0.1875, -1.0, 1.0])
         pieces = [(0.0, 0.25, [0.1875, -1.0, 1.0]),
                   (0.25, 0.75, [-0.1875, 1.0, -1.0]),
                   (0.75, 1.0, [0.1875, -1.0, 1.0])]

@@ -19,8 +19,8 @@ from _util import (diagonal_operator, exp_weight_integral,
                    fixed_point_from_random_start, initial_value, loop_march,
                    rel_err)
 
-B1 = sr.ConstantWeight(1.0)
-ONE_POLY = sr.PolynomialWeight([1.0])
+B1 = sr.WeightFunction.constant(1.0)
+ONE_POLY = sr.WeightFunction.poly([1.0])
 SPEC = sr.FractionalNormSpec(0.25, 0.0)
 
 # frozen 40-digit oracles
@@ -35,7 +35,7 @@ def _traj(grid, values):
 class TestConditions:
     def test_e_requires_weight_at_origin(self):
         with pytest.raises(sr.AdmissibilityError):
-            sr.ConditionE(0.0, sr.PolynomialWeight([0.0, 1.0]), [1.0])
+            sr.ConditionE(0.0, sr.WeightFunction.poly([0.0, 1.0]), [1.0])
 
     def test_e100_requires_nonzero(self):
         with pytest.raises(sr.AdmissibilityError):
@@ -43,7 +43,7 @@ class TestConditions:
 
     def test_e200_requires_nonzero_weight(self):
         with pytest.raises(sr.AdmissibilityError):
-            sr.ConditionE200(sr.ConstantWeight(0.0), [1.0])
+            sr.ConditionE200(sr.WeightFunction.constant(0.0), [1.0])
 
     @pytest.mark.parametrize("build, name", [
         (lambda x: sr.ConditionE(x, B1, [1.0, 1.0]), "a"),
@@ -68,11 +68,11 @@ _NONFINITE_TARGETS = {
         diagonal_operator([-1.0, -2.0, -3.0]),
         _with_bad([0.1, 0.2, 0.3], i, bad), sr.Zero(),
         sr.make_graded_grid(1.0, 4)),
-    "table": lambda bad, i: sr.TabulatedWeight(
+    "table": lambda bad, i: sr.WeightFunction.table(
         *_with_bad([0.0, 0.5, 1.0, 1.0, 2.0, 3.0], i, bad).reshape(2, 3)),
-    "polynomial": lambda bad, i: sr.PolynomialWeight(
+    "polynomial": lambda bad, i: sr.WeightFunction.poly(
         _with_bad([1.0, -0.5, 0.25], i, bad)),
-    "constant": lambda bad, i: sr.ConstantWeight(bad),
+    "constant": lambda bad, i: sr.WeightFunction.constant(bad),
     "E.a": lambda bad, i: sr.ConditionE(bad, B1, [0.1, 0.2, 0.3]),
     "E100.b": lambda bad, i: sr.ConditionE100(bad, [0.1, 0.2, 0.3]),
 }
@@ -90,28 +90,20 @@ def test_nonfinite_input_rejected(target, bad, i):
 def _psi_oracle(lam, nodes, g, a, b, dps=25):
     """a v(T) + int_0^T b(t) v(t) dt at dps digits for v(t) =
     int_0^t e^{(t-s) lam} g(s) ds, lam != 0 and g linear between the nodes:
-    v is exact on each step, and mp.quad integrates b v between consecutive
-    nodes and table knots."""
+    v is exact on each step, b is the polynomial coeffs[p] in s - edges[p]
+    on its piece p, and mp.quad integrates b v between consecutive nodes
+    and b's edges."""
     import mpmath as mp
     with mp.workdps(dps):
         lam = mp.mpf(lam)
         t = [mp.mpf(x) for x in nodes]
-        knots = set(t)
-        if isinstance(b, sr.TabulatedWeight):
-            bt = [mp.mpf(x) for x in b.times]
-            bv = [mp.mpf(x) for x in b.values]
-            knots |= set(bt[1:-1])
+        edges = [mp.mpf(x) for x in b.edges]
+        knots = set(t) | {x for x in edges[1:-1] if t[0] < x < t[-1]}
 
-            def bfun(s):
-                i = max(j for j in range(len(bt) - 1) if bt[j] <= s)
-                slope = (bv[i + 1] - bv[i]) / (bt[i + 1] - bt[i])
-                return bv[i] + slope * (s - bt[i])
-        else:
-            coeffs = (b.coeffs if isinstance(b, sr.PolynomialWeight)
-                      else [b.value])
-
-            def bfun(s):
-                return mp.polyval([mp.mpf(c) for c in coeffs[::-1]], s)
+        def bfun(s):
+            p = max(j for j in range(len(b.coeffs)) if j == 0 or edges[j] <= s)
+            return mp.polyval([mp.mpf(c) for c in b.coeffs[p][::-1]],
+                              s - edges[p])
 
         # v on step k from v(t_k), with E1 = int_0^tau e^{u lam} du and
         # E2 = int_0^tau u e^{u lam} du = (tau e^{tau lam} - E1) / lam; E2
@@ -149,7 +141,7 @@ class TestApplyPsiE:
         op = diagonal_operator([0.0])
         grid = sr.make_graded_grid(1.0, 16)
         g = _traj(grid, np.ones((17, 1)))
-        out = sr.apply_psi_E(1.0, sr.ConstantWeight(0.0), 1.0, g, op)
+        out = sr.apply_psi_E(1.0, sr.WeightFunction.constant(0.0), 1.0, g, op)
         assert abs(out[0] - 1.0) < 1e-14
 
     def test_tail_average_only(self):
@@ -160,7 +152,7 @@ class TestApplyPsiE:
         out = sr.apply_psi_E(0.0, B1, 1.0, g, op)
         assert abs(out[0] - 0.5) < 1e-14
 
-    @pytest.mark.parametrize("b", [B1, sr.PolynomialWeight([1.0, -0.5, 0.25])],
+    @pytest.mark.parametrize("b", [B1, sr.WeightFunction.poly([1.0, -0.5, 0.25])],
                              ids=["constant", "poly"])
     def test_against_double_integral_oracle(self, b):
         # full operator on linear-in-time forcing, oracle by 30-digit
@@ -176,7 +168,7 @@ class TestApplyPsiE:
         def gfun(s):
             return mp.mpf("0.3") + mp.mpf("0.4") * s
 
-        coeffs = b.coeffs if isinstance(b, sr.PolynomialWeight) else [b.value]
+        coeffs = b.coeffs[0]  # the one piece, about t = 0
 
         def bfun(t):
             return sum(mp.mpf(c) * t**k for k, c in enumerate(coeffs))
@@ -230,12 +222,12 @@ class TestApplyPsiE:
         lams = [0.7, -1e-9, -1.0, -1e3, -1.05e6]
         op = diagonal_operator(lams)
         weights = {
-            "table": sr.TabulatedWeight([0.0, 0.23, 0.61, 1.0],
+            "table": sr.WeightFunction.table([0.0, 0.23, 0.61, 1.0],
                                         [1.0, -0.7, 0.4, 0.9]),
-            "table-ulp": sr.TabulatedWeight(
+            "table-ulp": sr.WeightFunction.table(
                 [0.0, np.nextafter(grid.nodes[3], 1.0), 1.0], [1.0, -0.5, 0.8]),
-            "poly": sr.PolynomialWeight([1.0, -0.5, 0.25]),
-            "constant": sr.ConstantWeight(1.3),
+            "poly": sr.WeightFunction.poly([1.0, -0.5, 0.25]),
+            "constant": sr.WeightFunction.constant(1.3),
         }
         g = 0.3 + 0.4 * grid.nodes + 0.2 * np.sin(7.0 * grid.nodes)
         forcing = _traj(grid, np.repeat(g[:, None], len(lams), axis=1))
@@ -254,7 +246,7 @@ class TestApplyPsiE:
         op = diagonal_operator([lam])
         grid = sr.make_graded_grid(1.0, 32)
         g = _traj(grid, np.ones((33, 1)))
-        out = sr.apply_psi_E(1.0, sr.ConstantWeight(0.0), 1.0, g, op)
+        out = sr.apply_psi_E(1.0, sr.WeightFunction.constant(0.0), 1.0, g, op)
         want = (1.0 - math.exp(lam)) / (-lam)  # int_0^T e^{(T-s)lam} ds
         assert rel_err(out[0], want) < 1e-12
 
@@ -267,7 +259,7 @@ class TestApplyPsiE:
         # from growing to stiff, a random forcing linear between nodes
         grid = sr.make_graded_grid(1.0, 16, 1.5)
         op = diagonal_operator([0.7, -1e-9, -1.0, -40.0, -1e3, -1.05e6])
-        table = sr.TabulatedWeight([0.0, 0.23, 0.61, 1.0],
+        table = sr.WeightFunction.table([0.0, 0.23, 0.61, 1.0],
                                    [1.0, -0.7, 0.4, 0.9])
         M = np.zeros(op.n_modes)
         cond = {"E": sr.ConditionE(0.3, table, M),
@@ -435,7 +427,7 @@ class TestCheckSpectralCondition:
 
     def test_e_constructed_kernel(self):
         op = sr.build_second_order(4, 1.0, 0.0, "dirichlet")
-        b = sr.PolynomialWeight([1.0, 0.5])
+        b = sr.WeightFunction.poly([1.0, 0.5])
         lam1 = op.eigenvalues[0]
         a = -math.exp(-lam1 * 1.0) * exp_weight_integral(lam1, 1.0, b)
         cond = sr.ConditionE(a, b, np.zeros(4))
@@ -527,7 +519,7 @@ class TestLinearStart:
     initial-value map, and any other run says why it stopped."""
 
     OP = sr.build_second_order(4, 1.0, 0.0, "dirichlet")
-    TABLE = sr.TabulatedWeight([0.0, 0.2, 0.5], [1.0, -0.5, 0.8])
+    TABLE = sr.WeightFunction.table([0.0, 0.2, 0.5], [1.0, -0.5, 0.8])
 
     @settings(deadline=None, max_examples=25)
     @given(M=st.lists(st.floats(-0.5, 0.5), min_size=4, max_size=4),
@@ -714,7 +706,7 @@ class TestPicardNonlinear:
 
     def test_tabulated_weight_recovery(self):
         op = sr.build_second_order(4, 1.0, 0.0, "dirichlet")
-        bt = sr.TabulatedWeight([0.0, 0.4, 1.0], [1.0, 1.5, 0.8])
+        bt = sr.WeightFunction.table([0.0, 0.4, 1.0], [1.0, 1.5, 0.8])
         w = sr.mode_weights(op, 0.0, bt, 1.0)
         z = np.array([0.05, -0.02, 0.01, 0.0])
         cond = sr.ConditionE(0.0, bt, w.betas * z)
@@ -777,7 +769,7 @@ class TestRecoveryPlan:
         assert shared.iterations == own.iterations
 
     PLAN_OP = sr.build_second_order(4, 1.0, 0.0, "dirichlet")
-    PLAN_TABLE = sr.TabulatedWeight([0.0, 0.2, 0.5], [1.0, -0.5, 0.8])
+    PLAN_TABLE = sr.WeightFunction.table([0.0, 0.2, 0.5], [1.0, -0.5, 0.8])
 
     @settings(deadline=None, max_examples=25)
     @given(M=st.lists(st.floats(-0.5, 0.5), min_size=4, max_size=4))
@@ -857,12 +849,12 @@ def _weights(draw):
     """(b, T): a polynomial on [0, T] or a table over its own span."""
     if draw(st.booleans()):
         coeffs = draw(st.lists(_COEFF, min_size=1, max_size=5))
-        return sr.PolynomialWeight(coeffs), draw(st.floats(0.25, 1.0))
+        return sr.WeightFunction.poly(coeffs), draw(st.floats(0.25, 1.0))
     values = draw(st.lists(_COEFF, min_size=2, max_size=6))
     steps = draw(st.lists(st.floats(0.05, 0.5), min_size=len(values) - 1,
                           max_size=len(values) - 1))
     times = np.concatenate([[0.0], np.cumsum(steps)])
-    return sr.TabulatedWeight(times, values), float(times[-1])
+    return sr.WeightFunction.table(times, values), float(times[-1])
 
 
 class TestOneMarch:
