@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from .errors import InvalidParameterError, NumericFailureError
-from .kernels import WeightFunction, _scan, _spans, moments
+from .kernels import WeightFunction, _cut, _scan, _spans, moments
 from .spectral import Trajectory
 
 __all__ = ["duhamel_convolve", "forward_solve", "observe"]
@@ -226,19 +226,40 @@ def _at_step(err, step):
                                error_estimate=err.error_estimate, step=step)
 
 
+def _hat_weights(nodes, b):
+    """w_k = int_0^T b(t) phi_k(t) dt for the hat function phi_k of each
+    node, exactly: b's pieces are cut at the nodes, and each polynomial
+    piece is integrated against its step's two hats in closed form, with
+    no e^{t lam} anywhere."""
+    edges, coeffs = b.pieces(nodes[-1])
+    cuts = np.union1d(nodes, edges)
+    w, c = _cut(edges, coeffs, cuts)
+    step = np.searchsorted(nodes, cuts[:-1], side="right") - 1
+    h = np.diff(nodes)[step]
+    # on a piece, the step's coordinate (t - t_i) / h runs from alpha to
+    # 1 - delta as b's own coordinate sigma runs from 0 to 1
+    alpha = (cuts[:-1] - nodes[step]) / h
+    delta = (nodes[step + 1] - cuts[1:]) / h
+    beta = w / h
+    m = np.arange(c.shape[1])
+    ones, sigma = c @ (1.0 / (m + 1)), c @ (1.0 / (m + 2))
+    rest = c @ (1.0 / ((m + 1) * (m + 2)))  # int b (1 - sigma) dsigma
+    n = nodes.size
+    return (np.bincount(step, w * (delta * ones + beta * rest), n)
+            + np.bincount(step + 1, w * (alpha * ones + beta * sigma), n))
+
+
 def observe(u, a, b):
     """Weighted time-average observation a*u(T) + int_0^T b(t) u(t) dt.
 
-    Uses the composite trapezoid rule on the trajectory's own grid, t = 0
-    included.  This is deliberately a different discretization from the
-    recovery operators, so that round-trip errors reflect genuine method
-    error rather than a shared quadrature.
+    Product integration on the trajectory's own grid, t = 0 included: b is
+    integrated exactly against the piecewise-linear interpolant of u, its
+    breakpoints included, so the rule is exact for u linear between nodes,
+    second order for smooth u, and the trapezoid rule for constant b.  It
+    shares no formula with the recovery's psi weights, which integrate
+    e^{t lam}, so round-trip errors reflect genuine method error rather
+    than a shared quadrature.
     """
     if not isinstance(b, WeightFunction):
         raise InvalidParameterError("b must be a WeightFunction")
-    nodes = u.grid.nodes
-    bw = np.asarray(b(nodes), dtype=float)
-    integrand = bw[:, None] * u.coeffs
-    h = np.diff(nodes)
-    integral = 0.5 * ((integrand[:-1] + integrand[1:]) * h[:, None]).sum(axis=0)
-    return a * u.coeffs[-1] + integral
+    return a * u.coeffs[-1] + _hat_weights(u.grid.nodes, b) @ u.coeffs

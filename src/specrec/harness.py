@@ -1,10 +1,12 @@
 """Round-trip and threshold-sweep experiments.
 
 The round trip synthesizes an observation from a known initial state on a
-fine grid (4x the solver nodes, trapezoid quadrature), hands only the
-observation vector to the recovery path, and compares the recovered initial
-state against the truth.  Forward and backward discretizations share nothing,
-so the reported errors are genuine method error.
+fine grid (2x the solver's steps, product integration extrapolated against
+the solver's own grid; 4x for u(T) alone, which has no quadrature), hands
+only the observation vector to the recovery path, and compares the
+recovered initial state against the truth.  Forward and backward
+discretizations share nothing, so the reported errors are genuine method
+error.
 """
 
 import time
@@ -12,25 +14,65 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .duhamel import forward_solve, observe
+from .duhamel import _hat_weights, forward_solve
 from .errors import ConfigError, SpecrecError
 from .nonlinearity import check_growth_condition
 from .recover import (FixedPointReport, GrowthExponents, build_plan,
                       picard_recover, theoretical_threshold)
 from .spectral import fractional_norm, make_graded_grid
 
-OBSERVATION_REFINEMENT = 4
+# Not called here: perfbench wraps this name at this module to time the
+# observation (tests/test_benchmark_targets.py); a synthesized observation
+# extrapolates its rule by ``_integral_weights``.
+from .duhamel import observe  # noqa: F401
+
+# Forward steps per recovery step.  The extrapolated integral is fourth
+# order in the step, so 2x leaves its error well below the recovery's; u(T)
+# alone is second order and keeps 4x.
+INTEGRAL_REFINEMENT = 2
+FINAL_STATE_REFINEMENT = 4
+
+
+def _coarse_weights(nodes, w):
+    """The hat weights of the every-other-node subgrid of ``nodes`` (an
+    even number of steps) from their hat weights w: the subgrid's hat at
+    t_{2K} is the fine hat there plus, at each fine node t_{2K +- 1} beside
+    it, its value there times that node's fine hat."""
+    span = nodes[2::2] - nodes[:-1:2]
+    out = w[::2].copy()
+    out[:-1] += (nodes[2::2] - nodes[1::2]) / span * w[1::2]
+    out[1:] += (nodes[1::2] - nodes[:-1:2]) / span * w[1::2]
+    return out
+
+
+def _integral_weights(nodes, b):
+    """Weights of int_0^T b u dt on ``nodes`` (an even number of steps):
+    (4 I - I_2) / 3 for the product rule I of ``observe`` on the nodes and
+    I_2 on their every-other-node subgrid, one Richardson step that
+    cancels the rule's h**2 error term: fourth order for smooth u.  A
+    breakpoint of b inside a step leaves an h**4 term whose factor moves
+    with the breakpoint's place in its step, so single halvings gain 4x to
+    60x there (both gated in ``TestSynthesizedObservation``)."""
+    w = _hat_weights(nodes, b)
+    out = 4.0 * w
+    out[::2] -= _coarse_weights(nodes, w)
+    out /= 3.0
+    return out
 
 
 def synthesize_observation(cfg, op, f, u0_true):
-    """Forward-solve on a refined grid and form the observation vector."""
-    grid_fine = make_graded_grid(cfg.grid.T,
-                                 OBSERVATION_REFINEMENT * cfg.grid.n,
-                                 cfg.grid.r)
+    """Forward-solve on a refined grid and form the observation vector
+    c*u0 + a*u(T) + int b u dt, the integral by ``_integral_weights``;
+    a*u(T) is not extrapolated."""
     # the coupling (c, a, b) does not depend on M
     c, a, b = cfg.build_condition(np.zeros(op.n_modes)).coupling
+    refinement = FINAL_STATE_REFINEMENT if b.is_zero else INTEGRAL_REFINEMENT
+    grid_fine = make_graded_grid(cfg.grid.T, refinement * cfg.grid.n,
+                                 cfg.grid.r)
     u = forward_solve(op, u0_true, f, grid_fine)
-    return c * u0_true + observe(u, a, b), grid_fine
+    integral = (0.0 if b.is_zero else
+                _integral_weights(grid_fine.nodes, b) @ u.coeffs)
+    return c * u0_true + (a * u.coeffs[-1] + integral), grid_fine
 
 
 def resolve_M(cfg, op, f):
@@ -50,6 +92,10 @@ def resolve_M(cfg, op, f):
 
 @dataclass
 class RoundTripResult:
+    """A round trip's data, errors and timings.  ``observation_nodes`` is
+    the number of steps of the observation's forward grid: 2n for an
+    integral observation, 4n for u(T) alone, on a recovery grid of n."""
+
     u0_true: np.ndarray
     observed_M: np.ndarray
     u0_recovered: np.ndarray

@@ -23,6 +23,14 @@ def rel_err(got, want):
     return float(np.max(np.abs(got - want) / scale))
 
 
+def trapezoid(u, b):
+    """int_0^T b u dt by the trapezoid rule on b*u at u's nodes, the
+    observation rule before product integration."""
+    bu = b(u.grid.nodes)[:, None] * u.coeffs
+    h = np.diff(u.grid.nodes)[:, None]
+    return 0.5 * ((bu[:-1] + bu[1:]) * h).sum(axis=0)
+
+
 def tail_weight(lam, s, T, b):
     """int_s^T b(t) exp((t - s)*lam) dt, zero at s = T: the weight march
     of ``specrec.kernels`` started from a cut at s."""

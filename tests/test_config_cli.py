@@ -2,7 +2,9 @@
 
 import json
 import math
+from pathlib import Path
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -10,7 +12,9 @@ import specrec as sr
 from specrec import config, harness, recover
 from specrec.cli import main
 from specrec.config import config_from_dict
+from specrec.duhamel import _hat_weights
 from specrec.harness import sweep_threshold
+from _util import trapezoid
 
 BASE = {
     "operator": {"family": "dirichlet2", "modes": 4, "d": 1.0, "c0": 0.0},
@@ -400,7 +404,8 @@ class TestRoundtripHarness:
         assert result.report.converged
         assert result.failure_stage is None
         assert result.error_e0 <= 1e-6
-        assert result.observation_nodes == 4 * 256
+        # an integral observation is extrapolated from a grid of 2x
+        assert result.observation_nodes == 2 * 256
 
     def test_zero_initial_state(self):
         cfg = config_from_dict(deep({"u0.amplitude": 0.0}))
@@ -420,6 +425,9 @@ class TestRoundtripHarness:
             result = sr.roundtrip(cfg)
             assert result.report.converged
             assert result.error_e0 <= 1e-5
+            # E100 observes u(T) alone, on a grid of 4x
+            refinement = 4 if problem == "E100" else 2
+            assert result.observation_nodes == refinement * 64
 
     def test_roundtrip_fourth_order_memory_kernel(self):
         cfg = config_from_dict({
@@ -438,6 +446,105 @@ class TestRoundtripHarness:
         result = sr.roundtrip(cfg)
         assert result.report.converged
         assert result.error_e0 <= 1e-5
+
+
+class TestSynthesizedObservation:
+    """The extrapolated product rule of ``harness._integral_weights``."""
+
+    FIXTURES = Path(__file__).resolve().parent.parent / "perfbench" / "fixtures"
+    WEIGHTS = {
+        "poly": sr.WeightFunction.poly([1.0, -0.5, 0.25]),
+        # knots off every node, one before 0 and one past T
+        "table": sr.WeightFunction.table([-0.1, 0.13, 0.37, 0.71, 1.2],
+                                         [1.0, 0.6, 0.9, 0.2, 0.5]),
+    }
+
+    @staticmethod
+    def smooth(t):
+        return np.exp(-2.0 * t) * np.cos(3.0 * t) + 0.5 * np.sin(5.0 * t)
+
+    def exact(self, b):
+        """int_0^1 b u dt for ``smooth`` u, at 30 digits."""
+        edges, coeffs = b.pieces(1.0)
+        with mp.workdps(30):
+            pieces = [mp.quad(lambda t, p=p: mp.polyval(
+                [mp.mpf(float(x)) for x in coeffs[p][::-1]],
+                t - mp.mpf(float(edges[p])))
+                * (mp.exp(-2 * t) * mp.cos(3 * t) + mp.sin(5 * t) / 2),
+                [mp.mpf(float(edges[p])), mp.mpf(float(edges[p + 1]))])
+                for p in range(len(coeffs))]
+            return float(mp.fsum(pieces))
+
+    @pytest.mark.parametrize("r", [1.0, 4.0])
+    @pytest.mark.parametrize("kind", ["poly", "table"])
+    def test_observed_order(self, kind, r):
+        b = self.WEIGHTS[kind]
+        want = self.exact(b)
+        ns = (32, 64, 128, 256)
+        errors = []
+        for n in ns:
+            nodes = sr.make_graded_grid(1.0, n, r).nodes
+            u = self.smooth(nodes)
+            errors.append(abs(harness._integral_weights(nodes, b) @ u - want))
+            # the subgrid's weights, derived from the grid's, are the
+            # product rule's on the subgrid
+            w = _hat_weights(nodes, b)
+            sub = sr.Trajectory(sr.TimeGrid(nodes[::2]), u[::2, None])
+            coarse = harness._coarse_weights(nodes, w)
+            assert (abs(coarse @ u[::2] - sr.observe(sub, 0.0, b)[0])
+                    <= 4 * np.finfo(float).eps * np.abs(coarse).sum())
+        if kind == "poly":
+            # b smooth: the h**2 term cancels, each halving gains order 3.5
+            assert all(errors[i] >= 11.3 * errors[i + 1] for i in range(3))
+        else:
+            # a knot inside a step leaves an h**4 term whose factor moves
+            # with the knot's place in its step, so single halvings gain
+            # 4x to 60x: the error times n**4 stays bounded instead
+            scaled = [e * n**4 for e, n in zip(errors, ns)]
+            assert max(scaled[2:]) <= 2.0 * max(scaled[:2])
+
+    @pytest.mark.parametrize("name", ["psi-quadrature-poly",
+                                      "psi-quadrature-table",
+                                      "threshold-sweep"])
+    def test_fixture_observation_error(self, name):
+        cfg = sr.parse_config(self.FIXTURES / f"{name}.json")
+        op, f = cfg.build_operator(), cfg.build_nonlinearity()
+        u0 = cfg.resolve_u0(op)
+        c, a, b = cfg.build_condition(np.zeros(op.n_modes)).coupling
+        M, grid = harness.synthesize_observation(cfg, op, f, u0)
+        n, T, r = cfg.grid.n, cfg.grid.T, cfg.grid.r
+        assert grid.n_steps == 2 * n
+
+        def solve(k):
+            return sr.forward_solve(op, u0, f, sr.make_graded_grid(T, k * n, r))
+
+        ref_u = solve(32)
+        ref = c * u0 + (a * ref_u.coeffs[-1]
+                        + harness._integral_weights(ref_u.grid.nodes, b)
+                        @ ref_u.coeffs)
+        old_u = solve(4)
+        old = c * u0 + (a * old_u.coeffs[-1] + trapezoid(old_u, b))
+        error = np.linalg.norm(M - ref)
+        assert 20.0 * error <= np.linalg.norm(old - ref)
+        # the observation's error stays well below the recovery's own
+        report = sr.picard_recover(
+            op, cfg.build_condition(ref), f, cfg.build_grid(),
+            cfg.build_norm_spec(op), tol=cfg.solver.tol,
+            max_iter=cfg.solver.max_iter)
+        assert report.converged
+        assert error <= 0.25 * np.linalg.norm(report.u0_recovered - u0)
+
+    def test_final_state_observation_unchanged(self):
+        # u(T) alone (E100): c*u0 + a*u(T) from a grid of 4x, bit for bit
+        cfg = sr.parse_config(self.FIXTURES / "memory-forward.json")
+        op, f = cfg.build_operator(), cfg.build_nonlinearity()
+        u0 = cfg.resolve_u0(op)
+        c, a, b = cfg.build_condition(np.zeros(op.n_modes)).coupling
+        M, grid = harness.synthesize_observation(cfg, op, f, u0)
+        u = sr.forward_solve(op, u0, f, sr.make_graded_grid(
+            cfg.grid.T, 4 * cfg.grid.n, cfg.grid.r))
+        assert grid.n_steps == 4 * cfg.grid.n
+        assert M.tobytes() == (c * u0 + a * u.coeffs[-1]).tobytes()
 
 
 class TestSweep:

@@ -1,6 +1,7 @@
 """Forward solver: phi kernels, convolution, marching, observation."""
 
 import tracemalloc
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -12,7 +13,7 @@ import specrec as sr
 from specrec import duhamel
 from specrec.duhamel import _convolve, _scan, _spans, _step_tables
 from specrec.kernels import moments
-from _util import diagonal_operator, rel_err, ulp_close
+from _util import diagonal_operator, rel_err, trapezoid, ulp_close
 
 
 def phi1(z):
@@ -552,6 +553,38 @@ class TestCorrectorMarch:
         assert np.max(np.abs(u.coeffs - mild)) <= 1e-13 * scale
 
 
+def exact_product_integral(nodes, values, b):
+    """int_0^T b(t) u(t) dt for u linear between the nodes with the given
+    values, in exact rationals: Simpson's rule, exact for b's pieces of
+    degree <= 2 times a line, on every interval between the nodes and b's
+    edges, with b evaluated from the piece that holds the interval."""
+    T = nodes[-1]
+    cuts = sorted({Fraction(float(t)) for t in nodes}
+                  | {Fraction(float(e)) for e in b.edges if 0.0 < e < T})
+    F = [Fraction(float(t)) for t in nodes]
+
+    def u(t):
+        i = min(np.searchsorted(nodes, float(t), side="right") - 1,
+                len(nodes) - 2)
+        lam = (t - F[i]) / (F[i + 1] - F[i])
+        return Fraction(float(values[i])) * (1 - lam) \
+            + Fraction(float(values[i + 1])) * lam
+
+    total = Fraction(0)
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        mid = (lo + hi) / 2
+        p = min(np.searchsorted(b.edges, float(mid), side="right") - 1,
+                len(b.coeffs) - 1)
+        edge = Fraction(float(b.edges[p]))
+        c = [Fraction(float(x)) for x in b.coeffs[p]]
+
+        def bu(t):
+            return sum(ck * (t - edge) ** k for k, ck in enumerate(c)) * u(t)
+
+        total += (hi - lo) / 6 * (bu(lo) + 4 * bu(mid) + bu(hi))
+    return total
+
+
 class TestObserve:
     def test_zero_trajectory(self):
         op = diagonal_operator([-1.0])
@@ -581,3 +614,24 @@ class TestObserve:
         u = sr.Trajectory(grid, np.exp(-grid.nodes)[:, None])
         M = sr.observe(u, 0.0, sr.WeightFunction.poly([0.0, 1.0]))
         assert abs(M[0] - 0.26424111765711533) < 1e-7
+
+    @pytest.mark.parametrize("b", [
+        sr.WeightFunction.poly([1.0, -0.5, 0.25]),
+        # knots off every node, one before 0 and one past T
+        sr.WeightFunction.table([-0.1, 0.13, 0.37, 0.71, 1.2],
+                                [1.0, 0.6, 0.9, 0.2, 0.5]),
+    ], ids=["poly", "table"])
+    def test_exact_for_piecewise_linear_data(self, b):
+        # product integration integrates b exactly against the
+        # piecewise-linear interpolant of u, breakpoints included
+        grid = sr.make_graded_grid(1.0, 16, 2.0)
+        values = np.random.default_rng(3).uniform(0.5, 2.0, grid.nodes.size)
+        M = sr.observe(sr.Trajectory(grid, values[:, None]), 0.0, b)
+        want = exact_product_integral(grid.nodes, values, b)
+        assert rel_err(M[0], float(want)) <= 1e-14
+
+    def test_constant_weight_is_trapezoid(self):
+        grid = sr.make_graded_grid(1.0, 16, 2.0)
+        coeffs = np.random.default_rng(5).uniform(0.5, 2.0, (17, 6))
+        u, b = sr.Trajectory(grid, coeffs), sr.WeightFunction.constant(2.5)
+        assert ulp_close(sr.observe(u, 0.0, b), trapezoid(u, b), 4)
