@@ -10,7 +10,7 @@ from .spectral import (FractionalNormSpec, SpectralOperator, TimeGrid,
                        weighted_sup_norm)
 from .kernels import ModeWeights, WeightFunction, beta_function, mode_weights
 from .nonlinearity import (MemoryKernel, Nonlinearity, PowerLaw, Zero,
-                           check_growth_condition, check_kernel_admissibility)
+                           check_growth_condition)
 from .duhamel import duhamel_convolve, forward_solve, observe
 from .recover import (ConditionE, ConditionE100, ConditionE200,
                       FixedPointReport, GrowthExponents, NonlocalCondition,

@@ -103,9 +103,8 @@ def _cmd_recover(cfg, args):
     try:
         plan = build_plan(op, cond, f, grid)
     except IllPosedModeError as exc:
-        spectral = check_spectral_condition(op, cond, grid)
         emit_json(args.out or sys.stdout,
-                  {"spectral": to_jsonable(spectral), "converged": False})
+                  {"spectral": to_jsonable(exc.report), "converged": False})
         _say(args, f"spectral condition violated at modes {exc.modes}")
         return EXIT_SPECTRAL
     report = picard_recover(op, cond, f, grid, spec, tol=cfg.solver.tol,

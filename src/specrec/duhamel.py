@@ -12,7 +12,8 @@ import math
 import numpy as np
 
 from .errors import InvalidParameterError, NumericFailureError
-from .kernels import WeightFunction, _cut, _scan, _spans, moments
+from .kernels import (WeightFunction, _cut_at, _hat_scatter, _scan, _spans,
+                      moments)
 from .spectral import Trajectory
 
 __all__ = ["duhamel_convolve", "forward_solve", "observe"]
@@ -226,27 +227,13 @@ def _at_step(err, step):
                                error_estimate=err.error_estimate, step=step)
 
 
-def _hat_weights(nodes, b):
-    """w_k = int_0^T b(t) phi_k(t) dt for the hat function phi_k of each
-    node, exactly: b's pieces are cut at the nodes, and each polynomial
-    piece is integrated against its step's two hats in closed form, with
-    no e^{t lam} anywhere."""
-    edges, coeffs = b.pieces(nodes[-1])
-    cuts = np.union1d(nodes, edges)
-    w, c = _cut(edges, coeffs, cuts)
-    step = np.searchsorted(nodes, cuts[:-1], side="right") - 1
-    h = np.diff(nodes)[step]
-    # on a piece, the step's coordinate (t - t_i) / h runs from alpha to
-    # 1 - delta as b's own coordinate sigma runs from 0 to 1
-    alpha = (cuts[:-1] - nodes[step]) / h
-    delta = (nodes[step + 1] - cuts[1:]) / h
-    beta = w / h
-    m = np.arange(c.shape[1])
-    ones, sigma = c @ (1.0 / (m + 1)), c @ (1.0 / (m + 2))
-    rest = c @ (1.0 / ((m + 1) * (m + 2)))  # int b (1 - sigma) dsigma
-    n = nodes.size
-    return (np.bincount(step, w * (delta * ones + beta * rest), n)
-            + np.bincount(step + 1, w * (alpha * ones + beta * sigma), n))
+def _hat_pieces(nodes, b):
+    """b cut at the nodes, for ``kernels._hat_scatter``: the cuts and, on
+    each piece, X = int b and Y = int tau b in closed form, w sum_m c_m /
+    (m + 1) and w sum_m c_m / (m + 2), with no e^{t lam} anywhere."""
+    cuts, w, c = _cut_at(nodes, *b.pieces(nodes[-1]))
+    inv = 1.0 / np.arange(1.0, c.shape[1] + 2)
+    return cuts, w * (c @ inv[:-1]), w * (c @ inv[1:])
 
 
 def observe(u, a, b):
@@ -262,4 +249,5 @@ def observe(u, a, b):
     """
     if not isinstance(b, WeightFunction):
         raise InvalidParameterError("b must be a WeightFunction")
-    return a * u.coeffs[-1] + _hat_weights(u.grid.nodes, b) @ u.coeffs
+    w = _hat_scatter(*_hat_pieces(u.grid.nodes, b), u.grid.nodes)
+    return a * u.coeffs[-1] + w @ u.coeffs

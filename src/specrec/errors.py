@@ -28,11 +28,15 @@ class NumericFailureError(SpecrecError, ArithmeticError):
 
 
 class IllPosedModeError(SpecrecError, ValueError):
-    """Diagonal inversion rejected: listed modes fail the spectral tolerance."""
+    """Diagonal inversion rejected: listed modes fail the spectral tolerance.
 
-    def __init__(self, message, modes):
+    Carries the per-mode report that found them.
+    """
+
+    def __init__(self, message, modes, report):
         super().__init__(message)
         self.modes = list(modes)
+        self.report = report
 
 
 class ConfigError(SpecrecError, ValueError):

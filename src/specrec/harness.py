@@ -2,7 +2,8 @@
 
 The round trip synthesizes an observation from a known initial state on a
 fine grid (2x the solver's steps, product integration extrapolated against
-the solver's own grid; 4x for u(T) alone, which has no quadrature), hands
+the solver's own grid, both grids' weights scattered from one cut of b by
+``kernels._hat_scatter``; 4x for u(T) alone, which has no quadrature), hands
 only the observation vector to the recovery path, and compares the
 recovered initial state against the truth.  Forward and backward
 discretizations share nothing, so the reported errors are genuine method
@@ -14,8 +15,9 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .duhamel import _hat_weights, forward_solve
+from .duhamel import _hat_pieces, forward_solve
 from .errors import ConfigError, SpecrecError
+from .kernels import _hat_scatter
 from .nonlinearity import check_growth_condition
 from .recover import (FixedPointReport, GrowthExponents, build_plan,
                       picard_recover, theoretical_threshold)
@@ -33,18 +35,6 @@ INTEGRAL_REFINEMENT = 2
 FINAL_STATE_REFINEMENT = 4
 
 
-def _coarse_weights(nodes, w):
-    """The hat weights of the every-other-node subgrid of ``nodes`` (an
-    even number of steps) from their hat weights w: the subgrid's hat at
-    t_{2K} is the fine hat there plus, at each fine node t_{2K +- 1} beside
-    it, its value there times that node's fine hat."""
-    span = nodes[2::2] - nodes[:-1:2]
-    out = w[::2].copy()
-    out[:-1] += (nodes[2::2] - nodes[1::2]) / span * w[1::2]
-    out[1:] += (nodes[1::2] - nodes[:-1:2]) / span * w[1::2]
-    return out
-
-
 def _integral_weights(nodes, b):
     """Weights of int_0^T b u dt on ``nodes`` (an even number of steps):
     (4 I - I_2) / 3 for the product rule I of ``observe`` on the nodes and
@@ -53,11 +43,10 @@ def _integral_weights(nodes, b):
     breakpoint of b inside a step leaves an h**4 term whose factor moves
     with the breakpoint's place in its step, so single halvings gain 4x to
     60x there (both gated in ``TestSynthesizedObservation``)."""
-    w = _hat_weights(nodes, b)
-    out = 4.0 * w
-    out[::2] -= _coarse_weights(nodes, w)
-    out /= 3.0
-    return out
+    pieces = _hat_pieces(nodes, b)
+    out = 4.0 * _hat_scatter(*pieces, nodes)
+    out[::2] -= _hat_scatter(*pieces, nodes[::2])
+    return out / 3.0
 
 
 def synthesize_observation(cfg, op, f, u0_true):

@@ -171,9 +171,9 @@ class WeightFunction:
             raise InvalidParameterError(
                 f"table covers [{e[0]}, {e[-1]}], not [0, {T}]")
         inner = e[1:-1]
-        cuts = np.concatenate([[0.0], inner[(inner > 0.0) & (inner < T)]])
-        p = np.searchsorted(inner, cuts, side="right")
-        return np.append(cuts, T), _taylor_shift(self.coeffs[p], cuts - e[p])
+        cuts = np.concatenate(([0.0], inner[(inner > 0.0) & (inner < T)], [T]))
+        p = np.searchsorted(inner, cuts[:-1], side="right")
+        return cuts, _taylor_shift(self.coeffs[p], cuts[:-1] - e[p])
 
 
 # --------------------------------------------------------------------------
@@ -200,10 +200,49 @@ def _cut(edges, coeffs, points):
     the widths w of the new pieces and c with b(lo + w tau) =
     sum_m c[p, m] tau**m on each piece [lo, lo + w]."""
     lo = points[:-1]
-    w = np.diff(points)
+    w = points[1:] - lo
     p = np.searchsorted(edges, lo, side="right") - 1
     m = np.arange(coeffs.shape[1])
     return w, _taylor_shift(coeffs[p], lo - edges[p]) * w[:, None] ** m
+
+
+def _cut_at(nodes, edges, coeffs):
+    """b's pieces on [0, T] cut at a grid's nodes too: the cuts, the union
+    of the nodes and b's edges, and ``_cut``'s w and c there."""
+    # np.union1d's values in about half its time on a few dozen points, and
+    # without the numpy.ma import of its first call
+    cuts = np.sort(np.concatenate((nodes, edges)))
+    cuts = cuts[np.concatenate(([True], cuts[1:] != cuts[:-1]))]
+    return (cuts, *_cut(edges, coeffs, cuts))
+
+
+def _hat_scatter(cuts, X, Y, nodes):
+    """The weights int F phi_i on a grid's nodes, phi_i the hat of node i,
+    from integrals over the pieces between the sorted cuts, which hold
+    every node: X[p] = int F and Y[p] = int tau F over piece p, tau running
+    from 0 to 1 across it, for any F (one per column of X's further axes).
+    On a piece [lo, lo + w] of step k, [t_k, t_k + h], the step's hats are
+    A - D tau and 1 - A + D tau, with A = (t_k + h - lo) / h and D = w / h,
+    so the piece gives A X - D Y to node k and (1 - A) X + D Y to node
+    k + 1, summed over the step's pieces in order.  Where the cuts are the
+    nodes, A = D = 1."""
+    if cuts.size == nodes.size:
+        left, right = X - Y, Y
+    else:
+        # the end of each piece's step, and the step's width
+        lo, k = cuts[:-1], np.searchsorted(nodes, cuts[:-1], side="right")
+        end = nodes[k]
+        h, w = end - nodes[k - 1], cuts[1:] - lo
+        if X.ndim > 1:
+            end, h, w, lo = end[:, None], h[:, None], w[:, None], lo[:, None]
+        A, DY = (end - lo) / h, w / h * Y
+        left, right = np.add.reduceat([A * X - DY, (1.0 - A) * X + DY],
+                                      np.searchsorted(cuts, nodes[:-1]),
+                                      axis=1)
+    W = np.zeros((nodes.size,) + X.shape[1:])
+    W[:-1] += left
+    W[1:] += right
+    return W
 
 
 def _spans(e):
@@ -340,8 +379,7 @@ def _weight_march(lam, a, b, T, nodes, extra=0):
             end = np.exp(T * lam)
             betas, scales = a * end, abs(a) * end
         if not b.is_zero:
-            cuts = np.union1d(nodes, edges)
-            w, c = _cut(edges, coeffs, cuts)
+            cuts, w, c = _cut_at(nodes, edges, coeffs)
             R, J, e = _march(lam, w, c, c.shape[1] - 1 + extra)
             march = cuts, w, c, R, J, e
             betas = betas + R[0]

@@ -1,4 +1,4 @@
-"""Nonlinearity catalogue and admissibility checks.
+"""Nonlinearity catalogue and the growth check.
 
 Three forcing terms are supported: the zero map, a pointwise superlinear
 power law kappa*|u|**ell * u applied on the physical grid, and a memory
@@ -8,7 +8,6 @@ small-data recovery theory rests on.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -350,22 +349,3 @@ def check_growth_condition(f, op, spec):
     c_ell = 1.0 if f.ell == 1.0 else f.ell + 1.0
     return (abs(f.kappa) * c_ell * K ** f.ell * float(s.min()) ** -spec.theta
             * (1.0 + op.n_modes * ORTHONORMALITY_TOL))
-
-
-@dataclass(frozen=True)
-class KernelAdmissibility:
-    ok: bool
-    violated: tuple
-
-
-def check_kernel_admissibility(lambda_exp, theta, ell, nu):
-    """Check the memory-kernel admissibility inequalities and name each
-    violated one."""
-    violated = []
-    if not lambda_exp > -1.0:
-        violated.append("lambda_exp > -1")
-    if not theta * (ell + 1.0) < 1.0:
-        violated.append("theta*(ell+1) < 1")
-    if not 1.0 + nu + lambda_exp > theta * (ell + 1.0):
-        violated.append("1 + nu + lambda_exp > theta*(ell+1)")
-    return KernelAdmissibility(not violated, tuple(violated))

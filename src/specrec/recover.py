@@ -27,7 +27,8 @@ import numpy as np
 from .duhamel import _convolve, _spans, _step_tables
 from .errors import (AdmissibilityError, IllPosedModeError,
                      InvalidParameterError, NumericFailureError)
-from .kernels import WeightFunction, _weight_march, beta_function
+from .kernels import (WeightFunction, _hat_scatter, _weight_march,
+                      beta_function)
 from .spectral import (FractionalNormSpec, Trajectory, _check_spec,
                        _row_norms, fractional_norm)
 
@@ -136,13 +137,13 @@ def _plan_weights(op, grid, coupling, problem):
     denominators d, their ``SpectralConditionReport`` and the grid's step
     tables, from ``kernels._weight_march``'s one march of b.
 
-    The a term takes a e^{(T - t_{k+1}) lam} times step k's tables.  A
-    piece [lo, lo + w] of the march lies in one step, b(lo + w tau) = sum_m
-    c_m tau**m, and a hat A + D tau there takes A X + D Y: X = w J_0
-    tail(hi) + w**2 sum_k u_k J_k and Y = w (J_0 - J_1) tail(hi) + w**2
-    sum_k v_k J_k, u(rho) = int_rho^1 b and v(rho) = int_rho^1 (tau - rho)
-    b, with moments to deg + 2 at z = w lam, which are the step tables too
-    when the cuts are the nodes."""
+    The a term takes a e^{(T - t_{k+1}) lam} times step k's tables.  On a
+    piece [lo, lo + w] of the march, b(lo + w tau) = sum_m c_m tau**m, and
+    ``kernels._hat_scatter`` turns the integrals of tail and tau tail over
+    it into node weights: X = w J_0 tail(hi) + w**2 sum_k u_k J_k and Y = w
+    (J_0 - J_1) tail(hi) + w**2 sum_k v_k J_k, u(rho) = int_rho^1 b and
+    v(rho) = int_rho^1 (tau - rho) b, with moments to deg + 2 at z = w lam,
+    which are the step tables too when the cuts are the nodes."""
     c0, a, b = coupling
     nodes, lam = grid.nodes, op.eigenvalues
     weights, march = _weight_march(lam, a, b, grid.T, nodes, 2)
@@ -161,18 +162,8 @@ def _plan_weights(op, grid, coupling, problem):
         wl, wr = w * J[1], w * (J[0] - J[1])
         X += w * J[0] * R[1:]
         Y += wr * R[1:]
-        if cuts.size == nodes.size:
-            # each piece is a step, whose hats are 1 - tau and tau
-            tables, left, right = (e, wl, wr), X - Y, Y
-        else:
-            k = np.searchsorted(nodes, cuts[:-1], side="right") - 1
-            h = (nodes[k + 1] - nodes[k])[:, None]
-            A, D = (nodes[k + 1] - cuts[:-1])[:, None] / h, w / h
-            left, right = np.add.reduceat(
-                [A * X - D * Y, (1.0 - A) * X + D * Y],
-                np.searchsorted(cuts, nodes[:-1]), axis=1)
-        W[:-1] += left
-        W[1:] += right
+        W = _hat_scatter(cuts, X, Y, nodes)
+        tables = (e, wl, wr) if cuts.size == nodes.size else None
     tables = tables or _step_tables(nodes, lam)
     if a != 0.0:
         _, tl, tr = tables
@@ -285,7 +276,9 @@ class RecoveryPlan:
     W, the grid's step tables and the doubling scan's spans of their step
     factors, the semigroup samples e^{t_i lam_j} and the history operator of
     a nonlinearity with memory, sized in ``MemoryKernel`` (None for a
-    pointwise map); one march of b gives the first three."""
+    pointwise map); one march of b gives the first three.  ``built_for``
+    holds the operator, nonlinearity and grid it was built for and the
+    coupling (c, a, b), which ``picard_recover`` checks a plan against."""
 
     denoms: np.ndarray
     spectral: SpectralConditionReport
@@ -294,6 +287,7 @@ class RecoveryPlan:
     spans: list
     hom: np.ndarray
     history: np.ndarray
+    built_for: tuple
 
 
 def build_plan(op, cond, f, grid):
@@ -307,7 +301,7 @@ def build_plan(op, cond, f, grid):
     if not spectral.ok:
         modes = list(spectral.failing_modes)
         raise IllPosedModeError(
-            f"spectral condition violated at modes {modes}", modes)
+            f"spectral condition violated at modes {modes}", modes, spectral)
     if not f.vanishes_at_zero:
         raise AdmissibilityError(
             "the nonlinearity must vanish at the zero state")
@@ -315,7 +309,23 @@ def build_plan(op, cond, f, grid):
         hom = np.outer(grid.nodes, op.eigenvalues)
         np.exp(hom, out=hom)
     return RecoveryPlan(denoms, spectral, weights, tables, _spans(tables[0]),
-                        hom, f.history_rows(grid.nodes, 0, grid.nodes.size))
+                        hom, f.history_rows(grid.nodes, 0, grid.nodes.size),
+                        (op, f, grid, cond.coupling))
+
+
+def _check_plan(plan, op, cond, f, grid):
+    """Raise ``InvalidParameterError`` unless ``plan`` was built for these
+    very operator, nonlinearity and grid and a coupling of equal values (a
+    condition may build its own zero weight)."""
+    *objects, (c, a, b) = plan.built_for
+    for name, built, given in zip(("operator", "nonlinearity", "grid"),
+                                  objects, (op, f, grid)):
+        if built is not given:
+            raise InvalidParameterError(f"the plan is for another {name}")
+    c2, a2, b2 = cond.coupling
+    if not (c == c2 and a == a2 and np.array_equal(b.edges, b2.edges)
+            and np.array_equal(b.coeffs, b2.coeffs)):
+        raise InvalidParameterError("the plan is for another coupling")
 
 
 def picard_recover(op, cond, f, grid, spec, tol=1e-10, max_iter=200, *,
@@ -334,8 +344,10 @@ def picard_recover(op, cond, f, grid, spec, tol=1e-10, max_iter=200, *,
     The initial value map u(0) = (M - psi(g)) / d is affine in the forcing
     g, so everything but M is built once per problem, as the ``RecoveryPlan``
     of ``build_plan``, which raises for an ill-posed problem; a caller
-    recovering many data vectors of one problem passes one as ``plan``.  The
-    norm weights and work arrays are formed once per call.
+    recovering many data vectors of one problem passes one as ``plan``,
+    built for the same operator, nonlinearity and grid objects and a
+    coupling of equal values, else ``InvalidParameterError``.  The norm
+    weights and work arrays are formed once per call.
 
     A sweep works on coefficient arrays: one stacked ``f.eval_node`` call
     for every node (two matrix products), a product with the history
@@ -357,6 +369,8 @@ def picard_recover(op, cond, f, grid, spec, tol=1e-10, max_iter=200, *,
         raise InvalidParameterError("M does not match the operator's mode count")
     if plan is None:
         plan = build_plan(op, cond, f, grid)
+    else:
+        _check_plan(plan, op, cond, f, grid)
 
     hom, history, tables = plan.hom, plan.history, plan.tables
 

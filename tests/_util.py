@@ -63,6 +63,24 @@ def loop_march(lam, w, c, kmax=None):
     return R, J, step
 
 
+def loop_scatter(cuts, X, Y, nodes):
+    """``kernels._hat_scatter`` as a loop over the nodes and the pieces
+    between the cuts, with each node's hat phi_i sampled at the cuts by
+    ``np.interp``: phi_i is linear on a piece, so the piece gives node i
+    phi_i(lo) X + (phi_i(hi) - phi_i(lo)) Y.  Returns the weights and, per
+    node, the sum of |X| + |Y| over the pieces under its hat, which bounds
+    the sum of their shares' sizes."""
+    W = np.zeros((nodes.size,) + X.shape[1:])
+    size = np.zeros_like(W)
+    for i in range(nodes.size):
+        hat = np.interp(cuts, nodes, np.eye(nodes.size)[i])
+        for p in range(cuts.size - 1):
+            W[i] += hat[p] * X[p] + (hat[p + 1] - hat[p]) * Y[p]
+            if hat[p] or hat[p + 1]:
+                size[i] += np.abs(X[p]) + np.abs(Y[p])
+    return W, size
+
+
 def denominators(op, cond, grid):
     """The per-mode denominators d_j of a condition, as a recovery plan on
     the grid takes them."""

@@ -12,8 +12,9 @@ import specrec as sr
 from specrec import config, harness, recover
 from specrec.cli import main
 from specrec.config import config_from_dict
-from specrec.duhamel import _hat_weights
+from specrec.duhamel import _hat_pieces
 from specrec.harness import sweep_threshold
+from specrec.kernels import _hat_scatter
 from _util import trapezoid
 
 BASE = {
@@ -486,11 +487,10 @@ class TestSynthesizedObservation:
             nodes = sr.make_graded_grid(1.0, n, r).nodes
             u = self.smooth(nodes)
             errors.append(abs(harness._integral_weights(nodes, b) @ u - want))
-            # the subgrid's weights, derived from the grid's, are the
-            # product rule's on the subgrid
-            w = _hat_weights(nodes, b)
+            # the subgrid's weights, scattered from the grid's pieces of b,
+            # are the product rule's on the subgrid
             sub = sr.Trajectory(sr.TimeGrid(nodes[::2]), u[::2, None])
-            coarse = harness._coarse_weights(nodes, w)
+            coarse = _hat_scatter(*_hat_pieces(nodes, b), nodes[::2])
             assert (abs(coarse @ u[::2] - sr.observe(sub, 0.0, b)[0])
                     <= 4 * np.finfo(float).eps * np.abs(coarse).sum())
         if kind == "poly":
@@ -811,6 +811,23 @@ class TestCli:
         assert want["spectral"]["margins"][0] == 0.0
         assert capsys.readouterr().err == (
             "spectral condition violated at modes [1]\n")
+
+    def test_spectral_violation_recover_marches_once(self, tmp_path,
+                                                     monkeypatch):
+        # the report comes with the plan's error: b is not marched again
+        calls = []
+        plan_weights = recover._plan_weights
+
+        def counted(*args):
+            calls.append(args)
+            return plan_weights(*args)
+
+        monkeypatch.setattr(recover, "_plan_weights", counted)
+        path = write_cfg(tmp_path, deep(ILL_POSED))
+        out = str(tmp_path / "report.json")
+        assert main(["recover", "--config", path, "--out", out,
+                     "--quiet"]) == 2
+        assert len(calls) == 1
 
     def test_no_convergence_exit_code(self, tmp_path):
         # literal observation data far above the smallness regime makes the

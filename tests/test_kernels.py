@@ -14,8 +14,8 @@ import specrec as sr
 from specrec import kernels
 from specrec.errors import IllPosedModeError, NumericFailureError
 from specrec.kernels import moments
-from _util import (diagonal_operator, exp_weight_integral, rel_err,
-                   tail_weight, ulp_close)
+from _util import (diagonal_operator, exp_weight_integral, loop_scatter,
+                   rel_err, tail_weight, ulp_close)
 
 mp.mp.dps = 40
 
@@ -616,6 +616,30 @@ class TestSingleMarch:
         calls = self._count_marches(monkeypatch)
         self._plan(SPLIT[name])
         assert len(calls) == 2
+
+
+class TestHatScatter:
+    """Node weights from per-piece integrals, on any grid whose nodes are
+    among the cuts, against a loop over the nodes' hats."""
+
+    @settings(deadline=None, max_examples=100)
+    @given(n=st.integers(2, 12), r=st.floats(1.0, 4.0),
+           T=st.floats(0.1, 5.0),
+           inside=st.lists(st.floats(0.0, 1.0), max_size=8),
+           modes=st.integers(0, 3), seed=st.integers(0, 2**32 - 1))
+    def test_matches_loop(self, n, r, T, inside, modes, seed):
+        # graded nodes, cuts holding them and more, X and Y one number per
+        # piece (modes = 0) or a row of them, over six decades
+        nodes = sr.make_graded_grid(T, n, r).nodes
+        cuts = np.union1d(nodes, T * np.array(inside))
+        shape = (cuts.size - 1,) + ((modes,) if modes else ())
+        rng = np.random.default_rng(seed)
+        X, Y = (rng.standard_normal(shape) * 10.0 ** rng.uniform(-3, 3, shape)
+                for _ in range(2))
+        W = kernels._hat_scatter(cuts, X, Y, nodes)
+        want, size = loop_scatter(cuts, X, Y, nodes)
+        assert W.shape == want.shape
+        assert np.all(np.abs(W - want) <= 4 * np.finfo(float).eps * size)
 
 
 class TestStiffWeights:

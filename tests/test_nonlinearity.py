@@ -405,19 +405,3 @@ class TestGrowthCondition:
         assert nu == pytest.approx(0.3 * 2.5, rel=1e-15)
         g = sr.MemoryKernel(1.0, 0.5, 1.0)
         assert g.declared_exponents(0.3) == (0.0, 0.0)
-
-
-class TestKernelAdmissibility:
-    def test_passing_tuple(self):
-        res = sr.check_kernel_admissibility(0.0, 0.2, 1.0, 0.5)
-        assert res.ok and res.violated == ()
-
-    def test_boundary_exponent_fails(self):
-        res = sr.check_kernel_admissibility(-1.0, 0.2, 1.0, 0.5)
-        assert not res.ok
-        assert "lambda_exp > -1" in res.violated
-
-    def test_superlinearity_budget_fails(self):
-        res = sr.check_kernel_admissibility(0.0, 0.6, 1.0, 0.0)
-        assert not res.ok
-        assert "theta*(ell+1) < 1" in res.violated

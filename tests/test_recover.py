@@ -12,7 +12,7 @@ import specrec as sr
 from specrec.nonlinearity import Nonlinearity
 from specrec.harness import resolve_M
 from specrec.spectral import _row_norms
-from specrec import kernels
+from specrec import kernels, recover
 from specrec.duhamel import _step_tables
 from specrec.recover import _plan_weights
 from _util import (diagonal_operator, exp_weight_integral,
@@ -833,9 +833,50 @@ class TestRecoveryPlan:
         with pytest.raises(sr.IllPosedModeError) as info:
             sr.build_plan(op, cond, sr.Zero(), grid)
         assert info.value.modes == [2]
+        # the error carries the report that found the mode
+        report = info.value.report
+        assert report.failing_modes == (2,) and not report.ok
+        want = sr.check_spectral_condition(op, cond, grid)
+        assert report.margins.tobytes() == want.margins.tobytes()
         with pytest.raises(sr.IllPosedModeError) as info:
             sr.picard_recover(op, cond, sr.Zero(), grid, SPEC)
         assert info.value.modes == [2]
+
+    @pytest.mark.parametrize("other", ["coupling", "operator",
+                                       "nonlinearity", "grid"])
+    def test_plan_for_another_problem_rejected(self, other):
+        # a plan for b = 1 run with b = 1 - 3t used to report convergence
+        # to a wrong u0, and so did one for another operator or for a map
+        # without memory; one for another grid failed inside numpy
+        op = sr.build_second_order(8, 1.0, 0.0, "dirichlet")
+        grid = sr.make_graded_grid(1.0, 16)
+        f = sr.PowerLaw(0.5, 1.0)
+        M = np.full(8, 0.01)
+        plan = sr.build_plan(op, sr.ConditionE(0.0, B1, np.zeros(8)), f, grid)
+        given = {"cond": sr.ConditionE(0.0, B1, M), "op": op, "f": f,
+                 "grid": grid}
+        given[{"coupling": "cond", "operator": "op", "nonlinearity": "f",
+               "grid": "grid"}[other]] = {
+            "coupling": sr.ConditionE(0.0, sr.WeightFunction.poly([1.0, -3.0]),
+                                      M),
+            "operator": sr.build_second_order(8, 2.0, 0.0, "dirichlet"),
+            "nonlinearity": sr.MemoryKernel(0.5, -0.5, 1.0),
+            "grid": sr.make_graded_grid(1.0, 32)}[other]
+        with pytest.raises(sr.InvalidParameterError,
+                           match=f"the plan is for another {other}"):
+            sr.picard_recover(spec=SPEC, plan=plan, **given)
+
+    def test_plan_serves_a_coupling_of_equal_values(self):
+        # the coupling is compared by value: b = 1 built again, or as the
+        # polynomial 1, is the same problem
+        op = sr.build_second_order(8, 1.0, 0.0, "dirichlet")
+        grid, f = sr.make_graded_grid(1.0, 16), sr.Zero()
+        plan = sr.build_plan(op, sr.ConditionE(0.0, B1, np.zeros(8)), f, grid)
+        for b in (sr.WeightFunction.constant(1.0), ONE_POLY):
+            cond = sr.ConditionE(0.0, b, np.full(8, 0.01))
+            shared = sr.picard_recover(op, cond, f, grid, SPEC, plan=plan)
+            own = sr.picard_recover(op, cond, f, grid, SPEC)
+            assert shared.u0_recovered.tobytes() == own.u0_recovered.tobytes()
 
 
 # weights for the plan's one march: polynomials of degree 0 to 4, whose
@@ -954,6 +995,36 @@ class TestOneMarch:
         self._check_denominators(op, cond, grid)
         with pytest.MonkeyPatch.context() as monkeypatch:
             self._check_loop_march(op, cond, grid, monkeypatch)
+
+
+class TestSubgridWeights:
+    """The psi weights of b on the every-other-node subgrid, scattered
+    from the grid's own march, are the subgrid plan's: no second march."""
+
+    @pytest.mark.parametrize("name", ["psi-quadrature-poly",
+                                      "psi-quadrature-table",
+                                      "threshold-sweep"])
+    def test_scattered_from_the_march(self, name, monkeypatch):
+        cfg = sr.parse_config(TestRecoveryPlan.FIXTURES / f"{name}.json")
+        op, grid = cfg.build_operator(), cfg.build_grid()
+        c, _, b = cfg.build_condition(np.zeros(op.n_modes)).coupling
+        # b's part alone: the a term is closed form on either grid
+        coupling = c, 0.0, b
+        pieces = []
+        scatter = kernels._hat_scatter
+
+        def kept(*args):
+            pieces.append(args[:3])
+            return scatter(*args)
+
+        monkeypatch.setattr(recover, "_hat_scatter", kept)
+        _plan_weights(op, grid, coupling, "E")
+        monkeypatch.undo()
+        sub = sr.TimeGrid(grid.nodes[::2])
+        got = kernels._hat_scatter(*pieces[0], sub.nodes)
+        want = _plan_weights(op, sub, coupling, "E")[0]
+        scale = np.max(np.abs(want), axis=0)
+        assert np.all(np.abs(got - want) <= 1e-14 * scale)
 
 
 class _ConstantForcing(Nonlinearity):
