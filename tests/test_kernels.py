@@ -241,8 +241,12 @@ class TestWeightFunctions:
         assert np.array_equal(b(x), np.interp(x, t, v))
         # at the last knot b is its last piece's Horner value: the slope
         # of the difference of two values, times the same difference of
-        # knots, plus a value, each rounded once
-        bound = 2.0 * np.finfo(float).eps * (abs(v[-2]) + abs(v[-1]))
+        # knots, plus a value, each rounded once; a quotient or product
+        # that underflows is off by up to half the smallest subnormal
+        # besides, the quotient's error then scaled by the difference
+        fp = np.finfo(float)
+        bound = (2.0 * fp.eps * (abs(v[-2]) + abs(v[-1]))
+                 + fp.smallest_subnormal * (1.0 + (t[-1] - t[-2])))
         assert abs(b(t[-1]) - v[-1]) <= bound
 
     # Horner's rule as a loop from zero, with the leading coefficient
