@@ -4,8 +4,9 @@ Subcommands: evolve (forward solve to CSV), recover (observation to initial
 state, JSON report), check-spectral (per-mode margins, exit 2 on violation),
 roundtrip (JSON report), sweep (CSV table).
 
-Exit codes: 0 success, 2 spectral condition violated, 3 fixed point not
-converged, 4 config error.
+Exit codes: 0 success, 1 a typed numeric failure (a ``SpecrecError``, its
+step or mode attached to the message), 2 spectral condition violated, 3
+fixed point not converged, 4 config error.
 """
 
 import argparse

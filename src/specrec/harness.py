@@ -1,13 +1,16 @@
 """Round-trip and threshold-sweep experiments.
 
 The round trip synthesizes an observation from a known initial state on a
-fine grid (2x the solver's steps, product integration extrapolated against
-the solver's own grid, both grids' weights scattered from one cut of b by
-``kernels._hat_scatter``; 4x for u(T) alone, which has no quadrature), hands
-only the observation vector to the recovery path, and compares the
-recovered initial state against the truth.  Forward and backward
-discretizations share nothing, so the reported errors are genuine method
-error.
+fine grid of 2x the solver's steps, hands only the observation vector to
+the recovery path, and compares the recovered initial state against the
+truth.  An integral observation extrapolates its product rule against the
+solver's own grid, both grids' weights scattered from one cut of b by
+``kernels._hat_scatter``; u(T) alone (E100) is extrapolated from a second
+forward solve on the solver's own grid.  That solve shares the recovery's
+grid and forward rule, but not its psi weights: an M from it alone would
+recover u0 to about 1e-12 on the memory-forward fixture, and the
+extrapolated M recovers it to the recovery's own error (gated in
+``TestRoundtripHarness``), so the reported errors are genuine method error.
 """
 
 import time
@@ -16,7 +19,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .duhamel import _hat_pieces, forward_solve
-from .errors import ConfigError, SpecrecError
+from .errors import ConfigError, InvalidParameterError, SpecrecError
 from .kernels import _hat_scatter
 from .nonlinearity import check_growth_condition
 from .recover import (FixedPointReport, GrowthExponents, build_plan,
@@ -28,11 +31,11 @@ from .spectral import fractional_norm, make_graded_grid
 # extrapolates its rule by ``_integral_weights``.
 from .duhamel import observe  # noqa: F401
 
-# Forward steps per recovery step.  The extrapolated integral is fourth
-# order in the step, so 2x leaves its error well below the recovery's; u(T)
-# alone is second order and keeps 4x.
+# Forward steps per recovery step, for every coupling.  The extrapolated
+# integral is fourth order in the step, so 2x leaves its error well below
+# the recovery's; u(T) alone cancels the forward solve's h**2 term against
+# the solver's own grid.
 INTEGRAL_REFINEMENT = 2
-FINAL_STATE_REFINEMENT = 4
 
 
 def _integral_weights(nodes, b):
@@ -51,16 +54,21 @@ def _integral_weights(nodes, b):
 
 def synthesize_observation(cfg, op, f, u0_true):
     """Forward-solve on a refined grid and form the observation vector
-    c*u0 + a*u(T) + int b u dt, the integral by ``_integral_weights``;
-    a*u(T) is not extrapolated."""
+    c*u0 + a*u(T) + int b u dt, the integral by ``_integral_weights``.
+    Without an integral (b = 0) u(T) is (4 u_2n(T) - u_n(T)) / 3, with u_n
+    from a second solve on the solver's own grid: one Richardson step that
+    cancels the forward solve's h**2 term (gated by
+    ``TestRoundtripHarness.test_e100_error_is_the_recovery_own``)."""
     # the coupling (c, a, b) does not depend on M
     c, a, b = cfg.build_condition(np.zeros(op.n_modes)).coupling
-    refinement = FINAL_STATE_REFINEMENT if b.is_zero else INTEGRAL_REFINEMENT
-    grid_fine = make_graded_grid(cfg.grid.T, refinement * cfg.grid.n,
+    grid_fine = make_graded_grid(cfg.grid.T, INTEGRAL_REFINEMENT * cfg.grid.n,
                                  cfg.grid.r)
     u = forward_solve(op, u0_true, f, grid_fine)
-    integral = (0.0 if b.is_zero else
-                _integral_weights(grid_fine.nodes, b) @ u.coeffs)
+    if b.is_zero:
+        u_n = forward_solve(op, u0_true, f, cfg.build_grid())
+        return (c * u0_true + a * (4.0 * u.coeffs[-1] - u_n.coeffs[-1]) / 3.0,
+                grid_fine)
+    integral = _integral_weights(grid_fine.nodes, b) @ u.coeffs
     return c * u0_true + (a * u.coeffs[-1] + integral), grid_fine
 
 
@@ -82,8 +90,9 @@ def resolve_M(cfg, op, f):
 @dataclass
 class RoundTripResult:
     """A round trip's data, errors and timings.  ``observation_nodes`` is
-    the number of steps of the observation's forward grid: 2n for an
-    integral observation, 4n for u(T) alone, on a recovery grid of n."""
+    the number of steps of the observation's fine forward grid: 2n on a
+    recovery grid of n, for every coupling.  u(T) alone (E100) also
+    forward-solves on the recovery grid itself, to extrapolate."""
 
     u0_true: np.ndarray
     observed_M: np.ndarray
@@ -148,6 +157,24 @@ class SweepRow:
 SWEEP_HEADER = tuple(field.name for field in fields(SweepRow))
 
 
+def _threshold_exponents(cfg, f):
+    """The growth exponents of the certified threshold m_T.  One out of its
+    range is a config error naming the keys the exponents come from: a
+    power law declares nu = theta * (ell + 1) unless solver.nu is set."""
+    gamma, theta, nu = cfg.solver.gamma, cfg.solver.theta, cfg.resolved_nu()
+    try:
+        return GrowthExponents(gamma, theta, nu, getattr(f, "ell", 1.0))
+    except InvalidParameterError as exc:
+        if cfg.solver.nu is not None:
+            nu_is = f"solver.nu = {nu!r}"
+        elif cfg.nonlinearity.kind == "power":
+            nu_is = f"nu = solver.theta * (nonlinearity.ell + 1) = {nu!r}"
+        else:
+            nu_is = f"nu = {nu!r}"
+        raise ConfigError(f"sweep: {exc}, with solver.gamma = {gamma!r}, "
+                          f"solver.theta = {theta!r} and {nu_is}") from None
+
+
 def sweep_threshold(cfg):
     """Re-run the recovery over scaled observations s * M.
 
@@ -157,7 +184,8 @@ def sweep_threshold(cfg):
     changes between rows, so one recovery plan, built at the first row,
     serves them all.  Row failures are recorded and the sweep continues.
     m_T needs the growth bound of a pointwise map, so a memory kernel is
-    rejected before any work is done.
+    rejected before any work is done, and so are growth exponents out of
+    their range.
     """
     scales = cfg.sweep_scales
     if not scales:
@@ -165,15 +193,14 @@ def sweep_threshold(cfg):
     if cfg.nonlinearity.kind not in ("zero", "power"):
         raise ConfigError("sweep needs a 'zero' or 'power' nonlinearity, "
                           f"not {cfg.nonlinearity.kind!r}")
-    op = cfg.build_operator()
     f = cfg.build_nonlinearity()
+    exponents = _threshold_exponents(cfg, f)
+    op = cfg.build_operator()
     grid = cfg.build_grid()
     spec = cfg.build_norm_spec(op)
     M_base, _ = resolve_M(cfg, op, f)
 
     c_bar = check_growth_condition(f, op, spec)
-    exponents = GrowthExponents(cfg.solver.gamma, cfg.solver.theta,
-                                cfg.resolved_nu(), getattr(f, "ell", 1.0))
     estimate = theoretical_threshold(op, exponents, c_bar, grid.T, spec)
 
     rows = []

@@ -221,6 +221,8 @@ U0_COEFFS = {"type": "coefficients", "values": [1.0, 0.0, 0.0, 0.0]}
 POWER = {"type": "power", "kappa": 0.25, "ell": 1.0}
 MEMORY = {"type": "memory", "c": 0.5, "lambda": -0.25, "ell": 1.0}
 SWEEP = {"scales": [0.0, 1.0]}
+FIXTURES = Path(__file__).resolve().parent.parent / "perfbench" / "fixtures"
+MEMORY_FORWARD = FIXTURES / "memory-forward.json"
 # b = e puts mode 1 in the kernel: 1 - b e^{T lam_1} = 0
 ILL_POSED = {"condition": {"problem": "E100", "b": math.exp(1.0),
                            "M": {"type": "from-u0"}},
@@ -426,9 +428,41 @@ class TestRoundtripHarness:
             result = sr.roundtrip(cfg)
             assert result.report.converged
             assert result.error_e0 <= 1e-5
-            # E100 observes u(T) alone, on a grid of 4x
-            refinement = 4 if problem == "E100" else 2
-            assert result.observation_nodes == refinement * 64
+            # every coupling observes on a grid of 2x; E100's u(T) alone
+            # is extrapolated against the recovery grid itself
+            assert result.observation_nodes == 2 * 64
+
+    def test_e100_error_is_the_recovery_own(self):
+        # the round trip's error is the recovery's own: that of an M whose
+        # u(T) comes from a forward solve of 32x, within 2%
+        cfg = sr.parse_config(MEMORY_FORWARD)
+        op, f = cfg.build_operator(), cfg.build_nonlinearity()
+        u0 = cfg.resolve_u0(op)
+        c, a, _ = cfg.build_condition(np.zeros(op.n_modes)).coupling
+        u = sr.forward_solve(op, u0, f, sr.make_graded_grid(
+            cfg.grid.T, 32 * cfg.grid.n, cfg.grid.r))
+        report = sr.picard_recover(
+            op, cfg.build_condition(c * u0 + a * u.coeffs[-1]), f,
+            cfg.build_grid(), cfg.build_norm_spec(op), tol=cfg.solver.tol,
+            max_iter=cfg.solver.max_iter)
+        assert report.converged
+        e_alone = np.linalg.norm(report.u0_recovered - u0)
+        result = sr.roundtrip(cfg)
+        assert result.report.converged
+        assert abs(result.error_e0 - e_alone) <= 0.02 * e_alone
+
+    def test_e100_observed_order(self):
+        # the recovery is second order in the step: each halving of the
+        # step divides the round trip's error by about 4
+        doc = json.loads(MEMORY_FORWARD.read_text())
+        errors = []
+        for n in (32, 64, 128, 256):
+            doc["grid"]["n"] = n
+            result = sr.roundtrip(config_from_dict(doc))
+            assert result.report.converged
+            errors.append(result.error_e0)
+        ratios = [errors[i] / errors[i + 1] for i in range(3)]
+        assert all(3.5 <= ratio <= 4.5 for ratio in ratios), ratios
 
     def test_roundtrip_fourth_order_memory_kernel(self):
         cfg = config_from_dict({
@@ -450,9 +484,9 @@ class TestRoundtripHarness:
 
 
 class TestSynthesizedObservation:
-    """The extrapolated product rule of ``harness._integral_weights``."""
+    """The synthesized observation: the extrapolated product rule of
+    ``harness._integral_weights``, and u(T) alone extrapolated."""
 
-    FIXTURES = Path(__file__).resolve().parent.parent / "perfbench" / "fixtures"
     WEIGHTS = {
         "poly": sr.WeightFunction.poly([1.0, -0.5, 0.25]),
         # knots off every node, one before 0 and one past T
@@ -507,7 +541,7 @@ class TestSynthesizedObservation:
                                       "psi-quadrature-table",
                                       "threshold-sweep"])
     def test_fixture_observation_error(self, name):
-        cfg = sr.parse_config(self.FIXTURES / f"{name}.json")
+        cfg = sr.parse_config(FIXTURES / f"{name}.json")
         op, f = cfg.build_operator(), cfg.build_nonlinearity()
         u0 = cfg.resolve_u0(op)
         c, a, b = cfg.build_condition(np.zeros(op.n_modes)).coupling
@@ -535,16 +569,19 @@ class TestSynthesizedObservation:
         assert error <= 0.25 * np.linalg.norm(report.u0_recovered - u0)
 
     def test_final_state_observation_unchanged(self):
-        # u(T) alone (E100): c*u0 + a*u(T) from a grid of 4x, bit for bit
-        cfg = sr.parse_config(self.FIXTURES / "memory-forward.json")
+        # u(T) alone (E100): c*u0 + a*(4 u_2n(T) - u_n(T))/3 from grids of
+        # 2x and 1x, bit for bit
+        cfg = sr.parse_config(MEMORY_FORWARD)
         op, f = cfg.build_operator(), cfg.build_nonlinearity()
         u0 = cfg.resolve_u0(op)
         c, a, b = cfg.build_condition(np.zeros(op.n_modes)).coupling
         M, grid = harness.synthesize_observation(cfg, op, f, u0)
-        u = sr.forward_solve(op, u0, f, sr.make_graded_grid(
-            cfg.grid.T, 4 * cfg.grid.n, cfg.grid.r))
-        assert grid.n_steps == 4 * cfg.grid.n
-        assert M.tobytes() == (c * u0 + a * u.coeffs[-1]).tobytes()
+        u_2n = sr.forward_solve(op, u0, f, sr.make_graded_grid(
+            cfg.grid.T, 2 * cfg.grid.n, cfg.grid.r))
+        u_n = sr.forward_solve(op, u0, f, cfg.build_grid())
+        assert grid.n_steps == 2 * cfg.grid.n
+        want = c * u0 + a * (4.0 * u_2n.coeffs[-1] - u_n.coeffs[-1]) / 3.0
+        assert M.tobytes() == want.tobytes()
 
 
 class TestSweep:
@@ -660,6 +697,39 @@ class TestSweep:
         assert main(["sweep", "--config", write_cfg(tmp_path, data),
                      "--quiet"]) == 4
         assert message in capsys.readouterr().err
+
+    def test_nu_out_of_range_rejected_before_synthesis(self, tmp_path,
+                                                      capsys, monkeypatch):
+        # a power law declares nu = theta * (ell + 1), which m_T needs in
+        # [0, 1): theta = 0.5 and ell = 1 fail before any forward solve,
+        # while recover, which needs no m_T, runs on the same config
+        data = deep({"nonlinearity": {"type": "power", "kappa": 0.25,
+                                      "ell": 1.0},
+                     "solver.theta": 0.5, "grid.n": 8, "sweep": SWEEP})
+        path = write_cfg(tmp_path, data)
+        assert main(["recover", "--config", path, "--quiet"]) == 0
+
+        def no_solve(*args):
+            raise AssertionError("a forward solve ran")
+
+        monkeypatch.setattr(harness, "forward_solve", no_solve)
+        message = ("sweep: nu must lie in [0, 1), with solver.gamma = 0.0, "
+                   "solver.theta = 0.5 and nu = solver.theta * "
+                   "(nonlinearity.ell + 1) = 1.0")
+        with pytest.raises(sr.ConfigError) as info:
+            sweep_threshold(config_from_dict(data))
+        assert str(info.value) == message
+        capsys.readouterr()
+        assert main(["sweep", "--config", path, "--quiet"]) == 4
+        assert message in capsys.readouterr().err
+
+    def test_nu_from_solver_named(self):
+        data = deep({"solver.nu": 1.5, "sweep": SWEEP})
+        with pytest.raises(sr.ConfigError) as info:
+            sweep_threshold(config_from_dict(data))
+        assert str(info.value) == (
+            "sweep: nu must lie in [0, 1), with solver.gamma = 0.0, "
+            "solver.theta = 0.25 and solver.nu = 1.5")
 
     def test_missing_scales_rejected(self):
         cfg = config_from_dict(BASE)
