@@ -6,7 +6,8 @@ one ``WeightFunction``, polynomial pieces (edges, coeffs) however it was
 built, and is read only as its pieces on [0, T], so every such integral is
 a finite sum of the moments J_k(z) = int_0^1 s**k exp(z*s) ds, which one
 evaluator supplies in closed form (with a series branch near z = 0 to avoid
-cancellation).  One backward march over those pieces, solved as one
+cancellation).  One backward march over those pieces, cut where b changes
+sign so that each piece's integral keeps b's sign, and solved as one
 doubling scan, turns these sums into the tail part of the recovery's psi
 weights and the weight's part of the per-mode denominators and scales.
 The Beta function used by the well-posedness estimates lives here too.
@@ -285,11 +286,16 @@ def _scan(e, x, spans=None, work=None):
 
 def _march(lam, w, c, kmax=None):
     """R(t) = int_t^T b(s) e^{(s - t) lam} ds at every cut of the pieces
-    from ``_cut``, shape (w.size + 1, lam.size), the moments J_0..J_kmax at
-    z = w lam (kmax defaults to b's degree) and e^z.  R(T) = 0 and R(lo) =
-    e^z R(hi) + w sum_m c_m J_m(z), one ``_scan`` over the reversed pieces,
-    so every exponent is <= 0 when lam <= 0.  A terminal term a e^{(T - t)
-    lam} is not marched: its callers take it in closed form."""
+    from ``_cut``, shape (w.size + 1, lam.size), the same integral of |b|
+    at 0, the moments J_0..J_kmax at z = w lam (kmax defaults to b's
+    degree) and e^z.  R(T) = 0 and R(lo) = e^z R(hi) + q, q = w sum_m c_m
+    J_m(z), one ``_scan`` over the reversed pieces, so every exponent is
+    <= 0 when lam <= 0.  Where b keeps one sign on every piece, |q| is the
+    integral of |b| e^{(s - lo) lam} over it, and the scan of |q| over the
+    same spans gives |b|'s integral.  Where q keeps one sign throughout
+    that scan is |R(0)|, bit for bit, as the scan is sign-equivariant, and
+    is not run.  A terminal term a e^{(T - t) lam} is not marched: its
+    callers take it in closed form."""
     z = w[:, None] * lam
     J = moments(z, c.shape[1] - 1 if kmax is None else kmax)
     R = np.empty((w.size + 1, lam.size))
@@ -298,44 +304,39 @@ def _march(lam, w, c, kmax=None):
     np.einsum("pm,mpj->pj", c[::-1], J[:c.shape[1], ::-1], out=back)
     back *= w[::-1, None]
     e = np.exp(z, out=z)
-    _scan(e[::-1], back)
-    return R, J, e
+    spans, size = _spans(e[::-1]), None
+    if back.min(initial=0.0) < 0.0 < back.max(initial=0.0):
+        size = _scan(e[::-1], np.abs(back), spans)[-1]
+    _scan(e[::-1], back, spans)
+    return R, np.abs(R[0]) if size is None else size, J, e
 
 
-def _abs_pieces(edges, coeffs):
-    """The pieces of |b| for the pieces of b, and the sign of b on each:
-    each piece is split at its real roots inside it and takes its sign from
-    its midpoint.  A root that rounds onto the piece's end, by width or
-    place, is dropped: |b| is at rounding level there.  A flat piece has no
-    root and a linear one -c0/c1, as ``np.roots`` gives (unless the root
-    lies within 1e-135 of the piece's start, where LAPACK rescales), so
-    only pieces of higher degree are solved one at a time."""
+def _sign_changes(edges, coeffs):
+    """The real roots inside b's pieces, where b may change sign, as points
+    of [0, T].  A piece with |c_0| > (1 + 1e-12) sum_{k>0} |c_k| w**k keeps
+    c_0's sign and has none; on the others a linear b has -c0/c1, as
+    ``np.roots`` gives (unless the root lies within 1e-135 of the piece's
+    start, where LAPACK rescales), and a b of higher degree ``np.roots``'
+    real roots.  A root that rounds onto the piece's end, by width or
+    place, is dropped: |b| is at rounding level there."""
     width = np.diff(edges)
-    owner, roots = np.arange(width.size), np.full(width.size, np.nan)
+    size = np.abs(coeffs) * width[:, None] ** np.arange(coeffs.shape[1])
+    owner = np.nonzero(~(size[:, 0] > (1.0 + 1e-12)
+                         * size[:, 1:].sum(axis=1)))[0]
+    if not owner.size:
+        return np.empty(0)
     if coeffs.shape[1] == 2:
         with np.errstate(divide="ignore", invalid="ignore"):
-            roots = -coeffs[:, 0] / coeffs[:, 1]
-    elif coeffs.shape[1] > 2:
-        found = [np.sort(r[np.isreal(r)].real)
-                 for r in (np.roots(c[::-1]) for c in coeffs)]
+            roots = -coeffs[owner, 0] / coeffs[owner, 1]
+    else:
+        found = [r[np.isreal(r)].real
+                 for r in map(np.roots, coeffs[owner, ::-1])]
         owner = np.repeat(owner, [r.size for r in found])
         roots = np.concatenate(found)
+    lo = edges[owner]
     inside = ((roots > 0.0) & (roots < width[owner])
-              & (edges[owner] + roots < edges[owner + 1]))
-    owner, roots = owner[inside], roots[inside]
-    # piece p's parts start at 0 and at its roots, in order, and each ends
-    # where the next starts or at the piece's width
-    at = np.searchsorted(owner, np.arange(width.size))
-    piece = np.insert(owner, at, np.arange(width.size))
-    left = np.insert(roots, at, 0.0)
-    last = np.append(piece[1:] != piece[:-1], True)
-    right = np.where(last, width[piece], np.append(left[1:], 0.0))
-    c = coeffs[piece]
-    sign = np.sign(np.polynomial.polynomial.polyval(
-        0.5 * (left + right), c.T, tensor=False))
-    out_edges = np.where(last, edges[piece + 1], edges[piece] + right)
-    return (np.concatenate([edges[:1], out_edges]),
-            sign[:, None] * _taylor_shift(c, left), sign)
+              & (lo + roots < edges[owner + 1]))
+    return lo[inside] + roots[inside]
 
 
 # --------------------------------------------------------------------------
@@ -362,12 +363,12 @@ class ModeWeights:
 
 
 def _weight_march(lam, a, b, T, nodes, extra=0):
-    """The ``ModeWeights`` of (a, b) and the march of b cut at the nodes
-    too, moments to b's degree plus ``extra``: (cuts, w, c, R, J, e^z), None
-    for a zero b.  a e^{T lam} and |a| e^{T lam} are taken in closed form;
-    R(0) is b's part of betas and, for a b of one sign, +-R(0) its part of
-    the scales, bit for bit what a march over |b| = +-b gives.  Any other b
-    is split at its roots and marched once more, over |b|'s pieces."""
+    """The ``ModeWeights`` of (a, b) and the one march of b, cut at the
+    nodes and at b's sign changes too, moments to b's degree plus
+    ``extra``: (cuts, w, c, R, J, e^z), None for a zero b.  a e^{T lam}
+    and |a| e^{T lam} are taken in closed form; R(0) is b's part of betas
+    and the march's integral of |b|, b keeping one sign on every piece, its
+    part of the scales."""
     if not isinstance(b, WeightFunction):
         raise InvalidParameterError("b must be a WeightFunction")
     edges, coeffs = b.pieces(T)
@@ -379,22 +380,12 @@ def _weight_march(lam, a, b, T, nodes, extra=0):
             end = np.exp(T * lam)
             betas, scales = a * end, abs(a) * end
         if not b.is_zero:
-            cuts, w, c = _cut_at(nodes, edges, coeffs)
-            R, J, e = _march(lam, w, c, c.shape[1] - 1 + extra)
+            cuts, w, c = _cut_at(
+                np.concatenate((nodes, _sign_changes(edges, coeffs))),
+                edges, coeffs)
+            R, size, J, e = _march(lam, w, c, c.shape[1] - 1 + extra)
             march = cuts, w, c, R, J, e
-            betas = betas + R[0]
-            # a piece with |c_0| > sum_{k>0} |c_k| w**k keeps c_0's sign
-            sign = np.sign(coeffs[:, 0])
-            size = np.abs(coeffs) * np.diff(edges)[:, None] ** np.arange(
-                coeffs.shape[1])
-            if not (abs(sign.sum()) == sign.size and np.all(
-                    size[:, 0] > (1.0 + 1e-12) * size[:, 1:].sum(axis=1))):
-                abs_edges, abs_coeffs, sign = _abs_pieces(edges, coeffs)
-            if sign.size == len(coeffs) and abs(sign.sum()) == sign.size:
-                scales = scales + sign[0] * R[0]
-            else:
-                scales = scales + _march(
-                    lam, *_cut(abs_edges, abs_coeffs, abs_edges))[0][0]
+            betas, scales = betas + R[0], scales + size
     return ModeWeights(betas, scales), march
 
 

@@ -69,7 +69,7 @@ class Zero(Nonlinearity):
         return np.zeros(np.shape(c))
 
     def eval_trajectory(self, u, op):
-        return Trajectory.zeros(u.grid, op.n_modes)
+        return Trajectory(u.grid, np.zeros((u.grid.nodes.size, op.n_modes)))
 
     def declared_exponents(self, theta):
         return 0.0, 0.0

@@ -293,9 +293,9 @@ class RecoveryPlan:
 def build_plan(op, cond, f, grid):
     """The ``RecoveryPlan`` of one problem.  Only the coupling of ``cond``
     enters, so one plan serves every data vector M of a sweep; it comes
-    from one march of b (two when b changes sign), see ``_plan_weights``.
-    An ill-posed mode raises ``IllPosedModeError`` and a nonlinearity that
-    does not vanish at the zero state ``AdmissibilityError``."""
+    from one march of b, see ``_plan_weights``.  An ill-posed mode raises
+    ``IllPosedModeError`` and a nonlinearity that does not vanish at the
+    zero state ``AdmissibilityError``."""
     weights, denoms, spectral, tables = _plan_weights(
         op, grid, cond.coupling, cond.problem)
     if not spectral.ok:

@@ -305,10 +305,6 @@ class Trajectory:
         if not np.all(np.isfinite(coeffs)):
             raise InvalidParameterError("trajectory entries must be finite")
 
-    @classmethod
-    def zeros(cls, grid, n_modes):
-        return cls(grid, np.zeros((grid.nodes.size, n_modes)))
-
 
 def weighted_sup_norm(op, trajectory, mu, spec):
     """Maximum of t**mu times the fractional norm over the grid nodes.

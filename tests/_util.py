@@ -50,17 +50,49 @@ def exp_weight_integral(lam, T, b):
 
 def loop_march(lam, w, c, kmax=None):
     """``kernels._march`` as a Python loop over the pieces, last first:
-    R(lo) = e^z R(hi) + w sum_m c_m J_m(z), one row at a time, with the
-    same moments and e^z."""
+    R(lo) = e^z R(hi) + q, q = w sum_m c_m J_m(z), and the same recurrence
+    over |q|, one row at a time, with the same moments and e^z."""
     z = w[:, None] * lam
     J = kernels.moments(z, c.shape[1] - 1 if kmax is None else kmax)
     inner = w[:, None] * np.einsum("pm,mpj->pj", c, J[:c.shape[1]])
     step = np.exp(z)
     R = np.empty((w.size + 1, lam.size))
     R[-1] = 0.0
+    size = np.zeros(lam.size)
     for p in range(w.size - 1, -1, -1):
         R[p] = step[p] * R[p + 1] + inner[p]
-    return R, J, step
+        size = step[p] * size + np.abs(inner[p])
+    return R, size, J, step
+
+
+def abs_pieces_oracle(edges, coeffs):
+    """|b|'s pieces found one piece at a time, each split at the real roots
+    that ``np.roots`` gives inside it and signed at its midpoint: the
+    edges, the coefficients and the split points inside b's pieces."""
+    out_edges, out_coeffs, inner = [edges[:1]], [], [np.empty(0)]
+    for lo, hi, c in zip(edges[:-1], edges[1:], coeffs):
+        r = np.roots(c[::-1])
+        r = np.sort(r[np.isreal(r)].real)
+        r = r[(r > 0.0) & (r < hi - lo) & (lo + r < hi)]
+        left = np.concatenate([[0.0], r])
+        right = np.concatenate([r, [hi - lo]])
+        sign = np.sign(np.polynomial.polynomial.polyval(0.5 * (left + right), c))
+        inner.append(lo + r)
+        out_edges.append(np.concatenate([lo + r, [hi]]))
+        out_coeffs.append(sign[:, None] * kernels._taylor_shift(
+            np.tile(c, (left.size, 1)), left))
+    return (np.concatenate(out_edges), np.concatenate(out_coeffs),
+            np.concatenate(inner))
+
+
+def two_march_scales(op, a, b, T):
+    """The scales of ``mode_weights`` with |b| marched over its own pieces
+    in a march of its own, as they were taken before the march of b was
+    cut at b's sign changes."""
+    lam = op.eigenvalues
+    edges, coeffs, _ = abs_pieces_oracle(*b.pieces(T))
+    R = kernels._march(lam, *kernels._cut(edges, coeffs, edges))[0]
+    return abs(a) * np.exp(T * lam) + R[0]
 
 
 def loop_scatter(cuts, X, Y, nodes):

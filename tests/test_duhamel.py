@@ -73,7 +73,7 @@ class TestDuhamelConvolve:
     def test_zero_forcing(self):
         op = diagonal_operator([-1.0, -2.0])
         grid = sr.make_graded_grid(1.0, 16)
-        g = sr.Trajectory.zeros(grid, 2)
+        g = sr.Trajectory(grid, np.zeros((17, 2)))
         assert np.all(sr.duhamel_convolve(op, g).coeffs == 0.0)
 
     def test_lam_zero_integrates_time(self):
@@ -589,7 +589,8 @@ class TestObserve:
     def test_zero_trajectory(self):
         op = diagonal_operator([-1.0])
         grid = sr.make_graded_grid(1.0, 8)
-        M = sr.observe(sr.Trajectory.zeros(grid, 1), 1.0, sr.WeightFunction.constant(1.0))
+        M = sr.observe(sr.Trajectory(grid, np.zeros((9, 1))), 1.0,
+                       sr.WeightFunction.constant(1.0))
         assert np.all(M == 0.0)
 
     def test_constant_exact(self):

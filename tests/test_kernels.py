@@ -14,8 +14,9 @@ import specrec as sr
 from specrec import kernels
 from specrec.errors import IllPosedModeError, NumericFailureError
 from specrec.kernels import moments
-from _util import (diagonal_operator, exp_weight_integral, loop_scatter,
-                   rel_err, tail_weight, ulp_close)
+from _util import (abs_pieces_oracle, diagonal_operator, exp_weight_integral,
+                   loop_scatter, rel_err, tail_weight, two_march_scales,
+                   ulp_close)
 
 mp.mp.dps = 40
 
@@ -214,8 +215,9 @@ class TestWeightFunctions:
 
     @pytest.mark.parametrize("call", [
         lambda b: sr.mode_weights(diagonal_operator([-1.0]), 0.0, b, 1.0),
-        lambda b: sr.apply_psi_E(0.0, b, 1.0, sr.Trajectory.zeros(
-            sr.make_graded_grid(1.0, 4), 1), diagonal_operator([-1.0])),
+        lambda b: sr.apply_psi_E(0.0, b, 1.0, sr.Trajectory(
+            sr.make_graded_grid(1.0, 4), np.zeros((5, 1))),
+            diagonal_operator([-1.0])),
         lambda b: sr.ConditionE(0.0, b, [1.0]),
         lambda b: sr.ConditionE200(b, [1.0]),
     ], ids=["mode_weights", "apply_psi_E", "E", "E200"])
@@ -441,31 +443,6 @@ class TestModeWeights:
         assert np.all(np.diff(phi0s) < 0)
 
 
-def _abs_pieces_oracle(edges, coeffs):
-    """|b|'s pieces found one piece at a time, each split at the real roots
-    that ``np.roots`` gives inside it and signed at its midpoint."""
-    out_edges, out_coeffs = [edges[:1]], []
-    for lo, hi, c in zip(edges[:-1], edges[1:], coeffs):
-        r = np.roots(c[::-1])
-        r = np.sort(r[np.isreal(r)].real)
-        r = r[(r > 0.0) & (r < hi - lo) & (lo + r < hi)]
-        left = np.concatenate([[0.0], r])
-        right = np.concatenate([r, [hi - lo]])
-        sign = np.sign(np.polynomial.polynomial.polyval(0.5 * (left + right), c))
-        out_edges.append(np.concatenate([lo + r, [hi]]))
-        out_coeffs.append(sign[:, None] * kernels._taylor_shift(
-            np.tile(c, (left.size, 1)), left))
-    return np.concatenate(out_edges), np.concatenate(out_coeffs)
-
-
-def _two_march_scales(op, a, b, T):
-    """The scales of ``mode_weights`` with |b| marched over its own pieces."""
-    lam = op.eigenvalues
-    edges, coeffs = _abs_pieces_oracle(*b.pieces(T))
-    R = kernels._march(lam, *kernels._cut(edges, coeffs, edges))[0]
-    return abs(a) * np.exp(T * lam) + R[0]
-
-
 ONE_SIGNED = {
     "constant": B1,
     "negative-constant": sr.WeightFunction.constant(-2.0),
@@ -485,15 +462,13 @@ SPLIT = {
 
 
 class TestAbsPieces:
-    """|b|'s pieces equal, bit for bit, those of np.roots on every piece."""
+    """|b|'s pieces: the points where b may change sign, at which the march
+    of b is cut, equal, bit for bit, those of np.roots on every piece."""
 
     @staticmethod
     def _check(pieces):
-        edges, coeffs, sign = kernels._abs_pieces(*pieces)
-        want_edges, want_coeffs = _abs_pieces_oracle(*pieces)
-        assert edges.tobytes() == want_edges.tobytes()
-        assert coeffs.tobytes() == want_coeffs.tobytes()
-        assert sign.size == coeffs.shape[0]
+        points = np.sort(kernels._sign_changes(*pieces))
+        assert points.tobytes() == abs_pieces_oracle(*pieces)[2].tobytes()
 
     @pytest.mark.parametrize("times,values", [
         ([0.0, 0.5, 1.0], [2.0, 2.0, 2.0]),        # flat
@@ -524,9 +499,7 @@ class TestAbsPieces:
         b = sr.WeightFunction.table([0.0, 1.0, 2.0, 2.05], [0.0, 0.0, 1.75, 0.0])
         pieces = b.pieces(2.05)
         self._check(pieces)
-        edges, _, sign = kernels._abs_pieces(*pieces)
-        assert edges.tolist() == [0.0, 1.0, 2.0, 2.05]
-        assert sign.tolist() == [0.0, 1.0, 1.0]
+        assert kernels._sign_changes(*pieces).size == 0
         w = sr.mode_weights(diagonal_operator([-1.0, -30.0]), 0.0, b, 2.05)
         assert np.all(w.scales >= w.betas)
 
@@ -537,12 +510,12 @@ class TestAbsPieces:
         pieces = sr.WeightFunction.table([0.0, T], [5.149479152831485e-218,
                                                -1.0]).pieces(T)
         c0, c1 = pieces[1][0]
-        edges, _, sign = kernels._abs_pieces(*pieces)
-        want_edges, _ = _abs_pieces_oracle(*pieces)
-        assert edges[1] == -c0 / c1 != want_edges[1]
-        assert edges[1] in (np.nextafter(want_edges[1], 0.0),
-                            np.nextafter(want_edges[1], 1.0))
-        assert sign.tolist() == [1.0, -1.0]
+        points = kernels._sign_changes(*pieces)
+        want = abs_pieces_oracle(*pieces)[2]
+        assert points.size == want.size == 1
+        assert points[0] == -c0 / c1 != want[0]
+        assert points[0] in (np.nextafter(want[0], 0.0),
+                             np.nextafter(want[0], 1.0))
 
     # values are 0 or at least 1e-100 in magnitude, so that every root lies
     # 0 or more than 1e-135 from its piece's left knot (see above)
@@ -561,7 +534,8 @@ class TestAbsPieces:
 
 
 class TestSingleMarch:
-    """A b of one sign takes its scales from the march over b."""
+    """Every weight is marched once: b's sign changes are cuts of the march,
+    and its scales the scan of |q| that the march forms next to R."""
 
     OP = sr.build_fourth_order(16, 1.0)
 
@@ -581,7 +555,7 @@ class TestSingleMarch:
     @pytest.mark.parametrize("name", sorted(ONE_SIGNED))
     def test_one_signed_weight_marches_once(self, name, a, monkeypatch):
         b = ONE_SIGNED[name]
-        want = _two_march_scales(self.OP, a, b, 0.5)
+        want = two_march_scales(self.OP, a, b, 0.5)
         calls = self._count_marches(monkeypatch)
         w = sr.mode_weights(self.OP, a, b, 0.5)
         assert len(calls) == 1
@@ -589,15 +563,16 @@ class TestSingleMarch:
 
     @pytest.mark.parametrize("name", sorted(SPLIT))
     def test_split_weight_marches_abs(self, name, monkeypatch):
+        # the march over b cut at its roots and at 0 and T, against the
+        # march over |b|'s own pieces: the cuts differ, so the rounding does
         b = SPLIT[name]
-        want = _two_march_scales(self.OP, 0.3, b, 0.5)
+        want = two_march_scales(self.OP, 0.3, b, 0.5)
         calls = self._count_marches(monkeypatch)
         w = sr.mode_weights(self.OP, 0.3, b, 0.5)
-        assert len(calls) == 2
-        assert w.scales.tobytes() == want.tobytes()
+        assert len(calls) == 1
+        assert np.all(np.abs(w.scales - want) <= 1e-13 * want)
 
-    # a plan marches b once for its psi weights, denominators and scales,
-    # and |b| once more only when b changes sign
+    # a plan marches b once for its psi weights, denominators and scales
     @staticmethod
     def _plan(b):
         cond = sr.ConditionE200(b, np.zeros(16))
@@ -618,8 +593,12 @@ class TestSingleMarch:
     @pytest.mark.parametrize("name", sorted(SPLIT))
     def test_split_plan_marches_abs(self, name, monkeypatch):
         calls = self._count_marches(monkeypatch)
-        self._plan(SPLIT[name])
-        assert len(calls) == 2
+        plan = self._plan(SPLIT[name])
+        assert len(calls) == 1
+        want = 1.0 + two_march_scales(self.OP, 0.0, SPLIT[name], 0.5)
+        assert np.all(np.abs(plan.spectral.scales - want) <= 1e-13 * want)
+        assert plan.spectral.ok_per_mode.tobytes() == (
+            plan.spectral.margins > 1e-10 * want).tobytes()
 
 
 class TestHatScatter:

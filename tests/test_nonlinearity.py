@@ -50,7 +50,7 @@ class TestPointwisePower:
 class TestEvalLocal:
     def test_zero_input(self):
         f = sr.PowerLaw(2.0, 1.0)
-        out = f.eval_trajectory(sr.Trajectory.zeros(GRID, OP.n_modes), OP)
+        out = f.eval_trajectory(sr.Trajectory(GRID, np.zeros((33, OP.n_modes))), OP)
         assert np.all(out.coeffs == 0.0)
 
     def test_scalar_mode(self):
@@ -138,7 +138,7 @@ class TestStackedPayload:
 class TestMemoryKernel:
     def test_zero_input(self):
         f = sr.MemoryKernel(1.0, -0.5, 1.0)
-        out = f.eval_trajectory(sr.Trajectory.zeros(GRID, OP.n_modes), OP)
+        out = f.eval_trajectory(sr.Trajectory(GRID, np.zeros((33, OP.n_modes))), OP)
         assert np.all(out.coeffs == 0.0)
 
     def test_constant_state_linear_growth(self):

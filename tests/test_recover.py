@@ -17,7 +17,7 @@ from specrec.duhamel import _step_tables
 from specrec.recover import _plan_weights
 from _util import (diagonal_operator, exp_weight_integral,
                    fixed_point_from_random_start, initial_value, loop_march,
-                   rel_err)
+                   rel_err, two_march_scales)
 
 B1 = sr.WeightFunction.constant(1.0)
 ONE_POLY = sr.WeightFunction.poly([1.0])
@@ -133,7 +133,8 @@ class TestApplyPsiE:
     def test_zero_forcing(self):
         op = diagonal_operator([-1.0])
         grid = sr.make_graded_grid(1.0, 16)
-        out = sr.apply_psi_E(1.0, B1, 1.0, sr.Trajectory.zeros(grid, 1), op)
+        out = sr.apply_psi_E(1.0, B1, 1.0, sr.Trajectory(grid, np.zeros((17, 1))),
+                             op)
         assert np.all(out == 0.0)
 
     def test_final_time_propagation_only(self):
@@ -950,6 +951,17 @@ class TestOneMarch:
         assert np.all(np.abs(denoms - (c + w.betas)) <= 1e-13 * scales)
         assert np.all(np.abs(scales - (abs(c) + w.scales)) <= 1e-13 * scales)
 
+    @staticmethod
+    def _check_scales(op, cond, grid):
+        # within 1e-13 of |b| marched over its own pieces in a march of its
+        # own, and the modes that pass the same
+        c, a, b = cond.coupling
+        report = _plan_weights(op, grid, cond.coupling, cond.problem)[2]
+        want = abs(c) + two_march_scales(op, a, b, grid.T)
+        assert np.all(np.abs(report.scales - want) <= 1e-13 * want)
+        assert report.ok_per_mode.tobytes() == (
+            report.margins > recover.ILL_POSED_RTOL * want).tobytes()
+
     def _check_loop_march(self, op, cond, grid, monkeypatch):
         # W within 1e-13 of the one from a march solved row by row, relative
         # to each mode's largest weight
@@ -993,6 +1005,7 @@ class TestOneMarch:
         op, cond, grid = self._drawn(b, T, problem)
         self._check_report(op, cond, grid)
         self._check_denominators(op, cond, grid)
+        self._check_scales(op, cond, grid)
         with pytest.MonkeyPatch.context() as monkeypatch:
             self._check_loop_march(op, cond, grid, monkeypatch)
 

@@ -226,7 +226,7 @@ class TestWeightedSupNorm:
     def test_zero_trajectory(self):
         op = diagonal_operator([-1.0])
         grid = sr.make_graded_grid(1.0, 4)
-        u = sr.Trajectory.zeros(grid, 1)
+        u = sr.Trajectory(grid, np.zeros((5, 1)))
         assert sr.weighted_sup_norm(op, u, 0.3, sr.FractionalNormSpec(0.5, 0.0)) == 0.0
 
 
@@ -268,7 +268,7 @@ class TestWeightedSupNormOracle:
     @pytest.mark.parametrize("theta", [0.0, 0.25])
     def test_zero_trajectory(self, theta):
         op = sr.build_second_order(4, 1.0, 0.0, "dirichlet")
-        u = sr.Trajectory.zeros(self.GRID, 4)
+        u = sr.Trajectory(self.GRID, np.zeros((25, 4)))
         spec = sr.FractionalNormSpec(theta, 0.0)
         assert sr.weighted_sup_norm(op, u, 0.0, spec) == 0.0
         assert _sup_norm_oracle(op, u, 0.0, spec) == 0.0
