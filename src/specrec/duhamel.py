@@ -170,11 +170,12 @@ def forward_solve(op, u0, f, grid):
     window.  A single step
     that fails raises ``NumericFailureError`` with its ``step`` (0 when the
     payload of u0 overflows).  For a memory kernel the solve allocates one
-    (64, n + 1) buffer and a fixed work area of four arrays of at most 2**14
-    floats, once, and writes each window's history rows into them in place,
-    also after a window is halved; its sum over earlier nodes is formed once
-    per window, so the solve holds O(n (m + 64)) floats for n steps, never
-    the (n + 1)**2 operator.
+    (64, n + 1) buffer and a fixed work area of five arrays of at most
+    max(2**14, n) floats, once, and writes each window's history rows into
+    them in place, in one block per window up to n = 256, also after a
+    window is halved; row 0 is never written, since H[0, 0] = 0.  The sum
+    over earlier nodes is formed once per window, so the solve holds
+    O(n (m + 64)) floats for n steps, never the (n + 1)**2 operator.
     """
     u0 = np.asarray(u0, dtype=float)
     if u0.shape != (op.n_modes,) or not np.all(np.isfinite(u0)):
@@ -195,8 +196,9 @@ def forward_solve(op, u0, f, grid):
         except NumericFailureError as err:
             raise _at_step(err, 0) from err
         writer = f._row_writer(nodes, _WINDOW)
-        g = (payloads[0] if writer is None
-             else writer.fill(0, 1)[0, 0] * payloads[0])
+        # a memory kernel's forcing at t = 0 is H[0, 0] = +0.0 times the
+        # payload there
+        g = payloads[0] if writer is None else 0.0 * payloads[0]
         s, k, built, rows = 0, _WINDOW, -1, None
         while s < n:
             k = min(k, n - s)

@@ -19,7 +19,8 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .duhamel import _hat_pieces, forward_solve
-from .errors import ConfigError, InvalidParameterError, SpecrecError
+from .errors import (ConfigError, InvalidParameterError,
+                     NumericFailureError, SpecrecError)
 from .kernels import _hat_scatter
 from .nonlinearity import check_growth_condition
 from .recover import (FixedPointReport, GrowthExponents, build_plan,
@@ -52,20 +53,34 @@ def _integral_weights(nodes, b):
     return out / 3.0
 
 
+def _named_solve(op, u0, f, grid, name):
+    """``forward_solve`` on ``grid``; a failure is raised again with the
+    solve named, by ``name`` and its step count, keeping its step."""
+    try:
+        return forward_solve(op, u0, f, grid)
+    except NumericFailureError as err:
+        raise NumericFailureError(
+            f"forward solve on the {name} ({grid.n_steps} steps): {err}",
+            error_estimate=err.error_estimate, step=err.step,
+            mode=err.mode) from err
+
+
 def synthesize_observation(cfg, op, f, u0_true):
     """Forward-solve on a refined grid and form the observation vector
     c*u0 + a*u(T) + int b u dt, the integral by ``_integral_weights``.
     Without an integral (b = 0) u(T) is (4 u_2n(T) - u_n(T)) / 3, with u_n
     from a second solve on the solver's own grid: one Richardson step that
     cancels the forward solve's h**2 term (gated by
-    ``TestRoundtripHarness.test_e100_error_is_the_recovery_own``)."""
+    ``TestRoundtripHarness.test_e100_error_is_the_recovery_own``).  A
+    failed solve raises ``NumericFailureError`` naming its grid, the
+    observation's or the recovery's, and its step count."""
     # the coupling (c, a, b) does not depend on M
     c, a, b = cfg.build_condition(np.zeros(op.n_modes)).coupling
     grid_fine = make_graded_grid(cfg.grid.T, INTEGRAL_REFINEMENT * cfg.grid.n,
                                  cfg.grid.r)
-    u = forward_solve(op, u0_true, f, grid_fine)
+    u = _named_solve(op, u0_true, f, grid_fine, "observation grid")
     if b.is_zero:
-        u_n = forward_solve(op, u0_true, f, cfg.build_grid())
+        u_n = _named_solve(op, u0_true, f, cfg.build_grid(), "recovery grid")
         return (c * u0_true + a * (4.0 * u.coeffs[-1] - u_n.coeffs[-1]) / 3.0,
                 grid_fine)
     integral = _integral_weights(grid_fine.nodes, b) @ u.coeffs

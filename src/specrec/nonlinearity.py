@@ -135,7 +135,7 @@ class PowerLaw(Nonlinearity):
 _SERIES_X = 0.05
 _SERIES_TERMS = 13
 
-# History weights evaluated per array pass, so each of the four work arrays
+# History weights evaluated per array pass, so each of the five work arrays
 # stays near 128 KB, in cache, whatever the grid size.
 _BLOCK_ENTRIES = 2**14
 
@@ -144,13 +144,15 @@ class _HistoryRows:
     """Rows of a memory kernel's history weights, written in place.
 
     Holds one (rows, nodes.size) buffer for the weights of up to ``rows``
-    rows and a fixed work area: four arrays of at most ``_BLOCK_ENTRIES``
-    floats (more only when one row holds more) and a mask, all allocated
-    here, once.  ``fill`` writes the weights of
-    ``MemoryKernel.history_rows`` into that buffer with ufunc ``out=``
-    arguments, block by block, so filling rows allocates no array above a
-    few KB.  Each weight depends only on its row, its column and the nodes,
-    so the bytes are the same whatever rows a call fills.
+    rows and a fixed work area: five arrays of min(rows n, max(2**14, n))
+    floats for n + 1 nodes (``_BLOCK_ENTRIES`` = 2**14; more only when one
+    row holds more) and a mask of as many entries, all allocated here,
+    once.  ``fill`` writes the weights of ``MemoryKernel.history_rows``
+    into that buffer with ufunc ``out=`` arguments, in the fewest blocks
+    that keep each within the work area, so filling rows allocates no
+    array above a few KB.  Each weight depends only on its row, its column
+    and the nodes, so the bytes are the same whatever rows a call fills
+    and however they are cut into blocks.
     """
 
     def __init__(self, lambda_exp, nodes, rows):
@@ -164,18 +166,24 @@ class _HistoryRows:
         self._series = b / (j + 2.0)
         self._out = np.empty((rows, size))
         entries = min(rows * (size - 1), max(_BLOCK_ENTRIES, size - 1))
-        self._work = np.empty((4, entries))
+        self._work = np.empty((5, entries))
         self._mask = np.empty(entries, dtype=bool)
 
     def fill(self, start, stop):
         """Write the weights of rows start .. stop - 1 over the nodes before
         ``stop`` and return them, the buffer's view of shape (stop - start,
-        stop); the next call overwrites it."""
-        out = self._out[:stop - start, :stop]
-        per = max(1, _BLOCK_ENTRIES // stop)
-        for lo in range(start, stop, per):
-            hi = min(lo + per, stop)
+        stop); the next call overwrites it.  The rows go in the fewest
+        blocks of at most ``_BLOCK_ENTRIES // (stop - 1)`` rows, the widest
+        row's share, shared out evenly."""
+        rows = stop - start
+        out = self._out[:rows, :stop]
+        per = max(1, _BLOCK_ENTRIES // max(1, stop - 1))
+        count = -(-rows // per)
+        lo = start
+        for b in range(count):
+            hi = lo + rows // count + (b < rows % count)
             self._block(lo, hi, out[lo - start:hi - start])
+            lo = hi
         return out
 
     def _block(self, lo, hi, out):
@@ -183,13 +191,13 @@ class _HistoryRows:
         a, nodes = self._a, self._nodes
         n_rows, m = hi - lo, hi - 1
         h = self._h[:m]
-        x, E, F, T = (w[:n_rows * m].reshape(n_rows, m) for w in self._work)
+        x, E, F, T, d = (w[:n_rows * m].reshape(n_rows, m) for w in self._work)
         mask = self._mask[:n_rows * m].reshape(n_rows, m)
         # d = t_i - t_k >= h below the diagonal; h on and above it, where
         # x = 1 keeps every formula finite until those entries are zeroed
-        np.subtract(nodes[lo:hi, None], nodes[:m], out=T)
-        np.maximum(T, h, out=T)
-        np.divide(h, T, out=x)
+        np.subtract(nodes[lo:hi, None], nodes[:m], out=d)
+        np.maximum(d, h, out=d)
+        np.divide(h, d, out=x)
         np.negative(x, out=E)
         with np.errstate(divide="ignore"):    # log1p(-1) where x = 1
             np.log1p(E, out=E)
@@ -214,17 +222,17 @@ class _HistoryRows:
             T += c
         np.copyto(F, T, where=mask)
         # h d**lambda = x d**a, so the segment's weight is d**a E_a / a, of
-        # which x d**a F_R goes to its right node; d**a is zeroed for k >= i
-        np.subtract(nodes[lo:hi, None], nodes[:m], out=T)
-        np.maximum(T, h, out=T)
-        T **= a
+        # which x d**a F_R goes to its right node and the rest, formed in E,
+        # to its left; d**a is zeroed for k >= i
+        d **= a
         upper = mask[:, lo:]
         np.greater_equal(self._cols[lo:m], self._cols[lo:hi, None], out=upper)
-        np.copyto(T[:, lo:], 0.0, where=upper)
-        x *= T
+        np.copyto(d[:, lo:], 0.0, where=upper)
+        x *= d
         x *= F
-        np.multiply(T, E, out=out[:, :m])
-        out[:, :m] -= x
+        E *= d
+        E -= x
+        out[:, :m] = E
         out[:, m:] = 0.0
         out[:, 1:hi] += x
 
@@ -244,12 +252,13 @@ class MemoryKernel(Nonlinearity):
     n steps (0.13 MB at n = 128, 8.4 MB at n = 1024), with the payloads P;
     ``picard_recover`` builds H once per recovery and forms that product
     from ``eval_node`` itself each sweep.  ``forward_solve`` allocates one
-    (64, n + 1) rows buffer and a fixed work area of four arrays of at most
-    2**14 floats, once per solve, and writes each window's rows of H into
-    them in place, so its memory stays O(n (m + 64)) for m modes; a sweep
-    over the window costs one synthesise/analyse pair on the window's stack
-    of states, the sum over the nodes before the window, formed once per
-    window, and the window's own lower-triangular block of H.
+    (64, n + 1) rows buffer and a fixed work area of five arrays of at most
+    max(2**14, n) floats, once per solve, and writes each window's rows of
+    H into them in place, in one block per window up to n = 256, so its
+    memory stays O(n (m + 64)) for m modes; a sweep over the window costs
+    one synthesise/analyse pair on the window's stack of states, the sum
+    over the nodes before the window, formed once per window, and the
+    window's own lower-triangular block of H.
     """
 
     def __init__(self, c, lambda_exp, ell):
@@ -286,8 +295,9 @@ class MemoryKernel(Nonlinearity):
         every weight measured was within 1.1e-14 relative of the exact
         integral at the given nodes, about 45 ulp; the largest errors sit
         next to the switch at x = 0.05, where the closed form cancels most.
-        Cost O((stop - start) stop), in passes of at most 2**14 weights,
-        written in place into the result.
+        Cost O((stop - start) stop), written in place into the result in
+        the fewest blocks of at most 2**14 // (stop - 1) rows, shared out
+        evenly: 65 + 64 rows for the 129 rows of a 128-step grid.
         """
         return self._row_writer(nodes[:stop], stop - start).fill(start, stop)
 

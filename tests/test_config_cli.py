@@ -782,6 +782,28 @@ class TestCli:
         assert main(["recover", "--config", path, "--quiet"]) == 4
         assert message in capsys.readouterr().err
 
+    def test_failed_observation_solve_is_named(self, tmp_path, capsys):
+        # E100 extrapolates u(T) from a second solve on the recovery grid:
+        # here the 16-step solve passes and the 8-step one fails, and the
+        # message names that solve, keeping its step and exit code 1
+        data = {"operator": {"family": "neumann2", "modes": 4, "c0": 1.0},
+                "condition": {"problem": "E100", "b": 0.5,
+                              "M": {"type": "from-u0"}},
+                "u0": {"type": "mode", "index": 1, "amplitude": 2.0},
+                "nonlinearity": {"type": "power", "kappa": 1.0, "ell": 1.0},
+                "grid": {"T": 1.0, "n": 8}}
+        path = write_cfg(tmp_path, data)
+        for cmd in ("roundtrip", "recover"):
+            assert main([cmd, "--config", path, "--quiet"]) == 1
+            assert capsys.readouterr().err == (
+                "error: forward solve on the recovery grid (8 steps): "
+                "corrector did not converge within 25 iterations at step 8\n")
+        cfg = sr.parse_config(path)
+        op, f = cfg.build_operator(), cfg.build_nonlinearity()
+        with pytest.raises(sr.NumericFailureError) as info:
+            harness.synthesize_observation(cfg, op, f, cfg.resolve_u0(op))
+        assert info.value.step == 8
+
     @pytest.mark.parametrize("update, message", [
         ({"operator.d": 0}, "operator: diffusivity must be positive"),
         ({"operator.family": "neumann2", "operator.c0": 0},

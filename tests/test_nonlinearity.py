@@ -251,15 +251,42 @@ class TestHistoryRows:
     def test_block_size_same_bytes(self, monkeypatch, r):
         # each weight depends only on its row, column and the nodes, so one
         # row per block gives the bytes of the default blocks
+        # (a forward window of 64 rows over 256 columns is one block, and
+        # the plan's 129 rows of a 128-step grid are two)
         nodes = sr.make_graded_grid(1.0, 300, r).nodes
         f = sr.MemoryKernel(1.0, -0.5, 1.0)
-        blocks = [f.history_rows(nodes, 0, nodes.size),
-                  f.history_rows(nodes, 100, 164)]
+        spans = [(0, nodes.size), (100, 164), (193, 257), (0, 129)]
+        blocks = [f.history_rows(nodes, *span) for span in spans]
         monkeypatch.setattr(nonlinearity, "_BLOCK_ENTRIES", 1)
-        rows = [f.history_rows(nodes, 0, nodes.size),
-                f.history_rows(nodes, 100, 164)]
+        rows = [f.history_rows(nodes, *span) for span in spans]
         for want, got in zip(blocks, rows):
             assert got.tobytes() == want.tobytes()
+
+    def test_fewest_blocks(self, monkeypatch):
+        # memory-forward's grids: each forward window of the 256-step
+        # observation grid is one block, row 0 is never filled, and the
+        # plan's 129 rows of the 128-step grid are 65 + 64 rows, 12,352
+        # weights where blocks sized by the last row's 129 columns wrote
+        # 127 + 2 rows and 16,258 weights
+        fixture = TestStackedPayload.FIXTURES / "memory-forward.json"
+        cfg = sr.parse_config(fixture)
+        op, f = cfg.build_operator(), cfg.build_nonlinearity()
+        fine = sr.make_graded_grid(cfg.grid.T, 2 * cfg.grid.n, cfg.grid.r)
+        calls = []    # (rows, weights written) of every block
+        block = nonlinearity._HistoryRows._block
+
+        def counted(self, lo, hi, out):
+            calls.append((hi - lo, (hi - lo) * (hi - 1)))
+            return block(self, lo, hi, out)
+
+        monkeypatch.setattr(nonlinearity._HistoryRows, "_block", counted)
+        sr.forward_solve(op, cfg.resolve_u0(op), f, fine)
+        assert calls == [(64, 64 * w) for w in (64, 128, 192, 256)]
+        calls.clear()
+        nodes = cfg.build_grid().nodes
+        f.history_rows(nodes, 0, nodes.size)
+        assert calls == [(65, 65 * 64), (64, 64 * 128)]
+        assert sum(w for _, w in calls) == 12352
 
     def test_lower_triangular_blocks(self):
         # a block of rows is the matching slice of the whole operator
